@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-snapshot bench-compare bench-baseline bench-scaling bench-sweep bench-build repro chaos chaos-cancel chaos-hub chaos-cluster conformance conformance-deep fuzz fuzz-smoke goldens clean
+.PHONY: all build vet test race bench-smoke bench bench-snapshot bench-compare bench-baseline bench-scaling bench-sweep bench-build repro chaos chaos-cancel chaos-hub chaos-cluster conformance conformance-deep fuzz fuzz-smoke goldens clean
 
 # Solve-path benchmarks recorded in BENCH_baseline.json (docs/PERFORMANCE.md).
 # Which of them benchcmp actually gates is its -gate regex; the rest are
@@ -31,6 +31,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The end-to-end benchmark (benchmark/) is its own Go module, so the root
+# `go test ./...` skips it. Its tests run every workload once and pin the
+# seed-1 solve and sweep values in benchmark/testdata/reference.json at
+# 1e-9 — the end-to-end exactness check for solver-path changes.
+bench-smoke:
+	cd benchmark && $(GO) test ./...
 
 # One benchmark per paper table/figure plus ablations and parallel scaling.
 bench:
@@ -64,8 +71,8 @@ bench-scaling:
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_baseline.json -gate '^$$' -out bench_scaling.json
 
 # Sweep-throughput lane (docs/PERFORMANCE.md): assembly-plan reuse vs cold
-# CSR assembly, the family-backed perturbation sweep vs per-sample
-# re-derivation, and the stiff steady-state ladder with its Krylov rung.
+# CSR assembly, the family-backed perturbation sweep, and the stiff
+# steady-state ladder with its Krylov rung.
 # Non-blocking: everything is reported against the baseline but nothing is
 # gated ('-gate ^$'), so CI surfaces drift without failing the build while
 # the cache's hit pattern still settles across machine profiles.

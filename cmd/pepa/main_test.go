@@ -1,10 +1,13 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/pepa/derive"
 )
 
 // runCmd invokes run() with the given argv, capturing stdout.
@@ -99,6 +102,20 @@ func TestSweepMode(t *testing.T) {
 	}
 	if _, err := runCmd(t, modelFile(t, model), "-sweep", "r:1:2:4", "-measure", "nope:x"); err == nil {
 		t.Error("bad measure accepted")
+	}
+}
+
+// TestSweepRejectsNonReratable: -sweep on a model whose rates cannot be
+// re-valued without re-deriving (a both-active cooperation) exits with
+// the sweep's error instead of printing a table.
+func TestSweepRejectsNonReratable(t *testing.T) {
+	src := "r = 2;\nP = (a, r).P;\nQ = (a, 3).Q;\nP <a> Q\n"
+	out, err := runCmd(t, modelFile(t, src), "-sweep", "r:1:2:3", "-measure", "throughput:a")
+	if !errors.Is(err, derive.ErrNotReratable) {
+		t.Fatalf("err = %v, want ErrNotReratable", err)
+	}
+	if strings.Contains(out, "throughput(a)") {
+		t.Errorf("sweep table printed despite the error:\n%s", out)
 	}
 }
 

@@ -2,6 +2,7 @@ package ctmc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -45,11 +46,11 @@ type ChainFamily struct {
 }
 
 // NewChainFamily builds a family over a derived prototype state space.
-// It errors (wrapping derive.ErrNotReratable) when the prototype carries
-// opaque rate provenance — callers fall back to per-model derivation.
+// It errors (wrapping derive.ErrNotReratable, naming the first opaque
+// state and activity) when the prototype carries opaque rate provenance.
 func NewChainFamily(ss *derive.StateSpace) (*ChainFamily, error) {
-	if !ss.Reratable() {
-		return nil, fmt.Errorf("ctmc: %w", derive.ErrNotReratable)
+	if err := ss.CheckReratable(); err != nil {
+		return nil, fmt.Errorf("ctmc: %w", err)
 	}
 	n := ss.NumStates()
 	// Replay FromStateSpace's exact COO entry order — per state: each
@@ -78,10 +79,10 @@ func (f *ChainFamily) StateSpace() *derive.StateSpace { return f.ss }
 
 // ChainForRates builds the member chain for a rate-constant environment:
 // every Const-provenance activity is re-valued from env (validated like
-// derive.Reprice — missing or non-positive constants error), Fixed ones
-// keep the prototype's value, and the generator is assembled through the
-// memoized plan. The result is byte-identical to deriving the re-rated
-// model from scratch and calling FromStateSpace.
+// derive.Reprice — missing, non-positive, or non-finite constants
+// error), Fixed ones keep the prototype's value, and the generator is
+// assembled through the memoized plan. The result is byte-identical to
+// deriving the re-rated model from scratch and calling FromStateSpace.
 func (f *ChainFamily) ChainForRates(env map[string]float64) (*Chain, error) {
 	n := f.ss.NumStates()
 	vals := make([]float64, f.nnz)
@@ -100,8 +101,8 @@ func (f *ChainFamily) ChainForRates(env map[string]float64) (*Chain, error) {
 				if !ok {
 					return nil, fmt.Errorf("ctmc: family member: rate constant %q missing from environment", tr.Src.Const)
 				}
-				if v <= 0 {
-					return nil, fmt.Errorf("ctmc: family member: rate constant %q = %g is not positive", tr.Src.Const, v)
+				if !(v > 0) || math.IsInf(v, 0) {
+					return nil, fmt.Errorf("ctmc: family member: rate constant %q = %g is not finite and positive", tr.Src.Const, v)
 				}
 				r = v
 			case tr.Src.Fixed:

@@ -204,6 +204,8 @@ func TestChainFamilyErrors(t *testing.T) {
 	}
 	if _, err := NewChainFamily(famExplore(t, m)); !errors.Is(err, derive.ErrNotReratable) {
 		t.Fatalf("err = %v, want ErrNotReratable", err)
+	} else if !strings.Contains(err.Error(), `activity "a"`) {
+		t.Errorf("error does not name the opaque activity: %v", err)
 	}
 	fam, err := NewChainFamily(famExplore(t, famModel(t, "1.5", "0.25")))
 	if err != nil {
@@ -214,5 +216,20 @@ func TestChainFamilyErrors(t *testing.T) {
 	}
 	if _, err := fam.ChainForRates(map[string]float64{"r1": 1, "r2": -2}); err == nil {
 		t.Error("non-positive constant accepted")
+	}
+}
+
+// TestChainForRatesRejectsNonFiniteOrNonPositive: a member rate must be
+// finite and positive. NaN slips past a plain v <= 0 test, and ±Inf
+// would build a generator with no CTMC meaning.
+func TestChainForRatesRejectsNonFiniteOrNonPositive(t *testing.T) {
+	fam, err := NewChainFamily(famExplore(t, famModel(t, "1.5", "0.25")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -2} {
+		if _, err := fam.ChainForRates(map[string]float64{"r1": 1, "r2": v}); err == nil {
+			t.Errorf("r2=%g accepted", v)
+		}
 	}
 }

@@ -8,6 +8,7 @@ package experiment
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"strings"
 
@@ -40,7 +41,11 @@ func (s *Series) TSV() string {
 	return b.String()
 }
 
-// Measure computes a scalar from a solved model.
+// Measure computes a scalar from a solved model. ss carries structure
+// only — states, their numbering and canonical terms, and the transition
+// graph; its transition rates are the sweep prototype's, not this
+// point's. The point's rates live in chain, so Eval must read every
+// rate-dependent quantity from chain.
 type Measure interface {
 	Name() string
 	Eval(ss *derive.StateSpace, chain *ctmc.Chain) (float64, error)
@@ -122,9 +127,15 @@ func (p PassageQuantile) Eval(ss *derive.StateSpace, chain *ctmc.Chain) (float64
 }
 
 // RateSweep evaluates a measure while a rate constant takes each value in
-// values. The model is not modified; each point solves an independent copy,
-// so points run in parallel (one worker per core) and are assembled in
-// sweep order.
+// values. The model is not modified. Its state space is derived once into
+// a ctmc.ChainFamily, and each point re-rates that prototype: the member
+// chain is byte-identical to deriving the re-rated model from scratch
+// (see ctmc.ChainFamily), at the cost of an O(nnz) gather. Points run in
+// parallel (one worker per core) and are assembled in sweep order.
+//
+// A model whose rates cannot be re-valued without re-deriving (rate
+// arithmetic, both-active synchronization; see derive.ErrNotReratable)
+// is rejected before any point is solved.
 func RateSweep(m *pepa.Model, rateName string, values []float64, measure Measure) (*Series, error) {
 	if _, ok := m.Rates[rateName]; !ok {
 		return nil, fmt.Errorf("experiment: model has no rate constant %q", rateName)
@@ -133,19 +144,27 @@ func RateSweep(m *pepa.Model, rateName string, values []float64, measure Measure
 		return nil, fmt.Errorf("experiment: empty sweep")
 	}
 	for _, v := range values {
-		if v <= 0 {
-			return nil, fmt.Errorf("experiment: rate %q cannot sweep through non-positive value %g", rateName, v)
+		if !(v > 0) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("experiment: rate %q cannot sweep through %g (want a finite positive value)", rateName, v)
 		}
+	}
+	ss, err := derive.Explore(m, derive.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
+	}
+	fam, err := ctmc.NewChainFamily(ss)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: sweeping %q: %w", rateName, err)
 	}
 	points, err := par.Map(len(values), 0, func(i int) (Point, error) {
 		v := values[i]
-		clone := cloneWithRate(m, rateName, v)
-		ss, err := derive.Explore(clone, derive.Options{})
+		env := maps.Clone(m.Rates)
+		env[rateName] = v
+		chain, err := fam.ChainForRates(env)
 		if err != nil {
 			return Point{}, fmt.Errorf("experiment: %s=%g: %w", rateName, v, err)
 		}
-		chain := ctmc.FromStateSpace(ss)
-		val, err := measure.Eval(ss, chain)
+		val, err := measure.Eval(fam.StateSpace(), chain)
 		if err != nil {
 			return Point{}, fmt.Errorf("experiment: %s=%g: %w", rateName, v, err)
 		}
@@ -155,21 +174,6 @@ func RateSweep(m *pepa.Model, rateName string, values []float64, measure Measure
 		return nil, err
 	}
 	return &Series{Parameter: rateName, Measure: measure.Name(), Points: points}, nil
-}
-
-// cloneWithRate copies the model with one rate constant overridden. The
-// process definitions are shared (the AST is immutable).
-func cloneWithRate(m *pepa.Model, name string, v float64) *pepa.Model {
-	c := pepa.NewModel()
-	for _, rn := range m.RateOrder {
-		c.DefineRate(rn, m.Rates[rn])
-	}
-	c.DefineRate(name, v)
-	for _, dn := range m.DefOrder {
-		c.Define(dn, m.Defs[dn].Body)
-	}
-	c.System = m.System
-	return c
 }
 
 // Linspace returns n evenly spaced values over [lo, hi].

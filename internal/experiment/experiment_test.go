@@ -1,11 +1,16 @@
 package experiment
 
 import (
+	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/ctmc"
 	"repro/internal/pepa"
+	"repro/internal/pepa/derive"
 )
 
 const workRest = "r = 1.0; s = 2.0;\nP = (work, r).P1;\nP1 = (rest, s).P;\nP\n"
@@ -88,14 +93,124 @@ func TestSweepErrors(t *testing.T) {
 	if _, err := RateSweep(m, "r", nil, Throughput{Action: "work"}); err == nil {
 		t.Error("empty sweep accepted")
 	}
-	if _, err := RateSweep(m, "r", []float64{0}, Throughput{Action: "work"}); err == nil {
-		t.Error("zero rate value accepted")
-	}
 	if _, err := RateSweep(m, "r", []float64{1}, Throughput{Action: "ghost"}); err == nil {
 		t.Error("unknown action accepted")
 	}
 	if _, err := RateSweep(m, "r", []float64{1}, PassageQuantile{Pattern: "Nowhere"}); err == nil {
 		t.Error("unmatched passage pattern accepted")
+	}
+}
+
+// TestSweepRejectsNonFiniteOrNonPositiveValues: a swept value must be a
+// finite positive rate, checked before any point is solved. NaN slips
+// past a plain v <= 0 test.
+func TestSweepRejectsNonFiniteOrNonPositiveValues(t *testing.T) {
+	m := pepa.MustParse(workRest)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -2} {
+		var evals atomic.Int64
+		_, err := RateSweep(m, "r", []float64{1, v}, countingMeasure{Throughput{Action: "work"}, &evals})
+		if err == nil {
+			t.Errorf("r=%g accepted", v)
+		}
+		if n := evals.Load(); n != 0 {
+			t.Errorf("r=%g: %d points evaluated before the rejection", v, n)
+		}
+	}
+}
+
+// countingMeasure wraps a measure and counts its evaluations.
+type countingMeasure struct {
+	Measure
+	evals *atomic.Int64
+}
+
+func (c countingMeasure) Eval(ss *derive.StateSpace, chain *ctmc.Chain) (float64, error) {
+	c.evals.Add(1)
+	return c.Measure.Eval(ss, chain)
+}
+
+// cloneWithRate copies the model with one rate constant overridden — the
+// per-point re-derivation the family-backed sweep replaces.
+func cloneWithRate(m *pepa.Model, name string, v float64) *pepa.Model {
+	c := pepa.NewModel()
+	for _, rn := range m.RateOrder {
+		c.DefineRate(rn, m.Rates[rn])
+	}
+	c.DefineRate(name, v)
+	for _, dn := range m.DefOrder {
+		c.Define(dn, m.Defs[dn].Body)
+	}
+	c.System = m.System
+	return c
+}
+
+// TestRateSweepBitIdenticalToFreshDerive pins the sweep engine's
+// exactness: every point of a family-backed sweep is Float64bits-equal to
+// cloning the model with the point's rate, deriving it from scratch, and
+// evaluating the measure on the cold chain. It covers the paper's four
+// validation models and all three measure kinds.
+func TestRateSweepBitIdenticalToFreshDerive(t *testing.T) {
+	models := []struct {
+		name, src, rate, action, pattern string
+	}{
+		{"simple", core.SimplePEPAModel, "phi", "serve", "ProcDown"},
+		{"badge", core.ActiveBadgeModel, "m", "move12", "P3"},
+		{"altbit", core.AlternatingBitModel, "l", "recv0", "WaitAck1"},
+		{"pclan4", core.PCLAN4Model, "think", "propagate", "Busy"},
+	}
+	// Full-mantissa values so any drift shows bitwise.
+	values := []float64{0.0734985172345, 0.41213141516, 1.7234985172345, 6.1121314151617}
+	for _, md := range models {
+		m := pepa.MustParse(md.src)
+		measures := []Measure{
+			Throughput{Action: md.action},
+			Utilization{Pattern: md.pattern},
+			PassageQuantile{Pattern: md.pattern, Quantile: 0.5, Horizon: 40, Samples: 4000},
+		}
+		for _, meas := range measures {
+			tag := md.name + "/" + meas.Name()
+			series, err := RateSweep(m, md.rate, values, meas)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			for i, v := range values {
+				ss, err := derive.Explore(cloneWithRate(m, md.rate, v), derive.Options{})
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				want, err := meas.Eval(ss, ctmc.FromStateSpace(ss))
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				got := series.Points[i].Measure
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s: %s=%g: measure %x (%g) vs fresh %x (%g)", tag, md.rate, v,
+						math.Float64bits(got), got, math.Float64bits(want), want)
+				}
+			}
+		}
+	}
+}
+
+// bothActive synchronizes two active rates on one action: the
+// cooperation's apparent rate min(r, 3) leaves the transition's rate
+// provenance opaque, so the model cannot be re-rated without re-deriving.
+const bothActive = "r = 2; P = (a, r).P; Q = (a, 3).Q; P <a> Q"
+
+// TestRateSweepRejectsNonReratable: a model the family cannot re-rate
+// fails at sweep construction with derive.ErrNotReratable — naming the
+// offending state and activity — before any point is evaluated.
+func TestRateSweepRejectsNonReratable(t *testing.T) {
+	var evals atomic.Int64
+	_, err := RateSweep(pepa.MustParse(bothActive), "r", []float64{1, 2, 4}, countingMeasure{Throughput{Action: "a"}, &evals})
+	if !errors.Is(err, derive.ErrNotReratable) {
+		t.Fatalf("err = %v, want ErrNotReratable", err)
+	}
+	if !strings.Contains(err.Error(), `activity "a"`) || !strings.Contains(err.Error(), "state 0") {
+		t.Errorf("error does not name the opaque state and activity: %v", err)
+	}
+	if n := evals.Load(); n != 0 {
+		t.Errorf("%d points evaluated, want 0", n)
 	}
 }
 

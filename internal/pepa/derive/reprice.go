@@ -3,13 +3,16 @@ package derive
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrNotReratable is wrapped in the error Reprice returns when some
 // activity's rate has no recorded provenance — the model's structure
 // depends on rate expressions the provenance pass leaves opaque (rate
 // arithmetic, both-active synchronization, multi-transition apparent
-// rates). Callers fall back to a full re-derivation.
+// rates). Such a model can only be re-rated by deriving it again, so
+// family-backed sweeps (ctmc.ChainFamily, experiment.RateSweep, the
+// robustness study) reject it up front.
 var ErrNotReratable = errors.New("derive: state space is not reratable")
 
 // Reprice returns a copy of the state space with every activity's rate
@@ -27,7 +30,8 @@ var ErrNotReratable = errors.New("derive: state space is not reratable")
 // pointer still names the prototype model, whose Rates map reflects the
 // prototype values, not env. It errors when an activity is not reratable
 // (ErrNotReratable), a constant is missing from env, or a new rate is
-// not positive (which would change reachability, not just weights).
+// not finite and positive (zero would change reachability, not just
+// weights; NaN and ±Inf have no CTMC meaning).
 func Reprice(proto *StateSpace, env map[string]float64) (*StateSpace, error) {
 	out := &StateSpace{
 		Model:       proto.Model,
@@ -48,14 +52,14 @@ func Reprice(proto *StateSpace, env map[string]float64) (*StateSpace, error) {
 				if !ok {
 					return nil, fmt.Errorf("derive: Reprice: rate constant %q missing from environment", a.Src.Const)
 				}
-				if v <= 0 {
-					return nil, fmt.Errorf("derive: Reprice: rate constant %q = %g is not positive", a.Src.Const, v)
+				if !(v > 0) || math.IsInf(v, 0) {
+					return nil, fmt.Errorf("derive: Reprice: rate constant %q = %g is not finite and positive", a.Src.Const, v)
 				}
 				a.Rate = v
 			case a.Src.Fixed:
 				// Structure-fixed rate: keep the derived value.
 			default:
-				return nil, fmt.Errorf("%w: state %d activity %q has opaque rate provenance", ErrNotReratable, s, a.Action)
+				return nil, proto.opaque(s, a.Action)
 			}
 			nts[i] = a
 		}
@@ -64,17 +68,23 @@ func Reprice(proto *StateSpace, env map[string]float64) (*StateSpace, error) {
 	return out, nil
 }
 
-// Reratable reports whether every activity in the state space carries
-// rate provenance, i.e. whether Reprice can succeed for a complete
-// environment. ChainFamily checks this once at construction instead of
-// failing on the first member.
-func (ss *StateSpace) Reratable() bool {
-	for _, ts := range ss.Trans {
+// CheckReratable reports whether every activity in the state space
+// carries rate provenance, i.e. whether Reprice can succeed for a
+// complete environment: nil if so, else an error wrapping
+// ErrNotReratable that names the first opaque state and activity.
+// ChainFamily checks this once at construction instead of failing on the
+// first member.
+func (ss *StateSpace) CheckReratable() error {
+	for s, ts := range ss.Trans {
 		for _, a := range ts {
 			if !a.Src.Reratable() {
-				return false
+				return ss.opaque(s, a.Action)
 			}
 		}
 	}
-	return true
+	return nil
+}
+
+func (ss *StateSpace) opaque(s int, action string) error {
+	return fmt.Errorf("%w: state %d (%s) activity %q has opaque rate provenance", ErrNotReratable, s, ss.States[s], action)
 }

@@ -39,8 +39,8 @@ func TestRepriceMatchesFreshExplore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !proto.Reratable() {
-		t.Fatal("prototype not reratable")
+	if err := proto.CheckReratable(); err != nil {
+		t.Fatalf("prototype not reratable: %v", err)
 	}
 	// Values with full mantissas so any drift is visible bitwise.
 	env := map[string]float64{"r1": 0.7234985172345, "r2": 3.1121314151617}
@@ -91,11 +91,22 @@ func TestRepriceErrors(t *testing.T) {
 	if _, err := Reprice(proto, map[string]float64{}); err == nil {
 		t.Error("missing constant accepted")
 	}
-	if _, err := Reprice(proto, map[string]float64{"r": -1}); err == nil {
-		t.Error("non-positive rate accepted")
-	}
 	if _, err := Reprice(proto, map[string]float64{"r": 9}); err != nil {
 		t.Errorf("valid environment rejected: %v", err)
+	}
+}
+
+// TestRepriceRejectsNonFiniteOrNonPositive: a repriced rate must be
+// finite and positive. NaN slips past a plain v <= 0 test.
+func TestRepriceRejectsNonFiniteOrNonPositive(t *testing.T) {
+	proto, err := Explore(parseChecked(t, "r = 2; P = (a, r).P1; P1 = (b, 1).P; P"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		if _, err := Reprice(proto, map[string]float64{"r": v}); err == nil {
+			t.Errorf("r=%g accepted", v)
+		}
 	}
 }
 
@@ -113,8 +124,8 @@ func TestOpaqueProvenanceBlocksReprice(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if proto.Reratable() {
-			t.Errorf("%s: reported reratable", name)
+		if err := proto.CheckReratable(); !errors.Is(err, ErrNotReratable) {
+			t.Errorf("%s: CheckReratable = %v, want ErrNotReratable", name, err)
 		}
 		if _, err := Reprice(proto, map[string]float64{"r": 5}); !errors.Is(err, ErrNotReratable) {
 			t.Errorf("%s: err = %v, want ErrNotReratable", name, err)

@@ -4,54 +4,63 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/ctmc"
 	"repro/internal/obs"
+	"repro/internal/pepa/derive"
 )
 
+// freshFinishingCDF is the oracle for the family path: derive the study's
+// machine model from scratch, build the chain cold, and solve the passage
+// CDF exactly as FinishingCDF does.
+func freshFinishingCDF(t *testing.T, s *Study, mapping string, j int, times []float64) *ctmc.PassageCDF {
+	t.Helper()
+	m, err := s.MachineModel(mapping, j, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := derive.Explore(m, derive.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets, err := completionTargets(ss, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := ctmc.FromStateSpace(ss)
+	cdf, err := chain.FirstPassageCDF(chain.PointMass(0), targets, times, 1e-10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cdf
+}
+
 // TestFamilyPathByteIdentical pins the sweep optimization's exactness:
-// with and without the chain-family cache, every per-machine CDF — for
-// the nominal study and for a perturbed copy — must be byte-identical.
+// every per-machine CDF the study serves through its chain-family cache —
+// for the nominal study and for a perturbed copy re-rating the parent's
+// prototypes — must be byte-identical to a fresh derivation.
 func TestFamilyPathByteIdentical(t *testing.T) {
 	times := []float64{10, 20, 40, 80}
 	for _, mapping := range []string{MappingA, MappingB} {
-		fresh := NewStudy()
-		fresh.NoFamily = true
-		fam := NewStudy()
-		pFresh, err := fresh.Perturbed(0.3, 99)
+		nominal := NewStudy()
+		perturbed, err := nominal.Perturbed(0.3, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pFresh.NoFamily = true
-		pFam, err := fam.Perturbed(0.3, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < NumMachines; j++ {
-			a, err := fresh.FinishingCDF(mapping, j, times)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := fam.FinishingCDF(mapping, j, times)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range a.Probs {
-				if math.Float64bits(a.Probs[i]) != math.Float64bits(b.Probs[i]) {
-					t.Fatalf("%s/M%d nominal: Probs[%d] = %x vs %x", mapping, j+1, i,
-						math.Float64bits(b.Probs[i]), math.Float64bits(a.Probs[i]))
+		for _, tc := range []struct {
+			tag string
+			s   *Study
+		}{{"nominal", nominal}, {"perturbed", perturbed}} {
+			for j := 0; j < NumMachines; j++ {
+				want := freshFinishingCDF(t, tc.s, mapping, j, times)
+				got, err := tc.s.FinishingCDF(mapping, j, times)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			a, err = pFresh.FinishingCDF(mapping, j, times)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err = pFam.FinishingCDF(mapping, j, times)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range a.Probs {
-				if math.Float64bits(a.Probs[i]) != math.Float64bits(b.Probs[i]) {
-					t.Fatalf("%s/M%d perturbed: Probs[%d] = %x vs %x", mapping, j+1, i,
-						math.Float64bits(b.Probs[i]), math.Float64bits(a.Probs[i]))
+				for i := range want.Probs {
+					if math.Float64bits(got.Probs[i]) != math.Float64bits(want.Probs[i]) {
+						t.Fatalf("%s/M%d %s: Probs[%d] = %x vs %x", mapping, j+1, tc.tag, i,
+							math.Float64bits(got.Probs[i]), math.Float64bits(want.Probs[i]))
+					}
 				}
 			}
 		}
@@ -60,8 +69,8 @@ func TestFamilyPathByteIdentical(t *testing.T) {
 
 // TestFamilySharedAcrossPerturbedCopies: the derive-once contract — a
 // parent and its perturbed copies serve every machine solve from the
-// family cache (all reuse, no fallback), and the cache holds exactly one
-// entry per touched machine cell.
+// family cache, and the cache holds exactly one entry per touched
+// machine cell.
 func TestFamilySharedAcrossPerturbedCopies(t *testing.T) {
 	s := NewStudy()
 	s.Obs = obs.NewRegistry()
@@ -81,9 +90,6 @@ func TestFamilySharedAcrossPerturbedCopies(t *testing.T) {
 	if got := s.Obs.Counter("robustness_family_total", obs.L("outcome", "reuse")); got != 4 {
 		t.Errorf("reuse = %g, want 4", got)
 	}
-	if got := s.Obs.Counter("robustness_family_total", obs.L("outcome", "fallback")); got != 0 {
-		t.Errorf("fallback = %g, want 0", got)
-	}
 	s.famMu.Lock()
 	entries := len(s.families.m)
 	s.famMu.Unlock()
@@ -93,20 +99,17 @@ func TestFamilySharedAcrossPerturbedCopies(t *testing.T) {
 }
 
 // BenchmarkPerturbationSweep is the acceptance benchmark for the family
-// path: a 16-sample perturbation sweep (plus the nominal evaluation),
-// cold (re-derive every sample) versus family-backed. `make bench-sweep`
-// tracks both; docs/PERFORMANCE.md records the measured ratio.
+// path: a 16-sample perturbation sweep (plus the nominal evaluation).
+// `make bench-sweep` tracks it; docs/PERFORMANCE.md records the measured
+// numbers.
 func BenchmarkPerturbationSweep(b *testing.B) {
-	run := func(b *testing.B, noFamily bool) {
+	b.Run("family", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s := NewStudy()
-			s.NoFamily = noFamily
 			if _, err := s.RobustnessUnderPerturbation(MappingA, 60, 0.3, 16, 7, 40); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("cold", func(b *testing.B) { run(b, true) })
-	b.Run("family", func(b *testing.B) { run(b, false) })
+	})
 }

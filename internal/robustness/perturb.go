@@ -35,7 +35,7 @@ type PerturbationReport struct {
 // independent uniform factor in [1-spread, 1+spread] drawn from the seeded
 // stream.
 func (s *Study) Perturbed(spread float64, seed uint64) (*Study, error) {
-	if spread < 0 || spread >= 1 {
+	if !(spread >= 0 && spread < 1) {
 		return nil, fmt.Errorf("robustness: spread must be in [0,1), got %g", spread)
 	}
 	r := rng.New(seed)
@@ -51,7 +51,6 @@ func (s *Study) Perturbed(spread float64, seed uint64) (*Study, error) {
 		Seed:       s.Seed,
 		Obs:        s.Obs,
 		Workers:    s.Workers,
-		NoFamily:   s.NoFamily,
 		families:   s.familySetRef(),
 	}
 	for i := 0; i < NumApps; i++ {

@@ -1,6 +1,7 @@
 package robustness
 
 import (
+	"math"
 	"testing"
 )
 
@@ -36,13 +37,18 @@ func TestPerturbedDeterministicAndBounded(t *testing.T) {
 	}
 }
 
+// TestPerturbedValidation: the spread must lie in [0, 1). NaN slips past
+// a plain range test and would turn every ETC entry into NaN; 1.0 would
+// allow a zero ETC.
 func TestPerturbedValidation(t *testing.T) {
 	s := NewStudy()
-	if _, err := s.Perturbed(-0.1, 1); err == nil {
-		t.Error("negative spread accepted")
+	for _, spread := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 1.0} {
+		if _, err := s.Perturbed(spread, 1); err == nil {
+			t.Errorf("spread %g accepted", spread)
+		}
 	}
-	if _, err := s.Perturbed(1.0, 1); err == nil {
-		t.Error("spread 1.0 accepted (would allow zero ETC)")
+	if _, err := s.Perturbed(0, 1); err != nil {
+		t.Errorf("spread 0 rejected: %v", err)
 	}
 }
 

@@ -106,12 +106,6 @@ type Study struct {
 	// The file is keyed by a fingerprint of the study parameters and the
 	// time grid; a mismatch is treated as a cache miss, never an error.
 	Checkpoint string
-	// NoFamily disables the derive-once chain-family cache: every
-	// per-machine solve re-derives its state space and reassembles its
-	// generator from scratch. Results are byte-identical either way (the
-	// family path is exact; see ctmc.ChainFamily) — this knob exists for
-	// A/B benchmarks and as an escape hatch.
-	NoFamily bool
 
 	ckMu sync.Mutex
 	// hookCell, when non-nil, runs after each per-machine cell has been
@@ -441,30 +435,12 @@ func (s *Study) FinishingCDFCtx(ctx context.Context, mapping string, j int, time
 }
 
 // machineChain returns the ready-to-solve chain and passage-target set of
-// machine j: family-backed unless NoFamily is set — the machine's state
+// machine j through the shared chain-family cache: the machine's state
 // space is derived once per cell (shared across the study and every
-// Perturbed copy) and each request re-rates it with an O(nnz) gather —
-// falling back to a fresh derivation when the family path cannot serve
-// the request. Both paths yield byte-identical chains.
+// Perturbed copy) and each request re-rates it with an O(nnz) gather. A
+// family build error — derive.ErrNotReratable included — is the study's
+// error.
 func (s *Study) machineChain(ctx context.Context, mapping string, j int) (*ctmc.Chain, []int, error) {
-	if !s.NoFamily {
-		chain, targets, err := s.familyChain(ctx, mapping, j)
-		if err == nil {
-			s.Obs.Inc("robustness_family_total", obs.L("outcome", "reuse"))
-			return chain, targets, nil
-		}
-		if ctx.Err() != nil {
-			// A canceled build is not a family deficiency; the fresh path
-			// would be canceled identically.
-			return nil, nil, err
-		}
-		s.Obs.Inc("robustness_family_total", obs.L("outcome", "fallback"))
-	}
-	return s.freshChain(ctx, mapping, j)
-}
-
-// familyChain serves machine j through the shared chain-family cache.
-func (s *Study) familyChain(ctx context.Context, mapping string, j int) (*ctmc.Chain, []int, error) {
 	key := fmt.Sprintf("%s/%d", mapping, j)
 	fam, targets, err := s.familySetRef().entry(key).get(func() (*ctmc.ChainFamily, []int, error) {
 		m, err := s.MachineModel(mapping, j, false)
@@ -497,26 +473,7 @@ func (s *Study) familyChain(ctx context.Context, mapping string, j int) (*ctmc.C
 		return nil, nil, err
 	}
 	s.configureChain(chain)
-	return chain, targets, nil
-}
-
-// freshChain is the non-family path: derive this study's model and build
-// the chain cold.
-func (s *Study) freshChain(ctx context.Context, mapping string, j int) (*ctmc.Chain, []int, error) {
-	m, err := s.MachineModel(mapping, j, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	ss, err := derive.ExploreCtx(ctx, m, derive.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	targets, err := completionTargets(ss, j)
-	if err != nil {
-		return nil, nil, err
-	}
-	chain := ctmc.FromStateSpace(ss)
-	s.configureChain(chain)
+	s.Obs.Inc("robustness_family_total", obs.L("outcome", "reuse"))
 	return chain, targets, nil
 }
 
@@ -549,7 +506,7 @@ func (s *Study) configureChain(chain *ctmc.Chain) {
 // study's parameters. It MUST mirror MachineModel's DefineRate calls —
 // same names, same values — because the family path substitutes these
 // into the derived prototype in place of a fresh derivation (the
-// byte-identity test in perturb_test.go pins the two paths together).
+// byte-identity test in family_test.go pins the two paths together).
 func (s *Study) rateEnv(mapping string, j int) (map[string]float64, error) {
 	tab, err := TableI(mapping)
 	if err != nil {

@@ -74,8 +74,9 @@ func BenchmarkParallelEnsemble(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelSweep measures the rate-sweep fan-out (each point
-// derives and solves its own CTMC).
+// BenchmarkParallelSweep measures the rate-sweep fan-out: the model is
+// derived once into a chain family and each point re-rates it and solves
+// its own member CTMC.
 func BenchmarkParallelSweep(b *testing.B) {
 	m := pepa.MustParse(core.SimplePEPAModel)
 	values := experiment.Linspace(0.5, 4, 24)
