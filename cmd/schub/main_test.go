@@ -140,3 +140,49 @@ func TestErrors(t *testing.T) {
 		t.Error("list of missing collection accepted")
 	}
 }
+
+// TestPushIsLayeredAndPullWritesStoredBytes: push always negotiates by
+// layer, so re-pushing the same image moves no layer; pull writes exactly
+// the bytes the hub stores.
+func TestPushIsLayeredAndPullWritesStoredBytes(t *testing.T) {
+	store := hub.NewStore()
+	srv := hub.NewServer(store)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	hubURL := "http://" + addr
+	img := buildImageFile(t)
+
+	out, err := runCmd(t, "push", "-hub", hubURL, "-collection", "cc", "-image", img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "layers transferred: 1 of 1") {
+		t.Errorf("first push output:\n%s", out)
+	}
+	out, err = runCmd(t, "push", "-hub", hubURL, "-collection", "cc", "-image", img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "layers transferred: 0 of 1") {
+		t.Errorf("second push output:\n%s", out)
+	}
+
+	target := filepath.Join(t.TempDir(), "pulled.scif")
+	if _, err := runCmd(t, "pull", "-hub", hubURL, "-collection", "cc", "-name", "pepa", "-o", target); err != nil {
+		t.Fatal(err)
+	}
+	pulled, err := os.ReadFile(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, _, ok := store.Get("cc", "pepa", "latest")
+	if !ok {
+		t.Fatal("pushed image not stored")
+	}
+	if string(pulled) != string(stored) {
+		t.Errorf("pulled file (%d bytes) differs from the stored blob (%d bytes)", len(pulled), len(stored))
+	}
+}

@@ -15,7 +15,9 @@ import (
 // peer in hash order, to be streamed back on recovery. A pull walks the
 // owners in hash order with per-peer failover, and a replica that turns
 // out to be missing or quarantined while a sibling still serves the
-// content is repaired in place with a digest-verified re-push.
+// content is repaired in place with a digest-verified layered re-push.
+// Every cluster write — fan-out, handoff, hint delivery, rebalance and
+// repair — uses the same layer-negotiated protocol.
 
 // isDownError reports whether err means the peer itself is unreachable
 // (transport-level weather or an open breaker) as opposed to a coherent
@@ -189,9 +191,12 @@ func (cl *Cluster) Pull(coll, name, tag, expectedDigest string) (*image.Image, s
 }
 
 // readRepair re-pushes just-pulled content onto owner replicas that
-// answered 404 or quarantined during the failover walk. The monolithic
-// push path force-overwrites a quarantined entry's on-disk blob and
-// digest-verifies the round trip, so a repaired replica is byte-healthy.
+// answered 404 or quarantined during the failover walk. Only layers the
+// replica lacks cross the wire; its scrubber has already dropped any
+// rotted layer frames, so the manifest commit reassembles intact bytes,
+// and the commit's Put force-overwrites a quarantined entry's on-disk
+// blob and digest-verifies the result, so a repaired replica is
+// byte-healthy.
 func (cl *Cluster) readRepair(coll string, img *image.Image, digest string, absent []string) {
 	if len(absent) == 0 {
 		return
@@ -210,7 +215,7 @@ func (cl *Cluster) readRepair(coll string, img *image.Image, digest string, abse
 		if p == nil || !p.isUp() {
 			continue
 		}
-		if _, err := p.client.Push(coll, img); err != nil {
+		if _, err := p.client.PushLayered(coll, img); err != nil {
 			cl.obs.Inc("hub_cluster_read_repairs_total", obs.L("peer", pn), obs.L("outcome", "error"))
 			cl.logf("read-repair %s on %s: failed (%s)", rf, pn, describeClass(err))
 			if isDownError(err) {

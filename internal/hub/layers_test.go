@@ -274,3 +274,95 @@ func TestStoreIndexesLayersFromInstalledBlobs(t *testing.T) {
 		}
 	}
 }
+
+// rotLayerFrame flips one byte in the middle of the indexed frame for
+// digest, in place. Frames indexed from an installed blob alias it, so
+// the blob rots with them.
+func rotLayerFrame(t *testing.T, s *Store, digest string) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	frame, ok := s.layers[digest]
+	if !ok {
+		t.Fatalf("layer %s not indexed", digest)
+	}
+	frame[len(frame)/2] ^= 0xff
+}
+
+// TestScrubDropsRottedLayerFrame: rot inside an indexed layer frame
+// quarantines the image it aliases and drops exactly that frame, so a
+// layered re-push uploads exactly that layer and repairs the entry.
+func TestScrubDropsRottedLayerFrame(t *testing.T) {
+	c, store, done := newTestClient(t)
+	defer done()
+	img := layeredTestImage(t, "pepa", "latest", "base", "deps", "solver")
+	blob, err := img.MarshalLayered()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Put("coll", "pepa", "latest", blob); err != nil {
+		t.Fatal(err)
+	}
+	rotted := img.Layers[1].Digest()
+	rotLayerFrame(t, store, rotted)
+
+	if r := store.ScrubOnce(nil); r.Corrupt != 1 {
+		t.Fatalf("scrub report = %+v, want the image quarantined", r)
+	}
+	if _, ok := store.LayerBlob(rotted); ok {
+		t.Error("rotted frame still indexed after scrub")
+	}
+	if got := store.LayerCount(); got != 2 {
+		t.Errorf("LayerCount = %d, want the 2 intact frames", got)
+	}
+
+	if _, err := c.PushLayered("coll", img); err != nil {
+		t.Fatal(err)
+	}
+	uploads := c.AttemptsMatching("pushlayer ")
+	if len(uploads) != 1 || !strings.Contains(uploads[0], rotted) {
+		t.Errorf("re-push uploaded %v, want exactly layer %s", uploads, rotted)
+	}
+	if _, ok := store.QuarantineReason("coll", "pepa", "latest"); ok {
+		t.Error("layered re-push did not repair the quarantine")
+	}
+	got, _, ok := store.Get("coll", "pepa", "latest")
+	if !ok || string(got) != string(blob) {
+		t.Error("repaired entry does not hold the original layered bytes")
+	}
+	if r := store.ScrubOnce(nil); r.Corrupt != 0 || r.Skipped != 0 || store.LayerCount() != 3 {
+		t.Errorf("scrub after repair = %+v with %d layers, want clean with 3", r, store.LayerCount())
+	}
+}
+
+// TestScrubRestoresSharedLayerFromHealthyBlob: when the rotted frame was
+// indexed from one image but another, healthy image carries the same
+// layer, the scrub re-indexes it from the intact copy instead of leaving
+// the healthy image's layered pull without it.
+func TestScrubRestoresSharedLayerFromHealthyBlob(t *testing.T) {
+	store := NewStore()
+	v1 := layeredTestImage(t, "pepa", "v1", "base", "deps", "solver-v1")
+	v2 := layeredTestImage(t, "pepa", "v2", "base", "deps", "solver-v2")
+	for _, img := range []*image.Image{v1, v2} {
+		blob, err := img.MarshalLayered()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Put("coll", img.Meta.Name, img.Meta.Tag, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := v1.Layers[1].Digest()
+	rotLayerFrame(t, store, shared) // the frame aliases v1's blob, indexed first
+
+	if r := store.ScrubOnce(nil); r.Corrupt != 1 || r.Quarantined[0] != "coll/pepa:v1" {
+		t.Fatalf("scrub report = %+v, want only v1 quarantined", r)
+	}
+	frame, ok := store.LayerBlob(shared)
+	if !ok || layerContentDigest(frame) != shared {
+		t.Fatal("shared layer not restored from the healthy image")
+	}
+	if got := store.LayerCount(); got != 4 {
+		t.Errorf("LayerCount = %d, want 4", got)
+	}
+}

@@ -1,6 +1,7 @@
 package hub
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -16,8 +17,7 @@ import (
 // image, and an append-only write-ahead journal (journal.wal, see
 // wal.go). A durable store (OpenDurable) journals every mutation before
 // acknowledging it and periodically compacts the journal into a fresh
-// snapshot; replay-on-open recovers from crashes and torn tails. The
-// legacy Save/Load pair remains for one-shot snapshot round trips.
+// snapshot; replay-on-open recovers from crashes and torn tails.
 
 // indexFile is the on-disk catalogue name.
 const indexFile = "index.json"
@@ -62,7 +62,7 @@ func OpenDurable(dir string, opts DurableOptions) (*Store, OpenReport, error) {
 	var report OpenReport
 	s := NewStore()
 	if _, err := os.Stat(filepath.Join(dir, indexFile)); err == nil {
-		loaded, err := loadSnapshot(dir, false)
+		loaded, err := loadSnapshot(dir)
 		if err != nil {
 			return nil, OpenReport{}, err
 		}
@@ -136,7 +136,7 @@ func (s *Store) Compact() error {
 // first; a crash before the journal reset merely replays records the
 // snapshot already contains, which is idempotent.
 func (s *Store) compactLocked() error {
-	if err := s.writeSnapshot(s.dir); err != nil {
+	if err := s.writeSnapshot(); err != nil {
 		return err
 	}
 	if err := s.wal.reset(); err != nil {
@@ -184,18 +184,21 @@ func (s *Store) persistPut(pe persistedEntry, blob []byte, force bool) error {
 
 // applyWALRecord applies one replayed journal record to the in-memory
 // maps (no re-journaling). Put records re-verify their blob bytes; a
-// missing or digest-mismatched blob quarantines the entry instead of
-// failing the open.
+// blob name that is not the digest's own file, or a missing or
+// digest-mismatched blob, quarantines the entry instead of failing the
+// open.
 func (s *Store) applyWALRecord(dir string, rec walRecord) {
 	pe := rec.Entry
 	k := key(pe.Collection, pe.Container, pe.Tag)
 	switch rec.Op {
 	case walPut:
-		blob, err := os.ReadFile(filepath.Join(dir, pe.Blob))
-		if err == nil {
-			if d, derr := blobDigest(blob); derr == nil && d == pe.Digest {
-				s.installEntry(k, pe.Entry, blob)
-				return
+		if validBlobName(pe.Digest, pe.Blob) {
+			blob, err := os.ReadFile(filepath.Join(dir, pe.Blob))
+			if err == nil {
+				if d, derr := blobDigest(blob); derr == nil && d == pe.Digest {
+					s.installEntry(k, pe.Entry, blob)
+					return
+				}
 			}
 		}
 		pe.Entry.Quarantined = true
@@ -263,19 +266,10 @@ func (s *Store) removeEntry(k string) {
 	s.mu.Unlock()
 }
 
-// Save writes a snapshot of the store's contents to dir (created if
-// needed). Blobs are content-addressed by digest, so repeated saves
-// rewrite only the index and any new blobs. On a durable store prefer
-// Compact, which also resets the journal.
-func (s *Store) Save(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return s.writeSnapshot(dir)
-}
-
-// writeSnapshot writes every blob file plus the index, atomically.
-func (s *Store) writeSnapshot(dir string) error {
+// writeSnapshot writes every blob file plus the index into the state
+// directory, atomically. Caller holds pmu.
+func (s *Store) writeSnapshot() error {
+	dir := s.dir
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var index []persistedEntry
@@ -335,10 +329,26 @@ func blobFileName(digest string) string {
 	return strings.TrimPrefix(digest, "sha256:") + ".scif"
 }
 
-// loadSnapshot restores a store from dir's index. In strict mode any
-// unreadable or digest-mismatched blob is an error; in lenient mode it
-// is quarantined and the load continues.
-func loadSnapshot(dir string, strict bool) (*Store, error) {
+// validBlobName reports whether name is the blob file of a well-formed
+// "sha256:<64 hex>" digest. Persisted state names blobs only this way, so
+// any other name (a path, "..", a mismatched digest) is tampering and
+// must never reach a path join.
+func validBlobName(digest, name string) bool {
+	sum, ok := strings.CutPrefix(digest, "sha256:")
+	if !ok || len(sum) != 64 {
+		return false
+	}
+	if _, err := hex.DecodeString(sum); err != nil {
+		return false
+	}
+	return name == blobFileName(digest)
+}
+
+// loadSnapshot restores a store from dir's index. An entry whose blob is
+// unreadable or fails its digest check is quarantined and the load
+// continues; an index naming a blob file other than its digest's own is
+// rejected outright.
+func loadSnapshot(dir string) (*Store, error) {
 	data, err := os.ReadFile(filepath.Join(dir, indexFile))
 	if err != nil {
 		return nil, fmt.Errorf("hub: reading index: %w", err)
@@ -349,31 +359,22 @@ func loadSnapshot(dir string, strict bool) (*Store, error) {
 	}
 	s := NewStore()
 	for _, pe := range index {
-		if strings.Contains(pe.Blob, "/") || strings.Contains(pe.Blob, "..") {
-			return nil, fmt.Errorf("hub: suspicious blob path %q in index", pe.Blob)
-		}
 		k := key(pe.Collection, pe.Container, pe.Tag)
 		if pe.Entry.Quarantined {
+			// Never read from disk, so its blob name is never joined.
 			s.installQuarantined(k, pe.Entry, nil, "quarantined in snapshot")
 			continue
 		}
+		if !validBlobName(pe.Digest, pe.Blob) {
+			return nil, fmt.Errorf("hub: suspicious blob path %q in index", pe.Blob)
+		}
 		blob, err := os.ReadFile(filepath.Join(dir, pe.Blob))
 		if err != nil {
-			if strict {
-				return nil, fmt.Errorf("hub: reading blob for %s/%s:%s: %w", pe.Collection, pe.Container, pe.Tag, err)
-			}
 			s.installQuarantined(k, pe.Entry, nil, "snapshot blob unreadable")
 			continue
 		}
 		digest, err := blobDigest(blob)
 		if err != nil || digest != pe.Digest {
-			if strict {
-				if err != nil {
-					return nil, fmt.Errorf("hub: restoring %s/%s:%s: %w", pe.Collection, pe.Container, pe.Tag, err)
-				}
-				return nil, fmt.Errorf("hub: blob for %s/%s:%s has digest %s, index says %s (corruption)",
-					pe.Collection, pe.Container, pe.Tag, digest, pe.Digest)
-			}
 			s.installQuarantined(k, pe.Entry, nil, "snapshot blob failed digest verification")
 			continue
 		}
@@ -383,8 +384,8 @@ func loadSnapshot(dir string, strict bool) (*Store, error) {
 	return s, nil
 }
 
-// loadHints restores hints.json into the store (lenient in every mode:
-// hints are recoverable metadata — a peer re-detecting a down owner
+// loadHints restores hints.json into the store (leniently: hints are
+// recoverable metadata — a peer re-detecting a down owner
 // recreates them — so an unreadable file never fails a load).
 func loadHints(s *Store, dir string) {
 	raw, err := os.ReadFile(filepath.Join(dir, hintsFile))
@@ -402,46 +403,4 @@ func loadHints(s *Store, dir string) {
 		}
 	}
 	s.mu.Unlock()
-}
-
-// Load restores a store from a directory written by Save. Every blob is
-// digest-verified on the way in; corruption is reported, not silently
-// served. If a journal is present its records are replayed read-only
-// (lenient — journal corruption quarantines, never fails the load).
-func Load(dir string) (*Store, error) {
-	s, err := loadSnapshot(dir, true)
-	if err != nil {
-		return nil, err
-	}
-	replayInto(s, dir)
-	return s, nil
-}
-
-// replayInto applies dir's journal (if any) to s without mutating the
-// journal file — the read-only counterpart of OpenDurable's replay.
-func replayInto(s *Store, dir string) {
-	raw, err := os.ReadFile(filepath.Join(dir, walFileName))
-	if err != nil || len(raw) < len(walMagic) || string(raw[:len(walMagic)]) != string(walMagic) {
-		return
-	}
-	recs, _, _ := decodeWALRecords(raw[len(walMagic):])
-	for _, rec := range recs {
-		s.applyWALRecord(dir, rec)
-	}
-}
-
-// LoadOrNew loads a store from dir if a snapshot or journal exists
-// there, otherwise returns an empty store (first run).
-func LoadOrNew(dir string) (*Store, error) {
-	if _, err := os.Stat(filepath.Join(dir, indexFile)); err == nil {
-		return Load(dir)
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	if _, err := os.Stat(filepath.Join(dir, walFileName)); err == nil {
-		s := NewStore()
-		replayInto(s, dir)
-		return s, nil
-	}
-	return NewStore(), nil
 }

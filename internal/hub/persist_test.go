@@ -1,35 +1,46 @@
 package hub
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// TestSaveLoadRoundTrip: a durable store's contents survive Close (which
+// saves a snapshot) and a fresh OpenDurable (which loads it) with every
+// entry and digest intact.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	store := NewStore()
+	dir := t.TempDir()
+	store, _, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests := map[string]string{}
 	for _, spec := range []struct{ coll, name, tag, payload string }{
 		{"pepa-containers", "pepa", "latest", "solver-v1"},
 		{"pepa-containers", "gpa", "latest", "analyser"},
 		{"other", "tool", "v2", "x"},
 	} {
-		img := testImage(spec.name, spec.tag, spec.payload)
-		blob, err := img.Marshal()
+		d, err := store.Put(spec.coll, spec.name, spec.tag, mustBlob(t, testImage(spec.name, spec.tag, spec.payload)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := store.Put(spec.coll, spec.name, spec.tag, blob); err != nil {
-			t.Fatal(err)
-		}
+		digests[key(spec.coll, spec.name, spec.tag)] = d
 	}
-	dir := t.TempDir()
-	if err := store.Save(dir); err != nil {
+	before := dumpStore(store)
+	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(dir)
+	back, report, err := OpenDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer back.Close()
+	if report.SnapshotEntries != 3 || report.JournalRecords != 0 {
+		t.Errorf("report = %+v, want 3 snapshot entries and an empty journal", report)
 	}
 	if got := back.Collections(); len(got) != 2 {
 		t.Fatalf("collections = %v", got)
@@ -38,96 +49,186 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !ok || len(blob) == 0 {
 		t.Fatal("pepa image lost")
 	}
-	_, origDigest, _ := store.Get("pepa-containers", "pepa", "latest")
-	if digest != origDigest {
-		t.Errorf("digest changed: %s vs %s", digest, origDigest)
+	if want := digests[key("pepa-containers", "pepa", "latest")]; digest != want {
+		t.Errorf("digest changed: %s vs %s", digest, want)
+	}
+	if got := dumpStore(back); got != before {
+		t.Errorf("reopened state differs:\n got: %s\nwant: %s", got, before)
 	}
 }
 
+// TestSaveIsIdempotent: compacting an unchanged store again rewrites
+// index.json byte-identically.
 func TestSaveIsIdempotent(t *testing.T) {
-	store := NewStore()
-	img := testImage("a", "1", "x")
-	blob, _ := img.Marshal()
-	store.Put("c", "a", "1", blob)
 	dir := t.TempDir()
-	if err := store.Save(dir); err != nil {
+	store, _, err := OpenDurable(dir, DurableOptions{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if _, err := store.Put("c", "a", "1", mustBlob(t, testImage("a", "1", "x"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	first, err := os.ReadFile(filepath.Join(dir, indexFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Save(dir); err != nil {
+	if err := store.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	second, _ := os.ReadFile(filepath.Join(dir, indexFile))
+	second, err := os.ReadFile(filepath.Join(dir, indexFile))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if string(first) != string(second) {
-		t.Error("repeated save changed the index")
+		t.Error("repeated compaction changed the index")
 	}
 }
 
+// TestLoadDetectsCorruption: a blob file rotted on disk is quarantined
+// when the store is opened, and the server answers 410 Gone for it
+// instead of serving the bad bytes.
 func TestLoadDetectsCorruption(t *testing.T) {
-	store := NewStore()
-	img := testImage("a", "1", "payload")
-	blob, _ := img.Marshal()
-	store.Put("c", "a", "1", blob)
 	dir := t.TempDir()
-	if err := store.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the blob.
-	entries, err := os.ReadDir(dir)
+	store, _, err := OpenDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".scif") {
-			p := filepath.Join(dir, e.Name())
-			data, _ := os.ReadFile(p)
-			data[len(data)-1] ^= 0xFF
-			os.WriteFile(p, data, 0o644)
-		}
+	if _, err := store.Put("c", "a", "1", mustBlob(t, testImage("a", "1", "payload"))); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Load(dir); err == nil {
-		t.Error("corrupted blob loaded without error")
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	scifs, err := filepath.Glob(filepath.Join(dir, "*.scif"))
+	if err != nil || len(scifs) != 1 {
+		t.Fatalf("blob files = %v, %v; want exactly one", scifs, err)
+	}
+	data, err := os.ReadFile(scifs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xFF
+	if err := os.WriteFile(scifs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	back, report, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatalf("open over a corrupt blob must quarantine, not fail: %v", err)
+	}
+	defer back.Close()
+	if report.Quarantined != 1 {
+		t.Errorf("report.Quarantined = %d, want 1", report.Quarantined)
+	}
+	ts := httptest.NewServer(NewServer(back).Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/c/a/1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Errorf("GET of corrupt entry = %d, want 410", resp.StatusCode)
 	}
 }
 
+// TestLoadRejectsPathTraversal: a blob name that is not its digest's own
+// file never reaches a path join. In the snapshot index it fails the
+// open; in a journal put record it quarantines the entry, exactly like a
+// blob that fails its digest check.
 func TestLoadRejectsPathTraversal(t *testing.T) {
-	dir := t.TempDir()
-	os.WriteFile(filepath.Join(dir, indexFile),
-		[]byte(`[{"collection":"c","container":"a","tag":"1","digest":"sha256:x","size":1,"blob":"../evil"}]`), 0o644)
-	if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "suspicious blob path") {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestLoadOrNew(t *testing.T) {
-	dir := t.TempDir()
-	s, err := LoadOrNew(dir)
+	good := mustBlob(t, testImage("a", "1", "x"))
+	digest, err := blobDigest(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Collections()) != 0 {
-		t.Error("fresh store not empty")
+	cases := []struct {
+		name, where, digest, blob string
+	}{
+		{"index parent escape", "index", digest, "../evil"},
+		{"index absolute path", "index", digest, "/etc/passwd"},
+		{"index other digest", "index", digest, strings.Repeat("0", 64) + ".scif"},
+		{"index malformed digest", "index", "sha256:x", "x.scif"},
+		{"journal parent escape", "journal", digest, "../evil"},
+		{"journal subdirectory", "journal", digest, "sub/" + blobFileName(digest)},
+		{"journal malformed digest", "journal", "sha256:x", "x.scif"},
 	}
-	img := testImage("a", "1", "x")
-	blob, _ := img.Marshal()
-	s.Put("c", "a", "1", blob)
-	if err := s.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := LoadOrNew(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s2.Collections()) != 1 {
-		t.Error("reloaded store empty")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			dir := filepath.Join(root, "state")
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			// A valid blob sits where the hostile name points, so only the
+			// name check can stop it from being installed.
+			if err := os.WriteFile(filepath.Join(root, "evil"), good, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			pe := persistedEntry{
+				Entry: Entry{Collection: "c", Container: "a", Tag: "1", Digest: tc.digest, Size: len(good)},
+				Blob:  tc.blob,
+			}
+			if tc.where == "index" {
+				raw := `[{"collection":"c","container":"a","tag":"1","digest":"` + tc.digest + `","size":1,"blob":"` + tc.blob + `"}]`
+				if err := os.WriteFile(filepath.Join(dir, indexFile), []byte(raw), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := OpenDurable(dir, DurableOptions{}); err == nil || !strings.Contains(err.Error(), "suspicious blob path") {
+					t.Fatalf("open = %v, want suspicious-blob-path error", err)
+				}
+				return
+			}
+			rec, err := encodeWALRecord(walRecord{Seq: 1, Op: walPut, Entry: pe})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, walFileName), append(append([]byte(nil), walMagic...), rec...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, report, err := OpenDurable(dir, DurableOptions{CompactEvery: -1})
+			if err != nil {
+				t.Fatalf("open = %v, want the record quarantined", err)
+			}
+			defer s.Close()
+			if report.JournalRecords != 1 || report.Quarantined != 1 {
+				t.Errorf("report = %+v, want 1 record replayed and quarantined", report)
+			}
+			if _, _, ok := s.Get("c", "a", "1"); ok {
+				t.Error("entry with a hostile blob name is served")
+			}
+		})
 	}
 }
 
+// TestLoadMissingIndex: a state directory with no index or journal (a
+// first run) opens as an empty store, and what it then holds is loaded
+// back on the next open.
 func TestLoadMissingIndex(t *testing.T) {
-	if _, err := Load(t.TempDir()); err == nil {
-		t.Error("Load without index succeeded")
+	dir := filepath.Join(t.TempDir(), "fresh")
+	s, report, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Collections()) != 0 || report != (OpenReport{}) {
+		t.Errorf("fresh store not empty: collections %v, report %+v", s.Collections(), report)
+	}
+	if _, err := s.Put("c", "a", "1", mustBlob(t, testImage("a", "1", "x"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, _, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if len(s2.Collections()) != 1 {
+		t.Error("reopened store empty")
 	}
 }

@@ -45,14 +45,12 @@ func (st *pullProgress) reset() {
 // absorb verifies one completed chunk against the manifest and commits
 // it to the verified prefix (and the spool, when present).
 func (st *pullProgress) absorb(chunk []byte) error {
-	if st.chunks != nil {
-		if st.verified >= len(st.chunks) {
-			return fmt.Errorf("%w: body longer than chunk manifest (%d chunks)", ErrCorrupt, len(st.chunks))
-		}
-		sum := sha256.Sum256(chunk)
-		if hex.EncodeToString(sum[:]) != st.chunks[st.verified] {
-			return fmt.Errorf("%w: chunk %d/%d failed digest verification", ErrCorrupt, st.verified+1, len(st.chunks))
-		}
+	if st.verified >= len(st.chunks) {
+		return fmt.Errorf("%w: body longer than chunk manifest (%d chunks)", ErrCorrupt, len(st.chunks))
+	}
+	sum := sha256.Sum256(chunk)
+	if hex.EncodeToString(sum[:]) != st.chunks[st.verified] {
+		return fmt.Errorf("%w: chunk %d/%d failed digest verification", ErrCorrupt, st.verified+1, len(st.chunks))
 	}
 	st.buf = append(st.buf, chunk...)
 	st.verified++
@@ -64,18 +62,12 @@ func (st *pullProgress) absorb(chunk []byte) error {
 	return nil
 }
 
-// complete reports whether every byte (and chunk) has been verified. With
-// no framing information at all (legacy server, chunked encoding), a
-// clean EOF is the only end-of-body signal and the whole-image digest
-// check is the integrity gate — so nothing more is owed.
+// complete reports whether every byte (and chunk) has been verified.
 func (st *pullProgress) complete() bool {
 	if st.total >= 0 {
 		return len(st.buf) == st.total
 	}
-	if st.chunks != nil {
-		return st.verified == len(st.chunks)
-	}
-	return true
+	return st.verified == len(st.chunks)
 }
 
 // Pull downloads an image and verifies its digest against the server's
@@ -85,32 +77,33 @@ func (st *pullProgress) complete() bool {
 // the last verified chunk on the next attempt, and corrupt chunks are
 // re-pulled once (a second corruption means the stored content is bad).
 func (c *Client) Pull(coll, name, tag, expectedDigest string) (*image.Image, string, error) {
-	return c.pull(coll, name, tag, expectedDigest, nil)
+	img, digest, _, err := c.pull(coll, name, tag, expectedDigest, nil)
+	return img, digest, err
 }
 
 // PullToFile pulls coll/name:tag into destPath (written atomically) and
-// returns the digest. Partial progress is spooled next to destPath
+// returns the digest. The file holds exactly the digest-verified bytes
+// the hub stores, in whichever form (SCIF1 or layered SCIF2) it stores
+// them. Partial progress is spooled next to destPath
 // (".partial"/".pullstate" suffixes); if a previous PullToFile of the
 // same content was interrupted — even in another process — the pull
 // resumes from the spooled verified offset, then the spool is removed.
 func (c *Client) PullToFile(coll, name, tag, expectedDigest, destPath string) (string, error) {
 	spool := &pullSpool{dataPath: destPath + ".partial", statePath: destPath + ".pullstate"}
-	img, digest, err := c.pull(coll, name, tag, expectedDigest, spool)
+	_, digest, blob, err := c.pull(coll, name, tag, expectedDigest, spool)
 	if err != nil {
 		return "", err // spool files stay behind for the next run to resume
-	}
-	blob, err := img.Marshal()
-	if err != nil {
-		return "", err
 	}
 	if err := fsatomic.WriteFile(destPath, blob, 0o644); err != nil {
 		return "", err
 	}
-	spool.remove()
+	spool.discard()
 	return digest, nil
 }
 
-func (c *Client) pull(coll, name, tag, expectedDigest string, spool *pullSpool) (*image.Image, string, error) {
+// pull returns the verified image, its digest, and the raw bytes it was
+// decoded from.
+func (c *Client) pull(coll, name, tag, expectedDigest string, spool *pullSpool) (*image.Image, string, []byte, error) {
 	op := fmt.Sprintf("pull %s/%s:%s", coll, name, tag)
 	url := fmt.Sprintf("%s/v1/%s/%s/%s", c.BaseURL, coll, name, tag)
 	st := &pullProgress{total: -1, spool: spool}
@@ -120,6 +113,7 @@ func (c *Client) pull(coll, name, tag, expectedDigest string, spool *pullSpool) 
 	var (
 		img        *image.Image
 		advertised string
+		raw        []byte
 	)
 	err := c.do(op, func() (*http.Request, error) {
 		req, err := http.NewRequest(http.MethodGet, url, nil)
@@ -145,13 +139,13 @@ func (c *Client) pull(coll, name, tag, expectedDigest string, spool *pullSpool) 
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		c.obs.Add("hub_client_bytes_pulled_total", float64(len(blob)))
-		img, advertised = got, st.adv
+		img, advertised, raw = got, st.adv, blob
 		return nil
 	})
 	if err != nil {
-		return nil, "", err
+		return nil, "", nil, err
 	}
-	return img, advertised, nil
+	return img, advertised, raw, nil
 }
 
 // readPull consumes one pull response incrementally, returning the
@@ -182,17 +176,16 @@ func (c *Client) readPull(st *pullProgress, resp *http.Response, expectedDigest 
 		chunks = strings.Split(v, ",")
 	}
 	if chunks == nil {
-		// No manifest (legacy server): partial bytes cannot be chunk-
-		// verified, so each attempt starts fresh and the whole-image
-		// digest check is the only integrity gate.
+		// serveVerified always frames its body; unframed bytes cannot be
+		// verified chunk by chunk, so they are not accepted.
 		st.reset()
-		st.adv = adv
-	} else if st.chunks != nil && !equalStrings(st.chunks, chunks) {
+		return nil, fmt.Errorf("%w: response carries no chunk manifest", ErrCorrupt)
+	}
+	if st.chunks != nil && !equalStrings(st.chunks, chunks) {
 		st.reset()
 		return nil, fmt.Errorf("hub: chunk manifest changed during pull")
-	} else {
-		st.chunkSize, st.chunks = chunkSize, chunks
 	}
+	st.chunkSize, st.chunks = chunkSize, chunks
 
 	switch resp.StatusCode {
 	case http.StatusPartialContent:
@@ -220,10 +213,6 @@ func (c *Client) readPull(st *pullProgress, resp *http.Response, expectedDigest 
 		return nil, fmt.Errorf("hub: response exceeds %d-byte cap", c.MaxResponseBytes)
 	}
 
-	effChunk := st.chunkSize
-	if effChunk <= 0 {
-		effChunk = DefaultChunkSize
-	}
 	var pending []byte
 	rbuf := make([]byte, 32<<10)
 	for {
@@ -235,11 +224,11 @@ func (c *Client) readPull(st *pullProgress, resp *http.Response, expectedDigest 
 				return nil, fmt.Errorf("hub: response exceeds %d-byte cap", c.MaxResponseBytes)
 			}
 			pending = append(pending, rbuf[:n]...)
-			for len(pending) >= effChunk {
-				if aerr := st.absorb(pending[:effChunk:effChunk]); aerr != nil {
+			for len(pending) >= st.chunkSize {
+				if aerr := st.absorb(pending[:st.chunkSize:st.chunkSize]); aerr != nil {
 					return nil, aerr
 				}
-				pending = pending[effChunk:]
+				pending = pending[st.chunkSize:]
 				c.obs.Inc("hub_client_pull_chunks_verified_total")
 			}
 		}
@@ -255,7 +244,7 @@ func (c *Client) readPull(st *pullProgress, resp *http.Response, expectedDigest 
 		if st.total >= 0 && len(st.buf)+len(pending) != st.total {
 			return nil, io.ErrUnexpectedEOF
 		}
-		if st.chunks != nil && st.verified != len(st.chunks)-1 {
+		if st.verified != len(st.chunks)-1 {
 			return nil, io.ErrUnexpectedEOF
 		}
 		if err := st.absorb(pending); err != nil {
@@ -391,7 +380,7 @@ func (p *pullSpool) commit(st *pullProgress, chunk []byte) error {
 	return nil
 }
 
-// discard wipes the spool (progress invalid or restarted).
+// discard wipes the spool (progress invalid, restarted, or complete).
 func (p *pullSpool) discard() {
 	if p == nil {
 		return
@@ -403,6 +392,3 @@ func (p *pullSpool) discard() {
 	os.Remove(p.dataPath)
 	os.Remove(p.statePath)
 }
-
-// remove cleans up after a completed pull.
-func (p *pullSpool) remove() { p.discard() }

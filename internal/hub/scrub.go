@@ -11,7 +11,11 @@ import (
 // Integrity scrubbing: a background loop re-hashes every stored blob on
 // a jittered interval and quarantines entries whose bytes no longer
 // match their recorded digest (bit-rot, torn writes that slipped past
-// recovery, hostile edits). Quarantined content is served as 410 Gone
+// recovery, hostile edits). The same pass re-hashes the layer index and
+// drops frames whose bytes no longer match their digest key, so layered
+// transfer — including cluster read repair — never serves a rotted
+// frame; a dropped layer is simply reported missing to the next layered
+// push, which uploads it again. Quarantined content is served as 410 Gone
 // with a typed error until a re-push repairs it; on durable stores the
 // quarantine is journaled so it survives restarts. Metrics land in the
 // hub_scrub_* family.
@@ -24,9 +28,10 @@ type ScrubReport struct {
 	Skipped     int      // entries already in quarantine (not re-checked)
 }
 
-// ScrubOnce re-hashes every stored blob now, quarantining mismatches.
-// It is deterministic given the store contents, so chaos tests can
-// assert exactly which entries a corruption flips. reg may be nil.
+// ScrubOnce re-hashes every stored blob now, quarantining mismatches,
+// then every layer frame, dropping mismatches. It is deterministic given
+// the store contents, so chaos tests can assert exactly which entries a
+// corruption flips. reg may be nil.
 func (s *Store) ScrubOnce(reg *obs.Registry) ScrubReport {
 	s.mu.RLock()
 	keys := make([]string, 0, len(s.meta))
@@ -66,11 +71,48 @@ func (s *Store) ScrubOnce(reg *obs.Registry) ScrubReport {
 		report.Quarantined = append(report.Quarantined, k)
 		reg.Inc("hub_scrub_corrupt_total")
 	}
+	s.scrubLayers()
 	reg.Inc("hub_scrub_runs_total")
 	s.mu.RLock()
 	reg.Set("hub_scrub_quarantined", float64(len(s.quarantined)))
 	s.mu.RUnlock()
 	return report
+}
+
+// scrubLayers drops every layer-index frame whose bytes no longer hash to
+// its digest key. Frames alias the blob they were indexed from, so rot
+// in one image's bytes can take a layer another, healthy image shares;
+// the healthy blobs are therefore re-indexed afterwards, which restores
+// such a layer from an intact copy (keys are computed from the bytes, so
+// re-indexing can never install a mismatched frame).
+func (s *Store) scrubLayers() {
+	s.mu.RLock()
+	frames := make(map[string][]byte, len(s.layers))
+	for d, f := range s.layers {
+		frames[d] = f
+	}
+	s.mu.RUnlock()
+	var rotted []string
+	for d, f := range frames {
+		if layerContentDigest(f) != d {
+			rotted = append(rotted, d)
+		}
+	}
+	if len(rotted) == 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, d := range rotted {
+		if f, ok := s.layers[d]; ok && layerContentDigest(f) != d {
+			delete(s.layers, d)
+		}
+	}
+	for k, blob := range s.blobs {
+		if _, bad := s.quarantined[k]; !bad {
+			s.indexLayersLocked(blob)
+		}
+	}
 }
 
 // FlipBit flips one bit of the stored blob for (coll, name, tag) in

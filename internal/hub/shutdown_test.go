@@ -155,16 +155,10 @@ func TestShutdownWithoutListen(t *testing.T) {
 }
 
 // TestSaveSurvivesTornWriteArtifacts pins the fsatomic migration: a
-// stale tmp file from an interrupted earlier save neither corrupts a
-// later save nor leaks into the reloaded store, and the index on disk
-// is never observable half-written (the tmp is renamed into place).
+// stale tmp file from an interrupted earlier snapshot neither corrupts a
+// later one nor leaks into the reopened store, and the index on disk is
+// never observable half-written (the tmp is renamed into place).
 func TestSaveSurvivesTornWriteArtifacts(t *testing.T) {
-	store := NewStore()
-	img := testImage("pepa", "latest", "solver")
-	blob, _ := img.Marshal()
-	if _, err := store.Put("c", "pepa", "latest", blob); err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
 	// Simulate the debris of a crash mid-save: a torn index tmp and a
 	// torn blob tmp, as the pre-fsync scheme could leave behind.
@@ -174,38 +168,50 @@ func TestSaveSurvivesTornWriteArtifacts(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "deadbeef.scif.tmp-9"), []byte("half a blob"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Save(dir); err != nil {
+	store, _, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(dir)
-	if err != nil {
-		t.Fatalf("Load after save over torn artifacts: %v", err)
+	if _, err := store.Put("c", "pepa", "latest", mustBlob(t, testImage("pepa", "latest", "solver"))); err != nil {
+		t.Fatal(err)
 	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, _, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatalf("open after a snapshot over torn artifacts: %v", err)
+	}
+	defer back.Close()
 	if _, _, ok := back.Get("c", "pepa", "latest"); !ok {
 		t.Fatal("image lost")
 	}
-	// A fresh save leaves no tmp files of its own behind.
+	// A fresh snapshot leaves no tmp files of its own behind.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
 		if strings.Contains(e.Name(), ".tmp-") && e.Name() != indexFile+".tmp-123" && e.Name() != "deadbeef.scif.tmp-9" {
-			t.Errorf("save leaked tmp file %s", e.Name())
+			t.Errorf("snapshot leaked tmp file %s", e.Name())
 		}
 	}
 }
 
 // TestLoadRejectsTornIndex pins recovery semantics: a torn (truncated)
 // index — possible only under the old non-durable write path — fails
-// loudly instead of silently serving a partial catalogue.
+// the open loudly instead of silently serving a partial catalogue.
 func TestLoadRejectsTornIndex(t *testing.T) {
-	store := NewStore()
-	img := testImage("pepa", "latest", "solver")
-	blob, _ := img.Marshal()
-	store.Put("c", "pepa", "latest", blob)
 	dir := t.TempDir()
-	if err := store.Save(dir); err != nil {
+	store, _, err := OpenDurable(dir, DurableOptions{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if _, err := store.Put("c", "pepa", "latest", mustBlob(t, testImage("pepa", "latest", "solver"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, indexFile))
@@ -215,14 +221,16 @@ func TestLoadRejectsTornIndex(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, indexFile), data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "corrupt index") {
-		t.Fatalf("Load of torn index = %v, want corrupt-index error", err)
+	if _, _, err := OpenDurable(copyStateDir(t, dir, 1<<30), DurableOptions{}); err == nil || !strings.Contains(err.Error(), "corrupt index") {
+		t.Fatalf("open of torn index = %v, want corrupt-index error", err)
 	}
-	// Re-saving from a live store repairs the directory.
-	if err := store.Save(dir); err != nil {
+	// Compacting from the live store repairs the directory.
+	if err := store.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir); err != nil {
-		t.Fatalf("Load after repair: %v", err)
+	back, _, err := OpenDurable(copyStateDir(t, dir, 1<<30), DurableOptions{})
+	if err != nil {
+		t.Fatalf("open after repair: %v", err)
 	}
+	back.Close()
 }

@@ -2,11 +2,13 @@ package hub
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -216,6 +218,10 @@ func TestPullResumesFromVerifiedChunk(t *testing.T) {
 func TestPullIncrementalCapAbort(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(headerDigest, "sha256:feedfeed")
+		// One chunk larger than the cap: the body is framed, but no chunk
+		// completes before the cap must cut the stream.
+		w.Header().Set(headerChunkSize, strconv.Itoa(1<<20))
+		w.Header().Set(headerChunkList, strings.Repeat("0", 64))
 		fl, _ := w.(http.Flusher)
 		chunk := bytes.Repeat([]byte("x"), 8<<10)
 		for {
@@ -251,8 +257,10 @@ func TestPullIncrementalCapAbort(t *testing.T) {
 	}
 }
 
-// TestPullLegacyServerWithoutManifest: a server that advertises no chunk
-// framing still round-trips — the whole-image digest remains the gate.
+// TestPullLegacyServerWithoutManifest: a response that advertises no
+// chunk framing is rejected as corrupt — every hub frames its blobs, so
+// unframed bytes cannot be verified chunk by chunk and are never
+// returned, even when the whole-image digest would match.
 func TestPullLegacyServerWithoutManifest(t *testing.T) {
 	img := testImage("app", "v1", "legacy-payload")
 	blob := mustBlob(t, img)
@@ -267,15 +275,15 @@ func TestPullLegacyServerWithoutManifest(t *testing.T) {
 	defer ts.Close()
 
 	c := NewClientWithOptions(ts.URL, chaosOptions(2))
-	pulled, got, err := c.Pull("c", "app", "v1", digest)
-	if err != nil {
-		t.Fatal(err)
+	pulled, _, err := c.Pull("c", "app", "v1", digest)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("pull of an unframed response = %v, want ErrCorrupt", err)
 	}
-	if got != digest {
-		t.Errorf("digest = %s, want %s", got, digest)
+	if pulled != nil {
+		t.Error("unframed response returned an image")
 	}
-	if data, _ := pulled.FS.ReadFile("/payload"); string(data) != "legacy-payload" {
-		t.Errorf("payload = %q", data)
+	if !strings.Contains(err.Error(), "no chunk manifest") {
+		t.Errorf("err = %v, want it to name the missing chunk manifest", err)
 	}
 }
 

@@ -350,8 +350,8 @@ func TestIdempotentPutSkipsJournal(t *testing.T) {
 	}
 }
 
-// TestLoadReplaysJournal: the strict Load also sees journal records laid
-// down after the last snapshot.
+// TestLoadReplaysJournal: a reopen after a crash (no Close) sees both the
+// snapshot and the journal records laid down after it.
 func TestLoadReplaysJournal(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := OpenDurable(dir, DurableOptions{CompactEvery: -1})
@@ -367,13 +367,17 @@ func TestLoadReplaysJournal(t *testing.T) {
 	if _, err := s.Put("c", "tail", "t", mustBlob(t, testImage("tail", "t", "v2"))); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(dir)
+	loaded, report, err := OpenDurable(copyStateDir(t, dir, 1<<30), DurableOptions{CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer loaded.Close()
+	if report.SnapshotEntries != 1 || report.JournalRecords != 1 {
+		t.Errorf("report = %+v, want 1 snapshot entry and 1 journal record", report)
+	}
 	for _, n := range []string{"snap", "tail"} {
 		if _, _, ok := loaded.Get("c", n, "t"); !ok {
-			t.Errorf("entry %q missing from Load", n)
+			t.Errorf("entry %q missing after reopen", n)
 		}
 	}
 }

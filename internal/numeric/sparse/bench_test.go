@@ -102,13 +102,21 @@ func BenchmarkVecMulParallel(b *testing.B) {
 		}
 	})
 	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
+		// The plan and pool are built once, outside the timed loop, the
+		// way ctmc.Chain memoizes them: the caller runs one part itself,
+		// so the pool holds workers-1 goroutines.
+		plan := NewPlan(mt, workers)
+		var pool *Pool
+		if workers > 1 {
+			pool = NewPool(workers - 1)
+		}
 		// "=" keeps the worker count out of benchcmp's GOMAXPROCS-suffix
 		// normalization (which strips a trailing -N).
 		b.Run(fmt.Sprintf("transpose-workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				VecMulToParallelT(mt, y, x, workers)
+				VecMulAccumPlanT(mt, y, x, nil, 0, plan, pool)
 			}
 		})
+		pool.Close()
 	}
 }

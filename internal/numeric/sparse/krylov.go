@@ -13,8 +13,8 @@ type MatVec func(y, x []float64)
 
 // BiCGStab solves the square linear system A·x = b with the stabilized
 // bi-conjugate gradient method (van der Vorst), optionally Jacobi-
-// preconditioned. Unlike Gauss–Seidel and Jacobi it handles the stiff,
-// non-symmetric systems that arise from generator matrices with rate
+// preconditioned. Unlike Gauss–Seidel it handles the stiff, non-symmetric
+// systems that arise from generator matrices with rate
 // spreads of many orders of magnitude, where stationary iterations need
 // iteration counts proportional to the stiffness ratio.
 //
@@ -151,31 +151,6 @@ func BiCGStab(apply MatVec, x, b, diag []float64, opt IterOptions) (IterResult, 
 		}
 	}
 	return res, nil
-}
-
-// BiCGStabCSR is BiCGStab with A given explicitly as a CSR matrix. The
-// matrix-vector product routes through the plan/pool kernel when
-// opt.Workers > 1 (Plan and Pool are honored, or built on the spot) and
-// stays bit-identical to the sequential product for any worker count.
-func BiCGStabCSR(a *CSR, x, b []float64, opt IterOptions) (IterResult, error) {
-	if a.Rows != a.Cols || len(x) != a.Rows {
-		return IterResult{}, fmt.Errorf("sparse: BiCGStabCSR needs a square system")
-	}
-	apply := func(y, xv []float64) { a.MulVecTo(y, xv) }
-	if opt.Workers > 1 {
-		plan := opt.Plan
-		if plan == nil {
-			plan = NewPlan(a, opt.Workers)
-		}
-		pool := opt.Pool
-		// VecMulAccumPlanT computes row dots of the matrix it is handed, so
-		// passing A itself yields A·x (not Aᵀ·x).
-		apply = func(y, xv []float64) { VecMulAccumPlanT(a, y, xv, nil, 0, plan, pool) }
-	}
-	diag := opt.Scratch.Get(a.Rows)
-	defer opt.Scratch.Put(diag)
-	a.DiagInto(diag)
-	return BiCGStab(apply, x, b, diag, opt)
 }
 
 func dot(a, b []float64) float64 {

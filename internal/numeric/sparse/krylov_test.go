@@ -25,6 +25,20 @@ func stiffTridiag(n int, spread float64) *CSR {
 	return c.ToCSR()
 }
 
+// bicgstab solves a·x = b the way ctmc.steadyKrylov does: matrix-free,
+// with the product routed through the plan/pool kernel when workers > 1
+// and the sequential MulVecTo otherwise, preconditioned by diag(a). The
+// kernel takes row dots of the matrix it is handed, so passing a itself
+// yields a·x.
+func bicgstab(a *CSR, x, b []float64, workers int, pool *Pool, opt IterOptions) (IterResult, error) {
+	apply := MatVec(a.MulVecTo)
+	if workers > 1 {
+		plan := NewPlan(a, workers)
+		apply = func(y, xv []float64) { VecMulAccumPlanT(a, y, xv, nil, 0, plan, pool) }
+	}
+	return BiCGStab(apply, x, b, a.Diag(), opt)
+}
+
 func TestBiCGStabSolvesStiffSystem(t *testing.T) {
 	n := 200
 	a := stiffTridiag(n, 1e6)
@@ -33,7 +47,7 @@ func TestBiCGStabSolvesStiffSystem(t *testing.T) {
 		b[i] = math.Sin(float64(i)) + 2
 	}
 	x := make([]float64, n)
-	res, err := BiCGStabCSR(a, x, b, IterOptions{Tol: 1e-12})
+	res, err := bicgstab(a, x, b, 1, nil, IterOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +110,7 @@ func TestBiCGStabWorkersBitIdentical(t *testing.T) {
 		}
 		solve := func(workers int, pl *Pool) []float64 {
 			x := make([]float64, n)
-			opt := IterOptions{Workers: workers, Pool: pl, Tol: 1e-12, MaxIter: 500}
-			if _, err := BiCGStabCSR(a, x, b, opt); err != nil {
+			if _, err := bicgstab(a, x, b, workers, pl, IterOptions{Tol: 1e-12, MaxIter: 500}); err != nil {
 				t.Logf("workers=%d: %v", workers, err)
 				return nil
 			}
@@ -133,7 +146,7 @@ func TestBiCGStabBreakdownOnSingularSystem(t *testing.T) {
 	zero := NewCOO(n, n).ToCSR() // A = 0: first search direction dies
 	b := []float64{1, 0, 0, 0}
 	x := make([]float64, n)
-	_, err := BiCGStabCSR(zero, x, b, IterOptions{MaxIter: 10})
+	_, err := bicgstab(zero, x, b, 1, nil, IterOptions{MaxIter: 10})
 	if err == nil || !strings.Contains(err.Error(), "breakdown") {
 		t.Fatalf("err = %v, want breakdown", err)
 	}
@@ -143,7 +156,7 @@ func TestBiCGStabImmediateConvergenceAndEmpty(t *testing.T) {
 	a := stiffTridiag(3, 0)
 	x := a.MulVec([]float64{1, 2, 3})
 	sol := []float64{1, 2, 3}
-	res, err := BiCGStabCSR(a, sol, x, IterOptions{})
+	res, err := bicgstab(a, sol, x, 1, nil, IterOptions{})
 	if err != nil || !res.Converged || res.Iterations != 0 {
 		t.Fatalf("exact guess: res=%+v err=%v", res, err)
 	}
@@ -159,7 +172,7 @@ func TestBiCGStabCancel(t *testing.T) {
 	b[0] = 1
 	x := make([]float64, 100)
 	cancelErr := errEarly{}
-	res, err := BiCGStabCSR(a, x, b, IterOptions{Cancel: func() error { return cancelErr }})
+	res, err := bicgstab(a, x, b, 1, nil, IterOptions{Cancel: func() error { return cancelErr }})
 	if err != cancelErr {
 		t.Fatalf("err = %v, want the cancel error", err)
 	}

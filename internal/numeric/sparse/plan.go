@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Plan is a reusable partition of a matrix's rows into contiguous,
 // nnz-balanced blocks for the parallel kernels. Planning costs a handful
@@ -20,8 +17,7 @@ import (
 type Plan struct {
 	rows int
 	// parts are the [lo, hi) row blocks with at least one stored entry,
-	// in ascending row order. They are what Run/goroutine dispatch fans
-	// out over.
+	// in ascending row order. They are what Pool.Run fans out over.
 	parts [][2]int
 	// zero are the [lo, hi) row blocks containing only empty rows; the
 	// kernels handle them inline.
@@ -145,9 +141,6 @@ func (pl *Plan) NumParts() int { return len(pl.parts) }
 
 // Tiled reports whether the plan carries cache-blocked column bands.
 func (pl *Plan) Tiled() bool { return pl.tiles != nil }
-
-// sequential reports whether the plan degenerates to one inline block.
-func (pl *Plan) sequential() bool { return len(pl.parts) <= 1 && len(pl.zero) == 0 }
 
 // VecMulAccumPlanT computes y = xᵀ·A given t = Aᵀ, dispatching the plan's
 // row blocks on the pool, and optionally fuses the uniformization
@@ -303,26 +296,4 @@ func (m *CSR) ActiveNNZ(x []float64, lo, hi, limit int) int {
 		}
 	}
 	return active
-}
-
-// runPlanSpawn executes the plan's entry-bearing blocks on freshly
-// spawned goroutines (the pre-pool dispatch path, kept for callers
-// without a pool) and the empty-row blocks inline via zero.
-func runPlanSpawn(plan *Plan, zero func(lo, hi int), block func(lo, hi int)) {
-	for _, z := range plan.zero {
-		zero(z[0], z[1])
-	}
-	if len(plan.parts) == 1 {
-		block(plan.parts[0][0], plan.parts[0][1])
-		return
-	}
-	var wg sync.WaitGroup
-	for _, pr := range plan.parts {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			block(lo, hi)
-		}(pr[0], pr[1])
-	}
-	wg.Wait()
 }

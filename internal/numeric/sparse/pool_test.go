@@ -3,7 +3,7 @@ package sparse
 // Lifecycle, regression, and bit-identity property tests for the
 // persistent worker pool and the nnz-balanced partition planner. The
 // property battery forces tiny matrices down the parallel paths
-// (ParallelNNZThreshold = 0) so every dispatch variant — pooled, spawned,
+// (ParallelNNZThreshold = 0) so every dispatch variant — pooled and
 // inline — is exercised on the same inputs and compared bit for bit
 // against the sequential scatter reference.
 
@@ -167,9 +167,36 @@ func TestPlanSkipsZeroNNZPartitions(t *testing.T) {
 func TestPlanBelowThresholdIsSequential(t *testing.T) {
 	m := buildTestCSR()
 	pl := NewPlan(m, 8) // tiny matrix: single inline block
-	if !pl.sequential() || pl.NumParts() != 1 {
+	if pl.NumParts() != 1 || len(pl.zero) != 0 {
 		t.Fatalf("expected sequential single-block plan, got parts=%v zero=%v", pl.parts, pl.zero)
 	}
+	// The inline block still computes the product: the kernel takes row
+	// dots of the matrix it is handed, so passing m yields m·x exactly.
+	pool := NewPool(7)
+	defer pool.Close()
+	x := []float64{1, 2, 3}
+	y := make([]float64, 3)
+	VecMulAccumPlanT(m, y, x, nil, 0, pl, pool)
+	want := m.MulVec(x)
+	for i := range want {
+		if y[i] != want[i] {
+			t.Errorf("below-threshold product at %d = %g, want %g", i, y[i], want[i])
+		}
+	}
+}
+
+// singleDenseRowCSR builds a matrix whose first row alone exceeds every
+// per-worker nonzero quota, so the balanced partition produces
+// consecutive equal boundaries (empty worker blocks).
+func singleDenseRowCSR(n int) *CSR {
+	c := NewCOO(n, n, 2*n)
+	for j := 0; j < n; j++ {
+		c.Add(0, j, math.Sin(float64(j))+2)
+	}
+	for i := 1; i < n; i++ {
+		c.Add(i, i, float64(i%5)+1)
+	}
+	return c.ToCSR()
 }
 
 // randomCSR builds a random n×n matrix from an LCG stream, mixing empty
@@ -209,21 +236,21 @@ func TestVecMulAccumPlanTBitIdenticalProperty(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 
-	f := func(seed int64) bool {
-		s := uint64(seed)
-		n := 1 + int(s%29) // includes the 1×1 edge case
-		m := randomCSR(&s, n)
+	// check runs the kernel on m's transpose against the sequential
+	// scatter reference, for every worker count, plan shape and dispatch.
+	check := func(m *CSR, s *uint64) bool {
+		n := m.Rows
 		mt := m.Transpose()
 		x := make([]float64, n)
 		acc0 := make([]float64, n)
 		for i := range x {
-			s = s*6364136223846793005 + 1442695040888963407
-			x[i] = float64(s>>11)/(1<<52) - 1
+			*s = *s*6364136223846793005 + 1442695040888963407
+			x[i] = float64(*s>>11)/(1<<52) - 1
 			if i%5 == 0 {
 				x[i] = 0
 			}
-			s = s*6364136223846793005 + 1442695040888963407
-			acc0[i] = float64(s >> 12)
+			*s = *s*6364136223846793005 + 1442695040888963407
+			acc0[i] = float64(*s >> 12)
 		}
 		pw := 0.375 // exact in binary, keeps the reference comparison honest
 
@@ -250,7 +277,7 @@ func TestVecMulAccumPlanTBitIdenticalProperty(t *testing.T) {
 				return false
 			}
 			for _, plan := range []*Plan{planFlat, planTiled} {
-				for _, pl := range []*Pool{nil, pool} { // direct spawn vs pooled
+				for _, pl := range []*Pool{nil, pool} { // inline vs pooled
 					got := make([]float64, n)
 					acc := append([]float64(nil), acc0...)
 					VecMulAccumPlanT(mt, got, x, acc, pw, plan, pl)
@@ -277,8 +304,34 @@ func TestVecMulAccumPlanTBitIdenticalProperty(t *testing.T) {
 		}
 		return true
 	}
+
+	f := func(seed int64) bool {
+		s := uint64(seed)
+		n := 1 + int(s%29) // includes the 1×1 edge case
+		return check(randomCSR(&s, n), &s)
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+
+	// A single dense row swallows several per-worker quotas, so the plan
+	// sees equal partition bounds (empty blocks). The transpose of a
+	// dense-row matrix puts that row in front of the kernel; the matrix
+	// itself puts it in the reference scatter.
+	dense := singleDenseRowCSR(200)
+	bounds := nnzBalancedBounds(dense.RowPtr, dense.Rows, 8)
+	equal := false
+	for w := 1; w < len(bounds); w++ {
+		equal = equal || bounds[w] == bounds[w-1]
+	}
+	if !equal {
+		t.Fatalf("dense row did not produce equal bounds %v; the case is not exercised", bounds)
+	}
+	s := uint64(7)
+	for _, m := range []*CSR{dense.Transpose(), dense} {
+		if !check(m, &s) {
+			t.Error("single dense row: plan kernel differs from the scatter reference")
+		}
 	}
 }
 

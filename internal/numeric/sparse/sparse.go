@@ -1,6 +1,6 @@
 // Package sparse implements the compressed sparse row (CSR) matrix format
-// and the iterative kernels (Jacobi, Gauss–Seidel, power iteration) used to
-// solve the large, sparse linear systems that arise from CTMC generator
+// and the iterative kernels (Gauss–Seidel, power iteration, BiCGStab) used
+// to solve the large, sparse linear systems that arise from CTMC generator
 // matrices.
 //
 // Matrices are assembled in coordinate (COO) form — duplicate entries are
@@ -11,7 +11,6 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 )
 
@@ -157,8 +156,8 @@ func (m *CSR) MulVecTo(y, x []float64) {
 	}
 }
 
-// ParallelNNZThreshold is the stored-entry count below which the parallel
-// kernels fall back to their sequential twins: under ~50k entries the
+// ParallelNNZThreshold is the stored-entry count below which NewPlan
+// returns a single block the kernels run inline: under ~50k entries the
 // dispatch cost dominates the product itself. It is a variable so tests
 // can force tiny matrices down the parallel paths; results are
 // bit-identical either way, so tuning it changes wall-clock time only.
@@ -185,31 +184,6 @@ func nnzBalancedBounds(rowPtr []int, rows, workers int) []int {
 	return bounds
 }
 
-// MulVecToParallel computes y = A·x on up to `workers` goroutines
-// (workers <= 0 means GOMAXPROCS), partitioning rows into contiguous
-// blocks balanced by nonzero count. Each worker writes a disjoint slice of
-// y, so the result is bit-identical to the sequential MulVecTo.
-func (m *CSR) MulVecToParallel(y, x []float64, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > m.Rows {
-		workers = m.Rows
-	}
-	plan := NewPlan(m, workers)
-	runPlanSpawn(plan,
-		func(lo, hi int) { clear(y[lo:hi]) },
-		func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				var s float64
-				for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-					s += m.Val[k] * x[m.ColIdx[k]]
-				}
-				y[i] = s
-			}
-		})
-}
-
 // VecMul computes y = xᵀ·A (row vector times matrix), returning y.
 func (m *CSR) VecMul(x []float64) []float64 {
 	if len(x) != m.Rows {
@@ -234,41 +208,6 @@ func (m *CSR) VecMulTo(y, x []float64) {
 			y[m.ColIdx[k]] += xi * m.Val[k]
 		}
 	}
-}
-
-// VecMulToParallelT computes y = xᵀ·A into y given t = Aᵀ (precomputed by
-// the caller, typically cached), on up to `workers` goroutines (<= 0 means
-// GOMAXPROCS). Each y[j] is one sequential dot product over row j of t.
-// Row j of t stores exactly the column-j entries of A in ascending row
-// order, and zero x terms are skipped, so every y[j] accumulates the same
-// nonzero terms in the same order as the sequential scatter VecMulTo —
-// the result is bit-identical for any worker count. Unlike VecMulTo, the
-// writes are disjoint per worker, which is what makes the left-multiply
-// parallelizable at all.
-func VecMulToParallelT(t *CSR, y, x []float64, workers int) {
-	if len(x) != t.Cols || len(y) != t.Rows {
-		panic(fmt.Sprintf("sparse: VecMulToParallelT dimension mismatch (%d,%d) vs %dx%d", len(y), len(x), t.Rows, t.Cols))
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > t.Rows {
-		workers = t.Rows
-	}
-	plan := NewPlan(t, workers)
-	runPlanSpawn(plan,
-		func(lo, hi int) { clear(y[lo:hi]) },
-		func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				var s float64
-				for k := t.RowPtr[i]; k < t.RowPtr[i+1]; k++ {
-					if xv := x[t.ColIdx[k]]; xv != 0 {
-						s += xv * t.Val[k]
-					}
-				}
-				y[i] = s
-			}
-		})
 }
 
 // Transpose returns Aᵀ as a new CSR matrix.
@@ -347,8 +286,8 @@ type IterOptions struct {
 	Tol     float64 // infinity-norm convergence tolerance (default 1e-12)
 	// Workers parallelizes the per-iteration vector-matrix product in
 	// PowerIteration (<= 1 means sequential). Results are bit-identical
-	// for any value; Gauss–Seidel and Jacobi sweeps are inherently
-	// sequential and ignore it.
+	// for any value. Gauss–Seidel sweeps are inherently sequential and
+	// ignore it; BiCGStab runs whatever product its caller hands it.
 	Workers int
 	// Transposed optionally supplies the precomputed transpose of the
 	// iteration matrix for the parallel PowerIteration product. When nil
@@ -360,15 +299,14 @@ type IterOptions struct {
 	// plan instead.
 	Plan *Plan
 	// Pool optionally supplies a persistent worker pool for the parallel
-	// products. When nil, partitions are dispatched on freshly spawned
-	// goroutines per product (the legacy path). Results are bit-identical
-	// either way.
+	// products. When nil, every partition runs inline on the caller's
+	// goroutine. Results are bit-identical either way.
 	Pool *Pool
 	// Scratch optionally recycles the solver's internal work vectors
-	// (Jacobi's next sweep, PowerIteration's product buffer, BiCGStab's
-	// Krylov vectors). Vectors a solver returns to its caller are always
-	// freshly allocated, never scratch-owned. Nil means plain allocation;
-	// contents and iteration counts are identical either way.
+	// (Gauss–Seidel's diagonal, PowerIteration's product buffer,
+	// BiCGStab's Krylov vectors). Vectors a solver returns to its caller
+	// are always freshly allocated, never scratch-owned. Nil means plain
+	// allocation; contents and iteration counts are identical either way.
 	Scratch *Scratch
 	// Cancel, when non-nil, is polled before every sweep/iteration and
 	// aborts the solve with its error when it returns non-nil. Callers
@@ -434,55 +372,6 @@ func GaussSeidel(a *CSR, x, b []float64, opt IterOptions) (IterResult, error) {
 			}
 			x[i] = nx
 		}
-		res.Iterations = it + 1
-		res.Residual = delta
-		if delta < opt.Tol {
-			res.Converged = true
-			return res, nil
-		}
-	}
-	return res, nil
-}
-
-// Jacobi solves A·x = b with Jacobi iterations (useful as a reference
-// implementation and for matrices where Gauss–Seidel ordering matters).
-func Jacobi(a *CSR, x, b []float64, opt IterOptions) (IterResult, error) {
-	opt = opt.withDefaults()
-	if a.Rows != a.Cols || len(x) != a.Rows || len(b) != a.Rows {
-		return IterResult{}, fmt.Errorf("sparse: Jacobi dimension mismatch")
-	}
-	diag := opt.Scratch.Get(a.Rows)
-	defer opt.Scratch.Put(diag)
-	a.DiagInto(diag)
-	for i, d := range diag {
-		if d == 0 {
-			return IterResult{}, fmt.Errorf("sparse: Jacobi zero diagonal at row %d", i)
-		}
-	}
-	next := opt.Scratch.Get(a.Rows)
-	defer opt.Scratch.Put(next)
-	var res IterResult
-	for it := 0; it < opt.MaxIter; it++ {
-		if opt.Cancel != nil {
-			if err := opt.Cancel(); err != nil {
-				return res, err
-			}
-		}
-		var delta float64
-		for i := 0; i < a.Rows; i++ {
-			s := b[i]
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				j := a.ColIdx[k]
-				if j != i {
-					s -= a.Val[k] * x[j]
-				}
-			}
-			next[i] = s / diag[i]
-			if d := math.Abs(next[i] - x[i]); d > delta {
-				delta = d
-			}
-		}
-		copy(x, next)
 		res.Iterations = it + 1
 		res.Residual = delta
 		if delta < opt.Tol {

@@ -122,24 +122,6 @@ func TestGaussSeidelSolvesSPDSystem(t *testing.T) {
 	}
 }
 
-func TestJacobiMatchesGaussSeidel(t *testing.T) {
-	m := buildTestCSR()
-	b := []float64{1, 0, -1}
-	xgs := make([]float64, 3)
-	xj := make([]float64, 3)
-	if _, err := GaussSeidel(m, xgs, b, IterOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Jacobi(m, xj, b, IterOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range xgs {
-		if math.Abs(xgs[i]-xj[i]) > 1e-9 {
-			t.Errorf("solver mismatch at %d: GS=%g Jacobi=%g", i, xgs[i], xj[i])
-		}
-	}
-}
-
 func TestGaussSeidelZeroDiagonal(t *testing.T) {
 	c := NewCOO(2, 2)
 	c.Add(0, 1, 1)
@@ -203,50 +185,6 @@ func TestMulVecRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMulVecToParallelMatchesSequential(t *testing.T) {
-	// Large tridiagonal matrix crosses the parallel threshold.
-	n := 60000
-	c := NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		c.Add(i, i, 4)
-		if i > 0 {
-			c.Add(i, i-1, -1)
-		}
-		if i < n-1 {
-			c.Add(i, i+1, -1)
-		}
-	}
-	m := c.ToCSR()
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Sin(float64(i))
-	}
-	seq := make([]float64, n)
-	m.MulVecTo(seq, x)
-	for _, workers := range []int{0, 1, 2, 7, 16} {
-		parOut := make([]float64, n)
-		m.MulVecToParallel(parOut, x, workers)
-		for i := range seq {
-			if parOut[i] != seq[i] {
-				t.Fatalf("workers=%d: mismatch at row %d: %g vs %g", workers, i, parOut[i], seq[i])
-			}
-		}
-	}
-}
-
-func TestMulVecToParallelSmallMatrixFallsBack(t *testing.T) {
-	m := buildTestCSR()
-	x := []float64{1, 2, 3}
-	y := make([]float64, 3)
-	m.MulVecToParallel(y, x, 8) // below threshold: sequential path
-	want := m.MulVec(x)
-	for i := range want {
-		if y[i] != want[i] {
-			t.Errorf("fallback mismatch at %d", i)
-		}
 	}
 }
 
@@ -356,105 +294,6 @@ func TestDiagSkipsMissingDiagonal(t *testing.T) {
 	d := c.ToCSR().Diag()
 	if d[0] != 0 || d[1] != 0 || d[2] != 9 {
 		t.Errorf("Diag = %v, want [0 0 9]", d)
-	}
-}
-
-// singleDenseRowCSR builds a matrix above the parallel threshold whose
-// first row alone exceeds every per-worker nonzero quota, so the balanced
-// partition produces consecutive equal boundaries (empty worker blocks).
-func singleDenseRowCSR(n int) *CSR {
-	c := NewCOO(n, n, 2*n)
-	for j := 0; j < n; j++ {
-		c.Add(0, j, math.Sin(float64(j))+2)
-	}
-	for i := 1; i < n; i++ {
-		c.Add(i, i, float64(i%5)+1)
-	}
-	return c.ToCSR()
-}
-
-func TestMulVecToParallelSingleDenseRow(t *testing.T) {
-	n := 60000 // ~120k nonzeros, 60k of them in row 0
-	m := singleDenseRowCSR(n)
-	if m.NNZ() < ParallelNNZThreshold {
-		t.Fatalf("test matrix below parallel threshold: nnz=%d", m.NNZ())
-	}
-	for _, workers := range []int{4, 8} {
-		bounds := nnzBalancedBounds(m.RowPtr, m.Rows, workers)
-		equal := false
-		for w := 1; w < len(bounds); w++ {
-			if bounds[w] < bounds[w-1] {
-				t.Fatalf("workers=%d: bounds not monotone: %v", workers, bounds)
-			}
-			if bounds[w] == bounds[w-1] {
-				equal = true
-			}
-		}
-		if !equal {
-			t.Fatalf("workers=%d: dense row did not produce equal bounds %v; test is not exercising the regression", workers, bounds)
-		}
-	}
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Cos(float64(i))
-	}
-	seq := make([]float64, n)
-	m.MulVecTo(seq, x)
-	for _, workers := range []int{2, 4, 8, 64} {
-		got := make([]float64, n)
-		m.MulVecToParallel(got, x, workers)
-		for i := range seq {
-			if got[i] != seq[i] {
-				t.Fatalf("workers=%d: mismatch at row %d: %g vs %g", workers, i, got[i], seq[i])
-			}
-		}
-	}
-}
-
-func TestVecMulToParallelTMatchesVecMulTo(t *testing.T) {
-	// Above-threshold tridiagonal with mixed signs and zeros in x: the
-	// transpose-backed dot must reproduce the scatter kernel bit for bit.
-	n := 60000
-	c := NewCOO(n, n, 3*n)
-	for i := 0; i < n; i++ {
-		c.Add(i, i, 4)
-		if i > 0 {
-			c.Add(i, i-1, -1)
-		}
-		if i < n-1 {
-			c.Add(i, i+1, -1)
-		}
-	}
-	m := c.ToCSR()
-	mt := m.Transpose()
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Sin(float64(i)) - 0.5
-		if i%17 == 0 {
-			x[i] = 0 // the scatter kernel skips zero terms; the dot must too
-		}
-	}
-	want := make([]float64, n)
-	m.VecMulTo(want, x)
-	for _, workers := range []int{0, 1, 2, 5, 16} {
-		got := make([]float64, n)
-		VecMulToParallelT(mt, got, x, workers)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: mismatch at col %d: %g vs %g", workers, i, got[i], want[i])
-			}
-		}
-	}
-	// The pathological dense-row shape, through the left-multiply path.
-	d := singleDenseRowCSR(n)
-	dt := d.Transpose()
-	d.VecMulTo(want, x)
-	got := make([]float64, n)
-	VecMulToParallelT(dt, got, x, 8)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dense row: mismatch at col %d: %g vs %g", i, got[i], want[i])
-		}
 	}
 }
 

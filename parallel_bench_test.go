@@ -5,49 +5,15 @@ package repro
 // counterpart (results are reduced in index order), so these benches
 // measure pure speedup. Run with: go test -bench=Parallel -cpu=1,4,8
 import (
-	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/gpepa"
 	"repro/internal/hostenv"
-	"repro/internal/numeric/sparse"
 	"repro/internal/pepa"
 	"repro/internal/pepa/sim"
 )
-
-// BenchmarkParallelSpMV measures the row-partitioned sparse
-// matrix-vector product against the sequential kernel.
-func BenchmarkParallelSpMV(b *testing.B) {
-	n := 400000
-	coo := sparse.NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		coo.Add(i, i, 4)
-		if i > 0 {
-			coo.Add(i, i-1, -1)
-		}
-		if i < n-1 {
-			coo.Add(i, i+1, -1)
-		}
-	}
-	m := coo.ToCSR()
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = math.Sin(float64(i))
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.MulVecTo(y, x)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.MulVecToParallel(y, x, 0)
-		}
-	})
-}
 
 // BenchmarkParallelEnsemble measures PEPA simulation ensembles with one
 // worker versus all cores.
