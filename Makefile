@@ -109,12 +109,13 @@ chaos-cancel:
 	$(GO) test -race -count=1 ./internal/par ./internal/checkpoint ./internal/fsatomic ./internal/sigctx ./internal/runctx
 
 # Durability/self-healing chaos lane (docs/RESILIENCE.md): WAL crash-point
-# recovery, resumable chunked pulls under seeded truncation, scrub/
-# quarantine/repair, and admission-control shedding — all under -race.
+# recovery, resumable chunk-verified manifest and layer pulls under seeded
+# truncation, response and upload caps, scrub/quarantine/repair, and
+# admission-control shedding — all under -race.
 # Fault plans and jitter are seeded, so failures replay exactly.
 chaos-hub:
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestWAL|TestScrub|TestRepush|TestQuarantine|TestIdempotentPut|TestLoadReplays|TestPull|TestServeBlobRange|TestParseRange|TestChunkDigests|TestAdmission|TestTokenBucket|TestClientHonorsRetryAfter|TestClientThrottleCap' \
+		-run 'TestChaos|TestWAL|TestScrub|TestRepush|TestQuarantine|TestIdempotentPut|TestLoadReplays|TestLoadReencodes|TestPull|TestSameImageFromTwoBuildHosts|TestServeBlobRange|TestParseRange|TestChunkDigests|TestResponseCap|TestUploadCap|TestAdmission|TestTokenBucket|TestClientHonorsRetryAfter|TestClientThrottleCap' \
 		./internal/hub
 	$(GO) test -race -count=1 ./internal/fsatomic ./internal/faultinject
 

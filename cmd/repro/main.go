@@ -281,10 +281,10 @@ func fig6(ctx context.Context, st *state) (string, error) {
 }
 
 // chaos re-runs the Fig 6 pulls against a fresh hub whose client
-// transport injects a deterministic fault plan: fail the first pull
-// with a connection error, then a 503, then a digest-corrupting bit
-// flip — so every transient class and the corrupt re-pull path is
-// exercised. Every digest still verifies, and the whole output
+// transport injects a deterministic fault plan: fail the first pull's
+// manifest fetch with a connection error, then a 503, then a
+// digest-corrupting bit flip — so every transient class and the corrupt
+// re-pull path is exercised. Every digest still verifies, and the whole output
 // (decisions, attempt log, digests) is byte-identical for a fixed seed.
 func chaos(st *state, seed uint64) (string, error) {
 	srv := hub.NewServer(hub.NewStore())

@@ -1,5 +1,7 @@
 // Command scbuild builds a container image from a Singularity definition
-// file against a simulated host profile and writes the image to disk.
+// file against a simulated host profile and writes the image to disk in
+// the layered (SCIF2) encoding the hub stores: the manifest followed by
+// one content-addressed layer per build stage.
 //
 // Usage:
 //
@@ -35,7 +37,6 @@ func run() error {
 	tag := flag.String("tag", "latest", "image tag")
 	hostName := flag.String("host", hostenv.BuildHost, "host profile to build on")
 	out := flag.String("o", "image.scif", "output image path")
-	format := flag.String("format", "legacy", "output format: legacy (monolithic SCIF1) or layered (SCIF2 layer chain)")
 	listHosts := flag.Bool("list-hosts", false, "list host profiles and exit")
 	flag.Parse()
 
@@ -79,15 +80,7 @@ func run() error {
 	default:
 		return fmt.Errorf("either -recipe or -tool is required")
 	}
-	var blob []byte
-	switch *format {
-	case "legacy":
-		blob, err = res.Image.Marshal()
-	case "layered":
-		blob, err = res.Image.MarshalLayered()
-	default:
-		return fmt.Errorf("unknown -format %q (want legacy or layered)", *format)
-	}
+	blob, err := res.Image.MarshalLayered()
 	if err != nil {
 		return err
 	}
@@ -99,9 +92,7 @@ func run() error {
 	if res.StagesExecuted+res.StagesReplayed > 0 {
 		fmt.Printf("stages: %d executed, %d replayed from cache\n", res.StagesExecuted, res.StagesReplayed)
 	}
-	if *format == "layered" {
-		fmt.Printf("layers: %d\n", len(res.Image.Layers))
-	}
+	fmt.Printf("layers: %d\n", len(res.Image.Layers))
 	fmt.Printf("wrote %d bytes to %s\n", len(blob), *out)
 	return nil
 }

@@ -2,10 +2,15 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/image"
 )
 
 func runCmd(t *testing.T, args ...string) (string, error) {
@@ -41,6 +46,50 @@ func TestBuildCannedTool(t *testing.T) {
 	data, err := os.ReadFile(out)
 	if err != nil || len(data) == 0 {
 		t.Fatalf("image file missing: %v", err)
+	}
+}
+
+// TestBuildWritesLayeredImageThatScrunRuns: the written file is the
+// layered SCIF2 encoding, and the scrun command runs it.
+func TestBuildWritesLayeredImageThatScrunRuns(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	dir := t.TempDir()
+	out := filepath.Join(dir, "pepa.scif")
+	stdout, err := runCmd(t, "-tool", "pepa", "-o", out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !image.IsLayered(data) {
+		t.Fatalf("scbuild wrote %.5q, want the SCIF2 magic", data)
+	}
+	img, err := image.Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("layers: %d\n", len(img.Layers)); len(img.Layers) == 0 || !strings.Contains(stdout, want) {
+		t.Errorf("image carries %d layers; output:\n%s", len(img.Layers), stdout)
+	}
+	models := filepath.Join(dir, "models")
+	if err := os.MkdirAll(models, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(models, "m.pepa"), []byte(core.SimplePEPAModel), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := exec.Command(goBin, "run", "repro/cmd/scrun", "-image", out, "-bind", models+":/data", "--", "/data/m.pepa")
+	got, err := run.CombinedOutput()
+	if err != nil {
+		t.Fatalf("scrun: %v\n%s", err, got)
+	}
+	if !strings.Contains(string(got), "steady-state distribution") {
+		t.Errorf("scrun output:\n%s", got)
 	}
 }
 

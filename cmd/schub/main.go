@@ -13,8 +13,9 @@
 //	schub cluster deliver -peers ... -peer b
 //
 // A push negotiates by layer digest, so only layers the hub is missing
-// cross the wire. A pull writes the hub's digest-verified bytes and
-// resumes an interrupted transfer from its on-disk spool.
+// cross the wire. A pull writes the hub's digest-verified bytes (the
+// layered SCIF2 encoding) and resumes an interrupted layer transfer from
+// its on-disk spool.
 //
 // With -autobuild the server builds pushed recipes itself on the CentOS
 // build-host profile (Singularity-Hub's model); the build subcommand is
@@ -243,7 +244,7 @@ func run() error {
 			return nil
 		}
 		c := client()
-		d, err := c.PushLayered(*collection, img)
+		d, err := c.Push(*collection, img)
 		if err != nil {
 			return err
 		}
@@ -268,12 +269,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			var blob []byte
-			if img.Layered() {
-				blob, err = img.MarshalLayered()
-			} else {
-				blob, err = img.Marshal()
-			}
+			blob, err := img.MarshalLayered()
 			if err != nil {
 				return err
 			}
@@ -313,11 +309,7 @@ func run() error {
 		}
 		fmt.Printf("collection %s:\n", *collection)
 		for _, e := range entries {
-			form := ""
-			if e.Layers > 0 {
-				form = fmt.Sprintf("  %d layers", e.Layers)
-			}
-			fmt.Printf("  %s:%s  %s  %d bytes%s  (built on %s)\n", e.Container, e.Tag, e.Digest[:19], e.Size, form, e.BuildHost)
+			fmt.Printf("  %s:%s  %s  %d bytes  %d layers  (built on %s)\n", e.Container, e.Tag, e.Digest[:19], e.Size, e.Layers, e.BuildHost)
 		}
 		return nil
 	case "cluster":

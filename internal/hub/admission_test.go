@@ -92,7 +92,7 @@ func TestAdmissionRateLimitSheds(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	ok, err := http.Get(ts.URL + "/v1/c/app/v1")
+	ok, err := http.Get(ts.URL + "/v1/c/app/v1/manifest")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestAdmissionRateLimitSheds(t *testing.T) {
 		t.Fatalf("first request = %d, want 200", ok.StatusCode)
 	}
 
-	shed, err := http.Get(ts.URL + "/v1/c/app/v1")
+	shed, err := http.Get(ts.URL + "/v1/c/app/v1/manifest")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestAdmissionConcurrencyGateSheds(t *testing.T) {
 	}()
 	<-entered // the lone read slot is now held
 
-	shed, err := http.Get(ts.URL + "/v1/c/app/v1")
+	shed, err := http.Get(ts.URL + "/v1/c/app/v1/manifest")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +183,7 @@ func TestAdmissionConcurrencyGateSheds(t *testing.T) {
 	}
 
 	// Writes ride a separate gate.
-	blob := mustBlob(t, testImage("other", "v1", "y"))
-	put, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/c/other/v1", strings.NewReader(string(blob)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wresp, err := http.DefaultClient.Do(put)
+	wresp, err := http.Post(ts.URL+"/v1/_layers/missing", "application/json", strings.NewReader(`{"digests":[]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +199,7 @@ func TestAdmissionConcurrencyGateSheds(t *testing.T) {
 	}
 
 	// With the slot free again, reads flow.
-	after, err := http.Get(ts.URL + "/v1/c/app/v1")
+	after, err := http.Get(ts.URL + "/v1/c/app/v1/manifest")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,8 +82,8 @@ func TestChaosCrashMidJournalRecoversByteIdentical(t *testing.T) {
 }
 
 // TestChaosTruncateMidChunkResumeIsDeterministic: a fault plan truncates
-// the first two blob GETs mid-body. The client must resume from the last
-// verified chunk boundary — and because the plan is seeded, two
+// the first two layer GETs mid-body. The client must resume from the
+// last verified chunk boundary — and because the plan is seeded, two
 // independent runs must produce identical attempt logs.
 func TestChaosTruncateMidChunkResumeIsDeterministic(t *testing.T) {
 	payload := strings.Repeat("resumable chunked payload ", 400) // ~10 KB, many 1 KiB chunks
@@ -97,7 +97,7 @@ func TestChaosTruncateMidChunkResumeIsDeterministic(t *testing.T) {
 		srv := NewServer(store)
 		srv.ChunkSize = 1024
 		srv.EnableFaults(faultinject.NewPlan(33,
-			faultinject.Rule{Match: "GET /v1/chaos/pepa", Kind: faultinject.KindTruncate, First: 2},
+			faultinject.Rule{Match: "GET /v1/_layers/", Kind: faultinject.KindTruncate, First: 2},
 		))
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()

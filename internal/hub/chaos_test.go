@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/image"
 )
 
 // chaosOptions are fast, fully deterministic client knobs for chaos
@@ -102,10 +103,11 @@ func TestChaosTruncatedPullRetries(t *testing.T) {
 }
 
 // TestChaosPushListUnderFaults exercises the other verbs: a 503 on the
-// push and a truncated list response, both retried to success.
+// push's manifest commit and a truncated list response, both retried to
+// success.
 func TestChaosPushListUnderFaults(t *testing.T) {
 	plan := faultinject.NewPlan(3,
-		faultinject.Rule{Match: "PUT /v1/", Kind: faultinject.KindStatus, Status: 503, First: 1},
+		faultinject.Rule{Match: "PUT /v1/chaos/", Kind: faultinject.KindStatus, Status: 503, First: 1},
 		faultinject.Rule{Match: "GET /v1/chaos", Kind: faultinject.KindTruncate, First: 1},
 	)
 	url := faultyServer(t, plan)
@@ -368,12 +370,15 @@ func TestDeterministicFailureNotRetried(t *testing.T) {
 // and the client treats that as deterministic.
 func TestUploadCapEnforced(t *testing.T) {
 	srv := NewServer(NewStore())
-	srv.MaxUploadBytes = 64
+	srv.MaxUploadBytes = 256
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/v1/coll/pepa/latest", "application/octet-stream",
-		bytes.NewReader(make([]byte, 200)))
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/_layers/sha256:00", bytes.NewReader(make([]byte, 300)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,34 +387,54 @@ func TestUploadCapEnforced(t *testing.T) {
 		t.Errorf("status = %d, want 413", resp.StatusCode)
 	}
 
+	// The negotiation fits under the cap; the layer upload does not.
 	c := NewClientWithOptions(ts.URL, chaosOptions(5))
 	if _, err := c.Push("coll", testImage("pepa", "latest", strings.Repeat("x", 500))); err == nil {
 		t.Fatal("oversized push succeeded")
 	}
-	log := c.AttemptsMatching("push coll/pepa:latest attempt")
-	if len(log) != 1 {
-		t.Errorf("413 push was retried:\n%s", strings.Join(log, "\n"))
+	log := c.AttemptsMatching("pushlayer ")
+	if len(log) != 1 || !strings.Contains(log[0], "HTTP 413 (deterministic; giving up)") {
+		t.Errorf("413 layer upload was retried:\n%s", strings.Join(c.AttemptLog(), "\n"))
 	}
 }
 
-// TestResponseCapEnforced: a blob larger than the client's response cap
-// is refused on the client side.
+// TestResponseCapEnforced: a manifest or a layer larger than the
+// client's response cap is refused on the client side, without a retry.
 func TestResponseCapEnforced(t *testing.T) {
-	srv := NewServer(NewStore())
-	ts := httptest.NewServer(srv.Handler())
+	store := NewStore()
+	ts := httptest.NewServer(NewServer(store).Handler())
 	defer ts.Close()
-	seed := NewClientWithOptions(ts.URL, chaosOptions(2))
-	digest, err := seed.Push("coll", testImage("pepa", "latest", strings.Repeat("payload ", 100)))
+	digest, err := NewClientWithOptions(ts.URL, chaosOptions(2)).Push("coll", testImage("pepa", "latest", strings.Repeat("payload ", 100)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := chaosOptions(2)
-	opts.MaxResponseBytes = 64
-	c := NewClientWithOptions(ts.URL, opts)
-	if _, _, err := c.Pull("coll", "pepa", "latest", digest); err == nil {
-		t.Fatal("pull above the response cap succeeded")
-	} else if !strings.Contains(err.Error(), "64-byte cap") {
-		t.Errorf("err = %v, want response-cap error", err)
+	blob, _, _ := store.Get("coll", "pepa", "latest")
+	manifest, frames, err := image.LayeredFrames(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frames[0]) <= len(manifest) {
+		t.Fatalf("layer (%d bytes) not larger than the manifest (%d bytes)", len(frames[0]), len(manifest))
+	}
+	for _, tc := range []struct {
+		name string
+		cap  int
+		op   string
+	}{
+		{"manifest", len(manifest) - 1, "pull coll/pepa:latest attempt"},
+		{"layer", len(frames[0]) - 1, "pulllayer "},
+	} {
+		opts := chaosOptions(2)
+		opts.MaxResponseBytes = int64(tc.cap)
+		c := NewClientWithOptions(ts.URL, opts)
+		if _, _, err := c.Pull("coll", "pepa", "latest", digest); err == nil {
+			t.Fatalf("%s: pull above the response cap succeeded", tc.name)
+		} else if !strings.Contains(err.Error(), fmt.Sprintf("%d-byte cap", tc.cap)) {
+			t.Errorf("%s: err = %v, want response-cap error", tc.name, err)
+		}
+		if log := c.AttemptsMatching(tc.op); len(log) != 1 || !strings.Contains(log[0], "deterministic; giving up") {
+			t.Errorf("%s: cap violation was retried:\n%s", tc.name, strings.Join(c.AttemptLog(), "\n"))
+		}
 	}
 }
 

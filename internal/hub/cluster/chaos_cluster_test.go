@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -237,5 +239,96 @@ func TestChaosPushFansOutUnderServerFaults(t *testing.T) {
 	}
 	if !h.cl.peer(first).isUp() {
 		t.Errorf("first owner %s marked down by retryable weather", first)
+	}
+}
+
+// alterFirstManifest rewrites old to new (same length) in the body of
+// the first manifest GET it carries and leaves the headers alone: an
+// alteration in transit.
+type alterFirstManifest struct {
+	old, new string
+	fired    atomic.Bool
+}
+
+func (a *alterFirstManifest) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || req.Method != http.MethodGet || !strings.HasSuffix(req.URL.Path, "/manifest") || !a.fired.CompareAndSwap(false, true) {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(strings.NewReader(strings.Replace(string(body), a.old, a.new, 1)))
+	return resp, nil
+}
+
+// TestChaosManifestAlteredInTransitIsRepulled: one character of the
+// first-ranked owner's first manifest response is altered in transit —
+// in the run configuration, or in a layer digest. The manifest read is
+// chunk-verified, so either alteration is a corrupt transfer that the
+// same peer serves cleanly on the re-pull: the peer is not marked down,
+// and no healthy replica is read-repaired.
+func TestChaosManifestAlteredInTransitIsRepulled(t *testing.T) {
+	img := layeredTestImage(t, "pepa", "latest", "base", "deps", "solver")
+	layer := img.Layers[0].Digest()
+	flipped := layer[:len(layer)-1] + "0"
+	if flipped == layer {
+		flipped = layer[:len(layer)-1] + "1"
+	}
+	for _, tc := range []struct{ name, old, new string }{
+		{"config", `"baseRef":"centos`, `"baseRef":"Centos`},
+		{"layer digest", layer, flipped},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			names := []string{"a", "b", "c"}
+			h := newHarness(t, names, 3, nil, nil, 3)
+			digest, err := h.cl.Push("tools", img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			victim := h.cl.rank(digest)[0]
+			alter := &alterFirstManifest{old: tc.old, new: tc.new}
+			var peers []Peer
+			for _, n := range names {
+				peers = append(peers, Peer{Name: n, URL: h.urls[n]})
+			}
+			reg := obs.NewRegistry()
+			reader, err := New(Options{
+				Peers: peers, Replication: 3, Seed: 1, Obs: reg, Client: chaosClientOptions(3),
+				TransportFor: func(p string) http.RoundTripper {
+					if p == victim {
+						return alter
+					}
+					return http.DefaultTransport
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if _, got, err := reader.Pull("tools", "pepa", "latest", digest); err != nil || got != digest {
+				t.Fatalf("pull = (%s, %v), want %s\nlog:\n%s", got, err, digest, reader.FormatLog())
+			}
+			if !alter.fired.Load() {
+				t.Fatal("no manifest response was altered")
+			}
+			log := reader.FormatLog()
+			if !strings.Contains(log, "served by "+victim) || strings.Contains(log, "marked down") {
+				t.Errorf("want the pull served by %s with no peer marked down; log:\n%s", victim, log)
+			}
+			attempts := strings.Join(reader.PeerClient(victim).AttemptsMatching("pull tools/pepa:latest attempt"), "\n")
+			if !strings.Contains(attempts, "attempt 1/3: corrupt response (re-pulling once)") || !strings.Contains(attempts, "attempt 2/3: ok") {
+				t.Errorf("want one corrupt read, then a clean re-pull:\n%s", attempts)
+			}
+			for _, n := range names {
+				for _, outcome := range []string{"ok", "error"} {
+					if got := reg.Counter("hub_cluster_read_repairs_total", obs.L("peer", n), obs.L("outcome", outcome)); got != 0 {
+						t.Errorf("hub_cluster_read_repairs_total{peer=%s,outcome=%s} = %v, want 0", n, outcome, got)
+					}
+				}
+			}
+		})
 	}
 }

@@ -73,7 +73,7 @@ func (cl *Cluster) Push(coll string, img *image.Image) (string, error) {
 			deferred = append(deferred, o)
 			continue
 		}
-		if _, err := p.client.PushLayered(coll, img); err != nil {
+		if _, err := p.client.Push(coll, img); err != nil {
 			cl.obs.Inc("hub_cluster_replica_writes_total", obs.L("peer", o), obs.L("outcome", "error"))
 			if hub.Classify(err) == hub.ClassDeterministic {
 				// A coherent rejection (malformed image, oversized upload)
@@ -122,7 +122,7 @@ func (cl *Cluster) handoff(ranked []string, owner, coll string, img *image.Image
 			continue
 		}
 		if !written[cand] {
-			if _, err := p.client.PushLayered(coll, img); err != nil {
+			if _, err := p.client.Push(coll, img); err != nil {
 				if isDownError(err) {
 					cl.setUp(p, false, "handoff push failed: "+describeClass(err))
 				}
@@ -169,7 +169,7 @@ func (cl *Cluster) Pull(coll, name, tag, expectedDigest string) (*image.Image, s
 			cl.logf("pull %s: skipping %s (down)", rf, pn)
 			continue
 		}
-		img, digest, err := p.client.PullLayered(coll, name, tag, expectedDigest)
+		img, digest, err := p.client.Pull(coll, name, tag, expectedDigest)
 		if err == nil {
 			cl.logf("pull %s: served by %s", rf, pn)
 			cl.readRepair(coll, img, digest, absent)
@@ -215,7 +215,7 @@ func (cl *Cluster) readRepair(coll string, img *image.Image, digest string, abse
 		if p == nil || !p.isUp() {
 			continue
 		}
-		if _, err := p.client.PushLayered(coll, img); err != nil {
+		if _, err := p.client.Push(coll, img); err != nil {
 			cl.obs.Inc("hub_cluster_read_repairs_total", obs.L("peer", pn), obs.L("outcome", "error"))
 			cl.logf("read-repair %s on %s: failed (%s)", rf, pn, describeClass(err))
 			if isDownError(err) {

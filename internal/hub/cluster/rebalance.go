@@ -60,13 +60,13 @@ func (cl *Cluster) DeliverHints(target string) (HandoffReport, error) {
 		rep.Hints += len(hints)
 		for _, h := range hints {
 			rf := ref(h.Collection, h.Container, h.Tag)
-			img, _, err := holder.client.PullLayered(h.Collection, h.Container, h.Tag, h.Digest)
+			img, _, err := holder.client.Pull(h.Collection, h.Container, h.Tag, h.Digest)
 			if err != nil {
 				rep.Failed++
 				cl.logf("handoff to %s: reading %s from %s failed (%s)", target, rf, holder.name, describeClass(err))
 				continue
 			}
-			if _, err := tp.client.PushLayered(h.Collection, img); err != nil {
+			if _, err := tp.client.Push(h.Collection, img); err != nil {
 				rep.Failed++
 				if isDownError(err) {
 					cl.setUp(tp, false, "hint delivery failed: "+describeClass(err))
@@ -176,7 +176,7 @@ func (cl *Cluster) RebalanceOnce() RebalanceReport {
 				cl.logf("rebalance: no holder could serve %s (%s)", rf, describeClass(err))
 				continue
 			}
-			if _, err := p.client.PushLayered(ri.coll, img); err != nil {
+			if _, err := p.client.Push(ri.coll, img); err != nil {
 				rep.Failed++
 				if isDownError(err) {
 					cl.setUp(p, false, "rebalance push failed: "+describeClass(err))
@@ -202,7 +202,7 @@ func (cl *Cluster) pullFromHolder(coll, name, tag, digest string, holders map[st
 			continue
 		}
 		var pulled *image.Image
-		pulled, _, err = p.client.PullLayered(coll, name, tag, digest)
+		pulled, _, err = p.client.Pull(coll, name, tag, digest)
 		if err == nil {
 			return pulled, nil
 		}

@@ -4,6 +4,12 @@
 // plus a client with digest-verified pull — reproducing Fig 6's
 // "collection page + clone of each container" workflow.
 //
+// Images move in one protocol: by content-addressed layer (see
+// layers.go). A push negotiates which layers the registry is missing,
+// uploads only those and commits the image's manifest; a pull fetches the
+// manifest and only the layers the client has not cached. Every entry a
+// store holds is in the layered (SCIF2) encoding.
+//
 // The client is resilient by construction: every operation runs through
 // a retry loop with exponential backoff, deterministic seeded jitter,
 // and a circuit breaker (see resilience.go and docs/RESILIENCE.md);
@@ -42,8 +48,8 @@ type Entry struct {
 	Digest     string `json:"digest"`
 	Size       int    `json:"size"`
 	BuildHost  string `json:"buildHost,omitempty"`
-	// Layers counts the content-addressed layers of a layered (SCIF2)
-	// entry; 0 for monolithic (SCIF1) content.
+	// Layers counts the content-addressed layers of the stored (SCIF2)
+	// entry.
 	Layers int `json:"layers,omitempty"`
 	// Quarantined marks content whose stored bytes failed digest
 	// verification (scrubber or recovery); it is served as 410 Gone
@@ -90,27 +96,36 @@ func NewStore() *Store {
 
 func key(coll, name, tag string) string { return coll + "/" + name + ":" + tag }
 
-// blobDigest computes the content digest of a marshalled image blob,
-// rejecting malformed payloads.
-func blobDigest(blob []byte) (string, error) {
+// storedForm decodes an image blob and returns the bytes a store keeps
+// for it, the layered (SCIF2) encoding, with the decoded image and its
+// digest. A monolithic (SCIF1) blob is re-encoded as its one-layer form,
+// which has the same digest. Put, journal replay and snapshot load all
+// go through it, so every entry a store holds is SCIF2.
+func storedForm(blob []byte) ([]byte, *image.Image, string, error) {
 	img, err := image.Unmarshal(blob)
 	if err != nil {
-		return "", fmt.Errorf("hub: rejecting malformed image: %w", err)
-	}
-	return img.Digest()
-}
-
-// Put stores an image blob, computing and recording its digest. On a
-// durable store the blob file and journal record are fsynced before the
-// in-memory state changes. Re-pushing bytes whose digest matches the
-// already-stored (healthy) entry is a no-op: no copy, no blob write, no
-// journal record. Re-pushing to a quarantined entry repairs it.
-func (s *Store) Put(coll, name, tag string, blob []byte) (string, error) {
-	img, err := image.Unmarshal(blob)
-	if err != nil {
-		return "", fmt.Errorf("hub: rejecting malformed image: %w", err)
+		return nil, nil, "", fmt.Errorf("hub: rejecting malformed image: %w", err)
 	}
 	d, err := img.Digest()
+	if err != nil {
+		return nil, nil, "", err
+	}
+	if !image.IsLayered(blob) {
+		if blob, err = img.MarshalLayered(); err != nil {
+			return nil, nil, "", err
+		}
+	}
+	return blob, img, d, nil
+}
+
+// Put stores an image blob, computing and recording its digest; a SCIF1
+// blob is stored in its one-layer SCIF2 form. On a durable store the
+// blob file and journal record are fsynced before the in-memory state
+// changes. Re-pushing bytes whose digest matches the already-stored
+// (healthy) entry is a no-op: no copy, no blob write, no journal record.
+// Re-pushing to a quarantined entry repairs it.
+func (s *Store) Put(coll, name, tag string, blob []byte) (string, error) {
+	stored, img, d, err := storedForm(blob)
 	if err != nil {
 		return "", err
 	}
@@ -126,12 +141,15 @@ func (s *Store) Put(coll, name, tag string, blob []byte) (string, error) {
 		// these bytes and is healthy.
 		return d, nil
 	}
+	if image.IsLayered(blob) {
+		// The caller keeps its slice; the store owns an immutable copy.
+		stored = bytes.Clone(blob)
+	}
 	e := Entry{
 		Collection: coll, Container: name, Tag: tag,
-		Digest: d, Size: len(blob), BuildHost: img.Meta.BuildHost,
+		Digest: d, Size: len(stored), BuildHost: img.Meta.BuildHost,
 		Layers: len(img.Layers),
 	}
-	stored := append([]byte(nil), blob...)
 	if s.wal != nil {
 		pe := persistedEntry{Entry: e, Blob: blobFileName(d)}
 		// Repairing quarantined content must overwrite the on-disk blob:
@@ -253,9 +271,9 @@ type Server struct {
 	// MaxUploadBytes caps PUT/POST request bodies (default 64 MiB);
 	// oversized uploads are rejected with 413.
 	MaxUploadBytes int64
-	// ChunkSize is the digest-framing granularity for blob GETs (default
-	// 64 KiB): responses advertise a per-chunk SHA-256 list so clients
-	// can verify and resume partial transfers (see stream.go).
+	// ChunkSize is the digest-framing granularity for manifest and layer
+	// GETs (default 64 KiB): responses advertise a per-chunk SHA-256 list
+	// so clients can verify and resume partial transfers (see stream.go).
 	ChunkSize int
 	mux       *http.ServeMux
 	handler   http.Handler
@@ -268,8 +286,8 @@ type Server struct {
 	// it as the drain backlog and the gauge hub_server_inflight_requests
 	// tracks it when metrics are enabled.
 	inflight atomic.Int64
-	// chunkMu guards chunkCache, the per-digest chunk manifest memo
-	// (content-addressed, so entries never go stale).
+	// chunkMu guards chunkCache, the chunk digest memo. It is keyed by
+	// the SHA-256 of the bytes it describes, so entries never go stale.
 	chunkMu    sync.Mutex
 	chunkCache map[string][]string
 	// scrubber is the optional background integrity scrubber.
@@ -362,8 +380,9 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// handle routes /v1/{collection}[/{container}/{tag}[/manifest]] and the
-// layer-transfer endpoints under /v1/_layers/ (see layers.go).
+// handle routes /v1/{collection}[/{container}/{tag}[/manifest]], the
+// layer-transfer endpoints under /v1/_layers/ (see layers.go) and the
+// cluster endpoints under /v1/_cluster/ (see hints.go).
 func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 	parts := strings.Split(strings.Trim(strings.TrimPrefix(r.URL.Path, "/v1/"), "/"), "/")
 	switch {
@@ -400,35 +419,23 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, entries)
 	case len(parts) == 3:
-		coll, name, tag := parts[0], parts[1], parts[2]
-		switch r.Method {
-		case http.MethodGet:
-			s.serveBlob(w, r, coll, name, tag)
-		case http.MethodPut, http.MethodPost:
-			blob, err := readBody(w, r, s.MaxUploadBytes)
-			if err != nil {
-				return // readBody already wrote the status
-			}
-			digest, err := s.Store.Put(coll, name, tag, blob)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			writeJSON(w, map[string]string{"digest": digest})
-		case http.MethodDelete:
-			existed, err := s.Store.Delete(coll, name, tag)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			if !existed {
-				http.Error(w, "image not found", http.StatusNotFound)
-				return
-			}
-			writeJSON(w, map[string]string{"deleted": coll + "/" + name + ":" + tag})
-		default:
+		// Images move only by manifest and layer (layers.go); the bare
+		// image path just deletes.
+		if r.Method != http.MethodDelete {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
 		}
+		coll, name, tag := parts[0], parts[1], parts[2]
+		existed, err := s.Store.Delete(coll, name, tag)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		if !existed {
+			http.Error(w, "image not found", http.StatusNotFound)
+			return
+		}
+		writeJSON(w, map[string]string{"deleted": coll + "/" + name + ":" + tag})
 	default:
 		http.Error(w, "not found", http.StatusNotFound)
 	}
@@ -499,10 +506,10 @@ type Client struct {
 	// transfers skip layers already on hand (see layers.go).
 	layerCache *LayerCache
 	jmu        sync.Mutex
-	jitter   *rng.Source
-	logMu    sync.Mutex
-	attempts []string
-	sleep    func(time.Duration)
+	jitter     *rng.Source
+	logMu      sync.Mutex
+	attempts   []string
+	sleep      func(time.Duration)
 	// obs is the optional metrics registry; nil (the default) disables
 	// instrumentation at zero cost and cannot perturb attempt logs.
 	obs *obs.Registry
@@ -522,7 +529,7 @@ type ClientOptions struct {
 	// Sleep overrides the inter-retry sleep (tests use a no-op).
 	Sleep func(time.Duration)
 	// Obs receives client metrics (attempts, retries, backoff, breaker
-	// transitions, bytes moved). Nil disables instrumentation.
+	// transitions, layers and bytes moved). Nil disables instrumentation.
 	Obs *obs.Registry
 	// LayerCache shares a layer cache between clients (nil creates a
 	// fresh per-client cache).
@@ -592,43 +599,6 @@ func NewClientWithOptions(baseURL string, opts ClientOptions) *Client {
 		}
 	}
 	return c
-}
-
-// Push uploads an image, returning the server-computed digest. It verifies
-// the server digest against a locally computed one; a mismatch is treated
-// as a corrupt transfer and retried once.
-func (c *Client) Push(coll string, img *image.Image) (string, error) {
-	blob, err := img.Marshal()
-	if err != nil {
-		return "", err
-	}
-	localDigest, err := img.Digest()
-	if err != nil {
-		return "", err
-	}
-	op := fmt.Sprintf("push %s/%s:%s", coll, img.Meta.Name, img.Meta.Tag)
-	url := fmt.Sprintf("%s/v1/%s/%s/%s", c.BaseURL, coll, img.Meta.Name, img.Meta.Tag)
-	var digest string
-	err = c.do(op, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodPut, url, bytes.NewReader(blob))
-	}, func(resp *http.Response) error {
-		var out struct {
-			Digest string `json:"digest"`
-		}
-		if err := jsonDecode(io.LimitReader(resp.Body, c.MaxResponseBytes), &out); err != nil {
-			return fmt.Errorf("%w: decoding push response: %v", ErrCorrupt, err)
-		}
-		if out.Digest != localDigest {
-			return fmt.Errorf("%w: server digest %s != local digest %s", ErrCorrupt, out.Digest, localDigest)
-		}
-		digest = out.Digest
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	c.obs.Add("hub_client_bytes_pushed_total", float64(len(blob)))
-	return digest, nil
 }
 
 // List fetches the entries of a collection.

@@ -139,14 +139,47 @@ func TestStoreRejectsMalformedBlob(t *testing.T) {
 func TestServerRejectsCorruptUpload(t *testing.T) {
 	c, _, done := newTestClient(t)
 	defer done()
-	req, _ := http.NewRequest(http.MethodPut, c.BaseURL+"/v1/c/n/t", bytes.NewReader([]byte("garbage")))
+	for _, path := range []string{"/v1/c/n/t/manifest", "/v1/_layers/sha256:00"} {
+		req, _ := http.NewRequest(http.MethodPut, c.BaseURL+path, bytes.NewReader([]byte("garbage")))
+		resp, err := c.HTTP.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("PUT %s = %d, want 400", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestImagePathOnlyDeletes: images move only by manifest and layer, so
+// the bare image path answers GET, PUT and POST with 405.
+func TestImagePathOnlyDeletes(t *testing.T) {
+	c, _, done := newTestClient(t)
+	defer done()
+	if _, err := c.Push("coll", testImage("pepa", "latest", "v1")); err != nil {
+		t.Fatal(err)
+	}
+	url := c.BaseURL + "/v1/coll/pepa/latest"
+	for _, method := range []string{http.MethodGet, http.MethodPut, http.MethodPost} {
+		req, _ := http.NewRequest(method, url, bytes.NewReader([]byte("body")))
+		resp, err := c.HTTP.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s = %d, want 405", method, url, resp.StatusCode)
+		}
+	}
+	req, _ := http.NewRequest(http.MethodDelete, url, nil)
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status = %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("DELETE %s = %d, want 200", url, resp.StatusCode)
 	}
 }
 

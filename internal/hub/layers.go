@@ -9,19 +9,19 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 
 	"repro/internal/image"
 )
 
-// Layer-level transfer: layered (SCIF2) images are negotiated by layer
-// digest, so a push uploads only the layers the registry is missing and
-// a pull downloads only the layers the client has not already cached —
-// the registry analogue of the stage-level build cache. The protocol
-// rides on the existing resilient primitives: layer bodies are served
-// with the same chunk-digest framing and Range resume as image blobs,
-// and every operation runs through the retry loop and breaker.
+// Layer-level transfer, the hub's only image transfer protocol: images
+// are negotiated by layer digest, so a push uploads only the layers the
+// registry is missing and a pull downloads only the layers the client
+// has not already cached — the registry analogue of the stage-level
+// build cache. A monolithic image travels as its one layer. The protocol
+// rides on the resilient primitives: the manifest and every layer body
+// are served with chunk-digest framing and Range resume (stream.go), and
+// every request runs through the retry loop and breaker.
 //
 // Server endpoints:
 //
@@ -29,8 +29,14 @@ import (
 //	GET  /v1/_layers/{digest}           one encoded layer (chunk-framed)
 //	PUT  /v1/_layers/{digest}           stage one layer for later manifests
 //	GET  /v1/{c}/{n}/{t}/manifest       the stored image's layer manifest
+//	                                    (chunk-framed)
 //	PUT  /v1/{c}/{n}/{t}/manifest       commit a manifest; 412 + missing
 //	                                    list when layers are absent
+//
+// Client operations, as named in attempt logs and in the op label of
+// hub_client_attempts_total: "negotiate layers", "pushlayer <digest>",
+// "push <ref>" (the manifest commit), "pull <ref>" (the manifest fetch)
+// and "pulllayer <digest>".
 //
 // Staged layers are a content-addressed cache, not durable registry
 // state: they are not journaled, and a restarted durable store re-learns
@@ -38,7 +44,7 @@ import (
 // were lost between negotiation and manifest commit sees 412 and simply
 // re-uploads — the manifest commit is the only durable mutation, and it
 // goes through Store.Put, so WAL ordering and digest verification are
-// exactly those of a monolithic push.
+// those of every stored image.
 
 // layerContentDigest is the content address of one encoded layer frame.
 func layerContentDigest(frame []byte) string {
@@ -46,14 +52,11 @@ func layerContentDigest(frame []byte) string {
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
-// indexLayersLocked records the layer frames of a layered blob in the
+// indexLayersLocked records the layer frames of a stored blob in the
 // content-addressed layer index. Caller holds s.mu. The frames alias
 // blob, which is safe: installed blobs are immutable (Put replaces them
 // wholesale).
 func (s *Store) indexLayersLocked(blob []byte) {
-	if !image.IsLayered(blob) {
-		return
-	}
 	_, frames, err := image.LayeredFrames(blob)
 	if err != nil {
 		return // the blob was digest-verified upstream; be lenient here
@@ -156,7 +159,7 @@ func (s *Server) handleLayerMissing(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLayer answers GET/PUT /v1/_layers/{digest}: one encoded layer,
-// served with the same chunk framing and Range support as image blobs.
+// served with chunk framing and Range support.
 func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request, digest string) {
 	switch r.Method {
 	case http.MethodGet:
@@ -165,7 +168,7 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request, digest stri
 			http.Error(w, "layer not found", http.StatusNotFound)
 			return
 		}
-		s.serveVerified(w, r, digest, blob)
+		s.serveVerified(w, r, digest, digest, blob)
 	case http.MethodPut, http.MethodPost:
 		body, err := readBody(w, r, s.MaxUploadBytes)
 		if err != nil {
@@ -188,7 +191,9 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request, digest stri
 	}
 }
 
-// handleManifest answers GET/PUT /v1/{coll}/{name}/{tag}/manifest.
+// handleManifest answers GET/PUT /v1/{coll}/{name}/{tag}/manifest. A
+// quarantined entry answers 410 Gone with a typed error header: the
+// bytes on hand are known-bad, and the fix is a re-push, not a retry.
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request, coll, name, tag string) {
 	switch r.Method {
 	case http.MethodGet:
@@ -202,22 +207,12 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request, coll, na
 			http.Error(w, fmt.Sprintf("content quarantined (%s); re-push to repair", reason), http.StatusGone)
 			return
 		}
-		if !image.IsLayered(blob) {
-			// A monolithic (SCIF1) entry has no manifest; the typed 404
-			// tells the client to fall back to a legacy pull.
-			w.Header().Set(headerHubError, hubErrNotLayered)
-			http.Error(w, "image is not stored in layered form", http.StatusNotFound)
-			return
-		}
 		manifest, _, err := image.LayeredFrames(blob)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set(headerDigest, e.Digest)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(len(manifest)))
-		w.Write(manifest)
+		s.serveVerified(w, r, e.Digest, layerContentDigest(manifest), manifest)
 	case http.MethodPut, http.MethodPost:
 		body, err := readBody(w, r, s.MaxUploadBytes)
 		if err != nil {
@@ -337,12 +332,14 @@ func (c *Client) MissingLayers(digests []string) ([]string, error) {
 	return out.Missing, nil
 }
 
-// PushLayered uploads an image by layer negotiation: ask the server which
-// layers it is missing, upload only those, then commit the manifest. A
-// monolithic image is layerized (one layer) first. If the server loses
-// staged layers between negotiation and commit (e.g. it restarted), the
-// 412 answer triggers one full re-negotiation before giving up.
-func (c *Client) PushLayered(coll string, img *image.Image) (string, error) {
+// Push uploads an image by layer negotiation, returning the server-
+// computed digest: ask the server which layers it is missing, upload
+// only those, then commit the manifest, whose server digest must match
+// the locally computed one. A monolithic image is layerized (one layer)
+// first. If the server loses staged layers between negotiation and
+// commit (e.g. it restarted), the 412 answer triggers one full
+// re-negotiation before giving up.
+func (c *Client) Push(coll string, img *image.Image) (string, error) {
 	m, err := img.Manifest()
 	if err != nil {
 		return "", err
@@ -372,16 +369,16 @@ func (c *Client) PushLayered(coll string, img *image.Image) (string, error) {
 				return "", err
 			}
 		}
-		digest, err := c.putManifest(coll, img.Meta.Name, img.Meta.Tag, manifestBytes, m.ImageDigest)
+		err = c.putManifest(coll, img.Meta.Name, img.Meta.Tag, manifestBytes, m.ImageDigest)
 		if err == nil {
 			for _, l := range img.Layers {
 				c.layerCache.add(l)
 			}
-			return digest, nil
+			return m.ImageDigest, nil
 		}
 		var he *HTTPError
 		if errors.As(err, &he) && he.Status == http.StatusPreconditionFailed && attempt == 0 {
-			c.logf("push-layered %s/%s:%s: staged layers lost, re-negotiating", coll, img.Meta.Name, img.Meta.Tag)
+			c.logf("push %s/%s:%s: staged layers lost, re-negotiating", coll, img.Meta.Name, img.Meta.Tag)
 			continue
 		}
 		return "", err
@@ -418,11 +415,10 @@ func (c *Client) pushLayer(l *image.Layer) error {
 // putManifest commits a manifest and verifies the server-computed digest
 // against the locally known flattened digest. A 412 (missing layers)
 // surfaces as *HTTPError for the caller to re-negotiate.
-func (c *Client) putManifest(coll, name, tag string, manifestBytes []byte, localDigest string) (string, error) {
-	op := fmt.Sprintf("pushmanifest %s/%s:%s", coll, name, tag)
+func (c *Client) putManifest(coll, name, tag string, manifestBytes []byte, localDigest string) error {
+	op := fmt.Sprintf("push %s/%s:%s", coll, name, tag)
 	url := fmt.Sprintf("%s/v1/%s/%s/%s/manifest", c.BaseURL, coll, name, tag)
-	var digest string
-	err := c.do(op, func() (*http.Request, error) {
+	return c.do(op, func() (*http.Request, error) {
 		return http.NewRequest(http.MethodPut, url, bytes.NewReader(manifestBytes))
 	}, func(resp *http.Response) error {
 		var out struct {
@@ -434,116 +430,6 @@ func (c *Client) putManifest(coll, name, tag string, manifestBytes []byte, local
 		if out.Digest != localDigest {
 			return fmt.Errorf("%w: server digest %s != local digest %s", ErrCorrupt, out.Digest, localDigest)
 		}
-		digest = out.Digest
 		return nil
 	})
-	if err != nil {
-		return "", err
-	}
-	return digest, nil
-}
-
-// PullLayered downloads an image by manifest: fetch the layer manifest,
-// pull only the layers not already in the client's layer cache, and
-// reassemble — verifying each layer's digest on the wire and the
-// flattened image digest at the end. If the server does not hold the
-// image in layered form (or predates the manifest API), it falls back to
-// the legacy monolithic Pull, so PullLayered is safe to use against any
-// entry.
-func (c *Client) PullLayered(coll, name, tag, expectedDigest string) (*image.Image, string, error) {
-	op := fmt.Sprintf("pullmanifest %s/%s:%s", coll, name, tag)
-	url := fmt.Sprintf("%s/v1/%s/%s/%s/manifest", c.BaseURL, coll, name, tag)
-	var m *image.Manifest
-	err := c.do(op, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, url, nil)
-	}, func(resp *http.Response) error {
-		body, err := io.ReadAll(io.LimitReader(resp.Body, c.MaxResponseBytes))
-		if err != nil {
-			return err
-		}
-		got, err := image.ParseManifest(body)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		if expectedDigest != "" && got.ImageDigest != expectedDigest {
-			return fmt.Errorf("%w: manifest digest %s != expected %s", ErrCorrupt, got.ImageDigest, expectedDigest)
-		}
-		if adv := resp.Header.Get(headerDigest); adv != "" && adv != got.ImageDigest {
-			return fmt.Errorf("%w: advertised digest %s != manifest digest %s", ErrCorrupt, adv, got.ImageDigest)
-		}
-		m = got
-		return nil
-	})
-	if err != nil {
-		var he *HTTPError
-		if errors.As(err, &he) && he.Status == http.StatusNotFound {
-			c.logf("%s: no layered manifest, falling back to monolithic pull", op)
-			return c.Pull(coll, name, tag, expectedDigest)
-		}
-		return nil, "", err
-	}
-	layers := make([]*image.Layer, len(m.Layers))
-	for i, desc := range m.Layers {
-		if l, ok := c.layerCache.get(desc.Digest); ok {
-			c.obs.Inc("hub_client_layer_cache_hits_total")
-			layers[i] = l
-			continue
-		}
-		l, err := c.pullLayer(desc)
-		if err != nil {
-			return nil, "", err
-		}
-		c.layerCache.add(l)
-		layers[i] = l
-	}
-	img, err := image.AssembleFromLayers(m.Config, layers)
-	if err != nil {
-		return nil, "", err
-	}
-	if err := img.VerifyDigest(m.ImageDigest); err != nil {
-		return nil, "", fmt.Errorf("%w: reassembled image: %v", ErrCorrupt, err)
-	}
-	return img, m.ImageDigest, nil
-}
-
-// pullLayer downloads one layer through the streaming pull machinery:
-// chunk-level digest verification, incremental size-cap enforcement, and
-// Range resume from the last verified chunk across attempts.
-func (c *Client) pullLayer(desc image.LayerDescriptor) (*image.Layer, error) {
-	op := "pulllayer " + desc.Digest
-	url := c.BaseURL + "/v1/_layers/" + desc.Digest
-	st := &pullProgress{total: -1}
-	var layer *image.Layer
-	err := c.do(op, func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodGet, url, nil)
-		if err != nil {
-			return nil, err
-		}
-		if len(st.buf) > 0 {
-			req.Header.Set("Range", fmt.Sprintf("bytes=%d-", len(st.buf)))
-			c.logf("%s resuming from verified offset %d", op, len(st.buf))
-			c.obs.Inc("hub_client_pull_resumes_total")
-		}
-		return req, nil
-	}, func(resp *http.Response) error {
-		blob, err := c.readPull(st, resp, desc.Digest)
-		if err != nil {
-			return err
-		}
-		l, err := image.DecodeLayer(blob)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		if l.Digest() != desc.Digest {
-			return fmt.Errorf("%w: pulled layer digest %s != %s", ErrCorrupt, l.Digest(), desc.Digest)
-		}
-		layer = l
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.obs.Inc("hub_client_layers_pulled_total")
-	c.obs.Add("hub_client_layer_bytes_pulled_total", float64(layer.Size()))
-	return layer, nil
 }

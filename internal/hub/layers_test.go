@@ -46,7 +46,7 @@ func TestLayeredPushPullRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	digest, err := c.PushLayered("pepa-tools", img)
+	digest, err := c.Push("pepa-tools", img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestLayeredPushPullRoundTrip(t *testing.T) {
 
 	// A fresh client reassembles the image from its layers.
 	c2 := NewClient(strings.TrimSuffix(c.BaseURL, "/"))
-	pulled, gotDigest, err := c2.PullLayered("pepa-tools", "pepa", "latest", localDigest)
+	pulled, gotDigest, err := c2.Pull("pepa-tools", "pepa", "latest", localDigest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,25 +93,13 @@ func TestLayeredPushPullRoundTrip(t *testing.T) {
 		t.Errorf("pulled image carries %d layers, want 3", len(pulled.Layers))
 	}
 
-	// The legacy monolithic pull still works against the layered entry
-	// and agrees on the digest.
-	legacy, legacyDigest, err := c2.Pull("pepa-tools", "pepa", "latest", localDigest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacyDigest != localDigest {
-		t.Errorf("legacy pull digest = %s, want %s", legacyDigest, localDigest)
-	}
-	if d, _ := legacy.Digest(); d != localDigest {
-		t.Errorf("legacy pulled image digest = %s, want %s", d, localDigest)
-	}
 }
 
 func TestLayeredPushTransfersOnlyMissingLayers(t *testing.T) {
 	c, store, done := newTestClient(t)
 	defer done()
 	a := layeredTestImage(t, "pepa", "v1", "base", "deps", "solver-v1")
-	if _, err := c.PushLayered("coll", a); err != nil {
+	if _, err := c.Push("coll", a); err != nil {
 		t.Fatal(err)
 	}
 	if got := store.LayerCount(); got != 3 {
@@ -122,7 +110,7 @@ func TestLayeredPushTransfersOnlyMissingLayers(t *testing.T) {
 	// should cross the wire.
 	b := layeredTestImage(t, "pepa", "v2", "base", "deps", "solver-v2")
 	c.ResetAttemptLog()
-	if _, err := c.PushLayered("coll", b); err != nil {
+	if _, err := c.Push("coll", b); err != nil {
 		t.Fatal(err)
 	}
 	uploads := c.AttemptsMatching("pushlayer ")
@@ -135,7 +123,7 @@ func TestLayeredPushTransfersOnlyMissingLayers(t *testing.T) {
 
 	// Re-pushing the same image uploads nothing and is idempotent.
 	c.ResetAttemptLog()
-	if _, err := c.PushLayered("coll", b); err != nil {
+	if _, err := c.Push("coll", b); err != nil {
 		t.Fatal(err)
 	}
 	if uploads := c.AttemptsMatching("pushlayer "); len(uploads) != 0 {
@@ -150,22 +138,22 @@ func TestLayeredPullUsesLayerCache(t *testing.T) {
 	b := layeredTestImage(t, "pepa", "v2", "base", "deps", "solver-v2")
 	da, _ := a.Digest()
 	db, _ := b.Digest()
-	if _, err := c.PushLayered("coll", a); err != nil {
+	if _, err := c.Push("coll", a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PushLayered("coll", b); err != nil {
+	if _, err := c.Push("coll", b); err != nil {
 		t.Fatal(err)
 	}
 
 	puller := NewClient(c.BaseURL)
-	if _, _, err := puller.PullLayered("coll", "pepa", "v1", da); err != nil {
+	if _, _, err := puller.Pull("coll", "pepa", "v1", da); err != nil {
 		t.Fatal(err)
 	}
 	if got := puller.AttemptsMatching("pulllayer "); len(got) != 3 {
 		t.Fatalf("cold pull fetched %d layers, want 3: %v", len(got), got)
 	}
 	puller.ResetAttemptLog()
-	if _, _, err := puller.PullLayered("coll", "pepa", "v2", db); err != nil {
+	if _, _, err := puller.Pull("coll", "pepa", "v2", db); err != nil {
 		t.Fatal(err)
 	}
 	if got := puller.AttemptsMatching("pulllayer "); len(got) != 1 {
@@ -176,35 +164,42 @@ func TestLayeredPullUsesLayerCache(t *testing.T) {
 	}
 }
 
-func TestPullLayeredFallsBackToLegacy(t *testing.T) {
+// TestPutStoresMonolithicBlobInLayeredForm: a SCIF1 blob is stored as
+// its one-layer SCIF2 form under the same digest, and pulls back as the
+// same image.
+func TestPutStoresMonolithicBlobInLayeredForm(t *testing.T) {
 	c, store, done := newTestClient(t)
 	defer done()
 	img := testImage("pepa", "latest", "monolithic")
-	digest, err := c.Push("coll", img)
+	mono := mustBlob(t, img)
+	digest, err := store.Put("coll", "pepa", "latest", mono)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want, _ := img.Digest(); digest != want {
+		t.Errorf("digest = %s, want the SCIF1 digest %s", digest, want)
+	}
 	blob, _, _ := store.Get("coll", "pepa", "latest")
-	if image.IsLayered(blob) {
-		t.Fatal("legacy push stored a layered blob")
+	if !image.IsLayered(blob) {
+		t.Fatal("a SCIF1 blob was stored as SCIF1")
+	}
+	if want, err := img.MarshalLayered(); err != nil || string(blob) != string(want) {
+		t.Errorf("stored bytes are not the one-layer SCIF2 form (%v)", err)
+	}
+	entries := store.List("coll")
+	if len(entries) != 1 || entries[0].Layers != 1 || entries[0].Size != len(blob) {
+		t.Errorf("entries = %+v, want one 1-layer entry of %d bytes", entries, len(blob))
 	}
 
-	pulled, gotDigest, err := c.PullLayered("coll", "pepa", "latest", digest)
+	pulled, gotDigest, err := c.Pull("coll", "pepa", "latest", digest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotDigest != digest {
-		t.Errorf("fallback pull digest = %s, want %s", gotDigest, digest)
+		t.Errorf("pull digest = %s, want %s", gotDigest, digest)
 	}
-	got, err := pulled.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(blob) {
-		t.Error("fallback pull is not byte-identical to the stored legacy blob")
-	}
-	if len(c.AttemptsMatching("pull coll/pepa:latest")) == 0 {
-		t.Error("expected a legacy pull attempt after the manifest 404")
+	if data, err := pulled.FS.ReadFile("/payload"); err != nil || string(data) != "monolithic" {
+		t.Errorf("payload = %q, %v", data, err)
 	}
 }
 
@@ -231,7 +226,7 @@ func TestLayeredPushRenegotiatesOn412(t *testing.T) {
 	c := NewClient(ts.URL)
 	img := layeredTestImage(t, "pepa", "latest", "base", "deps", "solver")
 	localDigest, _ := img.Digest()
-	digest, err := c.PushLayered("coll", img)
+	digest, err := c.Push("coll", img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +311,7 @@ func TestScrubDropsRottedLayerFrame(t *testing.T) {
 		t.Errorf("LayerCount = %d, want the 2 intact frames", got)
 	}
 
-	if _, err := c.PushLayered("coll", img); err != nil {
+	if _, err := c.Push("coll", img); err != nil {
 		t.Fatal(err)
 	}
 	uploads := c.AttemptsMatching("pushlayer ")

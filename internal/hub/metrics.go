@@ -73,8 +73,9 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // endpointClass maps a request to a low-cardinality endpoint label:
-// collection, container, and tag names are collapsed to placeholders so
-// the metric space stays bounded no matter how many images exist.
+// collection, container, tag, and layer digest values are collapsed to
+// placeholders so the metric space stays bounded no matter how many
+// images exist.
 func endpointClass(r *http.Request) string {
 	path := r.URL.Path
 	switch {
@@ -85,10 +86,21 @@ func endpointClass(r *http.Request) string {
 		switch {
 		case len(parts) == 1 && parts[0] == "":
 			return r.Method + " /v1/"
+		case len(parts) == 2 && parts[0] == "_layers" && parts[1] == "missing":
+			return r.Method + " /v1/_layers/missing"
+		case len(parts) == 2 && parts[0] == "_layers":
+			return r.Method + " /v1/_layers/{digest}"
+		case parts[0] == "_cluster":
+			switch sub := strings.Join(parts[1:], "/"); sub {
+			case "status", "hints", "hints/ack":
+				return r.Method + " /v1/_cluster/" + sub
+			}
 		case len(parts) == 1:
 			return r.Method + " /v1/{collection}"
 		case len(parts) == 3:
 			return r.Method + " /v1/{collection}/{container}/{tag}"
+		case len(parts) == 4 && parts[3] == "manifest":
+			return r.Method + " /v1/{collection}/{container}/{tag}/manifest"
 		}
 	}
 	return r.Method + " other"

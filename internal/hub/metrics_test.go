@@ -29,10 +29,15 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	if _, err := client.Push("coll", img); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := client.Pull("coll", "pepa", "latest", ""); err != nil {
+	// A fresh client has no cached layers, so its pull reads the layer
+	// over the wire too.
+	if _, _, err := NewClient(ts.URL).Pull("coll", "pepa", "latest", ""); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.List("coll"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.NodeStatus(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -57,8 +62,21 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	if !strings.Contains(text, "hub_server_requests_total") {
 		t.Error("missing hub_server_requests_total family")
 	}
-	if !strings.Contains(text, `endpoint="GET /v1/{collection}/{container}/{tag}"`) {
-		t.Error("missing collapsed endpoint label for the pull")
+	for _, ep := range []string{
+		"POST /v1/_layers/missing",
+		"PUT /v1/_layers/{digest}",
+		"PUT /v1/{collection}/{container}/{tag}/manifest",
+		"GET /v1/{collection}/{container}/{tag}/manifest",
+		"GET /v1/_layers/{digest}",
+		"GET /v1/{collection}",
+		"GET /v1/_cluster/status",
+	} {
+		if !strings.Contains(text, `endpoint="`+ep+`"`) {
+			t.Errorf("missing collapsed endpoint label %q", ep)
+		}
+	}
+	if strings.Contains(text, ` other"`) {
+		t.Errorf("image transfer traffic fell into the \"other\" endpoint class:\n%s", text)
 	}
 	samples := 0
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {

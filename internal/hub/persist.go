@@ -182,6 +182,24 @@ func (s *Store) persistPut(pe persistedEntry, blob []byte, force bool) error {
 	return s.wal.append(walPut, pe)
 }
 
+// loadBlob reads and verifies one entry's blob file, returning the SCIF2
+// bytes to hold and the entry updated to describe them (a SCIF1 file
+// written by an older hub is re-encoded; its digest is unchanged). ok is
+// false when the file is unreadable, malformed, or not the entry's
+// digest.
+func loadBlob(path string, e Entry) ([]byte, Entry, bool) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, e, false
+	}
+	blob, img, d, err := storedForm(raw)
+	if err != nil || d != e.Digest {
+		return nil, e, false
+	}
+	e.Size, e.Layers = len(blob), len(img.Layers)
+	return blob, e, true
+}
+
 // applyWALRecord applies one replayed journal record to the in-memory
 // maps (no re-journaling). Put records re-verify their blob bytes; a
 // blob name that is not the digest's own file, or a missing or
@@ -193,12 +211,9 @@ func (s *Store) applyWALRecord(dir string, rec walRecord) {
 	switch rec.Op {
 	case walPut:
 		if validBlobName(pe.Digest, pe.Blob) {
-			blob, err := os.ReadFile(filepath.Join(dir, pe.Blob))
-			if err == nil {
-				if d, derr := blobDigest(blob); derr == nil && d == pe.Digest {
-					s.installEntry(k, pe.Entry, blob)
-					return
-				}
+			if blob, e, ok := loadBlob(filepath.Join(dir, pe.Blob), pe.Entry); ok {
+				s.installEntry(k, e, blob)
+				return
 			}
 		}
 		pe.Entry.Quarantined = true
@@ -231,8 +246,8 @@ func (s *Store) applyWALRecord(dir string, rec walRecord) {
 }
 
 // installEntry replaces the in-memory state for k (clearing quarantine).
-// Layered blobs also feed the layer index here, so WAL replay and
-// snapshot loads rebuild it for free.
+// The blob's layer frames also feed the layer index here, so WAL replay
+// and snapshot loads rebuild it for free.
 func (s *Store) installEntry(k string, e Entry, blob []byte) {
 	s.mu.Lock()
 	e.Quarantined = false
@@ -347,7 +362,7 @@ func validBlobName(digest, name string) bool {
 // loadSnapshot restores a store from dir's index. An entry whose blob is
 // unreadable or fails its digest check is quarantined and the load
 // continues; an index naming a blob file other than its digest's own is
-// rejected outright.
+// rejected outright. SCIF1 blob files load in their SCIF2 form.
 func loadSnapshot(dir string) (*Store, error) {
 	data, err := os.ReadFile(filepath.Join(dir, indexFile))
 	if err != nil {
@@ -368,17 +383,12 @@ func loadSnapshot(dir string) (*Store, error) {
 		if !validBlobName(pe.Digest, pe.Blob) {
 			return nil, fmt.Errorf("hub: suspicious blob path %q in index", pe.Blob)
 		}
-		blob, err := os.ReadFile(filepath.Join(dir, pe.Blob))
-		if err != nil {
-			s.installQuarantined(k, pe.Entry, nil, "snapshot blob unreadable")
-			continue
-		}
-		digest, err := blobDigest(blob)
-		if err != nil || digest != pe.Digest {
+		blob, e, ok := loadBlob(filepath.Join(dir, pe.Blob), pe.Entry)
+		if !ok {
 			s.installQuarantined(k, pe.Entry, nil, "snapshot blob failed digest verification")
 			continue
 		}
-		s.installEntry(k, pe.Entry, blob)
+		s.installEntry(k, e, blob)
 	}
 	loadHints(s, dir)
 	return s, nil

@@ -1,12 +1,15 @@
 package hub
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/image"
 )
 
 // TestSaveLoadRoundTrip: a durable store's contents survive Close (which
@@ -126,13 +129,78 @@ func TestLoadDetectsCorruption(t *testing.T) {
 	}
 	ts := httptest.NewServer(NewServer(back).Handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/v1/c/a/1")
+	resp, err := http.Get(ts.URL + "/v1/c/a/1/manifest")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Errorf("GET of corrupt entry = %d, want 410", resp.StatusCode)
+	if resp.StatusCode != http.StatusGone || resp.Header.Get(headerHubError) != hubErrQuarantined {
+		t.Errorf("manifest GET of corrupt entry = %d (%s: %q), want a typed 410",
+			resp.StatusCode, headerHubError, resp.Header.Get(headerHubError))
+	}
+}
+
+// TestLoadReencodesSCIF1StateDir: a state directory an older hub wrote,
+// with a SCIF1 blob behind both a snapshot entry and a journal record,
+// loads every entry in its one-layer SCIF2 form under the same digest.
+func TestLoadReencodesSCIF1StateDir(t *testing.T) {
+	dir := t.TempDir()
+	img := testImage("a", "1", "legacy-payload")
+	mono := mustBlob(t, img)
+	digest, err := img.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, blobFileName(digest)), mono, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	legacy := func(name string) persistedEntry {
+		return persistedEntry{
+			Entry: Entry{Collection: "c", Container: name, Tag: "1", Digest: digest, Size: len(mono), BuildHost: img.Meta.BuildHost},
+			Blob:  blobFileName(digest),
+		}
+	}
+	index, err := json.Marshal([]persistedEntry{legacy("snap")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, indexFile), index, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := encodeWALRecord(walRecord{Seq: 1, Op: walPut, Entry: legacy("journal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, walFileName), append(append([]byte(nil), walMagic...), rec...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, report, err := OpenDurable(dir, DurableOptions{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if report.SnapshotEntries != 1 || report.JournalRecords != 1 || report.Quarantined != 0 {
+		t.Fatalf("report = %+v, want 1 snapshot entry, 1 journal record, none quarantined", report)
+	}
+	want, err := img.MarshalLayered()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range s.List("c") {
+		blob, d, ok := s.Get("c", e.Container, "1")
+		if !ok || d != digest || string(blob) != string(want) {
+			t.Errorf("%s: digest %s, SCIF2 form %v; want %s held as its one-layer SCIF2 form",
+				e.Container, d, image.IsLayered(blob), digest)
+		}
+		if e.Layers != 1 || e.Size != len(want) {
+			t.Errorf("%s: entry %+v, want 1 layer of %d bytes", e.Container, e, len(want))
+		}
+	}
+	ts := httptest.NewServer(NewServer(s).Handler())
+	defer ts.Close()
+	if _, got, err := NewClient(ts.URL).Pull("c", "journal", "1", digest); err != nil || got != digest {
+		t.Errorf("pull of a re-encoded entry = (%s, %v), want %s", got, err, digest)
 	}
 }
 
@@ -142,7 +210,7 @@ func TestLoadDetectsCorruption(t *testing.T) {
 // blob that fails its digest check.
 func TestLoadRejectsPathTraversal(t *testing.T) {
 	good := mustBlob(t, testImage("a", "1", "x"))
-	digest, err := blobDigest(good)
+	_, _, digest, err := storedForm(good)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -15,21 +16,22 @@ import (
 	"repro/internal/image"
 )
 
-// Client-side streaming pull: the body is consumed incrementally in
-// digest-framed chunks (the manifest arrives in response headers, see
-// stream.go), the response-size cap is enforced as bytes arrive, and
-// verified chunks survive a failed attempt — the next attempt sends a
-// Range request from the last verified chunk boundary instead of
-// re-pulling from byte zero. PullToFile additionally spools verified
-// bytes to disk so a pull interrupted across process restarts resumes
-// too.
+// Client-side pull: Pull fetches an image's layer manifest, then only
+// the layers the client has not cached, and reassembles the image. Each
+// body streams through readPull in digest-framed chunks (the chunk list
+// arrives in response headers, see stream.go), the response-size cap is
+// enforced as bytes arrive, and verified chunks survive a failed
+// attempt — the next attempt sends a Range request from the last
+// verified chunk boundary instead of re-reading from byte zero.
+// PullToFile additionally spools a layer's verified bytes to disk, so a
+// pull interrupted across process restarts resumes too.
 
 // pullProgress is the cross-attempt state of one pull operation.
 type pullProgress struct {
-	adv       string   // advertised image digest (pinned on first response)
+	adv       string   // advertised digest (pinned on first response)
 	chunkSize int      // framing granularity from the server
-	chunks    []string // full-blob chunk digest list
-	total     int      // full blob size (-1 until known)
+	chunks    []string // full-body chunk digest list
+	total     int      // full body size (-1 until known)
 	buf       []byte   // verified bytes (always chunk-aligned or complete)
 	verified  int      // number of verified chunks in buf
 	spool     *pullSpool
@@ -70,51 +72,128 @@ func (st *pullProgress) complete() bool {
 	return st.verified == len(st.chunks)
 }
 
-// Pull downloads an image and verifies its digest against the server's
-// advertised value (and, when expectedDigest is non-empty, against
-// that). The body streams through chunk-level digest checks with the
-// response cap enforced incrementally; truncated transfers resume from
-// the last verified chunk on the next attempt, and corrupt chunks are
-// re-pulled once (a second corruption means the stored content is bad).
+// Pull downloads an image by manifest and returns it with its digest:
+// fetch the layer manifest, pull only the layers not already in the
+// client's layer cache, and reassemble. The manifest and every layer are
+// chunk-verified on the wire, each layer is checked against its digest,
+// and the flattened image against the manifest's image digest, which
+// must equal the server's advertised one and, when expectedDigest is
+// non-empty, that. Truncated reads resume from the last verified chunk;
+// corrupt ones are re-pulled once (a second corruption means the stored
+// content is bad).
 func (c *Client) Pull(coll, name, tag, expectedDigest string) (*image.Image, string, error) {
-	img, digest, _, err := c.pull(coll, name, tag, expectedDigest, nil)
-	return img, digest, err
+	img, m, _, err := c.pull(coll, name, tag, expectedDigest, nil)
+	if err != nil {
+		return nil, "", err
+	}
+	return img, m.ImageDigest, nil
 }
 
 // PullToFile pulls coll/name:tag into destPath (written atomically) and
-// returns the digest. The file holds exactly the digest-verified bytes
-// the hub stores, in whichever form (SCIF1 or layered SCIF2) it stores
-// them. Partial progress is spooled next to destPath
+// returns the digest. The file holds exactly the bytes the hub stores:
+// the pulled manifest followed by its layers, in the SCIF2 encoding.
+// The layer being fetched is spooled next to destPath
 // (".partial"/".pullstate" suffixes); if a previous PullToFile of the
-// same content was interrupted — even in another process — the pull
-// resumes from the spooled verified offset, then the spool is removed.
+// same content was interrupted — even in another process — that layer
+// resumes from its spooled verified offset, then the spool is removed.
 func (c *Client) PullToFile(coll, name, tag, expectedDigest, destPath string) (string, error) {
 	spool := &pullSpool{dataPath: destPath + ".partial", statePath: destPath + ".pullstate"}
-	_, digest, blob, err := c.pull(coll, name, tag, expectedDigest, spool)
+	img, m, manifest, err := c.pull(coll, name, tag, expectedDigest, spool)
 	if err != nil {
 		return "", err // spool files stay behind for the next run to resume
 	}
-	if err := fsatomic.WriteFile(destPath, blob, 0o644); err != nil {
+	frames := make([][]byte, len(img.Layers))
+	for i, l := range img.Layers {
+		frames[i] = l.Bytes()
+	}
+	if err := fsatomic.WriteFile(destPath, image.AssembleLayered(manifest, frames), 0o644); err != nil {
 		return "", err
 	}
 	spool.discard()
-	return digest, nil
+	return m.ImageDigest, nil
 }
 
-// pull returns the verified image, its digest, and the raw bytes it was
-// decoded from.
-func (c *Client) pull(coll, name, tag, expectedDigest string, spool *pullSpool) (*image.Image, string, []byte, error) {
+// pull fetches and reassembles one image, returning it with its manifest
+// and the manifest's raw bytes. A non-nil spool persists layer progress
+// (PullToFile).
+func (c *Client) pull(coll, name, tag, expectedDigest string, spool *pullSpool) (*image.Image, *image.Manifest, []byte, error) {
 	op := fmt.Sprintf("pull %s/%s:%s", coll, name, tag)
-	url := fmt.Sprintf("%s/v1/%s/%s/%s", c.BaseURL, coll, name, tag)
-	st := &pullProgress{total: -1, spool: spool}
-	if spool != nil {
-		spool.restore(st, expectedDigest)
-	}
+	url := fmt.Sprintf("%s/v1/%s/%s/%s/manifest", c.BaseURL, coll, name, tag)
 	var (
-		img        *image.Image
-		advertised string
-		raw        []byte
+		m   *image.Manifest
+		raw []byte
 	)
+	err := c.getVerified(op, url, expectedDigest, nil, func(body []byte, advertised string) error {
+		got, err := image.ParseManifest(body)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		if got.ImageDigest != advertised {
+			return fmt.Errorf("%w: advertised digest %s != manifest digest %s", ErrCorrupt, advertised, got.ImageDigest)
+		}
+		m, raw = got, body
+		return nil
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	layers := make([]*image.Layer, len(m.Layers))
+	for i, desc := range m.Layers {
+		if l, ok := c.layerCache.get(desc.Digest); ok {
+			c.obs.Inc("hub_client_layer_cache_hits_total")
+			layers[i] = l
+			continue
+		}
+		l, err := c.pullLayer(desc.Digest, spool)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		c.layerCache.add(l)
+		layers[i] = l
+	}
+	img, err := image.AssembleFromLayers(m.Config, layers)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if err := img.VerifyDigest(m.ImageDigest); err != nil {
+		return nil, nil, nil, fmt.Errorf("%w: reassembled image: %v", ErrCorrupt, err)
+	}
+	return img, m, raw, nil
+}
+
+// pullLayer downloads one layer and checks it against its digest.
+func (c *Client) pullLayer(digest string, spool *pullSpool) (*image.Layer, error) {
+	var layer *image.Layer
+	err := c.getVerified("pulllayer "+digest, c.BaseURL+"/v1/_layers/"+digest, digest, spool, func(body []byte, _ string) error {
+		l, err := image.DecodeLayer(body)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		if l.Digest() != digest {
+			return fmt.Errorf("%w: pulled layer digest %s != %s", ErrCorrupt, l.Digest(), digest)
+		}
+		layer = l
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.obs.Inc("hub_client_layers_pulled_total")
+	c.obs.Add("hub_client_layer_bytes_pulled_total", float64(layer.Size()))
+	return layer, nil
+}
+
+// getVerified runs one chunk-verified GET through the retry loop and
+// hands the complete body, with the digest the server advertised for it,
+// to decode. Verified chunks survive a failed attempt: the next one asks
+// for the rest with a Range request. A body decode rejects is read again
+// from byte zero. A non-nil spool that claims the body (pullSpool.claim)
+// persists its verified chunks across processes until it is complete.
+func (c *Client) getVerified(op, url, expectedDigest string, spool *pullSpool, decode func(body []byte, advertised string) error) error {
+	st := &pullProgress{total: -1}
+	if spool != nil && spool.claim(st, expectedDigest) {
+		st.spool = spool
+	}
 	err := c.do(op, func() (*http.Request, error) {
 		req, err := http.NewRequest(http.MethodGet, url, nil)
 		if err != nil {
@@ -127,38 +206,33 @@ func (c *Client) pull(coll, name, tag, expectedDigest string, spool *pullSpool) 
 		}
 		return req, nil
 	}, func(resp *http.Response) error {
-		blob, err := c.readPull(st, resp, expectedDigest)
+		body, err := c.readPull(st, resp, expectedDigest)
 		if err != nil {
 			return err
 		}
-		got, err := image.Unmarshal(blob)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		if err := decode(body, st.adv); err != nil {
+			st.reset()
+			return err
 		}
-		if err := got.VerifyDigest(st.adv); err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		c.obs.Add("hub_client_bytes_pulled_total", float64(len(blob)))
-		img, advertised, raw = got, st.adv, blob
 		return nil
 	})
-	if err != nil {
-		return nil, "", nil, err
+	if err == nil {
+		st.spool.discard()
 	}
-	return img, advertised, raw, nil
+	return err
 }
 
-// readPull consumes one pull response incrementally, returning the
-// complete verified blob or an error classified for the retry loop
-// (transient read faults resume; chunk mismatches are ErrCorrupt).
+// readPull consumes one response incrementally, returning the complete
+// verified body or an error classified for the retry loop (transient
+// read faults resume; chunk mismatches are ErrCorrupt).
 func (c *Client) readPull(st *pullProgress, resp *http.Response, expectedDigest string) ([]byte, error) {
 	adv := resp.Header.Get(headerDigest)
 	if expectedDigest != "" && adv != expectedDigest {
 		return nil, fmt.Errorf("%w: pulled digest %s != expected %s", ErrCorrupt, adv, expectedDigest)
 	}
 	if st.adv != "" && adv != st.adv {
-		// The tag was re-pushed between attempts; the verified prefix
-		// belongs to different content. Start over.
+		// The content was replaced between attempts; the verified prefix
+		// belongs to something else. Start over.
 		prev := st.adv
 		st.reset()
 		return nil, fmt.Errorf("hub: content changed during pull (digest %s -> %s)", prev, adv)
@@ -181,7 +255,7 @@ func (c *Client) readPull(st *pullProgress, resp *http.Response, expectedDigest 
 		st.reset()
 		return nil, fmt.Errorf("%w: response carries no chunk manifest", ErrCorrupt)
 	}
-	if st.chunks != nil && !equalStrings(st.chunks, chunks) {
+	if st.chunks != nil && !slices.Equal(st.chunks, chunks) {
 		st.reset()
 		return nil, fmt.Errorf("hub: chunk manifest changed during pull")
 	}
@@ -213,8 +287,14 @@ func (c *Client) readPull(st *pullProgress, resp *http.Response, expectedDigest 
 		return nil, fmt.Errorf("hub: response exceeds %d-byte cap", c.MaxResponseBytes)
 	}
 
+	// Read through a buffer sized to the bytes still expected, up to
+	// 32 KiB: most manifests and layers are far smaller.
+	size := 32 << 10
+	if rem := st.total - len(st.buf); st.total >= 0 && rem < size {
+		size = max(rem, 1)
+	}
 	var pending []byte
-	rbuf := make([]byte, 32<<10)
+	rbuf := make([]byte, size)
 	for {
 		n, err := resp.Body.Read(rbuf)
 		if n > 0 {
@@ -240,7 +320,7 @@ func (c *Client) readPull(st *pullProgress, resp *http.Response, expectedDigest 
 		}
 	}
 	if len(pending) > 0 {
-		// A trailing short chunk is only valid as the blob's final chunk.
+		// A trailing short chunk is only valid as the body's final chunk.
 		if st.total >= 0 && len(st.buf)+len(pending) != st.total {
 			return nil, io.ErrUnexpectedEOF
 		}
@@ -281,18 +361,6 @@ func parseContentRange(h string) (start, total int, err error) {
 	return start, total, nil
 }
 
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // pullSpool persists pull progress on disk: verified bytes in dataPath,
 // and a JSON state file naming the digest, framing, and verified offset.
 // Bytes are appended before the state is updated, so a crash between the
@@ -312,27 +380,29 @@ type pullSpoolState struct {
 	Chunks    string `json:"chunks"`
 }
 
-// restore loads spooled progress into st, discarding the spool if it is
-// unreadable, inconsistent, or belongs to different content.
-func (p *pullSpool) restore(st *pullProgress, expectedDigest string) {
+// claim binds the spool to the body with the given digest, loading any
+// progress spooled for it into st. It reports false, leaving the spool
+// untouched, when the spool holds progress of another body: a later
+// fetch of the same pull may still resume it. Unreadable or
+// inconsistent spool state is discarded, and the spool is claimed.
+func (p *pullSpool) claim(st *pullProgress, digest string) bool {
 	raw, err := os.ReadFile(p.statePath)
 	if err != nil {
 		p.discard()
-		return
+		return true
 	}
 	var s pullSpoolState
 	if err := json.Unmarshal(raw, &s); err != nil || s.Offset <= 0 || s.ChunkSize <= 0 {
 		p.discard()
-		return
+		return true
 	}
-	if expectedDigest != "" && s.Digest != expectedDigest {
-		p.discard()
-		return
+	if s.Digest != digest {
+		return false
 	}
 	data, err := os.ReadFile(p.dataPath)
 	if err != nil || len(data) < s.Offset {
 		p.discard()
-		return
+		return true
 	}
 	st.adv = s.Digest
 	st.chunkSize = s.ChunkSize
@@ -346,6 +416,7 @@ func (p *pullSpool) restore(st *pullProgress, expectedDigest string) {
 	if len(data) > s.Offset {
 		os.WriteFile(p.dataPath, st.buf, 0o644)
 	}
+	return true
 }
 
 // commit appends one verified chunk and records the new offset.

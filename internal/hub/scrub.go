@@ -58,7 +58,7 @@ func (s *Store) ScrubOnce(reg *obs.Registry) ScrubReport {
 		}
 		report.Checked++
 		reg.Inc("hub_scrub_blobs_checked_total")
-		got, err := blobDigest(blob)
+		_, _, got, err := storedForm(blob)
 		if err == nil && got == want {
 			continue
 		}

@@ -2,6 +2,7 @@ package hub
 
 import (
 	"bytes"
+	"encoding/base64"
 	"testing"
 	"time"
 
@@ -11,8 +12,10 @@ import (
 
 // corruptStoredBlob flips one byte of the stored copy of coll/name:tag,
 // simulating at-rest corruption (bit rot) behind the store's back. The
-// flip lands inside marker (payload content the image digest covers),
-// not in tar padding the canonical digest ignores.
+// flip lands inside marker, which must open a file's content: layers
+// carry file data base64-encoded, so the flip swaps one letter of its
+// encoding for another. The blob still parses, and only its digest
+// check can catch the rot.
 func corruptStoredBlob(t *testing.T, s *Store, coll, name, tag, marker string) {
 	t.Helper()
 	k := key(coll, name, tag)
@@ -22,11 +25,17 @@ func corruptStoredBlob(t *testing.T, s *Store, coll, name, tag, marker string) {
 	if !ok || len(blob) == 0 {
 		t.Fatalf("no stored blob for %s", k)
 	}
-	i := bytes.Index(blob, []byte(marker))
+	// Whole 3-byte groups of marker encode the same whatever follows.
+	enc := base64.StdEncoding.EncodeToString([]byte(marker))[:len(marker)/3*4]
+	i := bytes.Index(blob, []byte(enc))
 	if i < 0 {
 		t.Fatalf("marker %q not found in stored blob for %s", marker, k)
 	}
-	blob[i] ^= 0xff
+	if blob[i] == 'A' {
+		blob[i] = 'B'
+	} else {
+		blob[i] = 'A'
+	}
 }
 
 // TestScrubOnceQuarantinesExactlyTheCorruptEntry: of three stored
@@ -110,7 +119,7 @@ func TestRepushRepairsQuarantine(t *testing.T) {
 	if !ok || gotD != d {
 		t.Fatalf("repaired entry not served: ok=%v digest=%s", ok, gotD)
 	}
-	if gd, err := blobDigest(got); err != nil || gd != d {
+	if _, _, gd, err := storedForm(got); err != nil || gd != d {
 		t.Errorf("repaired bytes fail verification: %s, %v", gd, err)
 	}
 }

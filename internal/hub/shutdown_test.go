@@ -28,16 +28,15 @@ func (g *slowGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.inner.ServeHTTP(w, r)
 }
 
-// TestShutdownDrainsSlowInflightPull pins the graceful path: a pull
-// held in flight when Shutdown starts still completes with its full
+// TestShutdownDrainsSlowInflightPull pins the graceful path: a layer
+// pull held in flight when Shutdown starts still completes with its full
 // payload, and the shutdown is recorded as drained.
 func TestShutdownDrainsSlowInflightPull(t *testing.T) {
 	store := NewStore()
-	img := testImage("pepa", "latest", "solver")
-	blob, _ := img.Marshal()
-	if _, err := store.Put("c", "pepa", "latest", blob); err != nil {
+	if _, err := store.Put("c", "pepa", "latest", mustBlob(t, testImage("pepa", "latest", "solver"))); err != nil {
 		t.Fatal(err)
 	}
+	digest, blob := onlyLayer(t, store, "c", "pepa", "latest")
 	srv := NewServer(store)
 	reg := obs.NewRegistry()
 	srv.EnableMetrics(reg)
@@ -55,7 +54,7 @@ func TestShutdownDrainsSlowInflightPull(t *testing.T) {
 	}
 	got := make(chan pullResult, 1)
 	go func() {
-		resp, err := http.Get("http://" + addr + "/v1/c/pepa/latest")
+		resp, err := http.Get("http://" + addr + "/v1/_layers/" + digest)
 		if err != nil {
 			got <- pullResult{err: err}
 			return
@@ -100,7 +99,7 @@ func TestShutdownDrainsSlowInflightPull(t *testing.T) {
 		t.Fatalf("in-flight pull status = %d", res.status)
 	}
 	if string(res.body) != string(blob) {
-		t.Error("in-flight pull returned a truncated or corrupt blob")
+		t.Error("in-flight pull returned a truncated or corrupt layer")
 	}
 	if n := reg.Counter("hub_server_shutdowns_total", obs.L("outcome", "drained")); n != 1 {
 		t.Errorf("drained shutdowns = %v, want 1", n)

@@ -9,12 +9,13 @@ import (
 	"strings"
 )
 
-// Streaming blob delivery: blobs are served with HTTP Range support and
-// a digest-framed chunk manifest, so a client can verify the transfer
-// chunk by chunk and resume an interrupted pull from the last verified
-// chunk boundary instead of byte zero. The manifest travels in response
-// headers (one SHA-256 per fixed-size chunk of the full blob), which
-// keeps every pull a single request — resumable pulls do not perturb
+// Streaming delivery: every body a pull reads — an image's layer
+// manifest and each layer — is served with HTTP Range support and a
+// digest-framed chunk list, so a client can verify the transfer chunk by
+// chunk and resume an interrupted read from the last verified chunk
+// boundary instead of byte zero. The chunk list travels in response
+// headers (one SHA-256 per fixed-size chunk of the full body), which
+// keeps every read a single request — resumable pulls do not perturb
 // fault-plan op sequences in chaos tests.
 
 // DefaultChunkSize is the digest-framing granularity (64 KiB).
@@ -27,7 +28,6 @@ const (
 	headerChunkList   = "X-Image-Chunk-Digests"
 	headerHubError    = "X-Hub-Error"
 	hubErrQuarantined = "quarantined"
-	hubErrNotLayered  = "not-layered"
 )
 
 // chunkDigests splits blob into chunkSize pieces and returns the hex
@@ -49,16 +49,17 @@ func chunkDigests(blob []byte, chunkSize int) []string {
 	return out
 }
 
-// manifestFor returns the (memoized) chunk digest list for a stored
-// blob. The cache is keyed by content digest, so it never goes stale.
-func (s *Server) manifestFor(digest string, blob []byte) []string {
+// chunksFor returns the (memoized) chunk digest list for body. key must
+// be the SHA-256 content address of body itself, so an entry never goes
+// stale and two bodies never share one.
+func (s *Server) chunksFor(key string, body []byte) []string {
 	s.chunkMu.Lock()
 	defer s.chunkMu.Unlock()
-	if m, ok := s.chunkCache[digest]; ok {
+	if m, ok := s.chunkCache[key]; ok {
 		return m
 	}
-	m := chunkDigests(blob, s.ChunkSize)
-	s.chunkCache[digest] = m
+	m := chunkDigests(body, s.ChunkSize)
+	s.chunkCache[key] = m
 	return m
 }
 
@@ -100,30 +101,12 @@ func parseRange(h string, size int) (start, end int, ok bool, satisfiable bool) 
 	return s0, e0, true, true
 }
 
-// serveBlob answers GET /v1/{coll}/{name}/{tag}: the full blob (200) or
-// a byte range of it (206), always annotated with the image digest and
-// the chunk manifest. Quarantined content is answered with 410 Gone and
-// a typed error header — the bytes on hand are known-bad, and the fix
-// is a re-push, not a retry.
-func (s *Server) serveBlob(w http.ResponseWriter, r *http.Request, coll, name, tag string) {
-	blob, e, reason, ok := s.Store.view(coll, name, tag)
-	if !ok {
-		http.Error(w, "image not found", http.StatusNotFound)
-		return
-	}
-	if e.Quarantined || reason != "" {
-		w.Header().Set(headerHubError, hubErrQuarantined)
-		http.Error(w, fmt.Sprintf("content quarantined (%s); re-push to repair", reason), http.StatusGone)
-		return
-	}
-	s.serveVerified(w, r, e.Digest, blob)
-}
-
-// serveVerified streams one content-addressed blob — an image or a
-// single layer — with the digest header, chunk manifest, and Range
-// support. The chunk manifest memo is keyed by digest, so image blobs
-// and layer blobs share it safely.
-func (s *Server) serveVerified(w http.ResponseWriter, r *http.Request, digest string, blob []byte) {
+// serveVerified streams one body — a layer or an image's manifest —
+// with the advertised digest header, the chunk list, and Range support.
+// key is the body's own content address (chunksFor): a layer's digest,
+// or the SHA-256 of the manifest bytes, which unlike the image digest
+// covers the build host they record.
+func (s *Server) serveVerified(w http.ResponseWriter, r *http.Request, digest, key string, blob []byte) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Accept-Ranges", "bytes")
 	w.Header().Set(headerDigest, digest)
@@ -132,7 +115,7 @@ func (s *Server) serveVerified(w http.ResponseWriter, r *http.Request, digest st
 		chunkSize = DefaultChunkSize
 	}
 	w.Header().Set(headerChunkSize, strconv.Itoa(chunkSize))
-	w.Header().Set(headerChunkList, strings.Join(s.manifestFor(digest, blob), ","))
+	w.Header().Set(headerChunkList, strings.Join(s.chunksFor(key, blob), ","))
 
 	start, end, ranged, satisfiable := parseRange(r.Header.Get("Range"), len(blob))
 	if !satisfiable {

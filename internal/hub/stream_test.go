@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -60,9 +61,24 @@ func TestParseRange(t *testing.T) {
 	}
 }
 
-// TestServeBlobRange exercises the raw HTTP surface: chunk manifest
-// headers on every response, 206 + Content-Range for ranged requests,
-// 416 for unsatisfiable ones.
+// onlyLayer returns the digest and encoded bytes of the single layer of
+// a stored one-layer entry.
+func onlyLayer(t *testing.T, store *Store, coll, name, tag string) (string, []byte) {
+	t.Helper()
+	blob, _, ok := store.Get(coll, name, tag)
+	if !ok {
+		t.Fatalf("%s/%s:%s not stored", coll, name, tag)
+	}
+	_, frames, err := image.LayeredFrames(blob)
+	if err != nil || len(frames) != 1 {
+		t.Fatalf("stored blob has %d layers (%v), want 1", len(frames), err)
+	}
+	return layerContentDigest(frames[0]), frames[0]
+}
+
+// TestServeBlobRange exercises the raw HTTP surface of a layer GET: chunk
+// manifest headers on every response, 206 + Content-Range for ranged
+// requests, 416 for unsatisfiable ones.
 func TestServeBlobRange(t *testing.T) {
 	store := NewStore()
 	srv := NewServer(store)
@@ -71,14 +87,13 @@ func TestServeBlobRange(t *testing.T) {
 	defer ts.Close()
 
 	img := testImage("app", "v1", strings.Repeat("range-payload ", 40))
-	blob := mustBlob(t, img)
-	digest, err := store.Put("c", "app", "v1", blob)
-	if err != nil {
+	if _, err := store.Put("c", "app", "v1", mustBlob(t, img)); err != nil {
 		t.Fatal(err)
 	}
+	digest, blob := onlyLayer(t, store, "c", "app", "v1")
 
 	get := func(rangeHdr string) *http.Response {
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/c/app/v1", nil)
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/_layers/"+digest, nil)
 		if rangeHdr != "" {
 			req.Header.Set("Range", rangeHdr)
 		}
@@ -121,11 +136,45 @@ func TestServeBlobRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body.Bytes(), blob[128:]) {
-		t.Error("ranged body does not match blob suffix")
+		t.Error("ranged body does not match the layer suffix")
 	}
 
 	if resp := get(fmt.Sprintf("bytes=%d-", len(blob))); resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
 		t.Errorf("past-the-end range = %d, want 416", resp.StatusCode)
+	}
+}
+
+// TestSameImageFromTwoBuildHostsPullsFromBothCollections is a
+// regression test: the same image pushed into two collections from two
+// build hosts has one digest but two stored encodings (each records its
+// build host), and a pull of each must verify against its own bytes.
+func TestSameImageFromTwoBuildHostsPullsFromBothCollections(t *testing.T) {
+	c, _, done := newTestClient(t)
+	defer done()
+	a := testImage("pepa", "latest", "same-solver")
+	b := testImage("pepa", "latest", "same-solver")
+	b.Meta.BuildHost = "ubuntu-16.04-xenial"
+	da, err := c.Push("one", a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := c.Push("two", b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if da != db {
+		t.Fatalf("digests differ (%s, %s); the build host must not enter the digest", da, db)
+	}
+	for _, tc := range []struct {
+		coll, host string
+	}{{"one", a.Meta.BuildHost}, {"two", b.Meta.BuildHost}} {
+		img, got, err := c.Pull(tc.coll, "pepa", "latest", da)
+		if err != nil {
+			t.Fatalf("pull of %s: %v", tc.coll, err)
+		}
+		if got != da || img.Meta.BuildHost != tc.host {
+			t.Errorf("pull of %s = (%s, built on %s), want (%s, %s)", tc.coll, got, img.Meta.BuildHost, da, tc.host)
+		}
 	}
 }
 
@@ -151,25 +200,29 @@ func (rr *rangeRecordingServer) recorded() []string {
 	return append([]string(nil), rr.ranges...)
 }
 
-// TestPullResumesFromVerifiedChunk: a truncated first attempt leaves
-// verified chunks behind; the retry must send a chunk-aligned Range
-// request instead of re-pulling from byte zero.
+// TestPullResumesFromVerifiedChunk: a truncated first read of a layer
+// larger than ChunkSize leaves verified chunks behind; the retry must
+// send a chunk-aligned Range request instead of re-reading from byte
+// zero.
 func TestPullResumesFromVerifiedChunk(t *testing.T) {
 	store := NewStore()
 	srv := NewServer(store)
 	srv.ChunkSize = 1024
 	srv.EnableFaults(faultinject.NewPlan(21,
-		faultinject.Rule{Match: "GET /v1/chaos/", Kind: faultinject.KindTruncate, First: 1},
+		faultinject.Rule{Match: "GET /v1/_layers/", Kind: faultinject.KindTruncate, First: 1},
 	))
 	rec := &rangeRecordingServer{}
 	ts := httptest.NewServer(rec.wrap(srv.Handler()))
 	defer ts.Close()
 
 	img := testImage("pepa", "latest", strings.Repeat("resumable-payload ", 400))
-	blob := mustBlob(t, img)
-	digest, err := store.Put("chaos", "pepa", "latest", blob)
+	digest, err := store.Put("chaos", "pepa", "latest", mustBlob(t, img))
 	if err != nil {
 		t.Fatal(err)
+	}
+	layerDigest, layer := onlyLayer(t, store, "chaos", "pepa", "latest")
+	if len(layer) <= 2*srv.ChunkSize {
+		t.Fatalf("layer of %d bytes spans too few chunks", len(layer))
 	}
 
 	c := NewClientWithOptions(ts.URL, chaosOptions(4))
@@ -184,26 +237,26 @@ func TestPullResumesFromVerifiedChunk(t *testing.T) {
 		t.Errorf("payload = %.30q, err %v", data, err)
 	}
 
+	// Requests: the manifest, then the layer twice — attempt 1 full
+	// (truncated), attempt 2 resumed.
 	ranges := rec.recorded()
-	// Request for the GET: attempt 1 full (truncated), attempt 2 resumed.
-	var pullRanges []string
-	for _, r := range ranges[len(ranges)-2:] {
-		pullRanges = append(pullRanges, r)
+	if len(ranges) != 3 {
+		t.Fatalf("server saw %d requests, want 3: %q", len(ranges), ranges)
 	}
-	if pullRanges[0] != "" {
-		t.Errorf("first attempt sent Range %q, want none", pullRanges[0])
+	if ranges[1] != "" {
+		t.Errorf("first layer attempt sent Range %q, want none", ranges[1])
 	}
 	var off int
-	if n, err := fmt.Sscanf(pullRanges[1], "bytes=%d-", &off); n != 1 || err != nil {
-		t.Fatalf("second attempt Range = %q, want bytes=N-", pullRanges[1])
+	if n, err := fmt.Sscanf(ranges[2], "bytes=%d-", &off); n != 1 || err != nil {
+		t.Fatalf("second layer attempt Range = %q, want bytes=N-", ranges[2])
 	}
 	if off <= 0 || off%1024 != 0 {
 		t.Errorf("resume offset %d not a positive chunk boundary", off)
 	}
-	if off >= len(blob) {
-		t.Errorf("resume offset %d past blob end %d", off, len(blob))
+	if off >= len(layer) {
+		t.Errorf("resume offset %d past layer end %d", off, len(layer))
 	}
-	log := strings.Join(c.AttemptsMatching("pull chaos/pepa:latest"), "\n")
+	log := strings.Join(c.AttemptsMatching("pulllayer "+layerDigest), "\n")
 	if !strings.Contains(log, fmt.Sprintf("resuming from verified offset %d", off)) {
 		t.Errorf("resume not logged:\n%s", log)
 	}
@@ -287,26 +340,27 @@ func TestPullLegacyServerWithoutManifest(t *testing.T) {
 	}
 }
 
-// TestPullToFileCrossProcessResume (tentpole acceptance): a pull that
-// dies mid-transfer leaves a spool on disk; a brand-new client — as
-// after a process restart — resumes from the spooled verified offset
-// instead of byte zero, then cleans the spool up.
+// TestPullToFileCrossProcessResume: a pull that dies mid-layer leaves a
+// spool on disk; a brand-new client — as after a process restart —
+// resumes that layer from the spooled verified offset instead of byte
+// zero, writes exactly the stored bytes, then cleans the spool up.
 func TestPullToFileCrossProcessResume(t *testing.T) {
 	store := NewStore()
 	img := testImage("pepa", "latest", strings.Repeat("spooled-payload ", 400))
-	blob := mustBlob(t, img)
-	digest, err := store.Put("chaos", "pepa", "latest", blob)
+	digest, err := store.Put("chaos", "pepa", "latest", mustBlob(t, img))
 	if err != nil {
 		t.Fatal(err)
 	}
+	stored, _, _ := store.Get("chaos", "pepa", "latest")
+	_, layer := onlyLayer(t, store, "chaos", "pepa", "latest")
 	dest := filepath.Join(t.TempDir(), "pepa.scif")
 
-	// Process 1: every GET is truncated and the attempt budget is 1, so
-	// the pull fails with partial verified progress spooled.
+	// Process 1: every layer GET is truncated and the attempt budget is
+	// 1, so the pull fails with partial verified progress spooled.
 	srv1 := NewServer(store)
 	srv1.ChunkSize = 512
 	srv1.EnableFaults(faultinject.NewPlan(31,
-		faultinject.Rule{Match: "GET /v1/chaos/", Kind: faultinject.KindTruncate, First: 100},
+		faultinject.Rule{Match: "GET /v1/_layers/", Kind: faultinject.KindTruncate, First: 100},
 	))
 	ts1 := httptest.NewServer(srv1.Handler())
 	c1 := NewClientWithOptions(ts1.URL, chaosOptions(1))
@@ -318,18 +372,19 @@ func TestPullToFileCrossProcessResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no spool left behind: %v", err)
 	}
-	if len(spooled) == 0 || len(spooled)%512 != 0 || len(spooled) >= len(blob) {
-		t.Fatalf("spool holds %d bytes, want a positive chunk-aligned partial of %d", len(spooled), len(blob))
+	if len(spooled) == 0 || len(spooled)%512 != 0 || len(spooled) >= len(layer) {
+		t.Fatalf("spool holds %d bytes, want a positive chunk-aligned partial of %d", len(spooled), len(layer))
 	}
-	if !bytes.Equal(spooled, blob[:len(spooled)]) {
-		t.Fatal("spooled bytes do not match the blob prefix")
+	if !bytes.Equal(spooled, layer[:len(spooled)]) {
+		t.Fatal("spooled bytes do not match the layer prefix")
 	}
 	if _, err := os.Stat(dest + ".pullstate"); err != nil {
 		t.Fatalf("no spool state left behind: %v", err)
 	}
 
-	// Process 2: a fresh client against a healthy server resumes from the
-	// spooled offset (observed as a Range request) and completes.
+	// Process 2: a fresh client against a healthy server reads the
+	// manifest, then resumes the layer from the spooled offset (observed
+	// as a Range request) and completes.
 	srv2 := NewServer(store)
 	srv2.ChunkSize = 512
 	rec := &rangeRecordingServer{}
@@ -343,21 +398,16 @@ func TestPullToFileCrossProcessResume(t *testing.T) {
 	if got != digest {
 		t.Errorf("digest = %s, want %s", got, digest)
 	}
-	ranges := rec.recorded()
-	want := fmt.Sprintf("bytes=%d-", len(spooled))
-	if len(ranges) == 0 || ranges[0] != want {
-		t.Errorf("resumed request Range = %v, want [%s]", ranges, want)
+	want := []string{"", fmt.Sprintf("bytes=%d-", len(spooled))}
+	if ranges := rec.recorded(); !reflect.DeepEqual(ranges, want) {
+		t.Errorf("resumed pull sent Range headers %q, want %q", ranges, want)
 	}
 	data, err := os.ReadFile(dest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := image.Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := final.VerifyDigest(digest); err != nil {
-		t.Errorf("final file fails digest verification: %v", err)
+	if !bytes.Equal(data, stored) {
+		t.Error("the written file differs from the stored blob")
 	}
 	for _, leftover := range []string{dest + ".partial", dest + ".pullstate"} {
 		if _, err := os.Stat(leftover); !os.IsNotExist(err) {
