@@ -10,8 +10,8 @@ GO ?= go
 # reported with a baseline reference but never fail the build.
 # -benchmem is part of the contract: benchcmp compares allocs/op alongside
 # ns/op, which catches scratch-buffer regressions timing noise absorbs.
-BENCH_GATED = ^(BenchmarkTransientSeries|BenchmarkTransientWorkers|BenchmarkFirstPassageCDF|BenchmarkToCSR|BenchmarkVecMulParallel|BenchmarkAssemblyReuse|BenchmarkPerturbationSweep|BenchmarkSteadyStateStiff)$$
-BENCH_PKGS  = ./internal/ctmc ./internal/numeric/sparse ./internal/robustness
+BENCH_GATED = ^(BenchmarkTransientSeries|BenchmarkTransientWorkers|BenchmarkFirstPassageCDF|BenchmarkToCSR|BenchmarkVecMulParallel|BenchmarkAssemblyReuse|BenchmarkPerturbationSweep|BenchmarkSteadyStateStiff|BenchmarkExplore)$$
+BENCH_PKGS  = ./internal/ctmc ./internal/numeric/sparse ./internal/robustness ./internal/pepa/derive
 
 # Sweep-throughput benchmarks (ISSUE 9): assembly-plan reuse, the family-
 # backed perturbation sweep, and the stiff steady-state ladder. Reported
@@ -23,8 +23,11 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# vet also fails when any tracked Go file is not gofmt-formatted.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

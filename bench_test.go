@@ -5,11 +5,10 @@
 //	go test -bench=. -benchmem
 //
 // The container-pipeline benchmarks additionally report domain metrics
-// (native-vs-container overhead ratio, states/sec) via b.ReportMetric.
+// (the native-vs-container overhead ratio) via b.ReportMetric.
 package repro
 
 import (
-	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -19,8 +18,6 @@ import (
 	"repro/internal/gpepa"
 	"repro/internal/hostenv"
 	"repro/internal/hub"
-	"repro/internal/numeric/sparse"
-	"repro/internal/pepa"
 	"repro/internal/pepa/derive"
 	"repro/internal/robustness"
 	"repro/internal/runtime"
@@ -258,31 +255,6 @@ func BenchmarkContainerOverhead(b *testing.B) {
 
 // --- Micro-benchmarks of the numerical core ---------------------------------
 
-func BenchmarkSpMV(b *testing.B) {
-	n := 10000
-	coo := sparse.NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		coo.Add(i, i, 4)
-		if i > 0 {
-			coo.Add(i, i-1, -1)
-		}
-		if i < n-1 {
-			coo.Add(i, i+1, -1)
-		}
-	}
-	m := coo.ToCSR()
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i%7) * 0.3
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVecTo(y, x)
-	}
-}
-
 func BenchmarkSteadyStateBirthDeath(b *testing.B) {
 	k := 200
 	rates := map[[2]int]float64{}
@@ -314,30 +286,6 @@ func BenchmarkUniformizationTransient(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkDerivation measures state-space exploration throughput on a
-// product-form model (4 parallel 3-state components = 81 states).
-func BenchmarkDerivation(b *testing.B) {
-	var src strings.Builder
-	names := []string{"A", "B", "C", "D"}
-	for _, n := range names {
-		fmt.Fprintf(&src, "%s0 = (x%s, 1).%s1; %s1 = (y%s, 2).%s2; %s2 = (z%s, 3).%s0;\n",
-			n, n, n, n, n, n, n, n, n)
-	}
-	src.WriteString("A0 || B0 || C0 || D0")
-	m := pepa.MustParse(src.String())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ss, err := derive.Explore(m, derive.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ss.NumStates() != 81 {
-			b.Fatalf("states = %d", ss.NumStates())
-		}
-	}
-	b.ReportMetric(float64(81*b.N)/b.Elapsed().Seconds(), "states/s")
 }
 
 func BenchmarkGPEPAFluidDerivative(b *testing.B) {

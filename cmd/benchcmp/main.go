@@ -310,7 +310,7 @@ func formatReport(w io.Writer, rep Report) {
 func run() error {
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "baseline snapshot to compare against")
 	update := flag.Bool("update", false, "rewrite the baseline from the parsed input instead of comparing")
-	gateExpr := flag.String("gate", "TransientSeries|ToCSR|AssemblyReuse|PerturbationSweep", "regexp of benchmark names that may fail the run")
+	gateExpr := flag.String("gate", "TransientSeries|ToCSR|AssemblyReuse|PerturbationSweep|Explore", "regexp of benchmark names that may fail the run")
 	threshold := flag.Float64("threshold", 1.2, "max allowed current/baseline ns per op ratio for gated benchmarks")
 	allocsThreshold := flag.Float64("allocs-threshold", 1.25, "max allowed current/baseline allocs per op ratio for gated benchmarks (compared only when both sides were recorded with -benchmem)")
 	scalingGateExpr := flag.String("scaling-gate", "Workers", "regexp of benchmark families whose workers=N variants may fail the scaling-ratio rule")

@@ -239,8 +239,13 @@ func cdfFigure(ctx context.Context, st *state, mapping string) (string, error) {
 	return b.String(), nil
 }
 
-func fig3(ctx context.Context, st *state) (string, error) { return cdfFigure(ctx, st, robustness.MappingA) }
-func fig4(ctx context.Context, st *state) (string, error) { return cdfFigure(ctx, st, robustness.MappingB) }
+func fig3(ctx context.Context, st *state) (string, error) {
+	return cdfFigure(ctx, st, robustness.MappingA)
+}
+
+func fig4(ctx context.Context, st *state) (string, error) {
+	return cdfFigure(ctx, st, robustness.MappingB)
+}
 
 func fig5(ctx context.Context, st *state) (string, error) {
 	ex := core.ExampleModel(core.ToolGPA)

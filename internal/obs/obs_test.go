@@ -203,7 +203,7 @@ func TestSeriesKeyLabelOrderCanonical(t *testing.T) {
 }
 
 func TestLabelEscaping(t *testing.T) {
-	k := seriesKey("m", []Label{L("p", `a"b\c` + "\n")})
+	k := seriesKey("m", []Label{L("p", `a"b\c`+"\n")})
 	want := `m{p="a\"b\\c\n"}`
 	if k != want {
 		t.Errorf("seriesKey = %s, want %s", k, want)

@@ -1,6 +1,7 @@
 package pepa
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 )
@@ -53,75 +54,104 @@ func (*Coop) isProcess()   {}
 func (*Hide) isProcess()   {}
 func (*Const) isProcess()  {}
 
-func (p *Prefix) String() string {
-	var b strings.Builder
-	b.WriteByte('(')
-	b.WriteString(p.Action)
-	b.WriteString(", ")
-	b.WriteString(p.Rate.String())
-	b.WriteString(").")
-	switch p.Cont.(type) {
-	case *Const, *Prefix:
-		b.WriteString(p.Cont.String())
-	default:
-		b.WriteByte('(')
-		b.WriteString(p.Cont.String())
-		b.WriteByte(')')
-	}
-	return b.String()
-}
-
-func (c *Choice) String() string {
-	// Cooperation or hiding inside a choice operand is outside PEPA's
-	// two-level grammar (Check rejects it), but the printer must still be
-	// structure-faithful for error reporting and fuzzing.
-	operand := func(p Process) string {
-		switch p.(type) {
-		case *Coop, *Hide:
-			return "(" + p.String() + ")"
-		default:
-			return p.String()
+// AppendString appends the canonical rendering of p to dst and returns
+// the extended buffer. It is the one printer of process terms — each
+// String method returns its rendering — and it renders the whole term in
+// a single pass, so derivation can key states and memoized sub-terms
+// through one reused buffer instead of allocating a string per probe.
+//
+// Two terms render alike only if they derive the same transitions, which
+// is what lets the string key states and the memo. So an operand is
+// parenthesized wherever the parser would otherwise regroup it — in
+// particular a cooperation that is the right operand of a cooperation,
+// since P <a> Q <b> R parses as (P <a> Q) <b> R — except inside a choice
+// chain, which prints flat: choice is associative, and both nestings of a
+// chain derive the same transitions in the same order.
+func AppendString(dst []byte, p Process) []byte {
+	switch t := p.(type) {
+	case *Prefix:
+		dst = append(dst, '(')
+		dst = append(dst, t.Action...)
+		dst = append(dst, ", "...)
+		dst = append(dst, t.Rate.String()...)
+		dst = append(dst, ")."...)
+		switch t.Cont.(type) {
+		case *Const, *Prefix:
+			return AppendString(dst, t.Cont)
 		}
-	}
-	return operand(c.Left) + " + " + operand(c.Right)
-}
-
-func (c *Coop) String() string {
-	var b strings.Builder
-	writeOperand := func(p Process) {
-		switch p.(type) {
-		case *Choice:
-			b.WriteByte('(')
-			b.WriteString(p.String())
-			b.WriteByte(')')
-		default:
-			b.WriteString(p.String())
+		return appendGrouped(dst, t.Cont)
+	case *Choice:
+		// Cooperation or hiding inside a choice operand is outside PEPA's
+		// two-level grammar (Check rejects it), but the printer must still
+		// be structure-faithful for error reporting and fuzzing.
+		dst = appendChoiceOperand(dst, t.Left)
+		dst = append(dst, " + "...)
+		return appendChoiceOperand(dst, t.Right)
+	case *Coop:
+		if _, ok := t.Left.(*Choice); ok {
+			dst = appendGrouped(dst, t.Left)
+		} else {
+			dst = AppendString(dst, t.Left)
 		}
-	}
-	writeOperand(c.Left)
-	b.WriteString(" <")
-	b.WriteString(strings.Join(c.Set, ","))
-	b.WriteString("> ")
-	writeOperand(c.Right)
-	return b.String()
-}
-
-func (h *Hide) String() string {
-	var b strings.Builder
-	switch h.Proc.(type) {
+		dst = append(dst, " <"...)
+		dst = appendSet(dst, t.Set)
+		dst = append(dst, "> "...)
+		switch t.Right.(type) {
+		case *Choice, *Coop:
+			return appendGrouped(dst, t.Right)
+		}
+		return AppendString(dst, t.Right)
+	case *Hide:
+		if _, ok := t.Proc.(*Const); ok {
+			dst = AppendString(dst, t.Proc)
+		} else {
+			dst = appendGrouped(dst, t.Proc)
+		}
+		dst = append(dst, "/{"...)
+		dst = appendSet(dst, t.Set)
+		return append(dst, '}')
 	case *Const:
-		b.WriteString(h.Proc.String())
+		return append(dst, t.Name...)
 	default:
-		b.WriteByte('(')
-		b.WriteString(h.Proc.String())
-		b.WriteByte(')')
+		panic(fmt.Sprintf("pepa: AppendString of unknown node %T", p))
 	}
-	b.WriteString("/{")
-	b.WriteString(strings.Join(h.Set, ","))
-	b.WriteString("}")
-	return b.String()
 }
 
+// appendGrouped appends p in parentheses.
+func appendGrouped(dst []byte, p Process) []byte {
+	dst = append(dst, '(')
+	dst = AppendString(dst, p)
+	return append(dst, ')')
+}
+
+// appendChoiceOperand appends a choice operand, grouping a cooperation
+// or a hiding.
+func appendChoiceOperand(dst []byte, p Process) []byte {
+	switch p.(type) {
+	case *Coop, *Hide:
+		return appendGrouped(dst, p)
+	}
+	return AppendString(dst, p)
+}
+
+// appendSet appends an action set comma-separated.
+func appendSet(dst []byte, set []string) []byte {
+	for i, a := range set {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, a...)
+	}
+	return dst
+}
+
+func (p *Prefix) String() string { return string(AppendString(nil, p)) }
+func (c *Choice) String() string { return string(AppendString(nil, c)) }
+func (c *Coop) String() string   { return string(AppendString(nil, c)) }
+func (h *Hide) String() string   { return string(AppendString(nil, h)) }
+
+// String of a constant is its name — AppendString's rendering of it —
+// returned without a copy.
 func (c *Const) String() string { return c.Name }
 
 // NewCoop builds a cooperation node with a normalized (sorted, deduped)

@@ -1,7 +1,8 @@
 package derive
 
 import (
-	"sort"
+	"bytes"
+	"slices"
 
 	"repro/internal/pepa"
 )
@@ -20,45 +21,59 @@ import (
 
 // Canonicalize rewrites a process term into aggregation canonical form:
 // maximal cooperation chains over one action set are flattened, operands
-// canonicalized recursively and sorted, and the chain rebuilt
-// left-associatively. Sequential constructs are returned unchanged.
+// canonicalized recursively and sorted by their canonical syntax, and the
+// chain rebuilt left-associatively over its own (already normalized) set.
+// Sequential constructs are returned unchanged.
 func Canonicalize(p pepa.Process) pepa.Process {
 	switch t := p.(type) {
 	case *pepa.Coop:
-		ops := flattenCoop(t)
-		for i, op := range ops {
-			ops[i] = Canonicalize(op)
+		ops := chainOperands(make([]operand, 0, chainLen(t, t.Set)), t, t.Set)
+		// Render each canonical operand once, back to back into one
+		// buffer; the sort compares spans of it.
+		var buf []byte
+		for i := range ops {
+			ops[i].term = Canonicalize(ops[i].term)
+			ops[i].start = len(buf)
+			buf = pepa.AppendString(buf, ops[i].term)
+			ops[i].end = len(buf)
 		}
-		sort.SliceStable(ops, func(a, b int) bool {
-			return ops[a].String() < ops[b].String()
+		slices.SortStableFunc(ops, func(a, b operand) int {
+			return bytes.Compare(buf[a.start:a.end], buf[b.start:b.end])
 		})
-		out := ops[0]
+		out := ops[0].term
 		for _, op := range ops[1:] {
-			out = pepa.NewCoop(out, op, t.Set)
+			out = &pepa.Coop{Left: out, Right: op.term, Set: t.Set}
 		}
 		return out
 	case *pepa.Hide:
-		return pepa.NewHide(Canonicalize(t.Proc), t.Set)
+		return &pepa.Hide{Proc: Canonicalize(t.Proc), Set: t.Set}
 	default:
 		return p
 	}
 }
 
-// flattenCoop collects the operands of a maximal same-set cooperation
-// chain (both spines).
-func flattenCoop(c *pepa.Coop) []pepa.Process {
-	var ops []pepa.Process
-	var walk func(p pepa.Process)
-	walk = func(p pepa.Process) {
-		if sub, ok := p.(*pepa.Coop); ok && sameSet(sub.Set, c.Set) {
-			walk(sub.Left)
-			walk(sub.Right)
-			return
-		}
-		ops = append(ops, p)
+// operand is one operand of a flattened cooperation chain, with the span
+// of the buffer its canonical syntax is rendered into.
+type operand struct {
+	term       pepa.Process
+	start, end int
+}
+
+// chainOperands appends the operands of the maximal cooperation chain
+// over set rooted at p (both spines), in order.
+func chainOperands(dst []operand, p pepa.Process, set []string) []operand {
+	if sub, ok := p.(*pepa.Coop); ok && sameSet(sub.Set, set) {
+		return chainOperands(chainOperands(dst, sub.Left, set), sub.Right, set)
 	}
-	walk(c)
-	return ops
+	return append(dst, operand{term: p})
+}
+
+// chainLen counts the operands chainOperands collects.
+func chainLen(p pepa.Process, set []string) int {
+	if sub, ok := p.(*pepa.Coop); ok && sameSet(sub.Set, set) {
+		return chainLen(sub.Left, set) + chainLen(sub.Right, set)
+	}
+	return 1
 }
 
 func sameSet(a, b []string) bool {

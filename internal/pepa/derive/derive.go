@@ -54,6 +54,9 @@ type Transition struct {
 type Deriver struct {
 	model *pepa.Model
 	memo  map[string][]Transition
+	// key is the buffer every memo probe renders its term into; a key
+	// string is allocated only when a term is derived for the first time.
+	key   []byte
 	depth int
 }
 
@@ -71,10 +74,11 @@ const maxConstantDepth = 10000
 // preserved so apparent rates aggregate correctly; ctmc merges when
 // building the generator.
 func (d *Deriver) Transitions(p pepa.Process) ([]Transition, error) {
-	key := p.String()
-	if ts, ok := d.memo[key]; ok {
+	d.key = pepa.AppendString(d.key[:0], p)
+	if ts, ok := d.memo[string(d.key)]; ok {
 		return ts, nil
 	}
+	key := string(d.key) // derive reuses d.key for the sub-terms
 	ts, err := d.derive(p)
 	if err != nil {
 		return nil, err
@@ -83,6 +87,10 @@ func (d *Deriver) Transitions(p pepa.Process) ([]Transition, error) {
 	return ts, nil
 }
 
+// derive applies the SOS rule of p's outermost operator. Derived
+// cooperation and hiding terms share their parent's action set rather
+// than copy it: the set is already normalized, and no term's set is
+// mutated once built.
 func (d *Deriver) derive(p pepa.Process) ([]Transition, error) {
 	switch t := p.(type) {
 	case *pepa.Prefix:
@@ -139,7 +147,7 @@ func (d *Deriver) derive(p pepa.Process) ([]Transition, error) {
 			if pepa.Contains(t.Set, action) {
 				action = pepa.Tau
 			}
-			out[i] = Transition{Action: action, Rate: tr.Rate, Target: pepa.NewHide(tr.Target, t.Set), Src: tr.Src}
+			out[i] = Transition{Action: action, Rate: tr.Rate, Target: &pepa.Hide{Proc: tr.Target, Set: t.Set}, Src: tr.Src}
 		}
 		return out, nil
 
@@ -160,7 +168,14 @@ func (d *Deriver) deriveCoop(c *pepa.Coop) ([]Transition, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []Transition
+	// Size the result from the transition counts: every move outside the
+	// set, plus, per shared action, one move for each pair of transitions.
+	n := len(left) + len(right)
+	for _, action := range c.Set {
+		countL, countR := count(left, action), count(right, action)
+		n += countL*countR - countL - countR
+	}
+	out := make([]Transition, 0, n)
 	// Independent moves: actions outside the cooperation set interleave.
 	for _, tr := range left {
 		if pepa.Contains(c.Set, tr.Action) {
@@ -169,7 +184,7 @@ func (d *Deriver) deriveCoop(c *pepa.Coop) ([]Transition, error) {
 		out = append(out, Transition{
 			Action: tr.Action,
 			Rate:   tr.Rate,
-			Target: pepa.NewCoop(tr.Target, c.Right, c.Set),
+			Target: &pepa.Coop{Left: tr.Target, Right: c.Right, Set: c.Set},
 			Src:    tr.Src,
 		})
 	}
@@ -180,7 +195,7 @@ func (d *Deriver) deriveCoop(c *pepa.Coop) ([]Transition, error) {
 		out = append(out, Transition{
 			Action: tr.Action,
 			Rate:   tr.Rate,
-			Target: pepa.NewCoop(c.Left, tr.Target, c.Set),
+			Target: &pepa.Coop{Left: c.Left, Right: tr.Target, Set: c.Set},
 			Src:    tr.Src,
 		})
 	}
@@ -206,18 +221,7 @@ func (d *Deriver) deriveCoop(c *pepa.Coop) ([]Transition, error) {
 		// active transition's rate bit for bit — so its source carries over.
 		// The singleton condition is structural (transition counts), never a
 		// value comparison: r + ε == r for small ε would fool a value check.
-		countL, countR := 0, 0
-		for _, tl := range left {
-			if tl.Action == action {
-				countL++
-			}
-		}
-		for _, tr := range right {
-			if tr.Action == action {
-				countR++
-			}
-		}
-		singleton := countL == 1 && countR == 1
+		singleton := count(left, action) == 1 && count(right, action) == 1
 		for _, tl := range left {
 			if tl.Action != action {
 				continue
@@ -237,13 +241,24 @@ func (d *Deriver) deriveCoop(c *pepa.Coop) ([]Transition, error) {
 				out = append(out, Transition{
 					Action: action,
 					Rate:   rate,
-					Target: pepa.NewCoop(tl.Target, tr.Target, c.Set),
+					Target: &pepa.Coop{Left: tl.Target, Right: tr.Target, Set: c.Set},
 					Src:    src,
 				})
 			}
 		}
 	}
 	return out, nil
+}
+
+// count returns how many transitions in ts perform the action.
+func count(ts []Transition, action string) int {
+	n := 0
+	for _, t := range ts {
+		if t.Action == action {
+			n++
+		}
+	}
+	return n
 }
 
 // apparent computes the apparent rate of an action among a transition list:
@@ -334,15 +349,19 @@ func ExploreCtx(ctx context.Context, m *pepa.Model, opt Options) (*StateSpace, e
 	ss := &StateSpace{Model: m, Index: map[string]int{}}
 	actionSet := map[string]bool{}
 
+	// The index is probed through one reused buffer, so a state's key
+	// string is allocated only when the state is new.
+	var buf []byte
 	addState := func(p pepa.Process) (int, error) {
-		key := p.String()
-		if id, ok := ss.Index[key]; ok {
+		buf = pepa.AppendString(buf[:0], p)
+		if id, ok := ss.Index[string(buf)]; ok {
 			return id, nil
 		}
 		if len(ss.States) >= opt.MaxStates {
 			return 0, fmt.Errorf("%w (%d states)", ErrStateSpaceTooLarge, opt.MaxStates)
 		}
 		id := len(ss.States)
+		key := string(buf)
 		ss.Index[key] = id
 		ss.States = append(ss.States, key)
 		ss.Trans = append(ss.Trans, nil)
@@ -373,6 +392,7 @@ func ExploreCtx(ctx context.Context, m *pepa.Model, opt Options) (*StateSpace, e
 		if err != nil {
 			return nil, err
 		}
+		ss.Trans[cur.id] = make([]Activity, 0, len(ts))
 		for _, tr := range ts {
 			if tr.Rate.Passive {
 				return nil, fmt.Errorf("derive: state %q offers action %q at an unresolved passive rate; cooperation with an active partner is missing", ss.States[cur.id], tr.Action)

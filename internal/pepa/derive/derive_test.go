@@ -245,3 +245,31 @@ func TestHidingInsideCooperation(t *testing.T) {
 		}
 	}
 }
+
+func TestRightNestedCooperationKeepsItsOwnTransitions(t *testing.T) {
+	// (P <a> Q) <b> R and P <a> (Q <b> R) are different terms: in the
+	// first, P's b synchronizes with R at rate min(1, 0.5); in the second,
+	// P's b interleaves at rate 1. A term key that rendered both alike
+	// would let the memo hand one operand the other's transitions.
+	ss := explore(t, `r = 1; s = 0.5;
+P = (a, r).P + (b, r).P; Q = (a, r).Q; R = (b, s).R + (c, s).R;
+((P <a> Q) <b> R) <> (P <a> (Q <b> R))`)
+	sys := ss.Model.System.(*pepa.Coop)
+	var want []Transition
+	for _, op := range []pepa.Process{sys.Left, sys.Right} {
+		ts, err := NewDeriver(ss.Model).Transitions(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, ts...)
+	}
+	got := ss.Trans[0]
+	if len(got) != len(want) {
+		t.Fatalf("state 0 has %d transitions, the operands derived separately %d", len(got), len(want))
+	}
+	for i, w := range want {
+		if got[i].Action != w.Action || got[i].Rate != w.Rate.Value || got[i].To != 0 {
+			t.Errorf("transition %d = (%s, %g) to %d, want (%s, %g) to 0", i, got[i].Action, got[i].Rate, got[i].To, w.Action, w.Rate.Value)
+		}
+	}
+}

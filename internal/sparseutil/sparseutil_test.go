@@ -8,15 +8,15 @@ import (
 
 func TestClamp01(t *testing.T) {
 	cases := map[float64]float64{
-		-0.5:          0,
-		0:             0,
-		0.25:          0.25,
-		1:             1,
-		1.0001:        1,
-		42:            1,
-		math.Inf(1):   1,
-		math.Inf(-1):  0,
-		math.NaN():    0, // NaN must not propagate through probability post-processing
+		-0.5:                         0,
+		0:                            0,
+		0.25:                         0.25,
+		1:                            1,
+		1.0001:                       1,
+		42:                           1,
+		math.Inf(1):                  1,
+		math.Inf(-1):                 0,
+		math.NaN():                   0, // NaN must not propagate through probability post-processing
 		-math.SmallestNonzeroFloat64: 0,
 	}
 	for in, want := range cases {
