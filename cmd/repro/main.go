@@ -111,7 +111,7 @@ func run() error {
 	outdir := flag.String("outdir", "", "also write each experiment's output to DIR/<name>.txt")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "run the Fig 6 hub experiment under a seeded fault plan (0 = off)")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics+span snapshot to this file on exit")
-	workers := flag.Int("workers", 0, "goroutines per CTMC solve in the robustness study (0 or 1 sequential; results are bit-identical)")
+	workers := flag.Int("workers", 0, "goroutines of the robustness study's per-machine fan-out (0 means GOMAXPROCS; results are bit-identical)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline); SIGINT/SIGTERM also cancel, a second signal force-aborts")
 	ckPath := flag.String("checkpoint", "", "persist finished robustness-study cells to this file (crash-safe); with -resume, skip the ones already there")
 	resume := flag.Bool("resume", false, "reuse matching study cells from -checkpoint instead of starting fresh")

@@ -59,11 +59,11 @@ type Chain struct {
 	mu    sync.Mutex
 	cache *solveCache
 	// pool is the persistent worker pool the parallel kernels dispatch
-	// on, created lazily by the first Workers > 1 solve (or attached via
-	// AttachPool, in which case poolOwned is false and the caller owns
-	// its lifecycle). An owned pool is shut down by InvalidateSolveCache
-	// and by the finalizer installed at creation, so dropping a chain
-	// never strands its worker goroutines.
+	// on, created lazily by the first Workers > 1 solve (or shared from
+	// the parent chain by absorbingChain, in which case poolOwned is false
+	// and the parent owns its lifecycle). An owned pool is shut down by
+	// InvalidateSolveCache and by the finalizer installed at creation, so
+	// dropping a chain never strands its worker goroutines.
 	pool      *sparse.Pool
 	poolOwned bool
 	// finalizerSet records that the shutdownPool finalizer is installed
@@ -186,22 +186,6 @@ func (c *Chain) solvePool(workers int) *sparse.Pool {
 		runtime.SetFinalizer(c, (*Chain).shutdownPool)
 	}
 	return p
-}
-
-// AttachPool makes the chain dispatch its parallel kernels on an
-// externally-owned pool (robustness studies share one pool across their
-// per-machine chains). The caller keeps ownership: the chain never closes
-// an attached pool, and InvalidateSolveCache merely detaches it. Any
-// previously owned pool is shut down.
-func (c *Chain) AttachPool(p *sparse.Pool) {
-	c.mu.Lock()
-	old, owned := c.pool, c.poolOwned
-	c.pool = p
-	c.poolOwned = false
-	c.mu.Unlock()
-	if owned {
-		old.Close()
-	}
 }
 
 // planCached returns the memoized nnz-balanced row partition of m for the
@@ -843,6 +827,9 @@ func (c *Chain) transientCtx(ctx context.Context, p0 []float64, t, eps float64, 
 	if len(p0) != c.N {
 		return nil, fmt.Errorf("ctmc: initial distribution length %d != %d states", len(p0), c.N)
 	}
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return nil, fmt.Errorf("ctmc: time %g is not finite", t)
+	}
 	if t < 0 {
 		return nil, fmt.Errorf("ctmc: negative time %g", t)
 	}
@@ -865,20 +852,14 @@ func (c *Chain) transientCtx(ctx context.Context, p0 []float64, t, eps float64, 
 		return nil, err
 	}
 	workers := c.Workers
-	var (
-		pt   *sparse.CSR
-		plan *sparse.Plan
-		pool *sparse.Pool
-	)
 	// The power loop needs xᵀ·P, whose scatter writes defeat row
 	// partitioning; the cached transpose turns each output entry into an
 	// independent dot product (bit-identical, disjoint writes). Matrices
 	// under the parallel threshold never pay for the transpose or pool.
-	parallel := workers > 1 && p.NNZ() >= sparse.ParallelNNZThreshold
-	if parallel {
-		pt = c.uniformizedTransposeCached(q)
-		plan = c.planCached(pt, workers)
-		pool = c.solvePool(workers)
+	var par *transposeKernel
+	if workers > 1 && p.NNZ() >= sparse.ParallelNNZThreshold {
+		pt := c.uniformizedTransposeCached(q)
+		par = &transposeKernel{pt: pt, plan: c.planCached(pt, workers), pool: c.solvePool(workers)}
 	}
 	c.Obs.Inc("ctmc_transient_solves_total")
 	c.Obs.Add("ctmc_uniformization_terms_total", float64(w.Right+1))
@@ -901,12 +882,42 @@ func (c *Chain) transientCtx(ctx context.Context, p0 []float64, t, eps float64, 
 	next := scratch.Get(c.N)
 	defer scratch.Put(next)
 	clear(next)
+	if k, cerr := uniformize(ctx, p, par, w, cur, next, acc); cerr != nil {
+		runctx.Record(c.Obs, "ctmc.transient", cerr)
+		return nil, runctx.New("ctmc.transient", cerr, k, w.Right+1, "uniformization terms")
+	}
+	// Renormalize the truncation slack.
+	linalg.Normalize1(acc)
+	return acc, nil
+}
+
+// transposeKernel is the pooled transpose product a chain above
+// sparse.ParallelNNZThreshold hands the term loop: Pᵀ, its memoized
+// partition plan, and the chain's worker pool.
+type transposeKernel struct {
+	pt   *sparse.CSR
+	plan *sparse.Plan
+	pool *sparse.Pool
+}
+
+// uniformize sums the Poisson-weighted uniformization terms
+// acc += Σ_{k≤w.Right} w.Pmf(k)·x·P^k, with x starting as cur. cur and
+// next are the two propagation buffers and are clobbered; next and acc
+// must be zero on entry. It returns the number of terms summed and, when
+// ctx is canceled between terms, ctx's error.
+//
+// Each term runs the windowed scatter, or — when par is non-nil and the
+// live nonzeros under the iterate's support reach
+// sparse.ParallelNNZThreshold — the pooled transpose kernel. Both fuse the
+// Poisson accumulation into the product and are bit-identical.
+func uniformize(ctx context.Context, p *sparse.CSR, par *transposeKernel, w *poisson.Weights, cur, next, acc []float64) (int, error) {
+	n := len(cur)
 	// lo/hi is the nonzero support window of cur; dirtyLo/dirtyHi bounds
 	// what next may hold from its previous use as cur. Propagating the
 	// windows keeps a concentrated iterate (a point mass spreading one
 	// transition per term) at O(support) per term instead of O(n). All
 	// skipped work is exact zeros, so the windows change no output bit.
-	lo, hi := c.N, 0
+	lo, hi := n, 0
 	for i, v := range cur {
 		if v != 0 {
 			if i < lo {
@@ -921,8 +932,7 @@ func (c *Chain) transientCtx(ctx context.Context, p0 []float64, t, eps float64, 
 	dirtyLo, dirtyHi := 0, 0
 	for k := 0; k <= w.Right; k++ {
 		if cerr := ctx.Err(); cerr != nil {
-			runctx.Record(c.Obs, "ctmc.transient", cerr)
-			return nil, runctx.New("ctmc.transient", cerr, k, w.Right+1, "uniformization terms")
+			return k, cerr
 		}
 		pw := w.Pmf(k)
 		var accTerm []float64
@@ -943,13 +953,13 @@ func (c *Chain) transientCtx(ctx context.Context, p0 []float64, t, eps float64, 
 		// stored entry, so it only wins once the iterate's support covers
 		// enough of the matrix; a concentrated iterate runs the windowed
 		// scatter. Both paths fuse the Poisson accumulation into the pass.
-		if parallel && p.ActiveNNZ(cur, lo, hi, sparse.ParallelNNZThreshold) >= sparse.ParallelNNZThreshold {
-			sparse.VecMulAccumPlanT(pt, next, cur, accTerm, pw, plan, pool)
+		if par != nil && p.ActiveNNZ(cur, lo, hi, sparse.ParallelNNZThreshold) >= sparse.ParallelNNZThreshold {
+			sparse.VecMulAccumPlanT(par.pt, next, cur, accTerm, pw, par.plan, par.pool)
 			cur, next = next, cur
 			// The kernel wrote every entry of the new cur; the swapped-out
 			// buffer only held the old support window.
 			dirtyLo, dirtyHi = lo, hi
-			lo, hi = 0, c.N
+			lo, hi = 0, n
 		} else {
 			if dirtyHi > dirtyLo {
 				clear(next[dirtyLo:dirtyHi])
@@ -960,9 +970,7 @@ func (c *Chain) transientCtx(ctx context.Context, p0 []float64, t, eps float64, 
 			lo, hi = nlo, nhi
 		}
 	}
-	// Renormalize the truncation slack.
-	linalg.Normalize1(acc)
-	return acc, nil
+	return w.Right + 1, nil
 }
 
 // TransientSeries evaluates the transient distribution on an ascending
@@ -994,9 +1002,9 @@ func (c *Chain) TransientSeriesCtx(ctx context.Context, p0 []float64, times []fl
 	// only the per-point output distributions are fresh allocations.
 	scratch := &sparse.Scratch{}
 	for i, t := range times {
-		dt := t - prevT
-		if dt < 0 {
-			return nil, fmt.Errorf("ctmc: TransientSeries needs an ascending grid (t[%d]=%g < %g)", i, t, prevT)
+		dt, err := gridStep("TransientSeries", i, t, prevT)
+		if err != nil {
+			return nil, err
 		}
 		pt, err := c.transientCtx(ctx, cur, dt, stepEps, scratch, nil)
 		if err != nil {
@@ -1013,6 +1021,21 @@ func (c *Chain) TransientSeriesCtx(ctx context.Context, p0 []float64, times []fl
 		prevT = t
 	}
 	return out, nil
+}
+
+// gridStep validates point i of a grid walker's time grid and returns the
+// step to it from the previous point: every point must be finite (a NaN
+// step would reach the Poisson weights as a NaN rate) and the grid must
+// ascend. op names the walker in the error.
+func gridStep(op string, i int, t, prev float64) (float64, error) {
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return 0, fmt.Errorf("ctmc: %s grid point t[%d]=%g is not finite", op, i, t)
+	}
+	dt := t - prev
+	if dt < 0 {
+		return 0, fmt.Errorf("ctmc: %s needs an ascending grid (t[%d]=%g < %g)", op, i, t, prev)
+	}
+	return dt, nil
 }
 
 // uniformized builds P = I + Q/q directly in CSR form. Q's rows are
@@ -1159,9 +1182,9 @@ func (c *Chain) FirstPassageCDFCtx(ctx context.Context, p0 []float64, targets []
 	acc := scratch.Get(c.N)
 	prevT := 0.0
 	for i, t := range times {
-		dt := t - prevT
-		if dt < 0 {
-			return nil, fmt.Errorf("ctmc: FirstPassageCDF needs an ascending grid (t[%d]=%g < %g)", i, t, prevT)
+		dt, err := gridStep("FirstPassageCDF", i, t, prevT)
+		if err != nil {
+			return nil, err
 		}
 		pt, err := abs.transientCtx(ctx, cur, dt, stepEps, scratch, acc)
 		if err != nil {
@@ -1281,7 +1304,7 @@ func (c *Chain) absorbingChain(targets []int) (*Chain, []bool, error) {
 	abs := &Chain{N: c.N, Q: qabs, ExitRate: exit, ActionRate: map[string][]float64{},
 		Obs: c.Obs, Workers: c.Workers, noSolveCache: c.noSolveCache, family: c.family}
 	// The passage solve runs on the absorbing chain; if the parent
-	// already has a pool (owned or attached), share it instead of
+	// already has a pool, share it instead of
 	// spinning up a second set of workers. The absorbing chain never
 	// closes a shared pool, and a pool replaced under it degrades to
 	// inline execution — never to a wrong result.

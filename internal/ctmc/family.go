@@ -40,6 +40,11 @@ type ChainFamily struct {
 	plan        *sparse.AssemblyPlan
 	fingerprint string
 	nnz         int // COO pattern entries: transitions + one diagonal per state
+	// rateNames are the Const-provenance constants, sorted; rateOf[k] is
+	// the index into rateNames of the rate of the k-th transition (in
+	// state, then transition order), or -1 for a Fixed rate.
+	rateNames []string
+	rateOf    []int32
 
 	mu      sync.Mutex
 	weights map[weightKey]*poisson.Weights
@@ -57,25 +62,54 @@ func NewChainFamily(ss *derive.StateSpace) (*ChainFamily, error) {
 	// transition, then the diagonal — so the memoized permutation gathers
 	// members bit-identically to the fresh ToCSR path.
 	coo := sparse.NewCOO(n, n, ss.NumTransitions()+n)
+	index := map[string]int32{}
+	var names []string
 	for s := 0; s < n; s++ {
 		var exit float64
 		for _, tr := range ss.Trans[s] {
 			coo.Add(s, tr.To, tr.Rate)
 			exit += tr.Rate
+			if c := tr.Src.Const; c != "" {
+				if _, ok := index[c]; !ok {
+					index[c] = 0
+					names = append(names, c)
+				}
+			}
 		}
 		coo.Add(s, s, -exit)
+	}
+	sort.Strings(names)
+	for i, c := range names {
+		index[c] = int32(i)
+	}
+	rateOf := make([]int32, 0, ss.NumTransitions())
+	for s := 0; s < n; s++ {
+		for _, tr := range ss.Trans[s] {
+			i := int32(-1)
+			if tr.Src.Const != "" {
+				i = index[tr.Src.Const]
+			}
+			rateOf = append(rateOf, i)
+		}
 	}
 	return &ChainFamily{
 		ss:          ss,
 		plan:        coo.Plan(),
 		fingerprint: StructuralFingerprint(ss.Model),
 		nnz:         coo.NNZ(),
+		rateNames:   names,
+		rateOf:      rateOf,
 	}, nil
 }
 
 // StateSpace returns the prototype state space (states, numbering, and
 // transition structure shared by every member).
 func (f *ChainFamily) StateSpace() *derive.StateSpace { return f.ss }
+
+// RateNames returns the rate constants a member re-values: the constants
+// with Const provenance in the prototype, sorted. FirstPassageCDFs takes
+// each member's rates in this order.
+func (f *ChainFamily) RateNames() []string { return append([]string(nil), f.rateNames...) }
 
 // ChainForRates builds the member chain for a rate-constant environment:
 // every Const-provenance activity is re-valued from env (validated like
@@ -84,9 +118,21 @@ func (f *ChainFamily) StateSpace() *derive.StateSpace { return f.ss }
 // assembled through the memoized plan. The result is byte-identical to
 // deriving the re-rated model from scratch and calling FromStateSpace.
 func (f *ChainFamily) ChainForRates(env map[string]float64) (*Chain, error) {
+	rates := make([]float64, len(f.rateNames))
+	for c, name := range f.rateNames {
+		v, ok := env[name]
+		if !ok {
+			return nil, fmt.Errorf("ctmc: family member: rate constant %q missing from environment", name)
+		}
+		if err := checkRate(name, v); err != nil {
+			return nil, fmt.Errorf("ctmc: family member: %w", err)
+		}
+		rates[c] = v
+	}
 	n := f.ss.NumStates()
 	vals := make([]float64, f.nnz)
 	exit := make([]float64, n)
+	f.memberValues(vals, exit, rates)
 	actRate := map[string][]float64{}
 	for _, a := range f.ss.ActionTypes {
 		actRate[a] = make([]float64, n)
@@ -94,34 +140,50 @@ func (f *ChainFamily) ChainForRates(env map[string]float64) (*Chain, error) {
 	idx := 0
 	for s := 0; s < n; s++ {
 		for _, tr := range f.ss.Trans[s] {
-			r := tr.Rate
-			switch {
-			case tr.Src.Const != "":
-				v, ok := env[tr.Src.Const]
-				if !ok {
-					return nil, fmt.Errorf("ctmc: family member: rate constant %q missing from environment", tr.Src.Const)
-				}
-				if !(v > 0) || math.IsInf(v, 0) {
-					return nil, fmt.Errorf("ctmc: family member: rate constant %q = %g is not finite and positive", tr.Src.Const, v)
-				}
-				r = v
-			case tr.Src.Fixed:
-				// Structure-fixed rate: the prototype's value is exact.
-			default:
-				return nil, fmt.Errorf("ctmc: %w: state %d activity %q has opaque rate provenance", derive.ErrNotReratable, s, tr.Action)
-			}
-			vals[idx] = r
+			actRate[tr.Action][s] += vals[idx]
 			idx++
-			exit[s] += r
-			actRate[tr.Action][s] += r
 		}
-		vals[idx] = -exit[s]
-		idx++
+		idx++ // the diagonal entry
 	}
 	return &Chain{
 		N: n, Q: f.plan.Gather(vals), ExitRate: exit, ActionRate: actRate,
 		Initial: 0, family: f,
 	}, nil
+}
+
+// checkRate validates one member rate as derive.Reprice does: finite and
+// positive (a zero rate would change reachability, not just weights).
+func checkRate(name string, v float64) error {
+	if !(v > 0) || math.IsInf(v, 0) {
+		return fmt.Errorf("rate constant %q = %g is not finite and positive", name, v)
+	}
+	return nil
+}
+
+// memberValues fills the generator's COO entry values of one member —
+// vals, aligned with the assembly plan's input — and its per-state exit
+// rates, from the member's rates in RateNames order. Per state: each
+// transition's rate (Fixed ones keep the prototype's value), then the
+// diagonal -exit, with exit summed in transition order exactly as
+// FromStateSpace sums it.
+func (f *ChainFamily) memberValues(vals, exit, rates []float64) {
+	idx, k := 0, 0
+	for s := range f.ss.Trans {
+		var e float64
+		for _, tr := range f.ss.Trans[s] {
+			r := tr.Rate
+			if c := f.rateOf[k]; c >= 0 {
+				r = rates[c]
+			}
+			k++
+			vals[idx] = r
+			idx++
+			e += r
+		}
+		vals[idx] = -e
+		idx++
+		exit[s] = e
+	}
 }
 
 // ChainFor builds the member chain for a full model, first checking that

@@ -1,6 +1,7 @@
 package ctmc
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -46,6 +47,42 @@ func TestInstrumentationNeutrality(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cdfA.Probs, cdfB.Probs) {
 		t.Errorf("passage CDF differs with instrumentation: %v vs %v", cdfA.Probs, cdfB.Probs)
+	}
+
+	// The batched passage: a registry changes no bit of it, and it advances
+	// the solve counters by exactly the per-member path's totals. The
+	// members form a lockstep pair and a singleton.
+	fam, err := NewChainFamily(famExplore(t, famModel(t, "1.5", "0.25")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := [][]float64{{1.5, 0.25}, {1.5, 0.25}, {0.7, 3.1}}
+	p0 := make([]float64, fam.StateSpace().NumStates())
+	p0[0] = 1
+	batchReg := obs.NewRegistry()
+	rowsA, errA := fam.FirstPassageCDFs(context.Background(), members, p0, []int{1}, times, 1e-10, nil)
+	rowsB, errB := fam.FirstPassageCDFs(context.Background(), members, p0, []int{1}, times, 1e-10, batchReg)
+	if errA != nil || errB != nil {
+		t.Fatalf("batch errors: %v, %v", errA, errB)
+	}
+	if !reflect.DeepEqual(rowsA, rowsB) {
+		t.Errorf("batched passage differs with instrumentation: %v vs %v", rowsA, rowsB)
+	}
+	memberReg := obs.NewRegistry()
+	for _, row := range members {
+		member, err := fam.ChainForRates(map[string]float64{"r1": row[0], "r2": row[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		member.Obs = memberReg
+		if _, err := member.FirstPassageCDF(p0, []int{1}, times, 1e-10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"ctmc_transient_solves_total", "ctmc_uniformization_terms_total"} {
+		if got, want := batchReg.Counter(name), memberReg.Counter(name); got != want || want == 0 {
+			t.Errorf("%s: batch %g, per-member path %g", name, got, want)
+		}
 	}
 
 	// The comparison is vacuous if the registry never recorded anything.

@@ -233,25 +233,6 @@ func TestChainFinalizationReleasesPool(t *testing.T) {
 	waitForGoroutines(t, base, "finalization")
 }
 
-func TestAttachedPoolSurvivesInvalidation(t *testing.T) {
-	forceParallel(t)
-	pool := sparse.NewPool(3)
-	defer pool.Close()
-	c := NewChain(101, benchChainRates(100))
-	c.Workers = 4
-	c.AttachPool(pool)
-	if _, err := c.TransientSeries(c.PointMass(0), cdfGrid(3, 0.5), 1e-9); err != nil {
-		t.Fatal(err)
-	}
-	c.InvalidateSolveCache()
-	// The chain never owned the pool, so it must still dispatch work.
-	var ran int32
-	pool.Run(4, func(int) { atomic.AddInt32(&ran, 1) })
-	if ran != 4 {
-		t.Fatalf("attached pool ran %d of 4 parts after chain invalidation", ran)
-	}
-}
-
 // countdownCtx reports cancellation after a fixed number of Err polls,
 // making mid-series interruption deterministic (TransientCtx polls once
 // per uniformization term).

@@ -29,8 +29,13 @@ func (w *Weights) Pmf(k int) float64 {
 
 // Compute returns truncated Poisson(lambda) weights capturing at least
 // 1-eps of the probability mass. For lambda == 0 the distribution is a
-// point mass at 0.
+// point mass at 0; a negative or non-finite lambda is an error.
 func Compute(lambda, eps float64) (*Weights, error) {
+	// The outward walks below stop only on an ordered comparison, which
+	// never holds for NaN; a non-finite rate would walk (and grow) forever.
+	if math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+		return nil, fmt.Errorf("poisson: rate %g is not finite", lambda)
+	}
 	if lambda < 0 {
 		return nil, fmt.Errorf("poisson: negative rate %g", lambda)
 	}

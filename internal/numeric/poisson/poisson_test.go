@@ -86,6 +86,17 @@ func TestNegativeAndBadEps(t *testing.T) {
 	}
 }
 
+// TestNonFiniteLambdaRejected: NaN fails every ordered comparison, so the
+// upward walk's stopping test never held and the window grew until memory
+// ran out; +Inf walked the same way from a NaN mode pmf.
+func TestNonFiniteLambdaRejected(t *testing.T) {
+	for _, lambda := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Compute(lambda, 1e-10); err == nil {
+			t.Errorf("lambda=%g accepted", lambda)
+		}
+	}
+}
+
 func TestLargeLambdaWindowWidth(t *testing.T) {
 	// For large lambda the window should be O(sqrt(lambda)) wide, not
 	// O(lambda).

@@ -160,11 +160,7 @@ func (p *AssemblyPlan) Gather(vals []float64) *CSR {
 	}
 	for i := 0; i < p.rows; i++ {
 		for s := p.slotRowPtr[i]; s < p.slotRowPtr[i+1]; s++ {
-			var v float64
-			for k := p.slotPtr[s]; k < p.slotPtr[s+1]; k++ {
-				v += vals[p.order[k]]
-			}
-			if v != 0 {
+			if v := p.slotSum(s, vals); v != 0 {
 				m.ColIdx = append(m.ColIdx, p.slotCol[s])
 				m.Val = append(m.Val, v)
 				m.RowPtr[i+1]++
@@ -175,4 +171,34 @@ func (p *AssemblyPlan) Gather(vals []float64) *CSR {
 		m.RowPtr[i+1] += m.RowPtr[i]
 	}
 	return m
+}
+
+// Pattern returns the output pattern before zero-sum drops: the slots of
+// row i are rowPtr[i] .. rowPtr[i+1], and slot s lands in column col[s]
+// (ascending within a row). The slices are the plan's own and must not be
+// modified.
+func (p *AssemblyPlan) Pattern() (rowPtr, col []int) { return p.slotRowPtr, p.slotCol }
+
+// SlotSums writes every slot's sum of vals into dst, summed in Gather's
+// order, so dst[s] is bit-identical to the value Gather stores for slot s
+// (or drops, when it is exactly zero). vals is aligned with the plan's
+// input entry order, as for Gather; dst has one entry per slot.
+func (p *AssemblyPlan) SlotSums(dst, vals []float64) {
+	if len(vals) != len(p.order) || len(dst) != len(p.slotCol) {
+		panic(fmt.Sprintf("sparse: SlotSums got %d values and %d slots for a %d-entry, %d-slot plan",
+			len(vals), len(dst), len(p.order), len(p.slotCol)))
+	}
+	for s := range dst {
+		dst[s] = p.slotSum(s, vals)
+	}
+}
+
+// slotSum sums slot s's input entries in their stable insertion order —
+// ToCSR's duplicate-summation order.
+func (p *AssemblyPlan) slotSum(s int, vals []float64) float64 {
+	var v float64
+	for k := p.slotPtr[s]; k < p.slotPtr[s+1]; k++ {
+		v += vals[p.order[k]]
+	}
+	return v
 }

@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -149,6 +151,25 @@ func TestAssemblyPlanGatherMatchesReassemble(t *testing.T) {
 	}
 	if plan.NNZ() != len(coords) {
 		t.Fatalf("NNZ() = %d, want %d", plan.NNZ(), len(coords))
+	}
+
+	// The slot view keeps what Gather drops: four slots, one per distinct
+	// coordinate, with the cancelled and the zero slot as explicit zeros.
+	rowPtr, col := plan.Pattern()
+	if want := []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(rowPtr, want) {
+		t.Fatalf("Pattern rowPtr = %v, want %v", rowPtr, want)
+	}
+	if want := []int{0, 2, 3, 1}; !reflect.DeepEqual(col, want) {
+		t.Fatalf("Pattern col = %v, want %v", col, want)
+	}
+	sums := make([]float64, len(col))
+	plan.SlotSums(sums, vals)
+	for i := 0; i < 4; i++ {
+		for s := rowPtr[i]; s < rowPtr[i+1]; s++ {
+			if math.Float64bits(sums[s]) != math.Float64bits(got.At(i, col[s])) {
+				t.Fatalf("slot (%d,%d) = %g, Gather stored %g", i, col[s], sums[s], got.At(i, col[s]))
+			}
+		}
 	}
 }
 

@@ -51,7 +51,6 @@ func oracleModels(t *testing.T) []oracleModel {
 		out = append(out, oracleModel{ex.name, m})
 	}
 	study := robustness.NewStudy()
-	defer study.Close()
 	for _, mapping := range []string{robustness.MappingA, robustness.MappingB} {
 		for j := 0; j < robustness.NumMachines; j++ {
 			for _, cyclic := range []bool{false, true} {

@@ -99,15 +99,31 @@ func TestFamilySharedAcrossPerturbedCopies(t *testing.T) {
 }
 
 // BenchmarkPerturbationSweep is the acceptance benchmark for the family
-// path: a 16-sample perturbation sweep (plus the nominal evaluation).
-// `make bench-sweep` tracks it; docs/PERFORMANCE.md records the measured
-// numbers.
+// path. /family is a 16-sample perturbation sweep (plus the nominal
+// evaluation) on a fresh study, so it derives and builds every machine
+// family per op. /warm is the benchmark sweep workload's per-mapping shape
+// — 256 samples of mapping A — on a study whose families were built before
+// the timer started. `make bench-sweep` tracks both; docs/PERFORMANCE.md
+// records the measured numbers.
 func BenchmarkPerturbationSweep(b *testing.B) {
 	b.Run("family", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s := NewStudy()
 			if _, err := s.RobustnessUnderPerturbation(MappingA, 60, 0.3, 16, 7, 40); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		s := NewStudy()
+		if _, err := s.RobustnessUnderPerturbation(MappingA, 60, 0.3, 256, 7, 40); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.RobustnessUnderPerturbation(MappingA, 60, 0.3, 256, 7, 40); err != nil {
 				b.Fatal(err)
 			}
 		}

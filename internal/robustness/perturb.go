@@ -1,9 +1,12 @@
 package robustness
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sort"
 
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
 )
@@ -31,68 +34,121 @@ type PerturbationReport struct {
 	Spread float64
 }
 
+// perturbETC draws one perturbation sample: every entry of etc scaled by
+// an independent uniform factor in [1-spread, 1+spread] from the seeded
+// stream. Perturbed and RobustnessUnderPerturbation both draw through it,
+// so their sample streams cannot diverge.
+func perturbETC(etc *[NumApps][NumMachines]float64, spread float64, seed uint64) ([NumApps][NumMachines]float64, error) {
+	var out [NumApps][NumMachines]float64
+	if !(spread >= 0 && spread < 1) {
+		return out, fmt.Errorf("robustness: spread must be in [0,1), got %g", spread)
+	}
+	r := rng.New(seed)
+	for i := 0; i < NumApps; i++ {
+		for j := 0; j < NumMachines; j++ {
+			factor := 1 - spread + 2*spread*r.Float64()
+			out[i][j] = etc[i][j] * factor
+		}
+	}
+	return out, nil
+}
+
 // Perturbed returns a copy of the study with every ETC entry scaled by an
 // independent uniform factor in [1-spread, 1+spread] drawn from the seeded
 // stream.
 func (s *Study) Perturbed(spread float64, seed uint64) (*Study, error) {
-	if !(spread >= 0 && spread < 1) {
-		return nil, fmt.Errorf("robustness: spread must be in [0,1), got %g", spread)
+	etc, err := perturbETC(&s.ETC, spread, seed)
+	if err != nil {
+		return nil, err
 	}
-	r := rng.New(seed)
 	// Field-wise copy: Study carries a mutex, and a perturbed copy must not
 	// share the parent's checkpoint file (its ETC differs, so the two would
 	// overwrite each other's cells under different fingerprints). The
 	// chain-family cache IS shared: perturbed models differ only in rate
 	// values, so every copy re-rates the parent's derived prototypes
 	// instead of re-deriving (see ctmc.ChainFamily).
-	c := &Study{
+	return &Study{
+		ETC:        etc,
 		FailRate:   s.FailRate,
 		RepairRate: s.RepairRate,
 		Seed:       s.Seed,
 		Obs:        s.Obs,
 		Workers:    s.Workers,
 		families:   s.familySetRef(),
-	}
-	for i := 0; i < NumApps; i++ {
-		for j := 0; j < NumMachines; j++ {
-			factor := 1 - spread + 2*spread*r.Float64()
-			c.ETC[i][j] = s.ETC[i][j] * factor
-		}
-	}
-	return c, nil
+	}, nil
 }
 
 // RobustnessUnderPerturbation evaluates P(makespan <= tau) for the nominal
-// ETC and for n independently perturbed ETCs.
+// ETC and for n independently perturbed ETCs, on a CDF grid of samples+1
+// points (samples >= 1; tau finite and non-negative).
+//
+// Sample k is the study Perturbed(spread, seed+k·0x9E3779B97F4A7C15)
+// would give, but no per-sample study is built: each machine's n
+// perturbed members are one batched passage solve on the machine's chain
+// family (ctmc.ChainFamily.FirstPassageCDFs), and a sample's probability is
+// the product of its machines' CDFs at tau, multiplied in machine order
+// as MakespanCDF multiplies them.
 func (s *Study) RobustnessUnderPerturbation(mapping string, tau, spread float64, n int, seed uint64, samples int) (*PerturbationReport, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("robustness: need at least one perturbation sample")
 	}
-	if samples <= 0 {
-		samples = 40
-	}
-	nominal, err := s.Robustness(mapping, tau, samples)
+	times, err := deadlineGrid(tau, samples)
 	if err != nil {
 		return nil, err
 	}
-	rep := &PerturbationReport{Mapping: mapping, Tau: tau, Nominal: nominal, Spread: spread}
-	// Each perturbation sample is an independent study; evaluate them in
-	// parallel and collect by index (Values is sorted afterwards anyway).
-	values, err := par.Map(n, 0, func(k int) (float64, error) {
-		p, err := s.Perturbed(spread, seed+uint64(k)*0x9E3779B97F4A7C15)
-		if err != nil {
-			return 0, err
+	ctx := context.Background()
+	nominal, err := s.MakespanCDFCtx(ctx, mapping, times)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]*machineCell, NumMachines)
+	rates := make([][][]float64, NumMachines)
+	for j := range cells {
+		if cells[j], err = s.machineCell(ctx, mapping, j); err != nil {
+			return nil, fmt.Errorf("robustness: machine %d: %w", j+1, err)
 		}
-		v, err := p.Robustness(mapping, tau, samples)
-		if err != nil {
-			return 0, fmt.Errorf("robustness: perturbation %d: %w", k, err)
+		width := len(cells[j].source)
+		flat := make([]float64, n*width)
+		rates[j] = make([][]float64, n)
+		for k := range rates[j] {
+			rates[j][k] = flat[k*width : (k+1)*width : (k+1)*width]
 		}
-		return v, nil
+	}
+	for k := 0; k < n; k++ {
+		etc, err := perturbETC(&s.ETC, spread, seed+uint64(k)*0x9E3779B97F4A7C15)
+		if err != nil {
+			return nil, err
+		}
+		for j, cell := range cells {
+			s.fillRates(rates[j][k], cell, &etc, j)
+		}
+	}
+	finish, err := par.MapOpt(NumMachines, par.Options{Workers: s.Workers}, func(j int) ([][]float64, error) {
+		cell := cells[j]
+		s.Obs.Add("robustness_family_total", float64(n), obs.L("outcome", "reuse"))
+		probs, err := cell.fam.FirstPassageCDFs(ctx, rates[j], cell.p0, cell.targets, times, passageEps, s.Obs)
+		if err != nil {
+			return nil, fmt.Errorf("robustness: machine %d: %w", j+1, err)
+		}
+		return probs, nil
 	})
 	if err != nil {
+		var merr *par.MultiError
+		if errors.As(err, &merr) && len(merr.Errs) > 0 {
+			return nil, fmt.Errorf("par: %w", merr.Errs[0])
+		}
 		return nil, err
 	}
-	rep.Values = values
+	last := len(times) - 1
+	rep := &PerturbationReport{Mapping: mapping, Tau: tau, Nominal: nominal.Probs[last], Spread: spread}
+	rep.Values = make([]float64, n)
+	for k := range rep.Values {
+		v := 1.0
+		for j := range finish {
+			v *= finish[j][k][last]
+		}
+		rep.Values[k] = v
+	}
 	sort.Float64s(rep.Values)
 	rep.Worst = rep.Values[0]
 	rep.Best = rep.Values[len(rep.Values)-1]

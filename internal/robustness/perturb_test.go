@@ -2,6 +2,7 @@ package robustness
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -110,5 +111,65 @@ func TestCompareMappings(t *testing.T) {
 	}
 	if winner != wantWinner {
 		t.Errorf("winner = %s, but worst cases are A=%g B=%g", winner, a.Worst, b.Worst)
+	}
+}
+
+// TestRobustnessValidatesSamplesAndDeadline: both robustness entry points
+// share one check — at least one CDF sample and a finite, non-negative
+// deadline. A zero sample count made the grid 0·τ/0 = NaN and a non-finite
+// τ made grid point 0 τ·0 = NaN, and either hung the Poisson weights; a
+// negative count panicked; RobustnessUnderPerturbation silently replaced a
+// count <= 0 with 40.
+func TestRobustnessValidatesSamplesAndDeadline(t *testing.T) {
+	s := NewStudy()
+	for _, tc := range []struct {
+		tau     float64
+		samples int
+		want    string
+	}{
+		{60, 0, "sample"},
+		{60, -1, "sample"},
+		{math.NaN(), 10, "tau"},
+		{math.Inf(1), 10, "tau"},
+		{math.Inf(-1), 10, "tau"},
+		{-1, 10, "tau = -1"},
+	} {
+		if _, err := s.Robustness(MappingA, tc.tau, tc.samples); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Robustness(tau=%g, samples=%d): err = %v, want it to mention %q", tc.tau, tc.samples, err, tc.want)
+		}
+		if _, err := s.RobustnessUnderPerturbation(MappingA, tc.tau, 0.3, 2, 7, tc.samples); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RobustnessUnderPerturbation(tau=%g, samples=%d): err = %v, want it to mention %q", tc.tau, tc.samples, err, tc.want)
+		}
+	}
+	// A zero deadline is valid: no machine has finished at time 0.
+	if r, err := s.Robustness(MappingA, 0, 4); err != nil || r != 0 {
+		t.Errorf("Robustness(tau=0) = %g, %v; want 0, nil", r, err)
+	}
+}
+
+// TestRobustnessUnderPerturbationWorkersBitIdentical: Workers bounds only
+// the per-machine fan-out of the batched solves, so it changes no bit of
+// the report.
+func TestRobustnessUnderPerturbationWorkersBitIdentical(t *testing.T) {
+	seq := NewStudy()
+	seq.Workers = 1
+	par4 := NewStudy()
+	par4.Workers = 4
+	a, err := seq.RobustnessUnderPerturbation(MappingB, 300, 0.3, 24, 5, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := par4.RobustnessUnderPerturbation(MappingB, 300, 0.3, 24, 5, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !same(a.Nominal, b.Nominal) || !same(a.Worst, b.Worst) || !same(a.Mean, b.Mean) || !same(a.Best, b.Best) {
+		t.Fatalf("summary differs: workers=1 %+v, workers=4 %+v", a, b)
+	}
+	for k := range a.Values {
+		if !same(a.Values[k], b.Values[k]) {
+			t.Fatalf("Values[%d] = %x (workers=1) vs %x (workers=4)", k, math.Float64bits(a.Values[k]), math.Float64bits(b.Values[k]))
+		}
 	}
 }

@@ -22,13 +22,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 
 	"repro/internal/checkpoint"
 	"repro/internal/ctmc"
 	"repro/internal/diagram"
-	"repro/internal/numeric/sparse"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/pepa"
@@ -90,13 +90,16 @@ type Study struct {
 	RepairRate float64
 	// Seed used to generate the synthetic ETC matrix.
 	Seed uint64
-	// Obs, when non-nil, is attached to every CTMC the study solves, so
-	// passage-time runs report solver iterations and truncation depths.
+	// Obs, when non-nil, receives every passage solve's metrics
+	// (transient solves, uniformization terms, Poisson-cache outcomes)
+	// and the study's family reuse count.
 	Obs *obs.Registry
-	// Workers bounds the goroutines the study uses: the per-machine
-	// fan-out of MakespanCDF and each CTMC solve's matrix kernels (0
-	// means GOMAXPROCS, 1 means sequential). Results are bit-identical
-	// for any value; see docs/PERFORMANCE.md.
+	// Workers bounds the goroutines of the per-machine fan-out of
+	// MakespanCDF and RobustnessUnderPerturbation (0 means GOMAXPROCS, 1
+	// means sequential). Each machine's passages solve on one goroutine:
+	// the machine chains sit far below sparse.ParallelNNZThreshold, so no
+	// kernel runs in parallel. Results are bit-identical for any value;
+	// see docs/PERFORMANCE.md.
 	Workers int
 	// Checkpoint, when non-empty, names a file where every finished
 	// per-machine passage CDF is persisted (atomically, via
@@ -113,13 +116,6 @@ type Study struct {
 	// a deterministic point mid-flight.
 	hookCell func(mapping string, j int)
 
-	// poolMu guards pool, the worker pool shared by every per-machine
-	// chain the study solves (Workers > 1 only). One set of pinned
-	// goroutines serves the whole 30×30 sweep instead of one pool per
-	// machine chain; Close releases it.
-	poolMu sync.Mutex
-	pool   *sparse.Pool
-
 	// famMu guards families, the per-machine chain-family cache. The
 	// pointer is shared into every Perturbed copy, so an entire
 	// perturbation sweep derives each machine's state space exactly once
@@ -128,20 +124,47 @@ type Study struct {
 	families *familySet
 }
 
-// familySet memoizes one chain family (and its passage-target set) per
-// machine cell, shared across a study and all its perturbed copies.
+// familySet memoizes one machine cell (chain family and passage setup)
+// per (mapping, machine), shared across a study and all its perturbed
+// copies.
 type familySet struct {
 	mu sync.Mutex
 	m  map[string]*familyEntry
 }
 
 type familyEntry struct {
-	mu      sync.Mutex
-	done    bool
+	mu   sync.Mutex
+	done bool
+	cell *machineCell
+	err  error
+}
+
+// machineCell is one machine's derived family with everything its
+// passage solves share: the "all applications done" targets, the point
+// mass on the initial state, and, for each of the family's rate constants
+// in RateNames order, where its value comes from — an application's ETC
+// entry (its 1-based id) or one of the rateFail, rateRepair and rateDone
+// constants.
+type machineCell struct {
 	fam     *ctmc.ChainFamily
 	targets []int
-	err     error
+	p0      []float64
+	source  []int
 }
+
+// Rate sources of a machine model's constants other than the r_a<app>
+// execution rates.
+const (
+	rateFail = -1 - iota
+	rateRepair
+	rateDone
+)
+
+// doneRate is the completion marker's self-loop rate (see MachineModel).
+const doneRate = 1e-9
+
+// passageEps is the truncation budget of every finishing-time CDF.
+const passageEps = 1e-10
 
 func (fs *familySet) entry(key string) *familyEntry {
 	fs.mu.Lock()
@@ -157,14 +180,14 @@ func (fs *familySet) entry(key string) *familyEntry {
 // get memoizes a successful build. Failures — including cancellations,
 // which must not poison the cell for later runs — are returned but not
 // cached, so the next caller retries.
-func (e *familyEntry) get(build func() (*ctmc.ChainFamily, []int, error)) (*ctmc.ChainFamily, []int, error) {
+func (e *familyEntry) get(build func() (*machineCell, error)) (*machineCell, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.done {
-		e.fam, e.targets, e.err = build()
+		e.cell, e.err = build()
 		e.done = e.err == nil
 	}
-	return e.fam, e.targets, e.err
+	return e.cell, e.err
 }
 
 // familySetRef lazily creates the shared family cache; Perturbed copies
@@ -176,33 +199,6 @@ func (s *Study) familySetRef() *familySet {
 		s.families = &familySet{m: map[string]*familyEntry{}}
 	}
 	return s.families
-}
-
-// solvePool lazily creates the study-wide worker pool the per-machine
-// chains dispatch their parallel kernels on. Nil for Workers <= 1 — the
-// chains then run their sequential (bit-identical) paths.
-func (s *Study) solvePool() *sparse.Pool {
-	if s.Workers <= 1 {
-		return nil
-	}
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	if s.pool == nil {
-		s.pool = sparse.NewPool(s.Workers - 1)
-	}
-	return s.pool
-}
-
-// Close shuts down the study's shared worker pool and waits for its
-// goroutines to exit. The study stays usable afterwards — the next
-// parallel solve lazily creates a fresh pool. Safe to call multiple
-// times and on a study that never solved anything.
-func (s *Study) Close() {
-	s.poolMu.Lock()
-	p := s.pool
-	s.pool = nil
-	s.poolMu.Unlock()
-	p.Close()
 }
 
 // NewStudy constructs the study with the deterministic synthetic ETC and
@@ -288,7 +284,7 @@ func (s *Study) MachineModel(mapping string, j int, cyclic bool) (*pepa.Model, e
 		// by making it absorbing in the CTMC transform instead. Simplest
 		// sound encoding: Done = (done_j, done_rate).Done with the passage
 		// analysis targeting entry into Done.
-		m.DefineRate("done_rate", 1e-9)
+		m.DefineRate("done_rate", doneRate)
 		m.Define(stateName(len(apps)), &pepa.Prefix{
 			Action: fmt.Sprintf("done%d", j+1),
 			Rate:   &pepa.RateRef{Name: "done_rate"},
@@ -420,61 +416,90 @@ func (s *Study) FinishingCDFCtx(ctx context.Context, mapping string, j int, time
 	} else if ok {
 		return &ctmc.PassageCDF{Times: append([]float64(nil), times...), Probs: probs}, nil
 	}
-	chain, targets, err := s.machineChain(ctx, mapping, j)
+	cell, err := s.machineCell(ctx, mapping, j)
 	if err != nil {
 		return nil, err
 	}
-	cdf, err := chain.FirstPassageCDFCtx(ctx, chain.PointMass(0), targets, times, 1e-10)
+	rates := make([]float64, len(cell.source))
+	s.fillRates(rates, cell, &s.ETC, j)
+	s.Obs.Inc("robustness_family_total", obs.L("outcome", "reuse"))
+	probs, err := cell.fam.FirstPassageCDFs(ctx, [][]float64{rates}, cell.p0, cell.targets, times, passageEps, s.Obs)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.saveCell(times, key, cdf.Probs); err != nil {
+	if err := s.saveCell(times, key, probs[0]); err != nil {
 		return nil, err
 	}
-	return cdf, nil
+	return &ctmc.PassageCDF{Times: append([]float64(nil), times...), Probs: probs[0]}, nil
 }
 
-// machineChain returns the ready-to-solve chain and passage-target set of
-// machine j through the shared chain-family cache: the machine's state
-// space is derived once per cell (shared across the study and every
-// Perturbed copy) and each request re-rates it with an O(nnz) gather. A
-// family build error — derive.ErrNotReratable included — is the study's
-// error.
-func (s *Study) machineChain(ctx context.Context, mapping string, j int) (*ctmc.Chain, []int, error) {
+// machineCell returns machine j's cell through the shared family cache:
+// the machine's state space is derived once per (mapping, machine) —
+// shared across the study and every Perturbed copy — and every passage
+// solve re-rates it. A family build error — derive.ErrNotReratable
+// included — is the study's error.
+func (s *Study) machineCell(ctx context.Context, mapping string, j int) (*machineCell, error) {
 	key := fmt.Sprintf("%s/%d", mapping, j)
-	fam, targets, err := s.familySetRef().entry(key).get(func() (*ctmc.ChainFamily, []int, error) {
+	return s.familySetRef().entry(key).get(func() (*machineCell, error) {
 		m, err := s.MachineModel(mapping, j, false)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		ss, err := derive.ExploreCtx(ctx, m, derive.Options{})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		fam, err := ctmc.NewChainFamily(ss)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		targets, err := completionTargets(ss, j)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return fam, targets, nil
+		names := fam.RateNames()
+		source := make([]int, len(names))
+		for c, name := range names {
+			switch name {
+			case "fail":
+				source[c] = rateFail
+			case "repair":
+				source[c] = rateRepair
+			case "done_rate":
+				source[c] = rateDone
+			default:
+				id, ok := strings.CutPrefix(name, "r_a")
+				app, err := strconv.Atoi(id)
+				if !ok || err != nil || app < 1 || app > NumApps {
+					return nil, fmt.Errorf("robustness: machine %d rate constant %q has no source", j+1, name)
+				}
+				source[c] = app
+			}
+		}
+		p0 := make([]float64, ss.NumStates())
+		p0[0] = 1
+		return &machineCell{fam: fam, targets: targets, p0: p0, source: source}, nil
 	})
-	if err != nil {
-		return nil, nil, err
+}
+
+// fillRates writes machine j's rate constants under an ETC matrix into
+// row, in the cell's RateNames order. It MUST mirror MachineModel's
+// DefineRate calls — same values, bit for bit — because the passage
+// solves substitute these into the derived prototype in place of a fresh
+// derivation (TestFamilyPathByteIdentical pins the two paths together).
+func (s *Study) fillRates(row []float64, cell *machineCell, etc *[NumApps][NumMachines]float64, j int) {
+	for c, src := range cell.source {
+		switch src {
+		case rateFail:
+			row[c] = s.FailRate
+		case rateRepair:
+			row[c] = s.RepairRate
+		case rateDone:
+			row[c] = doneRate
+		default:
+			row[c] = 1 / etc[src-1][j] // Rate(app, j) on this ETC
+		}
 	}
-	env, err := s.rateEnv(mapping, j)
-	if err != nil {
-		return nil, nil, err
-	}
-	chain, err := fam.ChainForRates(env)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.configureChain(chain)
-	s.Obs.Inc("robustness_family_total", obs.L("outcome", "reuse"))
-	return chain, targets, nil
 }
 
 // completionTargets finds machine j's "all applications done" states —
@@ -490,40 +515,6 @@ func completionTargets(ss *derive.StateSpace, j int) ([]int, error) {
 		return nil, fmt.Errorf("robustness: no completion state found for machine %d", j+1)
 	}
 	return targets, nil
-}
-
-// configureChain applies the study's observability, worker, and pool
-// settings to a freshly built chain.
-func (s *Study) configureChain(chain *ctmc.Chain) {
-	chain.Obs = s.Obs
-	chain.Workers = s.Workers
-	if p := s.solvePool(); p != nil {
-		chain.AttachPool(p)
-	}
-}
-
-// rateEnv returns the rate-constant environment for machine j at this
-// study's parameters. It MUST mirror MachineModel's DefineRate calls —
-// same names, same values — because the family path substitutes these
-// into the derived prototype in place of a fresh derivation (the
-// byte-identity test in family_test.go pins the two paths together).
-func (s *Study) rateEnv(mapping string, j int) (map[string]float64, error) {
-	tab, err := TableI(mapping)
-	if err != nil {
-		return nil, err
-	}
-	if j < 0 || j >= NumMachines {
-		return nil, fmt.Errorf("robustness: machine index %d out of range", j)
-	}
-	env := map[string]float64{
-		"fail":      s.FailRate,
-		"repair":    s.RepairRate,
-		"done_rate": 1e-9,
-	}
-	for _, app := range tab[j] {
-		env[fmt.Sprintf("r_a%d", app)] = s.Rate(app, j)
-	}
-	return env, nil
 }
 
 // MakespanCDF computes the CDF of the mapping's makespan (the time by
@@ -592,15 +583,33 @@ func (s *Study) Robustness(mapping string, tau float64, samples int) (float64, e
 // RobustnessCtx is Robustness with cooperative cancellation and
 // checkpoint/resume, inherited from MakespanCDFCtx.
 func (s *Study) RobustnessCtx(ctx context.Context, mapping string, tau float64, samples int) (float64, error) {
-	times := make([]float64, samples+1)
-	for i := range times {
-		times[i] = tau * float64(i) / float64(samples)
+	times, err := deadlineGrid(tau, samples)
+	if err != nil {
+		return 0, err
 	}
 	cdf, err := s.MakespanCDFCtx(ctx, mapping, times)
 	if err != nil {
 		return 0, err
 	}
 	return cdf.Probs[len(cdf.Probs)-1], nil
+}
+
+// deadlineGrid is the CDF grid a robustness evaluation walks: samples+1
+// evenly spaced points from 0 to the deadline tau. It needs at least one
+// sample and a finite, non-negative tau (a NaN grid point would reach the
+// Poisson weights as a NaN rate).
+func deadlineGrid(tau float64, samples int) ([]float64, error) {
+	if samples < 1 {
+		return nil, fmt.Errorf("robustness: need at least one CDF sample, got %d", samples)
+	}
+	if !(tau >= 0) || math.IsInf(tau, 1) {
+		return nil, fmt.Errorf("robustness: deadline tau = %g must be finite and non-negative", tau)
+	}
+	times := make([]float64, samples+1)
+	for i := range times {
+		times[i] = tau * float64(i) / float64(samples)
+	}
+	return times, nil
 }
 
 // ActivityDiagram renders the Fig 2 replication: the derivation graph of

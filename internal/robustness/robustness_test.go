@@ -290,8 +290,7 @@ func grid(t0, t1 float64, n int) []float64 {
 
 func TestFinishingCDFWorkersBitIdentical(t *testing.T) {
 	// The Table I machine models are the study's hot solves; Workers must
-	// never change an output bit (the parallel kernel preserves the exact
-	// floating-point summation order).
+	// never change an output bit.
 	times := grid(0, 120, 40)
 	for _, mapping := range []string{MappingA, MappingB} {
 		seq := NewStudy()
