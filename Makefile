@@ -10,7 +10,7 @@ GO ?= go
 # reported with a baseline reference but never fail the build.
 # -benchmem is part of the contract: benchcmp compares allocs/op alongside
 # ns/op, which catches scratch-buffer regressions timing noise absorbs.
-BENCH_GATED = ^(BenchmarkTransientSeries|BenchmarkTransientWorkers|BenchmarkFirstPassageCDF|BenchmarkToCSR|BenchmarkVecMulParallel|BenchmarkAssemblyReuse|BenchmarkPerturbationSweep|BenchmarkSteadyStateStiff|BenchmarkExplore)$$
+BENCH_GATED = ^(BenchmarkTransientSeries|BenchmarkTransientWorkers|BenchmarkFirstPassageCDF|BenchmarkToCSR|BenchmarkVecMulParallel|BenchmarkAssemblyReuse|BenchmarkPerturbationSweep|BenchmarkSteadyStateStiff|BenchmarkExplore|BenchmarkExploreSmall)$$
 BENCH_PKGS  = ./internal/ctmc ./internal/numeric/sparse ./internal/robustness ./internal/pepa/derive
 
 # Sweep-throughput benchmarks (ISSUE 9): assembly-plan reuse, the family-
@@ -146,6 +146,7 @@ conformance-deep:
 # Run each fuzz target briefly (seeds always run under plain `make test`).
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/pepa
+	$(GO) test -fuzz=FuzzExplore -fuzztime=30s ./internal/pepa/derive
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/biopepa
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/gpepa
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/recipe
@@ -158,6 +159,7 @@ fuzz:
 # enough to catch freshly introduced panics without stalling the pipeline.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/pepa
+	$(GO) test -fuzz=FuzzExplore -fuzztime=5s ./internal/pepa/derive
 	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/gpepa
 	$(GO) test -fuzz=FuzzUnmarshalTar -fuzztime=5s ./internal/vfs
 	$(GO) test -fuzz=FuzzHintJournalRecords -fuzztime=5s ./internal/hub

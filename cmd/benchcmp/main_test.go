@@ -248,3 +248,12 @@ func TestScalingComparePlateauWarnOnly(t *testing.T) {
 		})
 	}
 }
+
+func TestDefaultGateCoversDerivation(t *testing.T) {
+	gate := regexp.MustCompile(defaultGate)
+	for _, name := range []string{"BenchmarkExplore", "BenchmarkExploreSmall/tableI", "BenchmarkExploreSmall/pclan6"} {
+		if !gate.MatchString(name) {
+			t.Errorf("default gate %q does not gate %s", defaultGate, name)
+		}
+	}
+}

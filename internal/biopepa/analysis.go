@@ -20,6 +20,9 @@ type compiled struct {
 	// delta[r][i] is the net stoichiometric change of species i when
 	// reaction r fires.
 	delta [][]float64
+	// env is the rate-law environment, built once: every parameter, then
+	// every species, whose values rates writes in place.
+	env map[string]float64
 }
 
 func (m *Model) compile() (*compiled, error) {
@@ -31,7 +34,7 @@ func (m *Model) compile() (*compiled, error) {
 	for i, sp := range m.Species {
 		idx[sp.Name] = i
 	}
-	c := &compiled{model: m, reactions: rxs, delta: make([][]float64, len(rxs))}
+	c := &compiled{model: m, reactions: rxs, delta: make([][]float64, len(rxs)), env: m.Env(make([]float64, len(m.Species)))}
 	for r, rx := range rxs {
 		c.delta[r] = make([]float64, len(m.Species))
 		for _, p := range rx.Reactants {
@@ -46,9 +49,11 @@ func (m *Model) compile() (*compiled, error) {
 
 // rates evaluates all reaction rates at state x into dst.
 func (c *compiled) rates(x []float64, dst []float64) error {
-	env := c.model.Env(x)
+	for i, sp := range c.model.Species {
+		c.env[sp.Name] = x[i]
+	}
 	for r, rx := range c.reactions {
-		v, err := rx.Law.Rate(env, rx)
+		v, err := rx.Law.Rate(c.env, rx)
 		if err != nil {
 			return fmt.Errorf("biopepa: rate of reaction %q: %w", rx.Name, err)
 		}

@@ -60,62 +60,34 @@ func Compile(m *Model) (*FluidSystem, error) {
 		transByGrp: map[string][]localTransition{},
 		groupVars:  map[string][]int{},
 	}
-	d := derive.NewDeriver(m.Defs)
 	actions := map[string]bool{}
 	fs.groups = m.Groups()
 	for _, g := range fs.groups {
-		// Discover the derivative states of this group's components by BFS
-		// over single-component transitions.
-		var order []string
-		seen := map[string]pepa.Process{}
-		var queue []pepa.Process
-		for _, s := range g.Seeds {
-			p := &pepa.Const{Name: s.Component}
-			key := p.String()
-			if _, ok := seen[key]; !ok {
-				seen[key] = p
-				order = append(order, key)
-				queue = append(queue, p)
-			}
+		// The group's derivative states, discovered breadth first from its
+		// declared seeds in order, are the variables of the group.
+		seeds := make([]pepa.Process, len(g.Seeds))
+		for i, s := range g.Seeds {
+			seeds[i] = &pepa.Const{Name: s.Component}
 		}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			ts, err := d.Transitions(cur)
-			if err != nil {
-				return nil, fmt.Errorf("gpepa: deriving component %s of group %q: %w", cur, g.Label, err)
-			}
-			for _, tr := range ts {
-				key := tr.Target.String()
-				if _, ok := seen[key]; !ok {
-					seen[key] = tr.Target
-					order = append(order, key)
-					queue = append(queue, tr.Target)
-				}
-			}
+		locals, err := derive.NewLocals(m.Defs, seeds)
+		if err != nil {
+			return nil, fmt.Errorf("gpepa: deriving the components of group %q: %w", g.Label, err)
 		}
-		// Register variables in discovery order (deterministic: BFS from
-		// declared seeds with the deriver's stable transition order).
-		for _, key := range order {
+		base := len(fs.Vars)
+		for _, key := range locals.States {
 			ls := LocalState{Group: g.Label, State: key}
 			fs.Index[ls] = len(fs.Vars)
 			fs.Vars = append(fs.Vars, ls)
 			fs.groupVars[g.Label] = append(fs.groupVars[g.Label], fs.Index[ls])
 		}
 		// Record local transitions with variable indices.
-		for _, key := range order {
-			from := fs.Index[LocalState{Group: g.Label, State: key}]
-			ts, err := d.Transitions(seen[key])
-			if err != nil {
-				return nil, err
-			}
+		for s, ts := range locals.Trans {
 			for _, tr := range ts {
 				if tr.Rate.Passive {
-					return nil, fmt.Errorf("gpepa: component state %s in group %q offers action %q at a passive rate; fluid analysis requires active rates", key, g.Label, tr.Action)
+					return nil, fmt.Errorf("gpepa: component state %s in group %q offers action %q at a passive rate; fluid analysis requires active rates", locals.States[s], g.Label, tr.Action)
 				}
-				to := fs.Index[LocalState{Group: g.Label, State: tr.Target.String()}]
 				fs.transByGrp[g.Label] = append(fs.transByGrp[g.Label], localTransition{
-					action: tr.Action, rate: tr.Rate.Value, from: from, to: to,
+					action: tr.Action, rate: tr.Rate.Value, from: base + s, to: base + tr.To,
 				})
 				actions[tr.Action] = true
 			}

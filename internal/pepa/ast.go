@@ -57,11 +57,12 @@ func (*Const) isProcess()  {}
 // AppendString appends the canonical rendering of p to dst and returns
 // the extended buffer. It is the one printer of process terms — each
 // String method returns its rendering — and it renders the whole term in
-// a single pass, so derivation can key states and memoized sub-terms
-// through one reused buffer instead of allocating a string per probe.
+// a single pass, so derivation can key local derivatives and aggregated
+// states through one reused buffer instead of allocating a string per
+// probe; every state string derivation reports equals this rendering.
 //
 // Two terms render alike only if they derive the same transitions, which
-// is what lets the string key states and the memo. So an operand is
+// is what lets the string key them. So an operand is
 // parenthesized wherever the parser would otherwise regroup it — in
 // particular a cooperation that is the right operand of a cooperation,
 // since P <a> Q <b> R parses as (P <a> Q) <b> R — except inside a choice

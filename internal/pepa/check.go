@@ -30,7 +30,8 @@ func (c *CheckResult) Err() error {
 //   - recursion is guarded (no constant can reach itself through choice
 //     alone without passing a prefix);
 //   - static cooperation/hiding cannot appear under a prefix or inside a
-//     choice (PEPA's two-level grammar);
+//     choice (PEPA's two-level grammar), directly or through a constant
+//     whose definition is a cooperation or hiding;
 //   - cooperation-set actions actually occur in the model (warning);
 //   - the system equation only references defined constants.
 func Check(m *Model) *CheckResult {
@@ -87,7 +88,8 @@ func Check(m *Model) *CheckResult {
 	walkAll(m.System, "system equation")
 
 	// Two-level grammar: no cooperation or hiding under a prefix or inside
-	// a choice operand (sequential components must stay sequential).
+	// a choice operand, directly or through constants (sequential
+	// components must stay sequential).
 	for _, name := range m.DefOrder {
 		checkSequentialLevels(m, m.Defs[name].Body, "definition of "+name, res)
 	}
@@ -184,7 +186,8 @@ func collectUnguarded(p Process, into map[string]bool) {
 
 // checkSequentialLevels enforces PEPA's two-level grammar: under a Prefix
 // continuation or inside a Choice operand only sequential constructs
-// (prefix, choice, constant) may occur.
+// (prefix, choice, constant) may occur, and a constant there must not
+// stand for a cooperation or a hiding.
 func checkSequentialLevels(m *Model, p Process, where string, res *CheckResult) {
 	var seq func(Process)
 	seq = func(n Process) {
@@ -199,6 +202,10 @@ func checkSequentialLevels(m *Model, p Process, where string, res *CheckResult) 
 			seq(t.Left)
 			seq(t.Right)
 		case *Const:
+			// Undefined constants and cycles are reported elsewhere.
+			if body, err := m.Unfold(t); err == nil && IsComposite(body) {
+				res.Errors = append(res.Errors, fmt.Errorf("pepa: %s: %w", where, &CompositeConstError{Name: t.Name}))
+			}
 		}
 	}
 	var top func(Process)
@@ -218,4 +225,44 @@ func checkSequentialLevels(m *Model, p Process, where string, res *CheckResult) 
 		}
 	}
 	top(p)
+}
+
+// CompositeConstError reports a constant used as a sequential component —
+// under a prefix or as a choice operand — whose definition, through
+// further constants, is a cooperation or a hiding. PEPA's two-level
+// grammar forbids cooperation inside a sequential component at any depth,
+// so a model's cooperation structure is fixed by its system equation.
+type CompositeConstError struct{ Name string }
+
+func (e *CompositeConstError) Error() string {
+	return fmt.Sprintf("pepa: constant %q is a cooperation or hiding, so it cannot occur inside a sequential component", e.Name)
+}
+
+// IsComposite reports whether p is a cooperation or a hiding.
+func IsComposite(p Process) bool {
+	switch p.(type) {
+	case *Coop, *Hide:
+		return true
+	}
+	return false
+}
+
+// Unfold follows p through constant definitions to the first term that is
+// not a constant. It fails on an undefined constant or on a cycle of
+// bare constants (unguarded recursion); the caller names its package.
+func (m *Model) Unfold(p Process) (Process, error) {
+	for steps := 0; ; steps++ {
+		c, ok := p.(*Const)
+		if !ok {
+			return p, nil
+		}
+		def, ok := m.Defs[c.Name]
+		if !ok {
+			return nil, fmt.Errorf("undefined process %q", c.Name)
+		}
+		if steps > len(m.Defs) {
+			return nil, fmt.Errorf("unguarded recursion through %q", c.Name)
+		}
+		p = def.Body
+	}
 }

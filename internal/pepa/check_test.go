@@ -1,6 +1,7 @@
 package pepa
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -103,6 +104,25 @@ func TestCheckHidingInsideChoice(t *testing.T) {
 	res := Check(m)
 	if res.Err() == nil {
 		t.Errorf("hiding inside choice not reported: %v", res.Errors)
+	}
+}
+
+func TestCheckCompositeConstantInsideSequentialComponent(t *testing.T) {
+	// The constant hides the cooperation from a syntactic check: Sys is a
+	// sequential continuation of P, but stands for Q <b> R.
+	for _, src := range []string{
+		"r = 1; P = (a, r).Sys; Sys = Q <b> R; Q = (b, 1).Q; R = (b, T).R; P",
+		"r = 1; P = (a, r).P + Sys; Sys = Alias; Alias = (Q <b> R)/{b}; Q = (b, 1).Q; R = (b, T).R; P <a> P",
+	} {
+		res := checkOf(t, src)
+		var ce *CompositeConstError
+		if !errors.As(res.Err(), &ce) || ce.Name != "Sys" {
+			t.Errorf("%s: got %v, want a CompositeConstError naming Sys", src, res.Errors)
+		}
+	}
+	// A composite constant at the top level is fine.
+	if err := checkOf(t, "Sys = Q <b> R; Q = (b, 1).Q; R = (b, T).R; Sys <> Sys").Err(); err != nil {
+		t.Errorf("composite constant in the system equation rejected: %v", err)
 	}
 }
 

@@ -16,74 +16,80 @@ import (
 // component this reduces the state count from k^n to C(n+k-1, k-1) — the
 // standard mitigation for the "state-space explosion" of §II.A.
 //
+// The canonical form flattens each maximal cooperation chain over one
+// action set, puts its operands (each in canonical form) in the order of
+// their canonical syntax, and rebuilds the chain left-associatively; a
+// sequential component or a still-folded constant is its own canonical
+// form. An aggregated walker compiles every chain into one sorted node,
+// orders its operands per state, and indexes states by canonical string.
+//
 // The lumped chain is exactly Markov-equivalent for all measures definable
 // on canonical states (ordinary lumpability of the symmetric partition).
 
-// Canonicalize rewrites a process term into aggregation canonical form:
-// maximal cooperation chains over one action set are flattened, operands
-// canonicalized recursively and sorted by their canonical syntax, and the
-// chain rebuilt left-associatively over its own (already normalized) set.
-// Sequential constructs are returned unchanged.
-func Canonicalize(p pepa.Process) pepa.Process {
-	switch t := p.(type) {
-	case *pepa.Coop:
-		ops := chainOperands(make([]operand, 0, chainLen(t, t.Set)), t, t.Set)
-		// Render each canonical operand once, back to back into one
-		// buffer; the sort compares spans of it.
-		var buf []byte
-		for i := range ops {
-			ops[i].term = Canonicalize(ops[i].term)
-			ops[i].start = len(buf)
-			buf = pepa.AppendString(buf, ops[i].term)
-			ops[i].end = len(buf)
-		}
-		slices.SortStableFunc(ops, func(a, b operand) int {
-			return bytes.Compare(buf[a.start:a.end], buf[b.start:b.end])
-		})
-		out := ops[0].term
-		for _, op := range ops[1:] {
-			out = &pepa.Coop{Left: out, Right: op.term, Set: t.Set}
-		}
-		return out
-	case *pepa.Hide:
-		return &pepa.Hide{Proc: Canonicalize(t.Proc), Set: t.Set}
-	default:
-		return p
-	}
+// operand is one operand of an aggregated chain, with the span of its
+// canonical syntax in the chain's key buffer.
+type operand struct {
+	node       int32
+	start, end int
 }
 
-// operand is one operand of a flattened cooperation chain, with the span
-// of the buffer its canonical syntax is rendered into.
-type operand struct {
-	term       pepa.Process
-	start, end int
+// order returns chain n's operands under v in canonical order, with the
+// buffer their canonical syntax is rendered into. An unfolded fold that
+// merges into the chain contributes its body's operands.
+func (w *Walker) order(n *node, v []int32) ([]operand, []byte) {
+	ops := w.operands(nil, n, v)
+	var keys []byte
+	for i := range ops {
+		ops[i].start = len(keys)
+		keys = w.render(keys, ops[i].node, v)
+		ops[i].end = len(keys)
+	}
+	slices.SortStableFunc(ops, func(a, b operand) int {
+		return bytes.Compare(keys[a.start:a.end], keys[b.start:b.end])
+	})
+	return ops, keys
+}
+
+// operands appends chain n's operands under v, in term order.
+func (w *Walker) operands(dst []operand, n *node, v []int32) []operand {
+	for _, k := range n.kids {
+		if kn := &w.c.nodes[k]; kn.kind == foldNode && kn.merge && v[kn.slot] == 0 {
+			dst = w.operands(dst, &w.c.nodes[kn.kids[0]], v)
+			continue
+		}
+		dst = append(dst, operand{node: k})
+	}
+	return dst
+}
+
+// chain appends the left-nested cooperation of ops over n's set as
+// pepa.AppendString renders it: the first operand parenthesized only if a
+// choice, the others also if a cooperation.
+func (w *Walker) chain(dst []byte, n *node, ops []operand, keys []byte, v []int32) []byte {
+	for i, op := range ops {
+		if len(ops) == 1 {
+			return append(dst, keys[op.start:op.end]...)
+		}
+		if i > 0 {
+			dst = append(dst, n.text...)
+		}
+		k := w.kind(op.node, v)
+		if k == kindChoice || (i > 0 && k == kindCoop) {
+			dst = append(dst, '(')
+			dst = append(dst, keys[op.start:op.end]...)
+			dst = append(dst, ')')
+		} else {
+			dst = append(dst, keys[op.start:op.end]...)
+		}
+	}
+	return dst
 }
 
 // chainOperands appends the operands of the maximal cooperation chain
 // over set rooted at p (both spines), in order.
-func chainOperands(dst []operand, p pepa.Process, set []string) []operand {
-	if sub, ok := p.(*pepa.Coop); ok && sameSet(sub.Set, set) {
+func chainOperands(dst []pepa.Process, p pepa.Process, set []string) []pepa.Process {
+	if sub, ok := p.(*pepa.Coop); ok && slices.Equal(sub.Set, set) {
 		return chainOperands(chainOperands(dst, sub.Left, set), sub.Right, set)
 	}
-	return append(dst, operand{term: p})
-}
-
-// chainLen counts the operands chainOperands collects.
-func chainLen(p pepa.Process, set []string) int {
-	if sub, ok := p.(*pepa.Coop); ok && sameSet(sub.Set, set) {
-		return chainLen(sub.Left, set) + chainLen(sub.Right, set)
-	}
-	return 1
-}
-
-func sameSet(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return append(dst, p)
 }

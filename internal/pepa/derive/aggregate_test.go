@@ -20,10 +20,20 @@ func replicated(n int) *pepa.Model {
 	return pepa.MustParse(b.String())
 }
 
+// canonical returns the aggregated initial state of a model: its system
+// equation in aggregation canonical form.
+func canonical(t *testing.T, m *pepa.Model) string {
+	t.Helper()
+	ss, err := Explore(m, Options{Aggregate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss.States[0]
+}
+
 func TestCanonicalizeSortsOperands(t *testing.T) {
 	m := pepa.MustParse("A = (a,1).A; B = (b,1).B; B || A")
-	c := Canonicalize(m.System)
-	if got := c.String(); got != "A <> B" {
+	if got := canonical(t, m); got != "A <> B" {
 		t.Errorf("canonical form = %q, want %q", got, "A <> B")
 	}
 }
@@ -33,10 +43,9 @@ func TestCanonicalizeFlattensChains(t *testing.T) {
 	// grouping.
 	m1 := pepa.MustParse("A=(a,1).A; B=(b,1).B; C=(c,1).C; D=(d,1).D; (C || D) || (B || A)")
 	m2 := pepa.MustParse("A=(a,1).A; B=(b,1).B; C=(c,1).C; D=(d,1).D; A || (B || (C || D))")
-	c1 := Canonicalize(m1.System).String()
-	c2 := Canonicalize(m2.System).String()
-	if c1 != c2 {
-		t.Errorf("groupings canonicalize differently: %q vs %q", c1, c2)
+	c1, c2 := canonical(t, m1), canonical(t, m2)
+	if c1 != c2 || c1 != "A <> B <> C <> D" {
+		t.Errorf("groupings canonicalize to %q and %q, want %q", c1, c2, "A <> B <> C <> D")
 	}
 }
 
@@ -44,16 +53,8 @@ func TestCanonicalizeRespectsDifferentSets(t *testing.T) {
 	// P <a> (Q <b> R): inner chain has a different set and must not be
 	// flattened into the outer.
 	m := pepa.MustParse("P=(a,1).P; Q=(a,T).Q1; Q1=(b,1).Q; R=(b,T).R; P <a> (Q <b> R)")
-	c := Canonicalize(m.System)
-	coop, ok := c.(*pepa.Coop)
-	if !ok {
-		t.Fatalf("canonical form is %T", c)
-	}
-	// One side must still be a <b>-cooperation.
-	_, leftCoop := coop.Left.(*pepa.Coop)
-	_, rightCoop := coop.Right.(*pepa.Coop)
-	if !leftCoop && !rightCoop {
-		t.Errorf("nested different-set cooperation was flattened: %s", c)
+	if got, want := canonical(t, m), "P <a> (Q <b> R)"; got != want {
+		t.Errorf("canonical form = %q, want %q", got, want)
 	}
 }
 
@@ -180,10 +181,13 @@ Disp = (job, 3).Disp;
 }
 
 func TestAggregationIdempotent(t *testing.T) {
-	m := replicated(3)
-	c1 := Canonicalize(m.System)
-	c2 := Canonicalize(c1)
-	if c1.String() != c2.String() {
+	// The canonical form, read back as a system equation, is its own
+	// canonical form.
+	const defs = "C = (up, 1).D; D = (down, 2).C;\n"
+	m := pepa.MustParse(defs + "C || (D || C)")
+	c1 := canonical(t, m)
+	c2 := canonical(t, pepa.MustParse(defs+c1))
+	if c1 != c2 || c1 != "C <> C <> D" {
 		t.Errorf("canonicalization not idempotent: %q vs %q", c1, c2)
 	}
 }

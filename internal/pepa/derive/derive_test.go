@@ -1,6 +1,7 @@
 package derive
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -151,10 +152,17 @@ func TestHidingRenamesToTau(t *testing.T) {
 
 func TestApparentRateOfChoice(t *testing.T) {
 	m := pepa.MustParse("P = (a, 1).P + (a, 2).P + (b, 5).P; P")
-	d := NewDeriver(m)
-	ra, err := d.ApparentRate(&pepa.Const{Name: "P"}, "a")
+	l, err := NewLocals(m, []pepa.Process{m.System})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var ra pepa.Rate
+	for _, tr := range l.Trans[0] {
+		if tr.Action == "a" {
+			if ra, err = ra.Add(tr.Rate); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if ra.Passive || math.Abs(ra.Value-3) > 1e-15 {
 		t.Errorf("apparent rate of a = %v, want 3", ra)
@@ -171,6 +179,26 @@ func TestApparentRateConservedByCooperation(t *testing.T) {
 	}
 	if math.Abs(total-4) > 1e-12 { // min(1+3, 2+2) = 4
 		t.Errorf("total shared rate = %g, want 4", total)
+	}
+}
+
+func TestExploreRejectsCompositeConstantInSequentialComponent(t *testing.T) {
+	// Sys is reached as P's continuation but stands for a cooperation, so
+	// the model's structure would change as it runs.
+	for _, src := range []string{
+		"r = 1; P = (a, r).Sys; Sys = Q <b> R; Q = (b, 1).Q; R = (b, T).R; P",
+		"r = 1; P = (a, r).P + Sys; Sys = Alias; Alias = (Q <b> R)/{b}; Q = (b, 1).Q; R = (b, T).R; P",
+	} {
+		m := pepa.MustParse(src)
+		_, err := Explore(m, Options{})
+		var ce *pepa.CompositeConstError
+		if !errors.As(err, &ce) || ce.Name != "Sys" {
+			t.Errorf("%s: Explore error = %v, want a CompositeConstError naming Sys", src, err)
+		}
+		var checked *pepa.CompositeConstError
+		if !errors.As(pepa.Check(m).Err(), &checked) || checked.Name != ce.Name {
+			t.Errorf("%s: Check and Explore name different constants", src)
+		}
 	}
 }
 
@@ -255,21 +283,23 @@ func TestRightNestedCooperationKeepsItsOwnTransitions(t *testing.T) {
 P = (a, r).P + (b, r).P; Q = (a, r).Q; R = (b, s).R + (c, s).R;
 ((P <a> Q) <b> R) <> (P <a> (Q <b> R))`)
 	sys := ss.Model.System.(*pepa.Coop)
-	var want []Transition
+	var want []Activity
 	for _, op := range []pepa.Process{sys.Left, sys.Right} {
-		ts, err := NewDeriver(ss.Model).Transitions(op)
+		m := ss.Model.Clone()
+		m.System = op
+		alone, err := Explore(m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, ts...)
+		want = append(want, alone.Trans[0]...)
 	}
 	got := ss.Trans[0]
 	if len(got) != len(want) {
 		t.Fatalf("state 0 has %d transitions, the operands derived separately %d", len(got), len(want))
 	}
 	for i, w := range want {
-		if got[i].Action != w.Action || got[i].Rate != w.Rate.Value || got[i].To != 0 {
-			t.Errorf("transition %d = (%s, %g) to %d, want (%s, %g) to 0", i, got[i].Action, got[i].Rate, got[i].To, w.Action, w.Rate.Value)
+		if got[i].Action != w.Action || got[i].Rate != w.Rate || got[i].To != 0 {
+			t.Errorf("transition %d = (%s, %g) to %d, want (%s, %g) to 0", i, got[i].Action, got[i].Rate, got[i].To, w.Action, w.Rate)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/pepa"
 	"repro/internal/pepa/derive"
+	"repro/internal/robustness"
 )
 
 // pclanSource renders core.PCLAN4Model widened to n stations: station i
@@ -52,4 +53,46 @@ func BenchmarkExplore(b *testing.B) {
 			b.Fatalf("states = %d, transitions = %d, want 2048 and 16384", ss.NumStates(), ss.NumTransitions())
 		}
 	}
+}
+
+// BenchmarkExploreSmall derives the small models every sweep op derives:
+// the ten Table I machine models (both mappings, absorbing) and a
+// 6-station PC LAN. A compiled form that costs more to set up than it
+// saves on small models shows here first; it is gated beside
+// BenchmarkExplore.
+func BenchmarkExploreSmall(b *testing.B) {
+	study := robustness.NewStudy()
+	var machines []*pepa.Model
+	for _, mapping := range []string{robustness.MappingA, robustness.MappingB} {
+		for j := 0; j < robustness.NumMachines; j++ {
+			m, err := study.MachineModel(mapping, j, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			machines = append(machines, m)
+		}
+	}
+	b.Run("tableI", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, m := range machines {
+				if _, err := derive.Explore(m, derive.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	lan := pepa.MustParse(pclanSource(6))
+	b.Run("pclan6", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ss, err := derive.Explore(lan, derive.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if ss.NumStates() != 128 {
+				b.Fatalf("states = %d, want 128", ss.NumStates())
+			}
+		}
+	})
 }

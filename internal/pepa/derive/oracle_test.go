@@ -33,7 +33,7 @@ type oracleModel struct {
 
 // oracleModels lists the models whose state spaces the digests pin: the
 // PEPA tool examples, every Table I machine model (absorbing and cyclic),
-// the 10-station PC LAN, and conformance seeds 1–300.
+// the 10-station PC LAN, conformance seeds 1–300, and the shape models.
 func oracleModels(t *testing.T) []oracleModel {
 	t.Helper()
 	var out []oracleModel
@@ -69,7 +69,55 @@ func oracleModels(t *testing.T) []oracleModel {
 		}
 		out = append(out, oracleModel{fmt.Sprintf("conformance/seed=%d", seed), g.Model})
 	}
+	for _, sm := range shapeModels {
+		m, err := pepa.Parse(sm.src)
+		if err != nil {
+			t.Fatalf("%s: %v", sm.name, err)
+		}
+		if res := pepa.Check(m); res.Err() != nil {
+			t.Fatalf("%s: %v", sm.name, res.Err())
+		}
+		out = append(out, oracleModel{"shape/" + sm.name, m})
+	}
 	return out
+}
+
+// shapeComponents defines the sequential components the shape models
+// compose: toggles with private and shared actions, a passive partner,
+// and a three-way choice.
+const shapeComponents = `r = 1.5; s = 0.5; u = 2;
+A = (a, r).A1 + (b, s).A; A1 = (c, u).A;
+B = (a, T).B1; B1 = (d, s).B;
+C = (b, u).C1; C1 = (e, r).C + (a, s).C;
+D = (a, 2 * r).D1 + (f, 1).D; D1 = (b, T).D;
+`
+
+// shapeModels cover the process shapes the generated models never
+// produce: hiding over a leaf, a cooperation and a constant, composite
+// constants folded at the top and as chain operands, inline prefix and
+// choice terms as leaves, and aggregated chains whose operands mix
+// leaves with compound terms.
+var shapeModels = []struct{ name, src string }{
+	{"hide-leaf", shapeComponents + "(A/{a}) <b> C"},
+	{"hide-coop", shapeComponents + "(A <a> B)/{a} <b> C"},
+	{"hide-coop-nested", shapeComponents + "((A <a> B)/{c} <b> C)/{b,e}"},
+	{"hidden-constant", shapeComponents + "H = (A <a> B)/{a}; H <b> C"},
+	{"hide-over-constant", shapeComponents + "H = A <a> B; H/{a,d}"},
+	{"folded-system", shapeComponents + "Sys = A <a> B; Sys"},
+	{"folded-system-chain", shapeComponents + "Sys = S2; S2 = (A <a> B) <b> C; Sys"},
+	{"folded-nested", shapeComponents + "Sys = Inner <b> C; Inner = A <a> B; Sys"},
+	{"folded-operand-same-set", shapeComponents + "Pair = A <a> B; Pair <a> C"},
+	{"folded-operand-same-set-twice", shapeComponents + "Pair = A <a> B; Pair <a> C <a> Pair"},
+	{"folded-operand-other-set", shapeComponents + "Pair = A <a> B; Pair <b> C"},
+	{"folded-operand-twice", shapeComponents + "Pair = A <a> B; Pair || Pair"},
+	{"folded-operand-replicas", shapeComponents + "Pair = A <a> B; (Pair || C) || (Pair || C)"},
+	{"inline-prefix-leaf", shapeComponents + "(a, r).(c, u).A <a> B"},
+	{"inline-choice-leaf", shapeComponents + "((a, r).A1 + (b, s).C + (a, u).A) <a> B"},
+	{"choice-leaf-right", shapeComponents + "B <a> ((a, r).A1 + (f, s).C)"},
+	{"mixed-chain", shapeComponents + "(A <a> B) <b> C <b> (D <a> B)"},
+	{"mixed-chain-replicas", shapeComponents + "(A <a> B) || C || (A <a> B) || C"},
+	{"right-nested", shapeComponents + "A <a> (B <a> (D <b> C))"},
+	{"mixed-chain-hide", shapeComponents + "(A <a> B)/{d} || C || A/{a} || (a, r).A1"},
 }
 
 // digestSpace hashes everything Explore decides: the state count, each

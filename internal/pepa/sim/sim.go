@@ -128,33 +128,37 @@ func run(ctx context.Context, m *pepa.Model, opt Options) (*Result, error) {
 	if opt.MaxEvents <= 0 {
 		opt.MaxEvents = 10_000_000
 	}
-	d := derive.NewDeriver(m)
+	w, err := derive.NewWalker(m, derive.Options{})
+	if err != nil {
+		return nil, err
+	}
 	r := rng.New(opt.Seed)
 	res := &Result{ActionCounts: map[string]int{}, StateTime: map[string]float64{}}
 
-	cur := m.System
+	cur := 0 // the system equation
 	t := 0.0
+	var weights []float64
 	for {
 		if cerr := ctx.Err(); cerr != nil {
 			res.Time = t
-			res.FinalState = cur.String()
+			res.FinalState = w.State(cur)
 			runctx.Record(opt.Obs, "sim.run", cerr)
 			ec := runctx.New("sim.run", cerr, res.Events, 0, "events")
 			ec.Partial = res
 			return res, ec
 		}
-		trs, err := d.Transitions(cur)
+		trs, err := w.Transitions(cur)
 		if err != nil {
 			return nil, err
 		}
 		var total float64
 		for _, tr := range trs {
 			if tr.Rate.Passive {
-				return nil, fmt.Errorf("sim: state %s offers action %q at an unresolved passive rate", cur, tr.Action)
+				return nil, fmt.Errorf("sim: state %s offers action %q at an unresolved passive rate", w.State(cur), tr.Action)
 			}
 			total += tr.Rate.Value
 		}
-		key := cur.String()
+		key := w.State(cur)
 		if total <= 0 {
 			// Absorbing: the rest of the horizon is spent here.
 			res.StateTime[key] += opt.Horizon - t
@@ -173,17 +177,19 @@ func run(ctx context.Context, m *pepa.Model, opt Options) (*Result, error) {
 		res.StateTime[key] += dwell
 		t += dwell
 		// Choose the next activity proportionally to its rate.
-		weights := make([]float64, len(trs))
-		for i, tr := range trs {
-			weights[i] = tr.Rate.Value
+		weights = weights[:0]
+		for _, tr := range trs {
+			weights = append(weights, tr.Rate.Value)
 		}
 		chosen := trs[r.Choose(weights)]
 		res.ActionCounts[chosen.Action]++
 		res.Events++
-		cur = chosen.Target
+		if cur, err = w.Target(cur, chosen); err != nil {
+			return nil, err
+		}
 		if res.Events >= opt.MaxEvents {
 			res.Time = t
-			res.FinalState = cur.String()
+			res.FinalState = w.State(cur)
 			return res, fmt.Errorf("sim: event budget %d exhausted at t=%g", opt.MaxEvents, t)
 		}
 	}
@@ -234,8 +240,8 @@ type ensemblePayload struct {
 }
 
 // RunEnsemble simulates n replications, in parallel when Options.Workers
-// allows. Each replication derives its own seed and builds its own
-// Deriver, so workers share nothing; the reduction runs in replication
+// allows. Each replication derives its own seed and compiles its own
+// derive.Walker, so workers share nothing; the reduction runs in replication
 // order for bit-stable results.
 func RunEnsemble(m *pepa.Model, opt Options, n int) (*Ensemble, error) {
 	return RunEnsembleCtx(context.Background(), m, opt, n)
