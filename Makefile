@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench bench-snapshot bench-compare bench-baseline bench-scaling bench-sweep bench-build repro chaos chaos-cancel chaos-hub chaos-cluster conformance conformance-deep fuzz fuzz-smoke goldens clean
+.PHONY: all build vet test race bench-smoke bench bench-snapshot bench-compare bench-baseline bench-scaling bench-build repro chaos chaos-cancel chaos-hub chaos-cluster conformance conformance-deep fuzz fuzz-smoke goldens clean
 
 # Solve-path benchmarks recorded in BENCH_baseline.json (docs/PERFORMANCE.md).
 # Which of them benchcmp actually gates is its -gate regex; the rest are
@@ -12,11 +12,6 @@ GO ?= go
 # ns/op, which catches scratch-buffer regressions timing noise absorbs.
 BENCH_GATED = ^(BenchmarkTransientSeries|BenchmarkTransientWorkers|BenchmarkFirstPassageCDF|BenchmarkToCSR|BenchmarkVecMulParallel|BenchmarkAssemblyReuse|BenchmarkPerturbationSweep|BenchmarkSteadyStateStiff|BenchmarkExplore|BenchmarkExploreSmall)$$
 BENCH_PKGS  = ./internal/ctmc ./internal/numeric/sparse ./internal/robustness ./internal/pepa/derive
-
-# Sweep-throughput benchmarks (ISSUE 9): assembly-plan reuse, the family-
-# backed perturbation sweep, and the stiff steady-state ladder. Reported
-# against the baseline without gating — the non-blocking CI lane.
-BENCH_SWEEP = ^(BenchmarkAssemblyReuse|BenchmarkPerturbationSweep|BenchmarkSteadyStateStiff)$$
 
 all: build vet test
 
@@ -72,16 +67,6 @@ bench-baseline:
 bench-scaling:
 	$(GO) test -run XXX -bench '^BenchmarkTransientWorkers$$' -benchmem -benchtime 10x -count 3 ./internal/ctmc \
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_baseline.json -gate '^$$' -out bench_scaling.json
-
-# Sweep-throughput lane (docs/PERFORMANCE.md): assembly-plan reuse vs cold
-# CSR assembly, the family-backed perturbation sweep, and the stiff
-# steady-state ladder with its Krylov rung.
-# Non-blocking: everything is reported against the baseline but nothing is
-# gated ('-gate ^$'), so CI surfaces drift without failing the build while
-# the cache's hit pattern still settles across machine profiles.
-bench-sweep:
-	$(GO) test -run XXX -bench '$(BENCH_SWEEP)' -benchmem -benchtime 10x -count 3 $(BENCH_PKGS) \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_baseline.json -gate '^$$' -out bench_sweep.json
 
 # Staged-build benchmarks (docs/PERFORMANCE.md): cold (all stages execute)
 # vs warm (only the edited last stage executes). Informational — new

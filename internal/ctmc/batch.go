@@ -39,8 +39,8 @@ import (
 // members finished.
 func (f *ChainFamily) FirstPassageCDFs(ctx context.Context, rates [][]float64, p0 []float64, targets []int, times []float64, eps float64, reg *obs.Registry) ([][]float64, error) {
 	n := f.ss.NumStates()
-	if len(p0) != n {
-		return nil, fmt.Errorf("ctmc: initial distribution length %d != %d states", len(p0), n)
+	if err := checkInitial(p0, n); err != nil {
+		return nil, err
 	}
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("ctmc: empty passage target set")
@@ -164,9 +164,8 @@ func (b *passageBatch) slotSums(k int) {
 
 // uniformizationRate returns member k's uniformization rate: the largest
 // absorbing exit rate, each summing a non-target row's off-diagonal slots
-// in column order and taken in row order, as absorbingChain and
-// MaxExitRate do. A negative off-diagonal is rejected as absorbingChain
-// rejects it.
+// in column order and taken in row order, as Chain.absorbingRate does. A
+// negative off-diagonal is rejected as absorbingRate rejects it.
 func (b *passageBatch) uniformizationRate(k int) (float64, error) {
 	b.slotSums(k)
 	var q float64
@@ -246,8 +245,8 @@ func (b *passageBatch) solveGroup(ctx context.Context, members []int, q float64)
 
 // fillP writes member k's uniformized values into slot m of a g-member
 // group's pv, exactly as uniformized computes them for the member's
-// absorbing chain: v/q off the diagonal and 1 - Σ v/q (in column order) on
-// it for a non-target row, the identity row for a target.
+// targets: v/q off the diagonal and 1 - Σ v/q (in column order) on it for
+// a non-target row, the identity row for a target.
 func (b *passageBatch) fillP(pv []float64, g, m, k int, q float64) {
 	b.slotSums(k)
 	for i, tgt := range b.isTarget {
@@ -271,7 +270,7 @@ func (b *passageBatch) fillP(pv []float64, g, m, k int, q float64) {
 }
 
 // compact turns a lone member's P, laid on the shared pattern, into the
-// CSR uniformized builds for its absorbing chain: the exact zeros are
+// CSR uniformized builds for the member's targets: the exact zeros are
 // dropped in place, so the windowed scatter does the per-member path's
 // work and no more.
 func (b *passageBatch) compact(pv []float64) *sparse.CSR {
@@ -372,10 +371,15 @@ func lockstep(ctx context.Context, rowPtr, col []int, pv []float64, g int, w *po
 }
 
 // passageWeights returns the Poisson table for one group's grid step from
-// the family's shared cache, computing and publishing it on a miss.
+// the family's store, computing and publishing it on a miss. Tables depend
+// only on (lambda, eps), never on the matrix, so sharing them across
+// calls and members is exact; the store is bounded by maxWeightTables.
 func (f *ChainFamily) passageWeights(lambda, eps float64, reg *obs.Registry) (*poisson.Weights, error) {
 	key := weightKey{lambda, eps}
-	if w, ok := f.poisson(key); ok {
+	f.mu.Lock()
+	w, ok := f.weights[key]
+	f.mu.Unlock()
+	if ok {
 		reg.Inc("ctmc_poisson_cache_total", obs.L("outcome", "family-hit"))
 		return w, nil
 	}
@@ -384,6 +388,11 @@ func (f *ChainFamily) passageWeights(lambda, eps float64, reg *obs.Registry) (*p
 	if err != nil {
 		return nil, err
 	}
-	f.storePoisson(key, w)
+	f.mu.Lock()
+	if f.weights == nil || len(f.weights) >= maxWeightTables {
+		f.weights = make(map[weightKey]*poisson.Weights)
+	}
+	f.weights[key] = w
+	f.mu.Unlock()
 	return w, nil
 }

@@ -152,6 +152,10 @@ func TestFirstPassageCDFsBitIdenticalBattery(t *testing.T) {
 
 		// The per-member oracle, which also reports each member's q and
 		// whether the row that sets it keeps a diagonal.
+		isTarget := make([]bool, n)
+		for _, s := range targets {
+			isTarget[s] = true
+		}
 		chains := make([]*Chain, members)
 		qs := map[float64]int{}
 		var qmax float64
@@ -165,19 +169,28 @@ func TestFirstPassageCDFsBitIdenticalBattery(t *testing.T) {
 				t.Fatal(err)
 			}
 			chains[k] = chain
-			abs, _, err := chain.absorbingChain(targets)
+			q, err := chain.absorbingRate(isTarget)
 			if err != nil {
 				t.Fatal(err)
 			}
-			q := abs.MaxExitRate()
 			qs[q]++
 			qmax = math.Max(qmax, q)
 			if q == 0 {
 				continue
 			}
-			for i, e := range abs.ExitRate {
-				if e == q {
-					if abs.uniformized(q).At(i, i) == 0 {
+			p := chain.uniformized(q, isTarget)
+			for i := 0; i < n; i++ {
+				if isTarget[i] {
+					continue
+				}
+				var exit float64
+				chain.Q.Row(i, func(j int, v float64) {
+					if j != i {
+						exit += v
+					}
+				})
+				if exit == q {
+					if p.At(i, i) == 0 {
 						zeroDiag++
 					} else {
 						nonzeroDiag++

@@ -1,9 +1,9 @@
 package ctmc
 
-// Solve-path benchmarks gated by `make bench-compare`. The cached/uncached
-// split on BenchmarkTransientSeries quantifies the uniformization cache;
-// the workers sub-benchmarks show multi-core scaling of the transpose
-// kernel on the same grid.
+// Solve-path benchmarks gated by `make bench-compare`. Each solve builds
+// its operators afresh (a chain keeps no solve state), so the series and
+// passage benchmarks time whole calls; the workers sub-benchmarks show
+// multi-core scaling of the transpose kernel.
 
 import (
 	"fmt"
@@ -11,10 +11,9 @@ import (
 	"testing"
 )
 
-func benchSeriesChain(k, workers int, uncached bool) *Chain {
+func benchSeriesChain(k, workers int) *Chain {
 	c := NewChain(k+1, benchChainRates(k))
 	c.Workers = workers
-	c.noSolveCache = uncached
 	return c
 }
 
@@ -48,8 +47,7 @@ func runSeriesDense(b *testing.B, c *Chain, points int, dt float64) {
 
 func BenchmarkTransientSeries(b *testing.B) {
 	const k = 2000 // 2001 states, ~6k nonzeros: Fig 3/4 scale
-	b.Run("uncached", func(b *testing.B) { runSeries(b, benchSeriesChain(k, 0, true), 40, 0.25) })
-	b.Run("cached", func(b *testing.B) { runSeries(b, benchSeriesChain(k, 0, false), 40, 0.25) })
+	runSeries(b, benchSeriesChain(k, 0), 40, 0.25)
 }
 
 func BenchmarkTransientWorkers(b *testing.B) {
@@ -71,7 +69,7 @@ func BenchmarkTransientWorkers(b *testing.B) {
 			if w > runtime.GOMAXPROCS(0) {
 				b.Skipf("workers=%d exceeds GOMAXPROCS=%d; scaling not measurable", w, runtime.GOMAXPROCS(0))
 			}
-			runSeriesDense(b, benchSeriesChain(k, w, false), 8, 0.5)
+			runSeriesDense(b, benchSeriesChain(k, w), 8, 0.5)
 		})
 	}
 }
@@ -80,7 +78,7 @@ func BenchmarkTransientWorkers(b *testing.B) {
 // birth–death chain tuned so Gauss–Seidel and power iteration reject
 // within the sweep budget and the BiCGStab rung accepts: the full
 // GS-fail + power-fail + Krylov-accept sequence is the steady cost of a
-// stiff model, so it is what `make bench-sweep` tracks.
+// stiff model, so it is what `make bench-compare` tracks.
 func BenchmarkSteadyStateStiff(b *testing.B) {
 	c := stiffChain(400)
 	b.ReportAllocs()

@@ -11,10 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/numeric/linalg"
 	"repro/internal/numeric/poisson"
@@ -27,15 +26,18 @@ import (
 
 // Chain is a CTMC: a generator matrix Q (CSR) plus the action-labelled
 // rate matrices needed for throughput rewards.
+//
+// A Chain holds no solve state. Each solve derives what it needs from Q
+// when it is called — Qᵀ, the uniformized DTMC and its transpose, Poisson
+// weight tables, partition plans, a worker pool — and keeps none of it
+// after it returns, so concurrent solves share nothing but the read-only
+// chain.
 type Chain struct {
 	N int
 	// Q is the infinitesimal generator: Q[i][j] is the total rate from i to
 	// j (i != j), and Q[i][i] = -sum of the row's off-diagonal rates.
-	//
-	// The solvers memoize operators derived from Q (see solveCache).
-	// Replacing Q with a new matrix is detected automatically; mutating the
-	// stored matrix in place is not supported — call InvalidateSolveCache
-	// after doing so (see docs/PERFORMANCE.md for the full contract).
+	// Nothing derived from Q outlives a call, so Q may be replaced or
+	// edited in place between solves (keeping ExitRate consistent with it).
 	Q *sparse.CSR
 	// ExitRate[i] is the total outgoing rate of state i.
 	ExitRate []float64
@@ -45,7 +47,7 @@ type Chain struct {
 	// Initial is the index of the initial state (0 for derived spaces).
 	Initial int
 	// Obs, when non-nil, receives solver metrics (stage iterations,
-	// residuals, uniformization truncation depths, cache hit rates).
+	// residuals, uniformization truncation depths, Poisson-table reuse).
 	// Nil costs nothing.
 	Obs *obs.Registry
 	// Workers bounds the goroutines the solve kernels use for
@@ -53,269 +55,16 @@ type Chain struct {
 	// kernel is bit-identical to its sequential twin, so Workers changes
 	// wall-clock time only, never a single output bit.
 	Workers int
-
-	// mu guards cache and pool: chains may be shared across goroutines
-	// (the makespan fan-out, conformance sweeps).
-	mu    sync.Mutex
-	cache *solveCache
-	// pool is the persistent worker pool the parallel kernels dispatch
-	// on, created lazily by the first Workers > 1 solve (or shared from
-	// the parent chain by absorbingChain, in which case poolOwned is false
-	// and the parent owns its lifecycle). An owned pool is shut down by
-	// InvalidateSolveCache and by the finalizer installed at creation, so
-	// dropping a chain never strands its worker goroutines.
-	pool      *sparse.Pool
-	poolOwned bool
-	// finalizerSet records that the shutdownPool finalizer is installed
-	// (SetFinalizer panics if installed twice, and pool regrowth creates
-	// a second pool over the chain's lifetime).
-	finalizerSet bool
-	// noSolveCache disables all memoization (tests and the cached-vs-
-	// uncached benchmarks; the zero value — caching on — is the API).
-	noSolveCache bool
-	// family, when non-nil, is the ChainFamily this chain was assembled
-	// by. Members route Poisson weight lookups and absorbing-transform
-	// assembly through the family's shared caches (both are exact to
-	// share: weights depend only on (lambda, eps), and the absorbing
-	// plan is pattern-validated per member).
-	family *ChainFamily
 }
 
-// solveCache memoizes the operators the hot solve path derives from Q:
-// Qᵀ for the steady-state stages, the uniformized DTMC P = I + Q/q per
-// uniformization rate (plus its transpose, built lazily for the parallel
-// kernels), the truncated Poisson weight tables per (lambda, eps) — shared
-// across the uniform-dt steps of a TransientSeries grid — and the last
-// absorbing chain built by FirstPassageCDF. The cache is keyed to the
-// identity and nonzero count of Q, so swapping in a different generator
-// rebuilds everything.
-type solveCache struct {
-	q   *sparse.CSR // the generator these operators were derived from
-	nnz int
-
-	qt      *sparse.CSR
-	uni     map[float64]*sparse.CSR // uniformization rate -> P
-	uniT    map[float64]*sparse.CSR // uniformization rate -> Pᵀ
-	weights map[weightKey]*poisson.Weights
-	// plans memoizes the nnz-balanced row partitions of the parallel
-	// kernels per (operand matrix, workers), so the per-term dispatch
-	// costs a map lookup instead of a fresh round of binary searches.
-	plans map[planKey]*sparse.Plan
-
-	passageKey     string
-	passageChain   *Chain
-	passageTargets []bool
-}
-
+// weightKey identifies a truncated Poisson weight table.
 type weightKey struct{ lambda, eps float64 }
 
-type planKey struct {
-	m       *sparse.CSR
-	workers int
-}
-
-// maxWeightTables bounds the Poisson weight memo: a uniform time grid needs
-// exactly one table, an irregular one needs one per distinct step, and a
-// pathological caller cycling through horizons gets the map reset instead
-// of unbounded growth.
+// maxWeightTables bounds the Poisson weight tables a call keeps, and a
+// family's store: a uniform time grid needs exactly one table, an
+// irregular one needs one per distinct step, and a pathological caller
+// cycling through horizons gets the map reset instead of unbounded growth.
 const maxWeightTables = 256
-
-// InvalidateSolveCache drops every memoized solve operator and shuts down
-// the chain's owned worker pool (goroutine counts return to baseline
-// before it returns). Callers that mutate c.Q in place (rather than
-// replacing it, which is detected) must call this before the next solve.
-// The invalidation cascades to the memoized absorbing passage chain, so
-// its operators and pool are released too.
-func (c *Chain) InvalidateSolveCache() {
-	c.mu.Lock()
-	sc := c.cache
-	c.cache = nil
-	pool, owned := c.pool, c.poolOwned
-	c.pool, c.poolOwned = nil, false
-	c.mu.Unlock()
-	if owned {
-		pool.Close()
-	}
-	if sc != nil && sc.passageChain != nil {
-		sc.passageChain.InvalidateSolveCache()
-	}
-}
-
-// shutdownPool releases the owned worker pool; it is both the tail of
-// InvalidateSolveCache's pool handling and the finalizer installed when
-// the pool is created, so a chain dropped without an explicit invalidate
-// never strands its worker goroutines.
-func (c *Chain) shutdownPool() {
-	c.mu.Lock()
-	pool, owned := c.pool, c.poolOwned
-	c.pool, c.poolOwned = nil, false
-	c.mu.Unlock()
-	if owned {
-		pool.Close()
-	}
-}
-
-// solvePool returns the chain's persistent worker pool for a solve with
-// the given worker count, creating it lazily on first use. The pool runs
-// workers-1 pinned goroutines — the solving goroutine itself executes the
-// final partition of every dispatch — and is replaced (old one closed) if
-// a later solve asks for more workers than it has. Returns nil for
-// workers <= 1: the kernels treat a nil pool as inline execution.
-func (c *Chain) solvePool(workers int) *sparse.Pool {
-	if workers <= 1 {
-		return nil
-	}
-	size := workers - 1
-	c.mu.Lock()
-	if c.pool != nil && (!c.poolOwned || c.pool.Size() >= size) {
-		p := c.pool
-		c.mu.Unlock()
-		return p
-	}
-	old := c.pool
-	p := sparse.NewPool(size)
-	c.pool = p
-	c.poolOwned = true
-	installFinalizer := !c.finalizerSet
-	c.finalizerSet = true
-	c.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	if installFinalizer {
-		runtime.SetFinalizer(c, (*Chain).shutdownPool)
-	}
-	return p
-}
-
-// planCached returns the memoized nnz-balanced row partition of m for the
-// given worker count, planning it on first use. Plans are cached next to
-// the operator they partition (the uniformized transpose, Qᵀ), so the
-// per-term dispatch of a transient series costs a map lookup.
-func (c *Chain) planCached(m *sparse.CSR, workers int) *sparse.Plan {
-	if c.noSolveCache {
-		return sparse.NewPlan(m, workers)
-	}
-	key := planKey{m: m, workers: workers}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sc := c.cacheLocked()
-	if pl, ok := sc.plans[key]; ok {
-		return pl
-	}
-	if sc.plans == nil {
-		sc.plans = make(map[planKey]*sparse.Plan, 2)
-	}
-	pl := sparse.NewPlan(m, workers)
-	sc.plans[key] = pl
-	return pl
-}
-
-// cacheLocked returns the live cache for the current Q, rebuilding it when
-// Q was replaced. Callers must hold c.mu.
-func (c *Chain) cacheLocked() *solveCache {
-	if c.cache == nil || c.cache.q != c.Q || c.cache.nnz != c.Q.NNZ() {
-		c.cache = &solveCache{
-			q:       c.Q,
-			nnz:     c.Q.NNZ(),
-			uni:     make(map[float64]*sparse.CSR, 2),
-			uniT:    make(map[float64]*sparse.CSR, 2),
-			weights: make(map[weightKey]*poisson.Weights),
-		}
-	}
-	return c.cache
-}
-
-// uniformizedCached returns P = I + Q/q, memoized per uniformization rate.
-func (c *Chain) uniformizedCached(q float64) *sparse.CSR {
-	if c.noSolveCache {
-		return c.uniformized(q)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sc := c.cacheLocked()
-	if p, ok := sc.uni[q]; ok {
-		c.Obs.Inc("ctmc_unicache_total", obs.L("outcome", "hit"))
-		return p
-	}
-	c.Obs.Inc("ctmc_unicache_total", obs.L("outcome", "miss"))
-	p := c.uniformized(q)
-	sc.uni[q] = p
-	return p
-}
-
-// uniformizedTransposeCached returns Pᵀ for the memoized P = I + Q/q,
-// built on first use by a Workers > 1 solve.
-func (c *Chain) uniformizedTransposeCached(q float64) *sparse.CSR {
-	if c.noSolveCache {
-		return c.uniformized(q).Transpose()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sc := c.cacheLocked()
-	if pt, ok := sc.uniT[q]; ok {
-		return pt
-	}
-	p, ok := sc.uni[q]
-	if !ok {
-		p = c.uniformized(q)
-		sc.uni[q] = p
-	}
-	pt := p.Transpose()
-	sc.uniT[q] = pt
-	return pt
-}
-
-// transposedQCached returns Qᵀ, memoized.
-func (c *Chain) transposedQCached() *sparse.CSR {
-	if c.noSolveCache {
-		return c.Q.Transpose()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sc := c.cacheLocked()
-	if sc.qt == nil {
-		sc.qt = c.Q.Transpose()
-	}
-	return sc.qt
-}
-
-// poissonCached returns the truncated Poisson(lambda) weight table,
-// memoized per (lambda, eps): every uniform-dt step of a TransientSeries
-// grid shares one table instead of recomputing it per grid point.
-func (c *Chain) poissonCached(lambda, eps float64) (*poisson.Weights, error) {
-	if c.noSolveCache {
-		return poisson.Compute(lambda, eps)
-	}
-	key := weightKey{lambda, eps}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sc := c.cacheLocked()
-	if w, ok := sc.weights[key]; ok {
-		c.Obs.Inc("ctmc_poisson_cache_total", obs.L("outcome", "hit"))
-		return w, nil
-	}
-	if c.family != nil {
-		if w, ok := c.family.poisson(key); ok {
-			c.Obs.Inc("ctmc_poisson_cache_total", obs.L("outcome", "family-hit"))
-			sc.weights[key] = w
-			return w, nil
-		}
-	}
-	c.Obs.Inc("ctmc_poisson_cache_total", obs.L("outcome", "miss"))
-	w, err := poisson.Compute(lambda, eps)
-	if err != nil {
-		return nil, err
-	}
-	if len(sc.weights) >= maxWeightTables {
-		sc.weights = make(map[weightKey]*poisson.Weights)
-	}
-	sc.weights[key] = w
-	if c.family != nil {
-		c.family.storePoisson(key, w)
-	}
-	return w, nil
-}
 
 // FromStateSpace builds the CTMC of a derived PEPA state space.
 func FromStateSpace(ss *derive.StateSpace) *Chain {
@@ -471,41 +220,23 @@ func (c *Chain) SteadyStateCtx(ctx context.Context, opt SteadyStateOptions) ([]f
 	if opt.Workers == 0 {
 		opt.Workers = c.Workers
 	}
-	qt := c.transposedQCached()
-	// One scratch arena serves the whole ladder: a rejected stage's work
-	// vectors are recycled by the next stage's retry instead of growing
-	// the heap per escalation. Scoped to this call (Scratch is not
-	// concurrency-safe; chains are shared across goroutines).
-	scratch := &sparse.Scratch{}
+	s := c.newSteadySolve(opt)
+	defer s.pool.Close()
 	var stages []StageAttempt
 	if !opt.DenseOnly {
-		pi, att, ok := c.steadyIterative(ctx, qt, opt, scratch)
-		if cerr := ctx.Err(); cerr != nil && !ok {
-			return nil, c.canceledStage(cerr, att)
+		for _, rung := range [...]func(*steadySolve, context.Context) ([]float64, StageAttempt, bool){
+			(*steadySolve).gaussSeidel, (*steadySolve).power, (*steadySolve).krylov,
+		} {
+			pi, att, ok := rung(s, ctx)
+			if cerr := ctx.Err(); cerr != nil && !ok {
+				return nil, c.canceledStage(cerr, att)
+			}
+			c.recordStage(att, ok)
+			if ok {
+				return pi, nil
+			}
+			stages = append(stages, att)
 		}
-		c.recordStage(att, ok)
-		if ok {
-			return pi, nil
-		}
-		stages = append(stages, att)
-		pi, att, ok = c.steadyPower(ctx, opt, scratch)
-		if cerr := ctx.Err(); cerr != nil && !ok {
-			return nil, c.canceledStage(cerr, att)
-		}
-		c.recordStage(att, ok)
-		if ok {
-			return pi, nil
-		}
-		stages = append(stages, att)
-		pi, att, ok = c.steadyKrylov(ctx, qt, opt, scratch)
-		if cerr := ctx.Err(); cerr != nil && !ok {
-			return nil, c.canceledStage(cerr, att)
-		}
-		c.recordStage(att, ok)
-		if ok {
-			return pi, nil
-		}
-		stages = append(stages, att)
 	}
 	if c.N > opt.DenseLimit {
 		stages = append(stages, StageAttempt{
@@ -515,7 +246,7 @@ func (c *Chain) SteadyStateCtx(ctx context.Context, opt SteadyStateOptions) ([]f
 		})
 		return nil, &ConvergenceError{N: c.N, Stages: stages}
 	}
-	pi, err := c.steadyDense(qt)
+	pi, err := s.dense()
 	if err != nil {
 		att := StageAttempt{Method: "dense-lu", Residual: math.NaN(), Err: err.Error()}
 		c.recordStage(att, false)
@@ -559,38 +290,58 @@ func (c *Chain) recordStage(att StageAttempt, ok bool) {
 	}
 }
 
-// residualNormInf computes the acceptance residual ||piᵀ·Q||_inf of the
-// steady-state stages, routing the product through the transpose-backed
-// parallel kernel when workers > 1 (bit-identical to the sequential path).
-func (c *Chain) residualNormInf(pi []float64, workers int) float64 {
-	if workers > 1 {
-		qt := c.transposedQCached()
-		y := make([]float64, c.N)
-		sparse.VecMulAccumPlanT(qt, y, pi, nil, 0, c.planCached(qt, workers), c.solvePool(workers))
-		return linalg.NormInf(y)
-	}
-	return linalg.NormInf(c.Q.VecMul(pi))
+// steadySolve is the state of one SteadyState call: Qᵀ, which every rung
+// reads; for a Workers > 1 call, the partition plan of Qᵀ and a worker
+// pool for the parallel products; and one scratch arena, so a rejected
+// rung's work vectors serve the next rung instead of growing the heap.
+// None of it outlives the call, which closes the pool on return.
+type steadySolve struct {
+	c       *Chain
+	opt     SteadyStateOptions
+	qt      *sparse.CSR
+	plan    *sparse.Plan
+	pool    *sparse.Pool
+	scratch sparse.Scratch
 }
 
-// steadyPower runs power iteration on the uniformized DTMC
-// P = I + Q/(1.1·q): the stationary distribution of P equals that of the
-// CTMC, and the slack factor guarantees aperiodicity.
-func (c *Chain) steadyPower(ctx context.Context, opt SteadyStateOptions, scratch *sparse.Scratch) ([]float64, StageAttempt, bool) {
+func (c *Chain) newSteadySolve(opt SteadyStateOptions) *steadySolve {
+	s := &steadySolve{c: c, opt: opt, qt: c.Q.Transpose()}
+	if opt.Workers > 1 {
+		s.plan = sparse.NewPlan(s.qt, opt.Workers)
+		s.pool = sparse.NewPool(opt.Workers - 1)
+	}
+	return s
+}
+
+// residual computes the acceptance residual ||piᵀ·Q||_inf of the rungs,
+// routing the product through the transpose-backed parallel kernel when
+// workers > 1 (bit-identical to the sequential path).
+func (s *steadySolve) residual(pi []float64) float64 {
+	y := s.scratch.Get(s.c.N)
+	defer s.scratch.Put(y)
+	if s.opt.Workers > 1 {
+		sparse.VecMulAccumPlanT(s.qt, y, pi, nil, 0, s.plan, s.pool)
+	} else {
+		s.c.Q.VecMulTo(y, pi)
+	}
+	return linalg.NormInf(y)
+}
+
+// power runs power iteration on the uniformized DTMC P = I + Q/(1.1·q):
+// the stationary distribution of P equals that of the CTMC, and the slack
+// factor guarantees aperiodicity.
+func (s *steadySolve) power(ctx context.Context) ([]float64, StageAttempt, bool) {
 	att := StageAttempt{Method: "power-iteration", Residual: math.NaN()}
-	q := c.MaxExitRate()
+	opt := s.opt
+	q := s.c.MaxExitRate()
 	if q == 0 {
 		att.Err = "zero uniformization rate (no transitions)"
 		return nil, att, false
 	}
-	p := c.uniformizedCached(q * 1.1)
-	iterOpt := sparse.IterOptions{MaxIter: opt.MaxIter * 5, Tol: opt.Tol, Workers: opt.Workers, Cancel: ctx.Err, Scratch: scratch}
-	if opt.Workers > 1 {
-		pt := c.uniformizedTransposeCached(q * 1.1)
-		iterOpt.Transposed = pt
-		iterOpt.Plan = c.planCached(pt, opt.Workers)
-		iterOpt.Pool = c.solvePool(opt.Workers)
-	}
-	pi, res, err := sparse.PowerIteration(p, iterOpt)
+	p := s.c.uniformized(q*1.1, nil)
+	pi, res, err := sparse.PowerIteration(p, sparse.IterOptions{
+		MaxIter: opt.MaxIter * 5, Tol: opt.Tol, Workers: opt.Workers, Pool: s.pool, Cancel: ctx.Err, Scratch: &s.scratch,
+	})
 	att.Iterations = res.Iterations
 	if err != nil {
 		att.Err = err.Error()
@@ -601,7 +352,7 @@ func (c *Chain) steadyPower(ctx context.Context, opt SteadyStateOptions, scratch
 		return nil, att, false
 	}
 	// Verify the CTMC residual before accepting.
-	att.Residual = c.residualNormInf(pi, opt.Workers)
+	att.Residual = s.residual(pi)
 	if att.Residual > math.Sqrt(opt.Tol) {
 		att.Err = fmt.Sprintf("converged but residual %.3g exceeds %.3g", att.Residual, math.Sqrt(opt.Tol))
 		return nil, att, false
@@ -609,19 +360,19 @@ func (c *Chain) steadyPower(ctx context.Context, opt SteadyStateOptions, scratch
 	return pi, att, true
 }
 
-// steadyIterative runs Gauss–Seidel sweeps on Qᵀx = 0 with renormalization;
+// gaussSeidel runs Gauss–Seidel sweeps on Qᵀx = 0 with renormalization;
 // the trivial solution is avoided by the normalization step.
-func (c *Chain) steadyIterative(ctx context.Context, qt *sparse.CSR, opt SteadyStateOptions, scratch *sparse.Scratch) ([]float64, StageAttempt, bool) {
+func (s *steadySolve) gaussSeidel(ctx context.Context) ([]float64, StageAttempt, bool) {
 	att := StageAttempt{Method: "gauss-seidel", Residual: math.NaN()}
-	n := c.N
+	n, qt, opt := s.c.N, s.qt, s.opt
 	pi := make([]float64, n)
 	for i := range pi {
 		pi[i] = 1 / float64(n)
 	}
 	// One linear pass over the CSR entries instead of a per-row binary
 	// search: the diagonal is dense in any irreducible generator.
-	diag := scratch.Get(n)
-	defer scratch.Put(diag)
+	diag := s.scratch.Get(n)
+	defer s.scratch.Put(diag)
 	qt.DiagInto(diag)
 	for i, d := range diag {
 		if d == 0 {
@@ -633,21 +384,21 @@ func (c *Chain) steadyIterative(ctx context.Context, qt *sparse.CSR, opt SteadyS
 	}
 	for it := 0; it < opt.MaxIter; it++ {
 		if cerr := ctx.Err(); cerr != nil {
-			att.Residual = c.residualNormInf(pi, opt.Workers)
+			att.Residual = s.residual(pi)
 			att.Err = "canceled: " + cerr.Error()
 			return nil, att, false
 		}
 		att.Iterations = it + 1
 		var delta float64
 		for i := 0; i < n; i++ {
-			var s float64
+			var acc float64
 			for k := qt.RowPtr[i]; k < qt.RowPtr[i+1]; k++ {
 				j := qt.ColIdx[k]
 				if j != i {
-					s -= qt.Val[k] * pi[j]
+					acc -= qt.Val[k] * pi[j]
 				}
 			}
-			nx := s / diag[i]
+			nx := acc / diag[i]
 			if nx < 0 {
 				nx = 0
 			}
@@ -662,7 +413,7 @@ func (c *Chain) steadyIterative(ctx context.Context, qt *sparse.CSR, opt SteadyS
 		}
 		if delta < opt.Tol {
 			// Verify the residual ||piQ||_inf before accepting.
-			att.Residual = c.residualNormInf(pi, opt.Workers)
+			att.Residual = s.residual(pi)
 			if att.Residual < math.Sqrt(opt.Tol) {
 				return pi, att, true
 			}
@@ -670,38 +421,31 @@ func (c *Chain) steadyIterative(ctx context.Context, qt *sparse.CSR, opt SteadyS
 			return nil, att, false
 		}
 	}
-	att.Residual = c.residualNormInf(pi, opt.Workers)
+	att.Residual = s.residual(pi)
 	att.Err = fmt.Sprintf("did not converge within %d sweeps", opt.MaxIter)
 	return nil, att, false
 }
 
-// steadyKrylov runs Jacobi-preconditioned BiCGStab on the normalized
+// krylov runs Jacobi-preconditioned BiCGStab on the normalized
 // steady-state system A·piᵀ = e_n, where A is Qᵀ with its last row
-// replaced by the all-ones normalization row (the same system steadyDense
+// replaced by the all-ones normalization row (the same system dense
 // factorizes, but matrix-free and sparse): the product y = A·x is the
-// cached Qᵀ product — routed through the plan/pool kernel when workers
-// allow, bit-identical to the sequential path — with y[n-1] overwritten
-// by sum(x). A Krylov method's iteration count is governed by the
-// spectrum, not the stiffness ratio, so this rung catches generators
-// whose rate spreads starve both stationary iterations while n is far
-// beyond the dense fallback limit.
-func (c *Chain) steadyKrylov(ctx context.Context, qt *sparse.CSR, opt SteadyStateOptions, scratch *sparse.Scratch) ([]float64, StageAttempt, bool) {
+// Qᵀ product — routed through the plan/pool kernel when workers allow,
+// bit-identical to the sequential path — with y[n-1] overwritten by
+// sum(x). A Krylov method's iteration count is governed by the spectrum,
+// not the stiffness ratio, so this rung catches generators whose rate
+// spreads starve both stationary iterations while n is far beyond the
+// dense fallback limit.
+func (s *steadySolve) krylov(ctx context.Context) ([]float64, StageAttempt, bool) {
 	att := StageAttempt{Method: "bicgstab", Residual: math.NaN()}
-	n := c.N
-	workers := opt.Workers
-	var (
-		plan *sparse.Plan
-		pool *sparse.Pool
-	)
-	if workers > 1 && qt.NNZ() >= sparse.ParallelNNZThreshold {
-		plan = c.planCached(qt, workers)
-		pool = c.solvePool(workers)
-	} else {
-		workers = 1
+	n, qt, opt, scratch := s.c.N, s.qt, s.opt, &s.scratch
+	var plan *sparse.Plan
+	if opt.Workers > 1 && qt.NNZ() >= sparse.ParallelNNZThreshold {
+		plan = s.plan
 	}
 	apply := func(y, x []float64) {
-		if workers > 1 {
-			sparse.VecMulAccumPlanT(qt, y, x, nil, 0, plan, pool)
+		if plan != nil {
+			sparse.VecMulAccumPlanT(qt, y, x, nil, 0, plan, s.pool)
 		} else {
 			qt.MulVecTo(y, x)
 		}
@@ -754,7 +498,7 @@ func (c *Chain) steadyKrylov(ctx context.Context, qt *sparse.CSR, opt SteadyStat
 		return nil, att, false
 	}
 	// Verify the CTMC residual before accepting, like every other rung.
-	att.Residual = c.residualNormInf(pi, opt.Workers)
+	att.Residual = s.residual(pi)
 	if att.Residual > math.Sqrt(opt.Tol) {
 		att.Err = fmt.Sprintf("converged but residual %.3g exceeds %.3g", att.Residual, math.Sqrt(opt.Tol))
 		return nil, att, false
@@ -762,10 +506,10 @@ func (c *Chain) steadyKrylov(ctx context.Context, qt *sparse.CSR, opt SteadyStat
 	return pi, att, true
 }
 
-// steadyDense solves the dense system Qᵀ·piᵀ = 0 with the last equation
+// dense solves the dense system Qᵀ·piᵀ = 0 with the last equation
 // replaced by sum(pi) = 1.
-func (c *Chain) steadyDense(qt *sparse.CSR) ([]float64, error) {
-	n := c.N
+func (s *steadySolve) dense() ([]float64, error) {
+	n, qt := s.c.N, s.qt
 	a := linalg.NewDense(n, n)
 	for i := 0; i < n; i++ {
 		for k := qt.RowPtr[i]; k < qt.RowPtr[i+1]; k++ {
@@ -813,19 +557,8 @@ func (c *Chain) Transient(p0 []float64, t, eps float64) ([]float64, error) {
 // matrix-vector product, so the poll is noise). An interrupted solve
 // returns a *runctx.ErrCanceled reporting the terms summed so far.
 func (c *Chain) TransientCtx(ctx context.Context, p0 []float64, t, eps float64) ([]float64, error) {
-	return c.transientCtx(ctx, p0, t, eps, nil, nil)
-}
-
-// transientCtx is TransientCtx with an optional scratch arena for the
-// propagation buffers (cur/next) and an optional output buffer: when out
-// is non-nil the result is accumulated into it (cleared first) instead
-// of a fresh allocation, so a grid whose caller reduces each point to a
-// scalar (FirstPassageCDF) allocates no per-point distribution at all.
-// Results are bit-identical in every combination (all buffers are fully
-// initialized before use).
-func (c *Chain) transientCtx(ctx context.Context, p0 []float64, t, eps float64, scratch *sparse.Scratch, out []float64) ([]float64, error) {
-	if len(p0) != c.N {
-		return nil, fmt.Errorf("ctmc: initial distribution length %d != %d states", len(p0), c.N)
+	if err := checkInitial(p0, c.N); err != nil {
+		return nil, err
 	}
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return nil, fmt.Errorf("ctmc: time %g is not finite", t)
@@ -836,64 +569,118 @@ func (c *Chain) transientCtx(ctx context.Context, p0 []float64, t, eps float64, 
 	if eps <= 0 {
 		eps = 1e-10
 	}
-	q := c.MaxExitRate()
-	if q == 0 || t == 0 {
-		if out == nil {
-			out = make([]float64, c.N)
-		}
-		copy(out, p0)
-		return out, nil
+	u := &uniformizer{c: c, q: c.MaxExitRate()}
+	defer u.close()
+	out := make([]float64, c.N)
+	if err := u.step(ctx, slices.Clone(p0), make([]float64, c.N), out, t, eps); err != nil {
+		return nil, err
 	}
-	// Uniformized DTMC P = I + Q/q as CSR, memoized per chain so a series
-	// of transient solves (a CDF grid) assembles and sorts it exactly once.
-	p := c.uniformizedCached(q)
-	w, err := c.poissonCached(q*t, eps)
+	return out, nil
+}
+
+// checkInitial rejects an initial distribution without one entry per
+// state.
+func checkInitial(p0 []float64, n int) error {
+	if len(p0) != n {
+		return fmt.Errorf("ctmc: initial distribution length %d != %d states", len(p0), n)
+	}
+	return nil
+}
+
+// uniformizer is the state of one transient call on the uniformized DTMC
+// P = I + Q/q, with the rows of isTarget (nil for none) made absorbing:
+// P, built by the first step that needs it; for a Workers > 1 chain whose
+// P reaches sparse.ParallelNNZThreshold, the pooled transpose kernel; and
+// the Poisson weight tables of the call's distinct steps, so the uniform
+// steps of a grid share one table. None of it outlives the call: close
+// shuts the pool down before the call returns.
+type uniformizer struct {
+	c        *Chain
+	q        float64
+	isTarget []bool
+	p        *sparse.CSR
+	par      *transposeKernel
+	tables   map[weightKey]*poisson.Weights
+}
+
+func (u *uniformizer) close() {
+	if u.par != nil {
+		u.par.pool.Close()
+	}
+}
+
+// operator returns P, building it on first use together with, for a
+// Workers > 1 chain whose P reaches sparse.ParallelNNZThreshold, Pᵀ, its
+// partition plan and a worker pool. The power loop needs xᵀ·P, whose
+// scatter writes defeat row partitioning; the transpose turns each output
+// entry into an independent dot product (bit-identical, disjoint writes).
+// Smaller matrices never pay for the transpose or the pool.
+func (u *uniformizer) operator() *sparse.CSR {
+	if u.p == nil {
+		u.p = u.c.uniformized(u.q, u.isTarget)
+		if w := u.c.Workers; w > 1 && u.p.NNZ() >= sparse.ParallelNNZThreshold {
+			pt := u.p.Transpose()
+			u.par = &transposeKernel{pt: pt, plan: sparse.NewPlan(pt, w), pool: sparse.NewPool(w - 1)}
+		}
+	}
+	return u.p
+}
+
+// weights returns the truncated Poisson(lambda) weight table, computed
+// once per (lambda, eps) in the call.
+func (u *uniformizer) weights(lambda, eps float64) (*poisson.Weights, error) {
+	key := weightKey{lambda, eps}
+	if w, ok := u.tables[key]; ok {
+		u.c.Obs.Inc("ctmc_poisson_cache_total", obs.L("outcome", "hit"))
+		return w, nil
+	}
+	u.c.Obs.Inc("ctmc_poisson_cache_total", obs.L("outcome", "miss"))
+	w, err := poisson.Compute(lambda, eps)
 	if err != nil {
 		return nil, err
 	}
-	workers := c.Workers
-	// The power loop needs xᵀ·P, whose scatter writes defeat row
-	// partitioning; the cached transpose turns each output entry into an
-	// independent dot product (bit-identical, disjoint writes). Matrices
-	// under the parallel threshold never pay for the transpose or pool.
-	var par *transposeKernel
-	if workers > 1 && p.NNZ() >= sparse.ParallelNNZThreshold {
-		pt := c.uniformizedTransposeCached(q)
-		par = &transposeKernel{pt: pt, plan: c.planCached(pt, workers), pool: c.solvePool(workers)}
+	if u.tables == nil || len(u.tables) >= maxWeightTables {
+		u.tables = make(map[weightKey]*poisson.Weights)
 	}
+	u.tables[key] = w
+	return w, nil
+}
+
+// step propagates the distribution x over time dt into out. x and next
+// are the term loop's two propagation buffers: x is clobbered, and next's
+// contents on entry do not matter (it is cleared first, like out).
+func (u *uniformizer) step(ctx context.Context, x, next, out []float64, dt, eps float64) error {
+	c := u.c
+	if u.q == 0 || dt == 0 {
+		copy(out, x)
+		return nil
+	}
+	w, err := u.weights(u.q*dt, eps)
+	if err != nil {
+		return err
+	}
+	p := u.operator()
 	c.Obs.Inc("ctmc_transient_solves_total")
 	c.Obs.Add("ctmc_uniformization_terms_total", float64(w.Right+1))
 	c.Obs.Set("ctmc_uniformization_truncation_depth", float64(w.Right))
-	c.Obs.Set("ctmc_solve_workers", math.Max(1, float64(workers)))
-	// acc is returned, so without a caller-provided buffer it is a fresh
-	// allocation; the two propagation buffers come from the scratch arena
-	// when one is provided. Recycled buffers must start zeroed — acc is
-	// pure accumulation, and the windowed scatter relies on everything
-	// outside next's dirty window being exact zero.
-	cur := scratch.Get(c.N)
-	defer scratch.Put(cur)
-	copy(cur, p0)
-	acc := out
-	if acc == nil {
-		acc = make([]float64, c.N)
-	} else {
-		clear(acc)
-	}
-	next := scratch.Get(c.N)
-	defer scratch.Put(next)
+	c.Obs.Set("ctmc_solve_workers", math.Max(1, float64(c.Workers)))
+	// out is pure accumulation, and the windowed scatter relies on
+	// everything outside next's dirty window being exact zero, so both
+	// start zeroed.
 	clear(next)
-	if k, cerr := uniformize(ctx, p, par, w, cur, next, acc); cerr != nil {
+	clear(out)
+	if k, cerr := uniformize(ctx, p, u.par, w, x, next, out); cerr != nil {
 		runctx.Record(c.Obs, "ctmc.transient", cerr)
-		return nil, runctx.New("ctmc.transient", cerr, k, w.Right+1, "uniformization terms")
+		return runctx.New("ctmc.transient", cerr, k, w.Right+1, "uniformization terms")
 	}
 	// Renormalize the truncation slack.
-	linalg.Normalize1(acc)
-	return acc, nil
+	linalg.Normalize1(out)
+	return nil
 }
 
-// transposeKernel is the pooled transpose product a chain above
-// sparse.ParallelNNZThreshold hands the term loop: Pᵀ, its memoized
-// partition plan, and the chain's worker pool.
+// transposeKernel is the pooled transpose product a call above
+// sparse.ParallelNNZThreshold hands the term loop: Pᵀ, its partition
+// plan, and the call's worker pool.
 type transposeKernel struct {
 	pt   *sparse.CSR
 	plan *sparse.Plan
@@ -974,11 +761,8 @@ func uniformize(ctx context.Context, p *sparse.CSR, par *transposeKernel, w *poi
 }
 
 // TransientSeries evaluates the transient distribution on an ascending
-// time grid. Instead of solving each horizon from scratch (O(sum q·t_k)
-// matrix-vector products), it propagates incrementally from grid point to
-// grid point (O(q·t_max) total): p(t_{k+1}) = Transient(p(t_k), dt).
-// Truncation error accumulates additively over the grid, so the per-step
-// eps is tightened by the number of steps.
+// time grid, propagating incrementally from grid point to grid point
+// (see walk) instead of solving each horizon from scratch.
 func (c *Chain) TransientSeries(p0 []float64, times []float64, eps float64) ([][]float64, error) {
 	return c.TransientSeriesCtx(context.Background(), p0, times, eps)
 }
@@ -988,39 +772,71 @@ func (c *Chain) TransientSeries(p0 []float64, times []float64, eps float64) ([][
 // the prefix of grid distributions already propagated (out[:Done]),
 // chained to the inner per-term cancellation for the full trace.
 func (c *Chain) TransientSeriesCtx(ctx context.Context, p0 []float64, times []float64, eps float64) ([][]float64, error) {
+	out := make([][]float64, len(times))
+	u := &uniformizer{c: c, q: c.MaxExitRate()}
+	defer u.close()
+	err := u.walk(ctx, seriesGrid, p0, times, eps, func(i int, pt []float64) {
+		out[i] = slices.Clone(pt)
+	})
+	if err != nil {
+		var ec *runctx.ErrCanceled
+		if errors.As(err, &ec) {
+			ec.Partial = out[:ec.Done]
+		}
+		return nil, err
+	}
+	return out, nil
+}
+
+// gridName labels a grid walk's errors: the API name in grid validation
+// errors, the operation of a cancellation, and what a failed step is.
+type gridName struct{ api, op, step string }
+
+var (
+	seriesGrid  = gridName{"TransientSeries", "ctmc.transient-series", "transient step"}
+	passageGrid = gridName{"FirstPassageCDF", "ctmc.first-passage", "passage transient step"}
+)
+
+// walk is the grid walker of TransientSeries and FirstPassageCDF. It
+// propagates p0 across the ascending time grid incrementally,
+// p(t_i) = Transient(p(t_{i-1}), t_i - t_{i-1}), which costs O(q·t_max)
+// matrix-vector products in total instead of O(Σ q·t_i). Truncation error
+// accumulates additively over the grid, so each step's eps is tightened
+// by the number of points. visit sees each point's distribution in a
+// buffer the walk reuses: a caller that keeps a point copies it, and one
+// that reduces it to a scalar allocates nothing per point. An interrupted
+// walk returns a *runctx.ErrCanceled whose Done counts the points visited.
+func (u *uniformizer) walk(ctx context.Context, name gridName, p0, times []float64, eps float64, visit func(i int, pt []float64)) error {
+	n := u.c.N
+	if err := checkInitial(p0, n); err != nil {
+		return err
+	}
+	if len(times) == 0 {
+		return nil
+	}
 	if eps <= 0 {
 		eps = 1e-10
 	}
-	out := make([][]float64, len(times))
-	if len(times) == 0 {
-		return out, nil
-	}
 	stepEps := eps / float64(len(times))
-	cur := append([]float64(nil), p0...)
-	prevT := 0.0
-	// One scratch arena serves every grid point's propagation buffers;
-	// only the per-point output distributions are fresh allocations.
-	scratch := &sparse.Scratch{}
+	x, next, pt := slices.Clone(p0), make([]float64, n), make([]float64, n)
+	prev := 0.0
 	for i, t := range times {
-		dt, err := gridStep("TransientSeries", i, t, prevT)
+		dt, err := gridStep(name.api, i, t, prev)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		pt, err := c.transientCtx(ctx, cur, dt, stepEps, scratch, nil)
-		if err != nil {
+		if err := u.step(ctx, x, next, pt, dt, stepEps); err != nil {
 			var inner *runctx.ErrCanceled
 			if errors.As(err, &inner) {
-				ec := runctx.New("ctmc.transient-series", err, i, len(times), "grid points")
-				ec.Partial = out[:i]
-				return nil, ec
+				return runctx.New(name.op, err, i, len(times), "grid points")
 			}
-			return nil, fmt.Errorf("ctmc: transient step to t=%g: %w", t, err)
+			return fmt.Errorf("ctmc: %s to t=%g: %w", name.step, t, err)
 		}
-		out[i] = pt
-		cur = append(cur[:0], pt...)
-		prevT = t
+		visit(i, pt)
+		x, pt = pt, x
+		prev = t
 	}
-	return out, nil
+	return nil
 }
 
 // gridStep validates point i of a grid walker's time grid and returns the
@@ -1038,15 +854,14 @@ func gridStep(op string, i int, t, prev float64) (float64, error) {
 	return dt, nil
 }
 
-// uniformized builds P = I + Q/q directly in CSR form. Q's rows are
-// already column-sorted and duplicate-free, so the COO round-trip the
-// original implementation paid — a counting sort plus per-row column
-// sorts on every uncached build — is pure overhead; the direct build is
-// one pass over Q. Bit-identity with the COO path is preserved exactly:
-// the off-diagonal mass is accumulated in the same ascending-column
-// order, the diagonal 1-offDiag is emitted at its sorted position, and
-// exact-zero values are dropped just as ToCSR drops them.
-func (c *Chain) uniformized(q float64) *sparse.CSR {
+// uniformized builds P = I + Q/q directly in CSR form, with the rows of
+// isTarget (nil for none) made absorbing: such a row is the identity row,
+// exactly what uniformizing an all-zero generator row gives. Q's rows are
+// column-sorted and duplicate-free, so the build is one pass over Q: the
+// off-diagonal mass is accumulated in ascending-column order, the
+// diagonal 1-offDiag is emitted at its sorted position, and exact-zero
+// values are dropped, just as a COO round-trip through ToCSR would.
+func (c *Chain) uniformized(q float64, isTarget []bool) *sparse.CSR {
 	n := c.N
 	m := &sparse.CSR{
 		Rows: n, Cols: n,
@@ -1056,6 +871,9 @@ func (c *Chain) uniformized(q float64) *sparse.CSR {
 	}
 	for i := 0; i < n; i++ {
 		s, e := c.Q.RowPtr[i], c.Q.RowPtr[i+1]
+		if isTarget != nil && isTarget[i] {
+			s = e
+		}
 		var offDiag float64
 		for k := s; k < e; k++ {
 			if c.Q.ColIdx[k] != i {
@@ -1088,6 +906,33 @@ func (c *Chain) uniformized(q float64) *sparse.CSR {
 		m.RowPtr[i+1] = len(m.ColIdx)
 	}
 	return m
+}
+
+// absorbingRate returns the uniformization rate of Q with the rows of
+// isTarget made absorbing: the largest remaining row's off-diagonal sum,
+// each summed in column order. A negative off-diagonal rate in such a row
+// is an error (the absorbing transform would silently lose its mass).
+func (c *Chain) absorbingRate(isTarget []bool) (float64, error) {
+	var q float64
+	for i := 0; i < c.N; i++ {
+		if isTarget[i] {
+			continue
+		}
+		var exit float64
+		for k := c.Q.RowPtr[i]; k < c.Q.RowPtr[i+1]; k++ {
+			if j := c.Q.ColIdx[k]; j != i {
+				v := c.Q.Val[k]
+				if v < 0 {
+					return 0, fmt.Errorf("ctmc: malformed generator: negative off-diagonal rate %g at (%d,%d)", v, i, j)
+				}
+				exit += v
+			}
+		}
+		if exit > q {
+			q = exit
+		}
+	}
+	return q, nil
 }
 
 // PointMass returns a distribution concentrated on state s.
@@ -1153,53 +998,32 @@ func (c *Chain) FirstPassageCDFCtx(ctx context.Context, p0 []float64, targets []
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("ctmc: empty passage target set")
 	}
+	isTarget := make([]bool, c.N)
 	for _, s := range targets {
 		if s < 0 || s >= c.N {
 			return nil, fmt.Errorf("ctmc: target state %d out of range", s)
 		}
+		isTarget[s] = true
 	}
-	abs, isTarget, err := c.absorbingChain(targets)
+	q, err := c.absorbingRate(isTarget)
 	if err != nil {
 		return nil, err
 	}
+	u := &uniformizer{c: c, q: q, isTarget: isTarget}
+	defer u.close()
+	// The walk runs on the absorbing generator, so each point reduces to
+	// its absorbed mass on the spot: bit-identical to reducing
+	// TransientSeries on that generator, with no per-point distribution.
 	cdf := &PassageCDF{Times: append([]float64(nil), times...), Probs: make([]float64, len(times))}
-	if len(times) == 0 {
-		return cdf, nil
-	}
-	// Stream the grid instead of materializing the full distribution
-	// series: each point is propagated incrementally like
-	// TransientSeriesCtx (same grid math, bit-identical probabilities)
-	// but reduced to its absorbed-mass scalar on the spot, with the
-	// distribution buffers recycled through one scratch arena — a CDF
-	// grid allocates no per-point distributions at all.
-	if eps <= 0 {
-		eps = 1e-10
-	}
-	stepEps := eps / float64(len(times))
-	scratch := &sparse.Scratch{}
-	cur := scratch.Get(c.N)
-	copy(cur, p0)
-	acc := scratch.Get(c.N)
-	prevT := 0.0
-	for i, t := range times {
-		dt, err := gridStep("FirstPassageCDF", i, t, prevT)
-		if err != nil {
-			return nil, err
-		}
-		pt, err := abs.transientCtx(ctx, cur, dt, stepEps, scratch, acc)
-		if err != nil {
-			var inner *runctx.ErrCanceled
-			if errors.As(err, &inner) {
-				partial := &PassageCDF{Times: append([]float64(nil), times[:i]...), Probs: append([]float64(nil), cdf.Probs[:i]...)}
-				ec := runctx.New("ctmc.first-passage", err, i, len(times), "grid points")
-				ec.Partial = partial
-				return nil, ec
-			}
-			return nil, fmt.Errorf("ctmc: passage transient step to t=%g: %w", t, err)
-		}
+	err = u.walk(ctx, passageGrid, p0, times, eps, func(i int, pt []float64) {
 		cdf.Probs[i] = absorbedMass(pt, isTarget)
-		copy(cur, pt)
-		prevT = t
+	})
+	if err != nil {
+		var ec *runctx.ErrCanceled
+		if errors.As(err, &ec) {
+			ec.Partial = &PassageCDF{Times: append([]float64(nil), times[:ec.Done]...), Probs: append([]float64(nil), cdf.Probs[:ec.Done]...)}
+		}
+		return nil, err
 	}
 	return cdf, nil
 }
@@ -1216,121 +1040,6 @@ func absorbedMass(pt []float64, isTarget []bool) float64 {
 		}
 	}
 	return sparseutil.Clamp01(mass)
-}
-
-// absorbingChain builds (or returns the memoized) absorbing-transformed
-// chain Q~ for the target set: target rows are zeroed so their mass can
-// only accumulate. Conformance checks and CLI sweeps evaluate the same
-// passage repeatedly, so the last target set's chain — including its own
-// solve cache of P, Pᵀ, and weight tables — is kept on the parent cache.
-func (c *Chain) absorbingChain(targets []int) (*Chain, []bool, error) {
-	key := passageKey(targets)
-	if !c.noSolveCache {
-		c.mu.Lock()
-		sc := c.cacheLocked()
-		// Workers and Obs are baked into the memoized chain at build time
-		// and never mutated afterwards (a published chain may be in use by
-		// another goroutine), so a settings change is a cache miss.
-		if sc.passageChain != nil && sc.passageKey == key &&
-			sc.passageChain.Workers == c.Workers && sc.passageChain.Obs == c.Obs {
-			abs, isTarget := sc.passageChain, sc.passageTargets
-			c.mu.Unlock()
-			c.Obs.Inc("ctmc_passage_cache_total", obs.L("outcome", "hit"))
-			return abs, isTarget, nil
-		}
-		c.mu.Unlock()
-		c.Obs.Inc("ctmc_passage_cache_total", obs.L("outcome", "miss"))
-	}
-	isTarget := make([]bool, c.N)
-	for _, s := range targets {
-		isTarget[s] = true
-	}
-	// Direct CSR→CSR build. Q's rows are column-sorted and duplicate-free,
-	// so each non-target row of the absorbing matrix is its off-diagonals
-	// copied in order with the diagonal -exit spliced at its sorted
-	// position; a row with no exit gets no diagonal (its sum is exactly
-	// zero, which ToCSR dropped). Bit-identical to the COO round-trip the
-	// original implementation paid — same values accumulated in the same
-	// ascending-column order — without the O(nnz) entry buffer or the
-	// counting sort, which matters because a chain-family sweep builds one
-	// absorbing chain per re-rated member.
-	exit := make([]float64, c.N)
-	qabs := &sparse.CSR{
-		Rows: c.N, Cols: c.N,
-		RowPtr: make([]int, c.N+1),
-		ColIdx: make([]int, 0, c.Q.NNZ()),
-		Val:    make([]float64, 0, c.Q.NNZ()),
-	}
-	for i := 0; i < c.N; i++ {
-		if isTarget[i] {
-			qabs.RowPtr[i+1] = len(qabs.Val)
-			continue
-		}
-		lo, hi := c.Q.RowPtr[i], c.Q.RowPtr[i+1]
-		var rowExit float64
-		for k := lo; k < hi; k++ {
-			if j := c.Q.ColIdx[k]; j != i {
-				v := c.Q.Val[k]
-				if v < 0 {
-					return nil, nil, fmt.Errorf("ctmc: malformed generator: negative off-diagonal rate %g at (%d,%d)", v, i, j)
-				}
-				rowExit += v
-			}
-		}
-		diagDone := rowExit == 0
-		for k := lo; k < hi; k++ {
-			j := c.Q.ColIdx[k]
-			if j == i {
-				continue
-			}
-			if !diagDone && j > i {
-				qabs.ColIdx = append(qabs.ColIdx, i)
-				qabs.Val = append(qabs.Val, -rowExit)
-				diagDone = true
-			}
-			qabs.ColIdx = append(qabs.ColIdx, j)
-			qabs.Val = append(qabs.Val, c.Q.Val[k])
-		}
-		if !diagDone {
-			qabs.ColIdx = append(qabs.ColIdx, i)
-			qabs.Val = append(qabs.Val, -rowExit)
-		}
-		exit[i] = rowExit
-		qabs.RowPtr[i+1] = len(qabs.Val)
-	}
-	// The weight tables of the absorbing solve are shared through the
-	// family (abs keeps the pointer), so a sweep's members compute each
-	// Poisson table once between them.
-	abs := &Chain{N: c.N, Q: qabs, ExitRate: exit, ActionRate: map[string][]float64{},
-		Obs: c.Obs, Workers: c.Workers, noSolveCache: c.noSolveCache, family: c.family}
-	// The passage solve runs on the absorbing chain; if the parent
-	// already has a pool, share it instead of
-	// spinning up a second set of workers. The absorbing chain never
-	// closes a shared pool, and a pool replaced under it degrades to
-	// inline execution — never to a wrong result.
-	c.mu.Lock()
-	if c.pool != nil {
-		abs.pool, abs.poolOwned = c.pool, false
-	}
-	c.mu.Unlock()
-	if !c.noSolveCache {
-		c.mu.Lock()
-		sc := c.cacheLocked()
-		sc.passageKey, sc.passageChain, sc.passageTargets = key, abs, isTarget
-		c.mu.Unlock()
-	}
-	return abs, isTarget, nil
-}
-
-// passageKey fingerprints a target set order-insensitively.
-func passageKey(targets []int) string {
-	sorted := append([]int(nil), targets...)
-	sort.Ints(sorted)
-	var b strings.Builder
-	for _, s := range sorted {
-		fmt.Fprintf(&b, "%d,", s)
-	}
-	return b.String()
 }
 
 // Quantile returns the earliest grid time at which the CDF reaches p, or

@@ -1,7 +1,9 @@
 package ctmc
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -377,5 +379,25 @@ func TestBadInputs(t *testing.T) {
 	}
 	if _, err := c.FirstPassageCDF(c.PointMass(0), []int{9}, []float64{1}, 1e-9); err == nil {
 		t.Error("out-of-range target accepted")
+	}
+}
+
+// TestWrongLengthInitialDistributionRejected: every grid walker rejects an
+// initial distribution whose length is not the chain's state count, with
+// the message ChainFamily.FirstPassageCDFs gives, instead of padding a
+// short one with zeros or truncating a long one.
+func TestWrongLengthInitialDistributionRejected(t *testing.T) {
+	c := NewChain(11, benchChainRates(10))
+	times := cdfGrid(4, 0.5)
+	for _, n := range []int{3, 20} {
+		p0 := make([]float64, n)
+		p0[0] = 1
+		want := fmt.Sprintf("ctmc: initial distribution length %d != 11 states", n)
+		if _, err := c.FirstPassageCDF(p0, []int{10}, times, 1e-10); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("FirstPassageCDF with len(p0)=%d: err = %v, want %q", n, err, want)
+		}
+		if _, err := c.TransientSeries(p0, times, 1e-10); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("TransientSeries with len(p0)=%d: err = %v, want %q", n, err, want)
+		}
 	}
 }

@@ -28,10 +28,11 @@ import (
 // FromStateSpace(Explore(model-with-those-rates)). The Float64bits
 // battery in family_test.go pins this.
 //
-// Members share the family's Poisson weight tables (pure functions of
-// (lambda, eps), so cross-member reuse is always sound). They do NOT
-// share uniformized matrices, transposes, or kernel plans: those are
-// value-dependent operators keyed to each member's own Q.
+// The batched passage solver, FirstPassageCDFs, keeps the Poisson weight
+// tables it computes in the family (pure functions of (lambda, eps), so
+// reuse across calls and members is always sound). Member chains share
+// nothing with the family or with each other: like any Chain, each solve
+// derives its operators from the member's own Q and keeps none of them.
 //
 // A ChainFamily is safe for concurrent use; member chains are
 // independent Chains with the usual concurrency contract.
@@ -147,7 +148,6 @@ func (f *ChainFamily) ChainForRates(env map[string]float64) (*Chain, error) {
 	}
 	return &Chain{
 		N: n, Q: f.plan.Gather(vals), ExitRate: exit, ActionRate: actRate,
-		Initial: 0, family: f,
 	}, nil
 }
 
@@ -218,28 +218,4 @@ func StructuralFingerprint(m *pepa.Model) string {
 		fmt.Fprintf(&b, "system %s", m.System)
 	}
 	return b.String()
-}
-
-// poisson returns the family-shared weight table for the key, if any
-// member computed it already. Weight tables depend only on (lambda, eps),
-// never on the matrix, so sharing across members is exact.
-func (f *ChainFamily) poisson(key weightKey) (*poisson.Weights, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	w, ok := f.weights[key]
-	return w, ok
-}
-
-// storePoisson publishes a member's freshly computed weight table,
-// bounded like the per-chain memo.
-func (f *ChainFamily) storePoisson(key weightKey, w *poisson.Weights) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.weights) >= maxWeightTables {
-		f.weights = nil
-	}
-	if f.weights == nil {
-		f.weights = make(map[weightKey]*poisson.Weights)
-	}
-	f.weights[key] = w
 }

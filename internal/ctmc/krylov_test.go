@@ -96,18 +96,15 @@ func TestSteadyKrylovAgreesWithPowerIteration(t *testing.T) {
 				rates[[2]int{i, j}] = 0.1 + 3*v
 			}
 		}
-		c := NewChain(n, rates)
-		opt := SteadyStateOptions{}.withDefaults()
-		qt := c.transposedQCached()
-		scratch := &sparse.Scratch{}
-		piK, attK, okK := c.steadyKrylov(context.Background(), qt, opt, scratch)
+		solve := NewChain(n, rates).newSteadySolve(SteadyStateOptions{}.withDefaults())
+		piK, attK, okK := solve.krylov(context.Background())
 		if !okK {
 			// Breakdown or non-convergence is a legitimate rejection (the
 			// ladder escalates); it just yields nothing to compare.
 			t.Logf("n=%d: krylov rejected: %s", n, attK.Err)
 			return true
 		}
-		piP, attP, okP := c.steadyPower(context.Background(), opt, scratch)
+		piP, attP, okP := solve.power(context.Background())
 		if !okP {
 			t.Logf("n=%d: power rejected: %s", n, attP.Err)
 			return true
@@ -138,9 +135,9 @@ func TestSteadyKrylovWorkersBitIdentical(t *testing.T) {
 	defer func() { sparse.ParallelNNZThreshold = saved }()
 	c := stiffChain(150)
 	solve := func(workers int) []float64 {
-		opt := SteadyStateOptions{MaxIter: 50, Workers: workers}.withDefaults()
-		qt := c.transposedQCached()
-		pi, att, ok := c.steadyKrylov(context.Background(), qt, opt, &sparse.Scratch{})
+		s := c.newSteadySolve(SteadyStateOptions{MaxIter: 50, Workers: workers}.withDefaults())
+		defer s.pool.Close()
+		pi, att, ok := s.krylov(context.Background())
 		if !ok {
 			t.Fatalf("workers=%d: rejected: %s", workers, att.Err)
 		}

@@ -1,12 +1,11 @@
 package ctmc
 
-// Pool lifecycle and bit-identity tests for the persistent-worker solve
-// path: the property battery pins that TransientSeries and
-// FirstPassageCDF produce bit-identical output at every worker count
-// (forcing tiny chains down the parallel kernels), the lifecycle tests
-// pin that InvalidateSolveCache and finalization return the goroutine
-// count to baseline, and the cancellation test pins that an interrupted
-// series reports partial progress and leaves the pool reusable.
+// Pool and bit-identity tests for the parallel solve path: the property
+// battery pins that TransientSeries and FirstPassageCDF produce
+// bit-identical output at every worker count (forcing tiny chains down
+// the parallel kernels), the lifecycle test pins that a solve's pool ends
+// with the call, and the cancellation test pins that an interrupted
+// series reports partial progress and leaves the chain fully usable.
 
 import (
 	"context"
@@ -103,7 +102,6 @@ func TestTransientAndPassageWorkersBitIdenticalProperty(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			c := NewChain(n, rates)
 			c.Workers = workers
-			defer c.InvalidateSolveCache()
 			series, err := c.TransientSeries(p0, times, 1e-9)
 			if err != nil {
 				t.Logf("seed %d workers=%d: %v", seed, workers, err)
@@ -134,10 +132,9 @@ func TestTransientAndPassageWorkersBitIdenticalProperty(t *testing.T) {
 	}
 }
 
-// TestSteadyStateWorkersBitIdentical covers the power-iteration pool path
-// (plan + pool from the chain caches) on a chain stiff enough that the
-// escalation reaches power iteration deterministically at every worker
-// count — bit-identical distributions and identical stage traces.
+// TestSteadyStatePoolWorkersBitIdentical covers the pooled steady-state
+// path (plan and pool built per call) at every worker count:
+// bit-identical distributions to the sequential solve.
 func TestSteadyStatePoolWorkersBitIdentical(t *testing.T) {
 	forceParallel(t)
 	rates := benchChainRates(150)
@@ -149,7 +146,6 @@ func TestSteadyStatePoolWorkersBitIdentical(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		c := NewChain(151, rates)
 		c.Workers = workers
-		defer c.InvalidateSolveCache()
 		got, err := c.SteadyState(SteadyStateOptions{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -158,79 +154,6 @@ func TestSteadyStatePoolWorkersBitIdentical(t *testing.T) {
 			t.Fatalf("workers=%d: steady state diverged from sequential", workers)
 		}
 	}
-}
-
-func chainGoroutineBaseline(t *testing.T) int {
-	t.Helper()
-	runtime.GC()
-	return runtime.NumGoroutine()
-}
-
-func waitForGoroutines(t *testing.T, base int, what string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: goroutine count %d never returned to baseline %d", what, runtime.NumGoroutine(), base)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func TestInvalidateSolveCacheReleasesPool(t *testing.T) {
-	forceParallel(t)
-	base := chainGoroutineBaseline(t)
-	c := NewChain(101, benchChainRates(100))
-	c.Workers = 4
-	if _, err := c.TransientSeries(c.PointMass(0), cdfGrid(3, 0.5), 1e-9); err != nil {
-		t.Fatal(err)
-	}
-	// The passage solve memoizes an absorbing chain with its own pool;
-	// the cascade must release that one too.
-	if _, err := c.FirstPassageCDF(c.PointMass(0), []int{100}, cdfGrid(3, 0.5), 1e-9); err != nil {
-		t.Fatal(err)
-	}
-	if n := runtime.NumGoroutine(); n <= base {
-		t.Fatalf("expected pool goroutines while solving, have %d (baseline %d)", n, base)
-	}
-	c.InvalidateSolveCache()
-	waitForGoroutines(t, base, "InvalidateSolveCache")
-	// The chain must stay fully usable: the next solve lazily rebuilds
-	// cache and pool and produces bit-identical output.
-	again, err := c.TransientSeries(c.PointMass(0), cdfGrid(3, 0.5), 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := NewChain(101, benchChainRates(100))
-	refSeries, err := ref.TransientSeries(ref.PointMass(0), cdfGrid(3, 0.5), 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range refSeries {
-		if !bitsEqual(again[k], refSeries[k]) {
-			t.Fatalf("post-invalidate solve diverged at grid point %d", k)
-		}
-	}
-	c.InvalidateSolveCache()
-	waitForGoroutines(t, base, "second InvalidateSolveCache")
-}
-
-func TestChainFinalizationReleasesPool(t *testing.T) {
-	forceParallel(t)
-	base := chainGoroutineBaseline(t)
-	func() {
-		c := NewChain(101, benchChainRates(100))
-		c.Workers = 4
-		if _, err := c.TransientSeries(c.PointMass(0), cdfGrid(3, 0.5), 1e-9); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	// The chain is unreachable; its finalizer must close the owned pool.
-	waitForGoroutines(t, base, "finalization")
 }
 
 // countdownCtx reports cancellation after a fixed number of Err polls,
@@ -276,7 +199,7 @@ func TestTransientCancelMidSeriesLeavesPoolReusable(t *testing.T) {
 			t.Fatalf("partial prefix diverged at grid point %d", k)
 		}
 	}
-	// The pool must remain reusable: the next solve is bit-identical.
+	// The chain must remain fully usable: the next solve is bit-identical.
 	again, err := c.TransientSeries(p0, times, 1e-9)
 	if err != nil {
 		t.Fatal(err)
@@ -288,9 +211,10 @@ func TestTransientCancelMidSeriesLeavesPoolReusable(t *testing.T) {
 	}
 }
 
-// TestConcurrentSolvesShareOnePool hammers one chain's pool from many
-// goroutines (run under the CI -race job): every concurrent series must
-// be bit-identical to the sequential result.
+// TestConcurrentSolvesShareOnePool hammers one Workers > 1 chain from many
+// goroutines (run under the CI -race job), each call running on its own
+// pool: every concurrent series must be bit-identical to the sequential
+// result.
 func TestConcurrentSolvesShareOnePool(t *testing.T) {
 	forceParallel(t)
 	rates := benchChainRates(80)
@@ -302,7 +226,6 @@ func TestConcurrentSolvesShareOnePool(t *testing.T) {
 	}
 	c := NewChain(81, rates)
 	c.Workers = 4
-	defer c.InvalidateSolveCache()
 	const goroutines = 12
 	var wg sync.WaitGroup
 	errs := make([]error, goroutines)
@@ -330,6 +253,47 @@ func TestConcurrentSolvesShareOnePool(t *testing.T) {
 	for g, err := range errs {
 		if err != nil {
 			t.Fatalf("goroutine %d: %v", g, err)
+		}
+	}
+}
+
+// TestSolvePoolEndsWithCall: a Workers > 1 solve runs on a worker pool
+// that lives for that call alone, so the goroutine count is back at its
+// baseline when each solve returns — no GC, finalizer or further call is
+// needed to release it. The count is polled briefly, without a GC, to
+// allow for workers that have signalled their exit but not yet finished.
+func TestSolvePoolEndsWithCall(t *testing.T) {
+	forceParallel(t)
+	times := cdfGrid(3, 0.5)
+	solves := []struct {
+		name  string
+		solve func(c *Chain) error
+	}{
+		{"TransientSeries", func(c *Chain) error {
+			_, err := c.TransientSeries(c.PointMass(0), times, 1e-9)
+			return err
+		}},
+		{"FirstPassageCDF", func(c *Chain) error {
+			_, err := c.FirstPassageCDF(c.PointMass(0), []int{100}, times, 1e-9)
+			return err
+		}},
+		{"SteadyState", func(c *Chain) error {
+			_, err := c.SteadyState(SteadyStateOptions{})
+			return err
+		}},
+	}
+	for _, s := range solves {
+		c := NewChain(101, benchChainRates(100))
+		c.Workers = 4
+		base := runtime.NumGoroutine()
+		if err := s.solve(c); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("%s: %d goroutines after the call returned, baseline %d", s.name, n, base)
 		}
 	}
 }

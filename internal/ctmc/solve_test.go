@@ -1,11 +1,12 @@
 package ctmc
 
-// Tests of the solve-path memoization contract: cached results must be
-// bit-identical to the uncached (pre-cache) solver, replacing Q must
-// invalidate every derived operator, and Workers must never change an
-// output bit.
+// Tests of the solve path's contracts: a chain keeps no solve state, so
+// editing Q between calls is simply correct and concurrent solves of one
+// chain agree; Workers never changes an output bit; malformed generators
+// are rejected; and a uniform grid computes one Poisson table per call.
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -31,154 +32,6 @@ func cdfGrid(n int, step float64) []float64 {
 		times[i] = float64(i) * step
 	}
 	return times
-}
-
-func TestTransientSeriesCachedMatchesUncached(t *testing.T) {
-	rates := benchChainRates(120)
-	cached := NewChain(121, rates)
-	uncached := NewChain(121, rates)
-	uncached.noSolveCache = true
-	times := cdfGrid(40, 0.5)
-	a, err := cached.TransientSeries(cached.PointMass(0), times, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := uncached.TransientSeries(uncached.PointMass(0), times, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		for s := range a[i] {
-			if a[i][s] != b[i][s] {
-				t.Fatalf("t=%g state %d: cached %g != uncached %g", times[i], s, a[i][s], b[i][s])
-			}
-		}
-	}
-	// A second series over the same grid (cache fully warm) must agree too.
-	a2, err := cached.TransientSeries(cached.PointMass(0), times, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		for s := range a[i] {
-			if a[i][s] != a2[i][s] {
-				t.Fatalf("warm cache drifted at t=%g state %d", times[i], s)
-			}
-		}
-	}
-}
-
-func TestFirstPassageCDFCachedMatchesUncached(t *testing.T) {
-	rates := benchChainRates(80)
-	cached := NewChain(81, rates)
-	uncached := NewChain(81, rates)
-	uncached.noSolveCache = true
-	times := cdfGrid(30, 1)
-	targets := []int{80}
-	a, err := cached.FirstPassageCDF(cached.PointMass(0), targets, times, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Repeat evaluation exercises the absorbing-chain memo.
-	a2, err := cached.FirstPassageCDF(cached.PointMass(0), targets, times, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := uncached.FirstPassageCDF(uncached.PointMass(0), targets, times, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Probs {
-		if a.Probs[i] != b.Probs[i] {
-			t.Fatalf("t=%g: cached %g != uncached %g", times[i], a.Probs[i], b.Probs[i])
-		}
-		if a.Probs[i] != a2.Probs[i] {
-			t.Fatalf("t=%g: memoized re-evaluation drifted", times[i])
-		}
-	}
-}
-
-func TestPassageMemoHitCounted(t *testing.T) {
-	c := NewChain(41, benchChainRates(40))
-	c.Obs = obs.NewRegistry()
-	times := cdfGrid(10, 1)
-	for i := 0; i < 3; i++ {
-		if _, err := c.FirstPassageCDF(c.PointMass(0), []int{40}, times, 1e-10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hits := c.Obs.Counter("ctmc_passage_cache_total", obs.L("outcome", "hit"))
-	misses := c.Obs.Counter("ctmc_passage_cache_total", obs.L("outcome", "miss"))
-	if misses != 1 || hits != 2 {
-		t.Fatalf("passage cache counters: hits=%g misses=%g, want 2/1", hits, misses)
-	}
-	// A different target set misses and evicts.
-	if _, err := c.FirstPassageCDF(c.PointMass(0), []int{39}, times, 1e-10); err != nil {
-		t.Fatal(err)
-	}
-	if m := c.Obs.Counter("ctmc_passage_cache_total", obs.L("outcome", "miss")); m != 2 {
-		t.Fatalf("expected second miss after target change, got %g", m)
-	}
-}
-
-func TestSolveCacheInvalidatedOnQReplace(t *testing.T) {
-	fast := map[[2]int]float64{{0, 1}: 5, {1, 0}: 5}
-	slow := map[[2]int]float64{{0, 1}: 0.2, {1, 0}: 0.1}
-	c := NewChain(2, fast)
-	warm, err := c.Transient(c.PointMass(0), 1.5, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = warm
-	// Replace the generator wholesale: the cache must notice and rebuild.
-	c.Q = NewChain(2, slow).Q
-	c.ExitRate = NewChain(2, slow).ExitRate
-	got, err := c.Transient(c.PointMass(0), 1.5, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewChain(2, slow)
-	want, err := fresh.Transient(fresh.PointMass(0), 1.5, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range want {
-		if got[s] != want[s] {
-			t.Fatalf("stale cache survived Q replacement: state %d got %g want %g", s, got[s], want[s])
-		}
-	}
-}
-
-func TestInvalidateSolveCacheAfterInPlaceMutation(t *testing.T) {
-	// In-place mutation of Q.Val is documentedly unsupported without an
-	// explicit InvalidateSolveCache; with the call, results must match a
-	// fresh chain. (The nnz-preserving mutation below is exactly the kind
-	// the identity check cannot see.)
-	c := NewChain(2, map[[2]int]float64{{0, 1}: 2, {1, 0}: 1})
-	if _, err := c.Transient(c.PointMass(0), 1, 1e-10); err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range c.Q.Val {
-		c.Q.Val[k] = v * 2
-	}
-	for i := range c.ExitRate {
-		c.ExitRate[i] *= 2
-	}
-	c.InvalidateSolveCache()
-	got, err := c.Transient(c.PointMass(0), 1, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewChain(2, map[[2]int]float64{{0, 1}: 4, {1, 0}: 2})
-	want, err := fresh.Transient(fresh.PointMass(0), 1, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range want {
-		if got[s] != want[s] {
-			t.Fatalf("InvalidateSolveCache did not take effect: state %d got %g want %g", s, got[s], want[s])
-		}
-	}
 }
 
 func TestTransientWorkersBitIdentical(t *testing.T) {
@@ -225,8 +78,9 @@ func TestSteadyStateWorkersBitIdentical(t *testing.T) {
 }
 
 func TestConcurrentTransientSolvesShareCache(t *testing.T) {
-	// Hammer one chain from several goroutines: the cache accessors must be
-	// race-free (run under -race in CI) and every result identical.
+	// Hammer one chain from several goroutines: solves share only the
+	// read-only chain, so they must be race-free (run under -race in CI)
+	// and every result identical.
 	c := NewChain(101, benchChainRates(100))
 	want, err := c.Transient(c.PointMass(0), 2, 1e-10)
 	if err != nil {
@@ -342,9 +196,78 @@ func TestPoissonWeightSharingAcrossUniformGrid(t *testing.T) {
 	if hits < 40 {
 		t.Fatalf("weight table hits = %g, want ~48", hits)
 	}
-	// The uniformized matrix is assembled exactly once for the whole grid.
-	uniMisses := c.Obs.Counter("ctmc_unicache_total", obs.L("outcome", "miss"))
-	if uniMisses != 1 {
-		t.Fatalf("uniformized matrix built %g times for one series, want 1", uniMisses)
+}
+
+// TestInPlaceMutationBetweenSolves: nothing a solve derives from Q outlives
+// the call, so editing Q.Val in place between two solves is simply
+// correct. Swapping each interior state's up and down rates keeps the
+// pattern, every exit rate and so the uniformization rate q; the second
+// solves must match a fresh chain built with the swapped rates bit for bit.
+func TestInPlaceMutationBetweenSolves(t *testing.T) {
+	const k = 40
+	rates := benchChainRates(k)
+	c := NewChain(k+1, rates)
+	times := cdfGrid(8, 0.5)
+	targets := []int{k}
+	if _, err := c.SteadyState(SteadyStateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.TransientSeries(c.PointMass(0), times, 1e-10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.FirstPassageCDF(c.PointMass(0), targets, times, 1e-10); err != nil {
+		t.Fatal(err)
+	}
+
+	swapped := make(map[[2]int]float64, len(rates))
+	for key, v := range rates {
+		swapped[key] = v
+	}
+	for i := 1; i < k; i++ {
+		down, up := [2]int{i, i - 1}, [2]int{i, i + 1}
+		swapped[down], swapped[up] = rates[up], rates[down]
+	}
+	fresh := NewChain(k+1, swapped)
+	if !slices.Equal(fresh.Q.RowPtr, c.Q.RowPtr) || !slices.Equal(fresh.Q.ColIdx, c.Q.ColIdx) ||
+		!bitsEqual(fresh.ExitRate, c.ExitRate) {
+		t.Fatal("swapped chain changed the pattern or an exit rate")
+	}
+	copy(c.Q.Val, fresh.Q.Val)
+
+	gotPi, err := c.SteadyState(SteadyStateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPi, err := fresh.SteadyState(SteadyStateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitsEqual(gotPi, wantPi) {
+		t.Error("SteadyState after in-place mutation differs from a fresh chain")
+	}
+	got, err := c.TransientSeries(c.PointMass(0), times, 1e-10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.TransientSeries(fresh.PointMass(0), times, 1e-10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !bitsEqual(got[i], want[i]) {
+			t.Errorf("TransientSeries after in-place mutation differs from a fresh chain at t=%g", times[i])
+			break
+		}
+	}
+	gotCDF, err := c.FirstPassageCDF(c.PointMass(0), targets, times, 1e-10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCDF, err := fresh.FirstPassageCDF(fresh.PointMass(0), targets, times, 1e-10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitsEqual(gotCDF.Probs, wantCDF.Probs) {
+		t.Errorf("FirstPassageCDF after in-place mutation differs from a fresh chain:\n got %v\nwant %v", gotCDF.Probs, wantCDF.Probs)
 	}
 }

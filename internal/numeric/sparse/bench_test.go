@@ -103,8 +103,8 @@ func BenchmarkVecMulParallel(b *testing.B) {
 	})
 	for _, workers := range []int{1, 2, 4, 8} {
 		// The plan and pool are built once, outside the timed loop, the
-		// way ctmc.Chain memoizes them: the caller runs one part itself,
-		// so the pool holds workers-1 goroutines.
+		// way a ctmc solve builds them per call: the caller runs one part
+		// itself, so the pool holds workers-1 goroutines.
 		plan := NewPlan(mt, workers)
 		var pool *Pool
 		if workers > 1 {

@@ -25,7 +25,7 @@ func stiffTridiag(n int, spread float64) *CSR {
 	return c.ToCSR()
 }
 
-// bicgstab solves a·x = b the way ctmc.steadyKrylov does: matrix-free,
+// bicgstab solves a·x = b the way ctmc's Krylov rung does: matrix-free,
 // with the product routed through the plan/pool kernel when workers > 1
 // and the sequential MulVecTo otherwise, preconditioned by diag(a). The
 // kernel takes row dots of the matrix it is handed, so passing a itself

@@ -6,8 +6,8 @@ import "fmt"
 // nnz-balanced blocks for the parallel kernels. Planning costs a handful
 // of binary searches, but the hot solve loops run one product per Poisson
 // term — thousands per series — so callers compute the plan once per
-// (matrix, workers) pair (ctmc.Chain memoizes them next to its operator
-// caches) and reuse it for every product.
+// (matrix, workers) pair for a solve (ctmc builds one per call beside the
+// operator it partitions) and reuse it for every product.
 //
 // Blocks whose rows hold no stored entries are split out of the dispatch
 // list: they need only a memset of the output (plus the fused

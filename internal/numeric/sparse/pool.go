@@ -5,8 +5,8 @@ import "sync"
 // Pool is a persistent worker pool for the parallel kernels. The per-call
 // `go func` fan-out of the original kernels re-created every goroutine on
 // every product — thousands of times per transient series — so the solve
-// path keeps one Pool alive across iterations instead (ctmc.Chain owns one
-// per chain, robustness.Study shares one across its machine chains).
+// path keeps one Pool alive across iterations instead (a ctmc solve starts
+// one per call and closes it before returning).
 //
 // Workers are started lazily on the first Run and stay parked on a channel
 // until Close. Run is safe for concurrent use: several solves may dispatch

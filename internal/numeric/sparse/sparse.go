@@ -222,17 +222,19 @@ func (m *CSR) Transpose() *CSR {
 	for i := 0; i < t.Rows; i++ {
 		t.RowPtr[i+1] += t.RowPtr[i]
 	}
-	next := make([]int, t.Rows)
-	copy(next, t.RowPtr[:t.Rows])
+	// RowPtr[j] serves as column j's insertion cursor, ending at the start
+	// of column j+1; shifting the pointers back restores them.
 	for i := 0; i < m.Rows; i++ {
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
 			j := m.ColIdx[k]
-			pos := next[j]
+			pos := t.RowPtr[j]
 			t.ColIdx[pos] = i
 			t.Val[pos] = m.Val[k]
-			next[j]++
+			t.RowPtr[j]++
 		}
 	}
+	copy(t.RowPtr[1:], t.RowPtr[:t.Rows])
+	t.RowPtr[0] = 0
 	return t
 }
 
@@ -285,19 +287,12 @@ type IterOptions struct {
 	MaxIter int     // maximum sweeps (default 10000)
 	Tol     float64 // infinity-norm convergence tolerance (default 1e-12)
 	// Workers parallelizes the per-iteration vector-matrix product in
-	// PowerIteration (<= 1 means sequential). Results are bit-identical
-	// for any value. Gauss–Seidel sweeps are inherently sequential and
-	// ignore it; BiCGStab runs whatever product its caller hands it.
+	// PowerIteration (<= 1 means sequential): the iteration matrix is
+	// transposed and partitioned once at solve start. Results are
+	// bit-identical for any value. Gauss–Seidel sweeps are inherently
+	// sequential and ignore it; BiCGStab runs whatever product its caller
+	// hands it.
 	Workers int
-	// Transposed optionally supplies the precomputed transpose of the
-	// iteration matrix for the parallel PowerIteration product. When nil
-	// and Workers > 1 the transpose is built once at solve start.
-	Transposed *CSR
-	// Plan optionally supplies the precomputed row partition of
-	// Transposed. When nil and Workers > 1 it is planned once at solve
-	// start; callers solving repeatedly (ctmc.Chain) pass their memoized
-	// plan instead.
-	Plan *Plan
 	// Pool optionally supplies a persistent worker pool for the parallel
 	// products. When nil, every partition runs inline on the caller's
 	// goroutine. Results are bit-identical either way.
@@ -395,15 +390,13 @@ func PowerIteration(p *CSR, opt IterOptions) ([]float64, IterResult, error) {
 	for i := range x {
 		x[i] = 1 / float64(n)
 	}
-	pt := opt.Transposed
-	plan := opt.Plan
+	var (
+		pt   *CSR
+		plan *Plan
+	)
 	if opt.Workers > 1 {
-		if pt == nil {
-			pt = p.Transpose()
-		}
-		if plan == nil {
-			plan = NewPlan(pt, opt.Workers)
-		}
+		pt = p.Transpose()
+		plan = NewPlan(pt, opt.Workers)
 	}
 	y := opt.Scratch.Get(n)
 	defer opt.Scratch.Put(y)
