@@ -147,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzExplore -fuzztime=5s ./internal/pepa/derive
 	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/gpepa
 	$(GO) test -fuzz=FuzzUnmarshalTar -fuzztime=5s ./internal/vfs
+	$(GO) test -fuzz='^FuzzUnmarshal$$' -fuzztime=5s ./internal/image
 	$(GO) test -fuzz=FuzzHintJournalRecords -fuzztime=5s ./internal/hub
 
 # Rewrite the golden experiment outputs after an intentional change.

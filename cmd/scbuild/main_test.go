@@ -69,7 +69,7 @@ func TestBuildWritesLayeredImageThatScrunRuns(t *testing.T) {
 	if !image.IsLayered(data) {
 		t.Fatalf("scbuild wrote %.5q, want the SCIF2 magic", data)
 	}
-	img, err := image.Unmarshal(data)
+	img, _, err := image.Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}

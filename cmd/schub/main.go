@@ -226,7 +226,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		img, err := image.Unmarshal(blob)
+		img, _, err := image.Unmarshal(blob)
 		if err != nil {
 			return err
 		}

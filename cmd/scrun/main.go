@@ -49,11 +49,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	img, err := image.Unmarshal(blob)
-	if err != nil {
-		return err
-	}
-	digest, err := img.Digest()
+	img, digest, err := image.Unmarshal(blob)
 	if err != nil {
 		return err
 	}

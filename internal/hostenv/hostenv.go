@@ -83,12 +83,33 @@ func baseFS(osName string) *vfs.FS {
 	return fs
 }
 
-// carve builds a distro repository from the upstream universe by removing
-// the packages/versions the distro no longer ships.
+// carve builds a distro repository from a fresh upstream universe by
+// removing the packages/versions the distro no longer ships.
 func carve(name string, remove func(*pkgmgr.Repository)) *pkgmgr.Repository {
-	r := pkgmgr.Universe().Clone(name)
+	r := pkgmgr.Universe()
+	r.Name = name
 	remove(r)
 	return r
+}
+
+// el7 is what the EL7 archives lack: EL7 never shipped JDK 11,
+// Eclipse 4.9 or vis-toolkit 3.0.
+func el7(r *pkgmgr.Repository) {
+	r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
+	r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
+	r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
+}
+
+// bionic is what Ubuntu 18.04 (and Mint 19.1, which tracks it) lacks: it
+// dropped the legacy JDKs, old Eclipse lines, and vis-toolkit 2.x — the
+// skew that breaks native installs.
+func bionic(r *pkgmgr.Repository) {
+	r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(6, 0, 45))
+	r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(7, 0, 80))
+	r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(3, 6, 2))
+	r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 2, 0))
+	r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 4, 2))
+	r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(2, 3, 0))
 }
 
 // Profile names, matching §III of the paper.
@@ -102,101 +123,68 @@ const (
 	GCPInstance = "gcp-n1-standard-8"
 )
 
+// profiles is the recipe for each host of the validation matrix, build
+// host first: its metadata (Repo and FS unset), the name of its distro
+// archive, and what that archive lacks relative to the universe.
+var profiles = []struct {
+	host   Host
+	repo   string
+	remove func(*pkgmgr.Repository)
+}{
+	{Host{Name: BuildHost, OS: "CentOS Linux 7.4", Kernel: "3.10.0-693", CPUs: 20, MemGB: 256, User: "modeler"},
+		"centos-7.4", el7},
+	{Host{Name: CentOS76, OS: "CentOS Linux 7.6", Kernel: "3.10.0-957", CPUs: 8, MemGB: 64, User: "modeler"},
+		"centos-7.6", el7},
+	{Host{Name: Ubuntu1804, OS: "Ubuntu 18.04 LTS Bionic Beaver", Kernel: "4.15.0", CPUs: 8, MemGB: 32, User: "modeler"},
+		"ubuntu-18.04", bionic},
+	{Host{Name: Ubuntu1604, OS: "Ubuntu 16.04 LTS Xenial Xerus", Kernel: "4.4.0", CPUs: 4, MemGB: 16, User: "modeler"},
+		"ubuntu-16.04", func(r *pkgmgr.Repository) {
+			r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
+			r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(6, 0, 45))
+			r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(3, 6, 2))
+			r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
+			r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
+		}},
+	{Host{Name: Mint191, OS: "Linux Mint 19.1 Tessa", Kernel: "4.15.0", CPUs: 4, MemGB: 16, User: "modeler"},
+		"mint-19.1", bionic},
+	{Host{Name: Debian96, OS: "Debian 9.6 Stretch", Kernel: "4.9.0", CPUs: 4, MemGB: 16, User: "modeler"},
+		"debian-9.6", func(r *pkgmgr.Repository) {
+			// Stretch ships only JDK 8 and keeps Eclipse Luna.
+			r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(6, 0, 45))
+			r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(7, 0, 80))
+			r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
+			r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(3, 6, 2))
+			r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
+			r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
+		}},
+	{Host{Name: GCPInstance, OS: "CentOS Linux 7.6", Kernel: "3.10.0-957", CPUs: 8, MemGB: 30, Cloud: true, User: "modeler"},
+		"gcp-centos-7.6", el7},
+}
+
 // Profiles constructs the seven host profiles of the validation matrix.
 // The returned slice is ordered with the build host first.
 func Profiles() []*Host {
-	hosts := []*Host{
-		{
-			Name: BuildHost, OS: "CentOS Linux 7.4", Kernel: "3.10.0-693",
-			CPUs: 20, MemGB: 256, User: "modeler",
-			Repo: carve("centos-7.4", func(r *pkgmgr.Repository) {
-				// EL7 never shipped JDK 11 or Eclipse 4.9.
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
-				r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
-			}),
-		},
-		{
-			Name: CentOS76, OS: "CentOS Linux 7.6", Kernel: "3.10.0-957",
-			CPUs: 8, MemGB: 64, User: "modeler",
-			Repo: carve("centos-7.6", func(r *pkgmgr.Repository) {
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
-				r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
-			}),
-		},
-		{
-			Name: Ubuntu1804, OS: "Ubuntu 18.04 LTS Bionic Beaver", Kernel: "4.15.0",
-			CPUs: 8, MemGB: 32, User: "modeler",
-			Repo: carve("ubuntu-18.04", func(r *pkgmgr.Repository) {
-				// Bionic dropped the legacy JDKs, old Eclipse lines, and
-				// vis-toolkit 2.x — the skew that breaks native installs.
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(6, 0, 45))
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(7, 0, 80))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(3, 6, 2))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 2, 0))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 4, 2))
-				r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(2, 3, 0))
-			}),
-		},
-		{
-			Name: Ubuntu1604, OS: "Ubuntu 16.04 LTS Xenial Xerus", Kernel: "4.4.0",
-			CPUs: 4, MemGB: 16, User: "modeler",
-			Repo: carve("ubuntu-16.04", func(r *pkgmgr.Repository) {
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(6, 0, 45))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(3, 6, 2))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
-				r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
-			}),
-		},
-		{
-			Name: Mint191, OS: "Linux Mint 19.1 Tessa", Kernel: "4.15.0",
-			CPUs: 4, MemGB: 16, User: "modeler",
-			Repo: carve("mint-19.1", func(r *pkgmgr.Repository) {
-				// Mint 19.1 tracks Ubuntu 18.04.
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(6, 0, 45))
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(7, 0, 80))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(3, 6, 2))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 2, 0))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 4, 2))
-				r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(2, 3, 0))
-			}),
-		},
-		{
-			Name: Debian96, OS: "Debian 9.6 Stretch", Kernel: "4.9.0",
-			CPUs: 4, MemGB: 16, User: "modeler",
-			Repo: carve("debian-9.6", func(r *pkgmgr.Repository) {
-				// Stretch ships only JDK 8 and keeps Eclipse Luna.
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(6, 0, 45))
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(7, 0, 80))
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(3, 6, 2))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
-				r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
-			}),
-		},
-		{
-			Name: GCPInstance, OS: "CentOS Linux 7.6", Kernel: "3.10.0-957",
-			CPUs: 8, MemGB: 30, Cloud: true, User: "modeler",
-			Repo: carve("gcp-centos-7.6", func(r *pkgmgr.Repository) {
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
-				r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
-			}),
-		},
-	}
-	for _, h := range hosts {
-		h.FS = baseFS(h.OS)
+	hosts := make([]*Host, len(profiles))
+	for i := range profiles {
+		hosts[i] = newHost(i)
 	}
 	return hosts
 }
 
+// newHost constructs a fresh host from profiles[i].
+func newHost(i int) *Host {
+	p := &profiles[i]
+	h := p.host
+	h.Repo = carve(p.repo, p.remove)
+	h.FS = baseFS(h.OS)
+	return &h
+}
+
 // ByName returns the named profile (fresh instance) or an error.
 func ByName(name string) (*Host, error) {
-	for _, h := range Profiles() {
-		if h.Name == name {
-			return h, nil
+	for i := range profiles {
+		if profiles[i].host.Name == name {
+			return newHost(i), nil
 		}
 	}
 	return nil, fmt.Errorf("hostenv: unknown host profile %q", name)
@@ -204,10 +192,9 @@ func ByName(name string) (*Host, error) {
 
 // Names lists all profile names in matrix order.
 func Names() []string {
-	hs := Profiles()
-	out := make([]string, len(hs))
-	for i, h := range hs {
-		out[i] = h.Name
+	out := make([]string, len(profiles))
+	for i := range profiles {
+		out[i] = profiles[i].host.Name
 	}
 	return out
 }
@@ -219,11 +206,7 @@ func BaseImages() map[string]struct {
 	FS   func() *vfs.FS
 	Repo *pkgmgr.Repository
 } {
-	centosRepo := carve("centos-7.4-base", func(r *pkgmgr.Repository) {
-		r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
-		r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
-		r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
-	})
+	centosRepo := carve("centos-7.4-base", el7)
 	ubuntuRepo := carve("ubuntu-16.04-base", func(r *pkgmgr.Repository) {
 		r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
 		r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))

@@ -102,13 +102,9 @@ func key(coll, name, tag string) string { return coll + "/" + name + ":" + tag }
 // which has the same digest. Put, journal replay and snapshot load all
 // go through it, so every entry a store holds is SCIF2.
 func storedForm(blob []byte) ([]byte, *image.Image, string, error) {
-	img, err := image.Unmarshal(blob)
+	img, d, err := image.Unmarshal(blob)
 	if err != nil {
 		return nil, nil, "", fmt.Errorf("hub: rejecting malformed image: %w", err)
-	}
-	d, err := img.Digest()
-	if err != nil {
-		return nil, nil, "", err
 	}
 	if !image.IsLayered(blob) {
 		if blob, err = img.MarshalLayered(); err != nil {

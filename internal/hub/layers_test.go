@@ -1,6 +1,7 @@
 package hub
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -359,5 +360,50 @@ func TestScrubRestoresSharedLayerFromHealthyBlob(t *testing.T) {
 	}
 	if got := store.LayerCount(); got != 4 {
 		t.Errorf("LayerCount = %d, want 4", got)
+	}
+}
+
+// TestPutStoresLayeredBlobWithoutImageDigest: a SCIF2 blob whose manifest
+// omits ImageDigest is stored byte for byte under the digest computed
+// from its flattened content, and scrubbing finds it healthy.
+func TestPutStoresLayeredBlobWithoutImageDigest(t *testing.T) {
+	img := layeredTestImage(t, "pepa", "latest", "base", "tools", "models")
+	want, err := img.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := img.MarshalLayered()
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifestBytes, frames, err := image.LayeredFrames(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := image.ParseManifest(manifestBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.ImageDigest = ""
+	bare, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := image.AssembleLayered(bare, frames)
+
+	store := NewStore()
+	digest, err := store.Put("coll", "pepa", "latest", blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if digest != want {
+		t.Errorf("Put digest = %s, want the computed digest %s", digest, want)
+	}
+	stored, gotDigest, ok := store.Get("coll", "pepa", "latest")
+	if !ok || gotDigest != want || string(stored) != string(blob) {
+		t.Errorf("Get = %d bytes, %s, %v; want the pushed %d bytes under %s", len(stored), gotDigest, ok, len(blob), want)
+	}
+	if rep := store.ScrubOnce(nil); rep.Checked != 1 || rep.Corrupt != 0 {
+		t.Errorf("scrub = %+v, want one healthy entry", rep)
 	}
 }

@@ -6,7 +6,8 @@ import (
 )
 
 // FuzzUnmarshal checks the image decoder never panics on corrupt blobs and
-// that valid images round-trip with stable digests. It covers both the
+// that valid images round-trip with stable digests, each equal to the one
+// Unmarshal returned and to the buffered digest oracle. It covers both the
 // legacy monolithic (SCIF1) and the layered (SCIF2) encodings.
 func FuzzUnmarshal(f *testing.F) {
 	good, err := sampleImage().Marshal()
@@ -25,7 +26,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(layered)
 	f.Add(layered[:len(layered)-7])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		img, err := Unmarshal(data)
+		img, d0, err := Unmarshal(data)
 		if err != nil {
 			return
 		}
@@ -33,17 +34,17 @@ func FuzzUnmarshal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("digest of unmarshaled image failed: %v", err)
 		}
+		if d0 != d1 {
+			t.Fatalf("Unmarshal returned digest %s, Digest %s", d0, d1)
+		}
+		checkDigestOracle(t, "accepted image", img)
 		blob, err := img.Marshal()
 		if err != nil {
 			t.Fatalf("remarshal failed: %v", err)
 		}
-		back, err := Unmarshal(blob)
+		_, d2, err := Unmarshal(blob)
 		if err != nil {
 			t.Fatalf("re-unmarshal failed: %v", err)
-		}
-		d2, err := back.Digest()
-		if err != nil {
-			t.Fatal(err)
 		}
 		if d1 != d2 {
 			t.Fatal("digest not stable across round trip")

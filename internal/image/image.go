@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 
 	"repro/internal/vfs"
@@ -67,13 +68,15 @@ type digestMeta struct {
 
 // Digest returns the SHA-256 content digest "sha256:<hex>" of the image.
 // It covers the filesystem (deterministic tar) and the run metadata, but
-// not provenance fields.
+// not provenance fields. The tar is streamed, never held: one pass into
+// io.Discard learns the length that prefixes it in the hash, and a
+// second pass writes it into the hash.
 func (img *Image) Digest() (string, error) {
-	tarBytes, err := img.FS.MarshalTar()
+	metaBytes, err := json.Marshal(digestMetaOf(img.Meta)) // Go JSON sorts map keys: deterministic
 	if err != nil {
 		return "", err
 	}
-	metaBytes, err := json.Marshal(digestMetaOf(img.Meta)) // Go JSON sorts map keys: deterministic
+	tarLen, err := img.FS.WriteTar(io.Discard)
 	if err != nil {
 		return "", err
 	}
@@ -81,8 +84,14 @@ func (img *Image) Digest() (string, error) {
 	h.Write([]byte(magic))
 	binary.Write(h, binary.BigEndian, uint64(len(metaBytes)))
 	h.Write(metaBytes)
-	binary.Write(h, binary.BigEndian, uint64(len(tarBytes)))
-	h.Write(tarBytes)
+	binary.Write(h, binary.BigEndian, uint64(tarLen))
+	hashed, err := img.FS.WriteTar(h)
+	if err != nil {
+		return "", err
+	}
+	if hashed != tarLen {
+		return "", fmt.Errorf("image: tar stream wrote %d bytes into the digest, %d when measured", hashed, tarLen)
+	}
 	return "sha256:" + hex.EncodeToString(h.Sum(nil)), nil
 }
 
@@ -133,15 +142,16 @@ func (img *Image) Marshal() ([]byte, error) {
 }
 
 // Unmarshal reconstructs an image from Marshal's or MarshalLayered's
-// output, dispatching on the magic. Legacy SCIF1 blobs decode exactly as
-// before; layered SCIF2 blobs are digest-verified layer by layer and
-// flattened.
-func Unmarshal(data []byte) (*Image, error) {
+// output, dispatching on the magic, and returns it with its content
+// digest, so a caller never hashes a decoded image again. Legacy SCIF1
+// blobs decode exactly as before; layered SCIF2 blobs are digest-verified
+// layer by layer and flattened.
+func Unmarshal(data []byte) (*Image, string, error) {
 	if IsLayered(data) {
 		return unmarshalLayered(data)
 	}
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("image: bad magic (not a container image)")
+		return nil, "", fmt.Errorf("image: bad magic (not a container image)")
 	}
 	rest := data[len(magic):]
 	readChunk := func() ([]byte, error) {
@@ -159,24 +169,29 @@ func Unmarshal(data []byte) (*Image, error) {
 	}
 	metaBytes, err := readChunk()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	tarBytes, err := readChunk()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("image: %d trailing bytes", len(rest))
+		return nil, "", fmt.Errorf("image: %d trailing bytes", len(rest))
 	}
 	var meta Metadata
 	if err := json.Unmarshal(metaBytes, &meta); err != nil {
-		return nil, fmt.Errorf("image: bad metadata: %w", err)
+		return nil, "", fmt.Errorf("image: bad metadata: %w", err)
 	}
 	fs, err := vfs.UnmarshalTar(tarBytes)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return &Image{Meta: meta, FS: fs}, nil
+	img := &Image{Meta: meta, FS: fs}
+	d, err := img.Digest()
+	if err != nil {
+		return nil, "", err
+	}
+	return img, d, nil
 }
 
 // Ref renders "name:tag".
@@ -189,7 +204,11 @@ func (img *Image) VerifyDigest(expected string) error {
 		return err
 	}
 	if got != expected {
-		return fmt.Errorf("image: digest mismatch: got %s, want %s", got, expected)
+		return errDigestMismatch(got, expected)
 	}
 	return nil
+}
+
+func errDigestMismatch(got, want string) error {
+	return fmt.Errorf("image: digest mismatch: got %s, want %s", got, want)
 }

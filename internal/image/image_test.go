@@ -81,7 +81,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Unmarshal(blob)
+	back, d, err := Unmarshal(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,21 +95,21 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 	d1, _ := img.Digest()
 	d2, _ := back.Digest()
-	if d1 != d2 {
-		t.Error("digest changed across marshal round trip")
+	if d1 != d2 || d != d1 {
+		t.Errorf("digest changed across marshal round trip: %s, decoded %s, returned %s", d1, d2, d)
 	}
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := Unmarshal([]byte("not an image")); err == nil {
+	if _, _, err := Unmarshal([]byte("not an image")); err == nil {
 		t.Error("bad magic accepted")
 	}
 	img := sampleImage()
 	blob, _ := img.Marshal()
-	if _, err := Unmarshal(blob[:len(blob)-4]); err == nil {
+	if _, _, err := Unmarshal(blob[:len(blob)-4]); err == nil {
 		t.Error("truncated blob accepted")
 	}
-	if _, err := Unmarshal(append(blob, 0)); err == nil {
+	if _, _, err := Unmarshal(append(blob, 0)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }

@@ -293,42 +293,45 @@ func LayersFromSnapshots(snaps []*vfs.FS) ([]*Layer, error) {
 
 // unmarshalLayered decodes a layered (SCIF2) blob: every layer digest is
 // checked against the manifest, the flattened filesystem is rebuilt, and
-// the legacy image digest is verified, so a decoded layered image is
-// end-to-end integrity-checked.
-func unmarshalLayered(data []byte) (*Image, error) {
+// the legacy image digest is computed once and checked against the
+// manifest's ImageDigest when it carries one, so a decoded layered image
+// is end-to-end integrity-checked.
+func unmarshalLayered(data []byte) (*Image, string, error) {
 	manifestBytes, frames, err := LayeredFrames(data)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	m, err := ParseManifest(manifestBytes)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	if len(frames) != len(m.Layers) {
-		return nil, fmt.Errorf("image: manifest lists %d layers, blob carries %d", len(m.Layers), len(frames))
+		return nil, "", fmt.Errorf("image: manifest lists %d layers, blob carries %d", len(m.Layers), len(frames))
 	}
 	layers := make([]*Layer, len(frames))
 	for i, f := range frames {
 		l, err := DecodeLayer(f)
 		if err != nil {
-			return nil, fmt.Errorf("image: layer %d: %w", i, err)
+			return nil, "", fmt.Errorf("image: layer %d: %w", i, err)
 		}
 		if l.Digest() != m.Layers[i].Digest {
-			return nil, fmt.Errorf("image: layer %d digest mismatch: got %s, want %s", i, l.Digest(), m.Layers[i].Digest)
+			return nil, "", fmt.Errorf("image: layer %d digest mismatch: got %s, want %s", i, l.Digest(), m.Layers[i].Digest)
 		}
 		if l.Size() != m.Layers[i].Size {
-			return nil, fmt.Errorf("image: layer %d size mismatch: got %d, want %d", i, l.Size(), m.Layers[i].Size)
+			return nil, "", fmt.Errorf("image: layer %d size mismatch: got %d, want %d", i, l.Size(), m.Layers[i].Size)
 		}
 		layers[i] = l
 	}
 	img, err := AssembleFromLayers(m.Config, layers)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	if m.ImageDigest != "" {
-		if err := img.VerifyDigest(m.ImageDigest); err != nil {
-			return nil, err
-		}
+	d, err := img.Digest()
+	if err != nil {
+		return nil, "", err
 	}
-	return img, nil
+	if m.ImageDigest != "" && d != m.ImageDigest {
+		return nil, "", errDigestMismatch(d, m.ImageDigest)
+	}
+	return img, d, nil
 }

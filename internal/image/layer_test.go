@@ -57,9 +57,12 @@ func TestLayeredRoundTripBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Unmarshal(blob)
+	back, d, err := Unmarshal(blob)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d != wantDigest {
+		t.Fatalf("Unmarshal returned digest %s, want %s", d, wantDigest)
 	}
 	if !back.Layered() || len(back.Layers) != 4 {
 		t.Fatalf("decoded image has %d layers, want 4", len(back.Layers))
@@ -107,7 +110,7 @@ func TestLayerizePreservesLegacyDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Unmarshal(layered)
+	back, _, err := Unmarshal(layered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +160,7 @@ func TestQuickSplitMergeRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := Unmarshal(blob)
+		back, _, err := Unmarshal(blob)
 		if err != nil {
 			return false
 		}
@@ -232,11 +235,11 @@ func TestUnmarshalLayeredRejectsTamper(t *testing.T) {
 	tampered := append([]byte(nil), frames[len(frames)-1]...)
 	tampered[len(tampered)/2] ^= 0xff
 	framesT := append(append([][]byte(nil), frames[:len(frames)-1]...), tampered)
-	if _, err := Unmarshal(AssembleLayered(manifest, framesT)); err == nil {
+	if _, _, err := Unmarshal(AssembleLayered(manifest, framesT)); err == nil {
 		t.Fatal("tampered layer accepted")
 	}
 	// Dropping a layer breaks the manifest/frame count check.
-	if _, err := Unmarshal(AssembleLayered(manifest, frames[:len(frames)-1])); err == nil {
+	if _, _, err := Unmarshal(AssembleLayered(manifest, frames[:len(frames)-1])); err == nil {
 		t.Fatal("dropped layer accepted")
 	}
 	// A wrong imageDigest in the manifest must be caught after flattening.
@@ -249,7 +252,7 @@ func TestUnmarshalLayeredRejectsTamper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Unmarshal(AssembleLayered(badManifest, frames)); err == nil {
+	if _, _, err := Unmarshal(AssembleLayered(badManifest, frames)); err == nil {
 		t.Fatal("wrong imageDigest accepted")
 	}
 }

@@ -1,9 +1,13 @@
 package vfs
 
-import "testing"
+import (
+	"io"
+	"testing"
+)
 
-// FuzzUnmarshalTar checks the tar reader never panics on corrupt input and
-// that valid round trips are lossless.
+// FuzzUnmarshalTar checks the tar reader never panics on corrupt input,
+// that valid round trips are lossless, and that WriteTar reports the
+// length of the stream MarshalTar returns.
 func FuzzUnmarshalTar(f *testing.F) {
 	mk := func(build func(fs *FS)) []byte {
 		fs := New()
@@ -31,6 +35,13 @@ func FuzzUnmarshalTar(f *testing.F) {
 		blob, err := fs.MarshalTar()
 		if err != nil {
 			t.Fatalf("remarshal failed: %v", err)
+		}
+		n, err := fs.WriteTar(io.Discard)
+		if err != nil {
+			t.Fatalf("WriteTar failed: %v", err)
+		}
+		if n != int64(len(blob)) {
+			t.Fatalf("WriteTar wrote %d bytes, MarshalTar returned %d", n, len(blob))
 		}
 		back, err := UnmarshalTar(blob)
 		if err != nil {

@@ -452,12 +452,14 @@ func (fs *FS) CopyInto(dstFS *FS, src, dst string) error {
 // builds cannot embed wall-clock time.
 var epoch = time.Unix(0, 0).UTC()
 
-// MarshalTar serializes the filesystem as a deterministic tar stream:
+// WriteTar writes the filesystem to w as a deterministic tar stream:
 // entries in lexical path order, fixed epoch timestamps, numeric owners
-// only.
-func (fs *FS) MarshalTar() ([]byte, error) {
-	var buf bytes.Buffer
-	tw := tar.NewWriter(&buf)
+// only. It returns the number of bytes written. Every call writes the
+// same bytes for the same tree, so a caller may write the stream once to
+// learn its length and again to consume it.
+func (fs *FS) WriteTar(w io.Writer) (int64, error) {
+	cw := &countingWriter{w: w}
+	tw := tar.NewWriter(cw)
 	err := fs.Walk(func(p string, n *Node) error {
 		if p == "/" {
 			return nil
@@ -492,9 +494,28 @@ func (fs *FS) MarshalTar() ([]byte, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return cw.n, err
 	}
-	if err := tw.Close(); err != nil {
+	err = tw.Close()
+	return cw.n, err
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// MarshalTar returns the tar stream WriteTar writes.
+func (fs *FS) MarshalTar() ([]byte, error) {
+	var buf bytes.Buffer
+	if _, err := fs.WriteTar(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
