@@ -92,9 +92,9 @@ chaos:
 # and drain the hub under slow in-flight requests — all under -race.
 chaos-cancel:
 	$(GO) test -race -count=1 \
-		-run 'TestStudy|TestEnsemble|TestMeanOfSim|TestShutdown|TestSave|TestLoad' \
-		./internal/robustness ./internal/pepa/sim ./internal/gpepa ./internal/hub
-	$(GO) test -race -count=1 ./internal/par ./internal/checkpoint ./internal/fsatomic ./internal/sigctx ./internal/runctx
+		-run 'TestStudy|TestEnsemble|TestMeanOfSim|TestMeanSSA|TestShutdown|TestSave|TestLoad' \
+		./internal/robustness ./internal/pepa/sim ./internal/gpepa ./internal/biopepa ./internal/hub
+	$(GO) test -race -count=1 ./internal/par ./internal/checkpoint ./internal/ssa ./internal/fsatomic ./internal/sigctx ./internal/runctx
 
 # Durability/self-healing chaos lane (docs/RESILIENCE.md): WAL crash-point
 # recovery, resumable chunk-verified manifest and layer pulls under seeded
@@ -103,7 +103,7 @@ chaos-cancel:
 # Fault plans and jitter are seeded, so failures replay exactly.
 chaos-hub:
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestWAL|TestScrub|TestRepush|TestQuarantine|TestIdempotentPut|TestLoadReplays|TestLoadReencodes|TestPull|TestSameImageFromTwoBuildHosts|TestServeBlobRange|TestParseRange|TestChunkDigests|TestResponseCap|TestUploadCap|TestAdmission|TestTokenBucket|TestClientHonorsRetryAfter|TestClientThrottleCap' \
+		-run 'TestChaos|TestWAL|TestScrub|TestRepush|TestQuarantine|TestIdempotentPut|TestLoadReplays|TestLoadReencodes|TestLoadParentStateDir|TestReopenKeepsEachBuildHostsBytes|TestPull|TestSameImageFromTwoBuildHosts|TestServeBlobRange|TestParseRange|TestChunkDigests|TestResponseCap|TestUploadCap|TestAdmission|TestTokenBucket|TestClientHonorsRetryAfter|TestClientThrottleCap' \
 		./internal/hub
 	$(GO) test -race -count=1 ./internal/fsatomic ./internal/faultinject
 

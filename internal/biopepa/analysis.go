@@ -6,11 +6,12 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/checkpoint"
 	"repro/internal/ctmc"
 	"repro/internal/numeric/ode"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/runctx"
+	"repro/internal/ssa"
 )
 
 // compiled caches the reaction structure with species indices resolved.
@@ -160,68 +161,47 @@ func (m *Model) SimulateSSA(horizon float64, n int, seed uint64) (*SSAResult, er
 // SimulateSSACtx is SimulateSSA with cooperative cancellation, polled
 // once per reaction firing.
 func (m *Model) SimulateSSACtx(ctx context.Context, horizon float64, n int, seed uint64) (*SSAResult, error) {
-	if horizon <= 0 || n < 1 {
-		return nil, fmt.Errorf("biopepa: bad SSA parameters horizon=%g n=%d", horizon, n)
-	}
-	c, err := m.compile()
+	p, err := m.simulateSSA(ctx, horizon, n, seed)
 	if err != nil {
 		return nil, err
 	}
-	r := rng.New(seed)
-	x := m.InitialState()
-	for i := range x {
-		x[i] = float64(int64(x[i] + 0.5))
+	return &SSAResult{Model: m, Times: ssa.Grid(horizon, n), X: p.X, Jumps: p.Jumps}, nil
+}
+
+// simulateSSA runs one trajectory by ssa.Run, compiling the reaction
+// structure for this run alone: its rate-law environment is scratch
+// state, so concurrent replications must not share it.
+func (m *Model) simulateSSA(ctx context.Context, horizon float64, n int, seed uint64) (ssa.Path, error) {
+	if horizon <= 0 || n < 1 {
+		return ssa.Path{}, fmt.Errorf("biopepa: bad SSA parameters horizon=%g n=%d", horizon, n)
 	}
-	res := &SSAResult{Model: m}
-	dt := horizon / float64(n)
-	res.Times = make([]float64, n+1)
-	res.X = make([][]float64, n+1)
-	for i := range res.Times {
-		res.Times[i] = float64(i) * dt
+	c, err := m.compile()
+	if err != nil {
+		return ssa.Path{}, err
 	}
-	res.X[0] = append([]float64(nil), x...)
-	nextSample := 1
-	t := 0.0
-	rates := make([]float64, len(c.reactions))
-	for {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, runctx.New("biopepa.ssa", cerr, res.Jumps, 0, "reactions")
+	x0 := m.InitialState()
+	for i := range x0 {
+		x0[i] = float64(int64(x0[i] + 0.5))
+	}
+	rates := func(x, dst []float64) error {
+		if err := c.rates(x, dst); err != nil {
+			return err
 		}
-		if err := c.rates(x, rates); err != nil {
-			return nil, err
-		}
-		var total float64
-		for ri, v := range rates {
+		for ri := range dst {
 			// A reaction whose reactants are insufficient cannot fire in
 			// the discrete setting.
 			if !c.canFire(ri, x) {
-				rates[ri] = 0
-				continue
+				dst[ri] = 0
 			}
-			total += v
 		}
-		if total <= 0 {
-			break
-		}
-		t += r.Exp(total)
-		for nextSample <= n && res.Times[nextSample] < t {
-			res.X[nextSample] = append([]float64(nil), x...)
-			nextSample++
-		}
-		if t >= horizon {
-			break
-		}
-		ri := r.Choose(rates)
+		return nil
+	}
+	fire := func(ri int, x []float64, _ *rng.Source) {
 		for i, d := range c.delta[ri] {
 			x[i] += d
 		}
-		res.Jumps++
 	}
-	for nextSample <= n {
-		res.X[nextSample] = append([]float64(nil), x...)
-		nextSample++
-	}
-	return res, nil
+	return ssa.Run(ctx, "biopepa.ssa", x0, horizon, n, seed, len(c.reactions), rates, fire)
 }
 
 func (c *compiled) canFire(r int, x []float64) bool {
@@ -234,8 +214,8 @@ func (c *compiled) canFire(r int, x []float64) bool {
 }
 
 // MeanSSA averages k trajectories. Replications run in parallel (each
-// compiles its own reaction structure via SimulateSSA and owns its RNG);
-// the reduction runs in replication order for bit-stable output.
+// compiles its own reaction structure and owns its RNG); the reduction
+// runs in replication order for bit-stable output.
 func (m *Model) MeanSSA(horizon float64, n, k int, seed uint64) (*SSAResult, error) {
 	return m.MeanSSACtx(context.Background(), horizon, n, k, seed)
 }
@@ -247,43 +227,18 @@ func (m *Model) MeanSSACtx(ctx context.Context, horizon float64, n, k int, seed 
 	if k < 1 {
 		return nil, fmt.Errorf("biopepa: need at least one replication")
 	}
-	runs, err := par.MapOpt(k, par.Options{Ctx: ctx}, func(rep int) (*SSAResult, error) {
-		return m.SimulateSSACtx(ctx, horizon, n, seed+uint64(rep)*0x9E3779B9)
-	})
+	reps, err := checkpoint.Open[int, ssa.Path](nil, "")
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			done := 0
-			for _, r := range runs {
-				if r != nil {
-					done++
-				}
-			}
-			return nil, runctx.New("biopepa.mean-ssa", cerr, done, k, "replications")
-		}
-		var merr *par.MultiError
-		if errors.As(err, &merr) && len(merr.Errs) > 0 {
-			return nil, fmt.Errorf("par: %w", merr.Errs[0])
-		}
 		return nil, err
 	}
-	acc := &SSAResult{Model: m, Times: runs[0].Times, X: make([][]float64, len(runs[0].X))}
-	for i := range acc.X {
-		acc.X[i] = make([]float64, len(runs[0].X[i]))
+	paths, err := ssa.Replicate(ctx, "biopepa.mean-ssa", k, 0, reps, func(rep int) (ssa.Path, error) {
+		return m.simulateSSA(ctx, horizon, n, seed+uint64(rep)*0x9E3779B9)
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, res := range runs {
-		for i := range res.X {
-			for j := range res.X[i] {
-				acc.X[i][j] += res.X[i][j]
-			}
-		}
-		acc.Jumps += res.Jumps
-	}
-	for i := range acc.X {
-		for j := range acc.X[i] {
-			acc.X[i][j] /= float64(k)
-		}
-	}
-	return acc, nil
+	mean, jumps := ssa.Mean(paths)
+	return &SSAResult{Model: m, Times: ssa.Grid(horizon, n), X: mean, Jumps: jumps}, nil
 }
 
 // Series extracts one species' trajectory from an SSA run.

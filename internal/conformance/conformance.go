@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -164,9 +165,9 @@ func CheckSteadyVsSSA(g *Generated, cfg Config) error {
 	// Re-run the same replications (same seed derivation as RunEnsemble)
 	// to collect the per-trajectory occupancy statistic the ensemble does
 	// not aggregate.
-	results, err := par.Map(cfg.SSAReps, 0, func(i int) (*sim.Result, error) {
+	results, err := par.Map(context.Background(), cfg.SSAReps, 0, func(i int) (*sim.Result, error) {
 		o := opt
-		o.Seed = simSeed + uint64(i)*0x9E3779B97F4A7C15
+		o.Seed = sim.ReplicationSeed(simSeed, i)
 		return sim.Run(g.Model, o)
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -165,8 +166,8 @@ func TestRobustnessSSAVsPassage(t *testing.T) {
 			t.Fatal(err)
 		}
 		exact := cdf.Probs[0]
-		results, err := par.Map(reps, 0, func(i int) (*sim.Result, error) {
-			return sim.Run(m, sim.Options{Horizon: horizon, Seed: 0xD0E + uint64(i)*0x9E3779B97F4A7C15})
+		results, err := par.Map(context.Background(), reps, 0, func(i int) (*sim.Result, error) {
+			return sim.Run(m, sim.Options{Horizon: horizon, Seed: sim.ReplicationSeed(0xD0E, i)})
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -194,7 +194,7 @@ func (f *Framework) BuildAllCtx(ctx context.Context, host *hostenv.Host) (map[To
 	tools := Tools()
 	stage := f.Obs.StartSpan("core.build_all")
 	defer stage.End()
-	results, err := par.MapOpt(len(tools), par.Options{Ctx: ctx}, func(i int) (*runtime.BuildResult, error) {
+	results, err := par.Map(ctx, len(tools), 0, func(i int) (*runtime.BuildResult, error) {
 		sp := stage.StartSpan("build:" + string(tools[i]))
 		defer sp.End()
 		res, err := f.BuildCtx(ctx, tools[i], host)
@@ -216,10 +216,6 @@ func (f *Framework) BuildAllCtx(ctx context.Context, host *hostenv.Host) (map[To
 			ec.Partial = partial
 			return nil, ec
 		}
-		var merr *par.MultiError
-		if errors.As(err, &merr) && len(merr.Errs) > 0 {
-			return nil, fmt.Errorf("par: %w", merr.Errs[0])
-		}
 		return nil, err
 	}
 	out := map[Tool]*runtime.BuildResult{}
@@ -239,7 +235,7 @@ func (f *Framework) PushAll(client *hub.Client, builds map[Tool]*runtime.BuildRe
 	perTool := make([]string, len(tools))
 	stage := f.Obs.StartSpan("core.push_all")
 	defer stage.End()
-	err := par.ForEachOpt(len(tools), par.Options{}, func(i int) error {
+	err := par.ForEachAll(context.Background(), len(tools), 0, func(i int) error {
 		t := tools[i]
 		sp := stage.StartSpan("push:" + string(t))
 		defer sp.End()
@@ -511,7 +507,7 @@ func (f *Framework) ValidationMatrixCtx(ctx context.Context, client *hub.Client)
 	// profile order. The per-host fn never returns an error: every
 	// failure lands in its cell.
 	names := hostenv.Names()
-	perHost, err := par.MapOpt(len(names), par.Options{Ctx: ctx}, func(h int) ([]MatrixEntry, error) {
+	perHost, err := par.Map(ctx, len(names), 0, func(h int) ([]MatrixEntry, error) {
 		name := names[h]
 		rows := make([]MatrixEntry, 0, len(Tools()))
 		host, herr := hostenv.ByName(name)

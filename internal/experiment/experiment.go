@@ -7,6 +7,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"math"
@@ -156,7 +157,7 @@ func RateSweep(m *pepa.Model, rateName string, values []float64, measure Measure
 	if err != nil {
 		return nil, fmt.Errorf("experiment: sweeping %q: %w", rateName, err)
 	}
-	points, err := par.Map(len(values), 0, func(i int) (Point, error) {
+	points, err := par.Map(context.Background(), len(values), 0, func(i int) (Point, error) {
 		v := values[i]
 		env := maps.Clone(m.Rates)
 		env[rateName] = v

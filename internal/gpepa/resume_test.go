@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/goldentest"
 	"repro/internal/obs"
 	"repro/internal/runctx"
 )
@@ -132,4 +133,65 @@ func TestEnsembleOfSimulationsCanceledClassified(t *testing.T) {
 	if got := reg.Counter("cancellations_total", obs.L("op", "gpepa.ensemble"), obs.L("cause", "canceled")); got != 1 {
 		t.Errorf("cancellations_total{op=gpepa.ensemble} = %g, want 1", got)
 	}
+}
+
+// TestMeanOfSimulationsResumesParentFixture: testdata/partial_checkpoint.json
+// was written by an earlier release after three of eight replications
+// (1, 4 and 6). Both reductions resume it, compute only the other five,
+// match their uninterrupted results bit for bit, and leave the checkpoint
+// file that release left after the same resume.
+func TestMeanOfSimulationsResumesParentFixture(t *testing.T) {
+	fs := compileClientServer(t)
+	const horizon, n, k, seed = 5.0, 20, 8, 3
+	wantMean, err := fs.MeanOfSimulations(horizon, n, k, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEns, err := fs.EnsembleOfSimulations(horizon, n, k, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := func(want string, reduce func(fs *FluidSystem, ckPath string) (string, error)) {
+		t.Helper()
+		data, err := os.ReadFile("testdata/partial_checkpoint.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckPath := filepath.Join(t.TempDir(), "partial_checkpoint.json")
+		if err := os.WriteFile(ckPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fs := compileClientServer(t)
+		reg := obs.NewRegistry()
+		fs.Obs = reg
+		got, err := reduce(fs, ckPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := reg.Counter("checkpoint_writes_total", obs.L("job", "gpepa.ensemble")); w != 5 {
+			t.Errorf("resume wrote %g replications, want 5", w)
+		}
+		if got != want {
+			t.Errorf("resumed digest %s, want %s (must be byte-identical)", got, want)
+		}
+		if data, err = os.ReadFile(ckPath); err != nil {
+			t.Fatal(err)
+		}
+		goldentest.Check(t, "testdata/goldens/resumed_checkpoint.json", string(data))
+	}
+	ctx := context.Background()
+	resume(digestGrid(wantMean.Jumps, wantMean.Times, wantMean.X), func(fs *FluidSystem, ckPath string) (string, error) {
+		r, err := fs.MeanOfSimulationsCtx(ctx, horizon, n, k, seed, ckPath)
+		if err != nil {
+			return "", err
+		}
+		return digestGrid(r.Jumps, r.Times, r.X), nil
+	})
+	resume(digestGrid(wantEns.Jumps, wantEns.Times, wantEns.Mean, wantEns.Std), func(fs *FluidSystem, ckPath string) (string, error) {
+		r, err := fs.EnsembleOfSimulationsCtx(ctx, horizon, n, k, seed, ckPath)
+		if err != nil {
+			return "", err
+		}
+		return digestGrid(r.Jumps, r.Times, r.Mean, r.Std), nil
+	})
 }

@@ -2,16 +2,13 @@ package gpepa
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
-	"sync"
 
 	"repro/internal/checkpoint"
-	"repro/internal/par"
 	"repro/internal/pepa"
 	"repro/internal/rng"
 	"repro/internal/runctx"
+	"repro/internal/ssa"
 )
 
 // SimResult is a stochastic trajectory of the population CTMC underlying a
@@ -37,55 +34,36 @@ func (fs *FluidSystem) Simulate(horizon float64, n int, seed uint64) (*SimResult
 // so the poll is noise). An uncancelled context leaves the jump
 // sequence bit-identical to Simulate.
 func (fs *FluidSystem) SimulateCtx(ctx context.Context, horizon float64, n int, seed uint64) (*SimResult, error) {
-	if horizon <= 0 || n < 1 {
-		return nil, fmt.Errorf("gpepa: bad simulation parameters horizon=%g n=%d", horizon, n)
+	p, err := fs.simulate(ctx, horizon, n, seed)
+	if err != nil {
+		return nil, err
 	}
-	r := rng.New(seed)
-	x := append([]float64(nil), fs.X0...)
-	res := &SimResult{System: fs}
-	res.Times = make([]float64, n+1)
-	res.X = make([][]float64, n+1)
-	dt := horizon / float64(n)
-	for i := range res.Times {
-		res.Times[i] = float64(i) * dt
-	}
-	res.X[0] = append([]float64(nil), x...)
-	nextSample := 1
+	return &SimResult{System: fs, Times: ssa.Grid(horizon, n), X: p.X, Jumps: p.Jumps}, nil
+}
 
-	t := 0.0
-	rates := make([]float64, len(fs.Actions))
-	for {
+// simulate runs one trajectory by ssa.Run: the reactions are the
+// system's actions at their min-coupled tree rates.
+func (fs *FluidSystem) simulate(ctx context.Context, horizon float64, n int, seed uint64) (ssa.Path, error) {
+	if horizon <= 0 || n < 1 {
+		return ssa.Path{}, fmt.Errorf("gpepa: bad simulation parameters horizon=%g n=%d", horizon, n)
+	}
+	rates := func(x, dst []float64) error {
+		for i, a := range fs.Actions {
+			dst[i] = fs.treeRate(fs.Model.System, a, x)
+		}
+		return nil
+	}
+	fire := func(r int, x []float64, src *rng.Source) { fs.fire(fs.Model.System, fs.Actions[r], x, src) }
+	p, err := ssa.Run(ctx, "gpepa.sim", fs.X0, horizon, n, seed, len(fs.Actions), rates, fire)
+	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			runctx.Record(fs.Obs, "gpepa.sim", cerr)
-			return nil, runctx.New("gpepa.sim", cerr, res.Jumps, 0, "reactions")
 		}
-		var total float64
-		for i, a := range fs.Actions {
-			rates[i] = fs.treeRate(fs.Model.System, a, x)
-			total += rates[i]
-		}
-		if total <= 0 {
-			break // absorbed
-		}
-		t += r.Exp(total)
-		for nextSample <= n && res.Times[nextSample] < t {
-			res.X[nextSample] = append([]float64(nil), x...)
-			nextSample++
-		}
-		if t >= horizon {
-			break
-		}
-		action := fs.Actions[r.Choose(rates)]
-		fs.fire(fs.Model.System, action, x, r)
-		res.Jumps++
-	}
-	for nextSample <= n {
-		res.X[nextSample] = append([]float64(nil), x...)
-		nextSample++
+		return ssa.Path{}, err
 	}
 	fs.Obs.Inc("gpepa_sim_runs_total")
-	fs.Obs.Add("gpepa_sim_jumps_total", float64(res.Jumps))
-	return res, nil
+	fs.Obs.Add("gpepa_sim_jumps_total", float64(p.Jumps))
+	return p, nil
 }
 
 // fire applies one occurrence of the action to the population vector,
@@ -140,91 +118,36 @@ func (fs *FluidSystem) fire(e GroupExpr, action string, x []float64, r *rng.Sour
 	}
 }
 
-// gpepaRep is the per-replication record persisted to the ensemble
-// checkpoint: the sampled trajectory and its reaction count. Floats
-// round-trip JSON exactly, so resumed reductions are bit-identical.
-type gpepaRep struct {
-	X     [][]float64 `json:"x"`
-	Jumps int         `json:"jumps"`
-}
-
-// gpepaRepPayload is the checkpoint payload: completed replications
-// keyed by replication index.
-type gpepaRepPayload struct {
-	Reps map[int]gpepaRep `json:"reps"`
-}
-
-// simulateReps runs k replications with independent derived seeds,
-// skipping any already present in the checkpoint at ckPath (empty =
-// no checkpointing) and persisting each completed replication
-// crash-safely. On cancellation it returns a *runctx.ErrCanceled
-// counting the completed replications.
-func (fs *FluidSystem) simulateReps(ctx context.Context, horizon float64, n, k int, seed uint64, ckPath string) (map[int]gpepaRep, error) {
-	reps := make(map[int]gpepaRep, k)
-	var (
-		ck *checkpoint.File
-		mu sync.Mutex
-	)
+// simulateReps runs k replications with independent derived seeds
+// through ssa.Replicate, skipping any already present in the checkpoint
+// at ckPath (empty = no checkpointing) and persisting each completed
+// replication crash-safely.
+func (fs *FluidSystem) simulateReps(ctx context.Context, horizon float64, n, k int, seed uint64, ckPath string) ([]ssa.Path, error) {
+	var file *checkpoint.File
 	if ckPath != "" {
-		ck = &checkpoint.File{
+		file = &checkpoint.File{
 			Path: ckPath,
 			Job:  "gpepa.ensemble",
 			Fingerprint: checkpoint.Fingerprint("gpepa.ensemble", fs.Model.String(),
 				fmt.Sprintf("horizon=%g n=%d k=%d seed=%d", horizon, n, k, seed)),
 			Obs: fs.Obs,
 		}
-		var saved gpepaRepPayload
-		if ok, err := ck.Load(&saved); err != nil {
-			return nil, err
-		} else if ok && saved.Reps != nil {
-			reps = saved.Reps
-		}
 	}
-	err := par.ForEachOpt(k, par.Options{Ctx: ctx}, func(rep int) error {
-		mu.Lock()
-		_, done := reps[rep]
-		mu.Unlock()
-		if done {
-			return nil
-		}
-		res, err := fs.SimulateCtx(ctx, horizon, n, seed+uint64(rep)*0x9E3779B9)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		reps[rep] = gpepaRep{X: res.X, Jumps: res.Jumps}
-		if ck != nil {
-			return ck.Save(gpepaRepPayload{Reps: reps})
-		}
-		return nil
+	reps, err := checkpoint.Open[int, ssa.Path](file, "reps")
+	if err != nil {
+		return nil, err
+	}
+	paths, err := ssa.Replicate(ctx, "gpepa.ensemble", k, 0, reps, func(rep int) (ssa.Path, error) {
+		return fs.simulate(ctx, horizon, n, seed+uint64(rep)*0x9E3779B9)
 	})
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			runctx.Record(fs.Obs, "gpepa.ensemble", cerr)
-			return nil, runctx.New("gpepa.ensemble", cerr, len(reps), k, "replications")
-		}
-		// Deterministic error selection, matching the pre-supervision
-		// contract: report the lowest-index failure.
-		var merr *par.MultiError
-		if errors.As(err, &merr) && len(merr.Errs) > 0 {
-			return nil, fmt.Errorf("par: %w", merr.Errs[0])
 		}
 		return nil, err
 	}
-	return reps, nil
-}
-
-// sampleGrid rebuilds the shared sample times of a k-replication run —
-// the same formula Simulate uses, so recomputing it for a resumed
-// reduction is bit-identical to reading it off a live trajectory.
-func sampleGrid(horizon float64, n int) []float64 {
-	times := make([]float64, n+1)
-	dt := horizon / float64(n)
-	for i := range times {
-		times[i] = float64(i) * dt
-	}
-	return times
+	fs.Obs.Add("gpepa_sim_replications_total", float64(k))
+	return paths, nil
 }
 
 // MeanOfSimulations averages k independent trajectories on the shared
@@ -245,30 +168,12 @@ func (fs *FluidSystem) MeanOfSimulationsCtx(ctx context.Context, horizon float64
 	if k < 1 {
 		return nil, fmt.Errorf("gpepa: need at least one replication")
 	}
-	runs, err := fs.simulateReps(ctx, horizon, n, k, seed, ckPath)
+	paths, err := fs.simulateReps(ctx, horizon, n, k, seed, ckPath)
 	if err != nil {
 		return nil, err
 	}
-	fs.Obs.Add("gpepa_sim_replications_total", float64(k))
-	acc := &SimResult{System: fs, Times: sampleGrid(horizon, n), X: make([][]float64, n+1)}
-	for i := range acc.X {
-		acc.X[i] = make([]float64, len(fs.Vars))
-	}
-	for rep := 0; rep < k; rep++ {
-		res := runs[rep]
-		for i := range res.X {
-			for j := range res.X[i] {
-				acc.X[i][j] += res.X[i][j]
-			}
-		}
-		acc.Jumps += res.Jumps
-	}
-	for i := range acc.X {
-		for j := range acc.X[i] {
-			acc.X[i][j] /= float64(k)
-		}
-	}
-	return acc, nil
+	mean, jumps := ssa.Mean(paths)
+	return &SimResult{System: fs, Times: ssa.Grid(horizon, n), X: mean, Jumps: jumps}, nil
 }
 
 // SimEnsemble is the pointwise mean and sample standard deviation of k
@@ -300,52 +205,19 @@ func (fs *FluidSystem) EnsembleOfSimulationsCtx(ctx context.Context, horizon flo
 	if k < 2 {
 		return nil, fmt.Errorf("gpepa: ensemble needs at least two replications, got %d", k)
 	}
-	runs, err := fs.simulateReps(ctx, horizon, n, k, seed, ckPath)
+	paths, err := fs.simulateReps(ctx, horizon, n, k, seed, ckPath)
 	if err != nil {
 		return nil, err
 	}
-	fs.Obs.Add("gpepa_sim_replications_total", float64(k))
-	ens := &SimEnsemble{
+	mean, jumps := ssa.Mean(paths)
+	return &SimEnsemble{
 		System:       fs,
-		Times:        sampleGrid(horizon, n),
-		Mean:         make([][]float64, n+1),
-		Std:          make([][]float64, n+1),
+		Times:        ssa.Grid(horizon, n),
+		Mean:         mean,
+		Std:          ssa.Std(paths, mean),
 		Replications: k,
-	}
-	nv := len(fs.Vars)
-	for i := range ens.Mean {
-		ens.Mean[i] = make([]float64, nv)
-		ens.Std[i] = make([]float64, nv)
-	}
-	sumSq := make([][]float64, len(ens.Mean))
-	for i := range sumSq {
-		sumSq[i] = make([]float64, nv)
-	}
-	for rep := 0; rep < k; rep++ {
-		res := runs[rep]
-		for i := range res.X {
-			for j, v := range res.X[i] {
-				ens.Mean[i][j] += v
-				sumSq[i][j] += v * v
-			}
-		}
-		ens.Jumps += res.Jumps
-	}
-	kf := float64(k)
-	for i := range ens.Mean {
-		for j := range ens.Mean[i] {
-			m := ens.Mean[i][j] / kf
-			ens.Mean[i][j] = m
-			// NaN (overflowed sums) clamps like cancellation slack does:
-			// ordered comparisons alone would let it through.
-			v := (sumSq[i][j] - kf*m*m) / (kf - 1)
-			if v < 0 || math.IsNaN(v) {
-				v = 0
-			}
-			ens.Std[i][j] = math.Sqrt(v)
-		}
-	}
-	return ens, nil
+		Jumps:        jumps,
+	}, nil
 }
 
 // Series extracts the time series of one local state from a simulation.

@@ -1,6 +1,7 @@
 package gpepa
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/par"
@@ -53,7 +54,7 @@ func ScalabilitySweepWorkers(m *Model, group, component string, counts []float64
 	if err != nil {
 		return nil, err
 	}
-	return par.Map(len(counts), workers, func(i int) (SweepPoint, error) {
+	return par.Map(context.Background(), len(counts), workers, func(i int) (SweepPoint, error) {
 		sys, err := proto.WithCounts(group, component, counts[i])
 		if err != nil {
 			return SweepPoint{}, err

@@ -147,7 +147,7 @@ func (s *Store) Put(coll, name, tag string, blob []byte) (string, error) {
 		Layers: len(img.Layers),
 	}
 	if s.wal != nil {
-		pe := persistedEntry{Entry: e, Blob: blobFileName(d)}
+		pe := persistedEntry{Entry: e, Blob: blobFileName(d, stored)}
 		// Repairing quarantined content must overwrite the on-disk blob:
 		// its content-addressed file may be the corrupt copy.
 		if err := s.persistPut(pe, stored, inQuarantine); err != nil {

@@ -1,6 +1,7 @@
 package hub
 
 import (
+	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -14,7 +15,7 @@ import (
 
 // Persistence: the registry state lives in a directory holding a
 // snapshot index (index.json), one content-addressed blob file per
-// image, and an append-only write-ahead journal (journal.wal, see
+// stored encoding, and an append-only write-ahead journal (journal.wal, see
 // wal.go). A durable store (OpenDurable) journals every mutation before
 // acknowledging it and periodically compacts the journal into a fresh
 // snapshot; replay-on-open recovers from crashes and torn tails.
@@ -136,25 +137,25 @@ func (s *Store) Compact() error {
 // first; a crash before the journal reset merely replays records the
 // snapshot already contains, which is idempotent.
 func (s *Store) compactLocked() error {
-	if err := s.writeSnapshot(); err != nil {
+	index, err := s.writeSnapshot()
+	if err != nil {
 		return err
 	}
 	if err := s.wal.reset(); err != nil {
 		return err
 	}
-	s.gcBlobs()
+	s.gcBlobs(index)
 	return nil
 }
 
-// gcBlobs removes content-addressed blob files no live entry references
-// (best effort — a leaked blob wastes space but harms nothing).
-func (s *Store) gcBlobs() {
-	s.mu.RLock()
-	live := make(map[string]bool, len(s.digest))
-	for _, d := range s.digest {
-		live[blobFileName(d)] = true
+// gcBlobs removes content-addressed blob files no entry of the snapshot
+// index references (best effort — a leaked blob wastes space but harms
+// nothing). Caller holds pmu, so the index is current.
+func (s *Store) gcBlobs(index []persistedEntry) {
+	live := make(map[string]bool, len(index))
+	for _, pe := range index {
+		live[pe.Blob] = true
 	}
-	s.mu.RUnlock()
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
@@ -282,22 +283,24 @@ func (s *Store) removeEntry(k string) {
 }
 
 // writeSnapshot writes every blob file plus the index into the state
-// directory, atomically. Caller holds pmu.
-func (s *Store) writeSnapshot() error {
+// directory, atomically, and returns the index. A quarantined entry is
+// never read back from disk, so it names no blob file. Caller holds pmu.
+func (s *Store) writeSnapshot() ([]persistedEntry, error) {
 	dir := s.dir
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var index []persistedEntry
 	for k, e := range s.meta {
-		blobName := blobFileName(s.digest[k])
+		pe := persistedEntry{Entry: e}
 		if !e.Quarantined {
-			if _, err := os.Stat(filepath.Join(dir, blobName)); err != nil {
-				if err := fsatomic.WriteFile(filepath.Join(dir, blobName), s.blobs[k], 0o644); err != nil {
-					return fmt.Errorf("hub: saving blob %s: %w", blobName, err)
+			pe.Blob = blobFileName(s.digest[k], s.blobs[k])
+			if _, err := os.Stat(filepath.Join(dir, pe.Blob)); err != nil {
+				if err := fsatomic.WriteFile(filepath.Join(dir, pe.Blob), s.blobs[k], 0o644); err != nil {
+					return nil, fmt.Errorf("hub: saving blob %s: %w", pe.Blob, err)
 				}
 			}
 		}
-		index = append(index, persistedEntry{Entry: e, Blob: blobName})
+		index = append(index, pe)
 	}
 	// Deterministic index order.
 	for i := 1; i < len(index); i++ {
@@ -307,7 +310,7 @@ func (s *Store) writeSnapshot() error {
 	}
 	data, err := json.MarshalIndent(index, "", "  ")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Hints are durable state too: compaction erases their journal
 	// records, so the snapshot must carry them. Sorted for determinism.
@@ -318,16 +321,16 @@ func (s *Store) writeSnapshot() error {
 	sort.Slice(hints, func(i, j int) bool { return hints[i].hintKey() < hints[j].hintKey() })
 	hintData, err := json.MarshalIndent(hints, "", "  ")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := fsatomic.WriteFile(filepath.Join(dir, hintsFile), hintData, 0o644); err != nil {
-		return err
+		return nil, err
 	}
 	// fsatomic (tmp + fsync + rename + dir sync) guarantees a crash mid-
 	// save leaves either the previous index or the new one, never a torn
 	// file — the blobs above get the same treatment, so a restored index
 	// never points at a half-written blob.
-	return fsatomic.WriteFile(filepath.Join(dir, indexFile), data, 0o644)
+	return index, fsatomic.WriteFile(filepath.Join(dir, indexFile), data, 0o644)
 }
 
 func indexLess(a, b persistedEntry) bool {
@@ -340,23 +343,44 @@ func indexLess(a, b persistedEntry) bool {
 	return a.Tag < b.Tag
 }
 
-func blobFileName(digest string) string {
-	return strings.TrimPrefix(digest, "sha256:") + ".scif"
+// blobFileName names the file holding blob, the stored encoding of an
+// image with the given digest: the digest's hex, then the SHA-256 of the
+// bytes. The digest alone cannot name it: one image built on two hosts
+// has one digest but two encodings, each recording its build host.
+func blobFileName(digest string, blob []byte) string {
+	sum := sha256.Sum256(blob)
+	return strings.TrimPrefix(digest, "sha256:") + "-" + hex.EncodeToString(sum[:]) + ".scif"
 }
 
-// validBlobName reports whether name is the blob file of a well-formed
-// "sha256:<64 hex>" digest. Persisted state names blobs only this way, so
-// any other name (a path, "..", a mismatched digest) is tampering and
-// must never reach a path join.
+// validBlobName reports whether name is a blob file of a well-formed
+// "sha256:<64 hex>" digest: "<digest hex>-<64 hex>.scif", or
+// "<digest hex>.scif" as hubs that named blob files by digest alone wrote
+// it. Persisted state names blobs only these ways, so any other name (a
+// path, "..", another digest's file) is tampering and must never reach a
+// path join.
 func validBlobName(digest, name string) bool {
 	sum, ok := strings.CutPrefix(digest, "sha256:")
-	if !ok || len(sum) != 64 {
+	if !ok || !isHex64(sum) {
 		return false
 	}
-	if _, err := hex.DecodeString(sum); err != nil {
+	rest, ok := strings.CutPrefix(name, sum)
+	if !ok {
 		return false
 	}
-	return name == blobFileName(digest)
+	if rest, ok = strings.CutSuffix(rest, ".scif"); !ok {
+		return false
+	}
+	content, ok := strings.CutPrefix(rest, "-")
+	return rest == "" || ok && isHex64(content)
+}
+
+// isHex64 reports whether s is 64 hex digits, a SHA-256 sum.
+func isHex64(s string) bool {
+	if len(s) != 64 {
+		return false
+	}
+	_, err := hex.DecodeString(s)
+	return err == nil
 }
 
 // loadSnapshot restores a store from dir's index. An entry whose blob is

@@ -151,13 +151,15 @@ func TestLoadReencodesSCIF1StateDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, blobFileName(digest)), mono, 0o644); err != nil {
+	// Older hubs named a blob file by its image digest alone.
+	blobName := strings.TrimPrefix(digest, "sha256:") + ".scif"
+	if err := os.WriteFile(filepath.Join(dir, blobName), mono, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	legacy := func(name string) persistedEntry {
 		return persistedEntry{
 			Entry: Entry{Collection: "c", Container: name, Tag: "1", Digest: digest, Size: len(mono), BuildHost: img.Meta.BuildHost},
-			Blob:  blobFileName(digest),
+			Blob:  blobName,
 		}
 	}
 	index, err := json.Marshal([]persistedEntry{legacy("snap")})
@@ -222,7 +224,8 @@ func TestLoadRejectsPathTraversal(t *testing.T) {
 		{"index other digest", "index", digest, strings.Repeat("0", 64) + ".scif"},
 		{"index malformed digest", "index", "sha256:x", "x.scif"},
 		{"journal parent escape", "journal", digest, "../evil"},
-		{"journal subdirectory", "journal", digest, "sub/" + blobFileName(digest)},
+		{"journal subdirectory", "journal", digest, "sub/" + blobFileName(digest, good)},
+		{"journal escape after digest", "journal", digest, strings.TrimPrefix(digest, "sha256:") + "-/../../evil"},
 		{"journal malformed digest", "journal", "sha256:x", "x.scif"},
 	}
 	for _, tc := range cases {
@@ -298,5 +301,109 @@ func TestLoadMissingIndex(t *testing.T) {
 	defer s2.Close()
 	if len(s2.Collections()) != 1 {
 		t.Error("reopened store empty")
+	}
+}
+
+// TestReopenKeepsEachBuildHostsBytes: one image pushed to two entries from
+// two build hosts has one digest but two encodings, each recording its
+// build host. After a reopen, from the journal and from the snapshot, each
+// entry must serve the bytes it was pushed with; a blob file named by the
+// digest alone made the second entry serve the first entry's bytes.
+func TestReopenKeepsEachBuildHostsBytes(t *testing.T) {
+	a := testImage("pepa", "latest", "same-solver")
+	b := testImage("pepa", "latest", "same-solver")
+	b.Meta.BuildHost = "ubuntu-16.04-xenial"
+	for _, snapshot := range []bool{false, true} {
+		dir := t.TempDir()
+		s, _, err := OpenDurable(dir, DurableOptions{CompactEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Put("one", "pepa", "latest", mustBlob(t, a)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Put("two", "pepa", "latest", mustBlob(t, b)); err != nil {
+			t.Fatal(err)
+		}
+		if snapshot {
+			err = s.Close()
+		} else {
+			err = s.wal.close() // a crash: the journal is never compacted
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, report, err := OpenDurable(dir, DurableOptions{CompactEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Quarantined != 0 {
+			t.Errorf("snapshot=%v: %d entries quarantined on reopen", snapshot, report.Quarantined)
+		}
+		for coll, want := range map[string]string{"one": a.Meta.BuildHost, "two": b.Meta.BuildHost} {
+			blob, e, _, ok := back.view(coll, "pepa", "latest")
+			if !ok {
+				t.Fatalf("snapshot=%v: %s lost", snapshot, coll)
+			}
+			img, _, err := image.Unmarshal(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.BuildHost != want || img.Meta.BuildHost != want {
+				t.Errorf("snapshot=%v: %s reports build host %s and serves bytes built on %s, want %s",
+					snapshot, coll, e.BuildHost, img.Meta.BuildHost, want)
+			}
+		}
+		if err := back.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLoadParentStateDir: testdata/parent_store is a durable store an
+// earlier release wrote, naming each blob file by its image digest alone,
+// with two entries in its snapshot and one in its journal. It opens with
+// every entry served under its digest, and still does after the
+// compaction on Close rewrites the blob files under their new names.
+func TestLoadParentStateDir(t *testing.T) {
+	dir := t.TempDir()
+	files, err := filepath.Glob("testdata/parent_store/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("fixture files = %v, %v", files, err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	specs := []struct{ coll, name, tag, payload string }{
+		{"pepa-containers", "pepa", "latest", "solver-v1"},
+		{"pepa-containers", "gpa", "latest", "analyser"},
+		{"other", "tool", "v2", "x"},
+	}
+	for round := 0; round < 2; round++ {
+		s, report, err := OpenDurable(dir, DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Quarantined != 0 || s.EntryCount() != len(specs) {
+			t.Errorf("round %d: report %+v with %d entries, want %d entries and none quarantined", round, report, s.EntryCount(), len(specs))
+		}
+		for _, spec := range specs {
+			want, err := testImage(spec.name, spec.tag, spec.payload).Digest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, d, ok := s.Get(spec.coll, spec.name, spec.tag); !ok || d != want {
+				t.Errorf("round %d: %s/%s:%s = (%s, %v), want %s", round, spec.coll, spec.name, spec.tag, d, ok, want)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

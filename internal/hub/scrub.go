@@ -153,7 +153,7 @@ func (s *Store) quarantine(k string, e Entry, reason string) {
 		e.Quarantined = true
 		// Journal failures must not mask the quarantine: the in-memory
 		// mark still protects readers this run.
-		s.wal.append(walQuarantine, persistedEntry{Entry: e, Blob: blobFileName(e.Digest)})
+		s.wal.append(walQuarantine, persistedEntry{Entry: e})
 	}
 	s.mu.Lock()
 	if cur, ok := s.meta[k]; ok {

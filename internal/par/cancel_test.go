@@ -16,7 +16,7 @@ func TestCancelStopsDispatch(t *testing.T) {
 		var ran atomic.Int32
 		gate := make(chan struct{})
 		const n = 64
-		err := ForEachOpt(n, Options{Workers: workers, Ctx: ctx}, func(i int) error {
+		err := ForEachAll(ctx, n, workers, func(i int) error {
 			if i == 0 {
 				cancel()
 				close(gate)
@@ -47,18 +47,16 @@ func TestCancelStopsDispatch(t *testing.T) {
 	}
 }
 
-// An unset or never-canceled context changes nothing: all tasks run.
+// A never-canceled context changes nothing: all tasks run.
 func TestCtxNilOrLiveRunsAll(t *testing.T) {
-	for _, ctx := range []context.Context{nil, context.Background()} {
-		var ran atomic.Int32
-		if err := ForEachOpt(16, Options{Workers: 4, Ctx: ctx}, func(i int) error {
-			ran.Add(1)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if ran.Load() != 16 {
-			t.Fatalf("ran %d/16", ran.Load())
-		}
+	var ran atomic.Int32
+	if err := ForEachAll(context.Background(), 16, 4, func(i int) error {
+		ran.Add(1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ran.Load() != 16 {
+		t.Fatalf("ran %d/16", ran.Load())
 	}
 }

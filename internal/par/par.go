@@ -7,9 +7,12 @@
 //
 // The pool is supervised: a panicking task is recovered in its worker and
 // converted to a *PanicError carrying a stack fragment, so one bad task
-// can neither crash the process nor deadlock the dispatcher. Options adds
-// an opt-in fail-fast mode and ForEachOpt/MapOpt aggregate every failure
-// into a *MultiError instead of reporting only the first.
+// can neither crash the process nor deadlock the dispatcher. Every entry
+// point takes a context: once it is done no further task is dispatched
+// and each undispatched task fails with ctx.Err(), while tasks already
+// running finish (they are expected to poll the same context at their own
+// boundaries). ForEach and Map report the lowest-index failure; ForEachAll
+// aggregates every failure into a *MultiError.
 package par
 
 import (
@@ -54,22 +57,6 @@ func (e *MultiError) Error() string {
 // Unwrap exposes the per-task errors to errors.Is/As.
 func (e *MultiError) Unwrap() []error { return e.Errs }
 
-// Options tunes a supervised run.
-type Options struct {
-	// Workers bounds concurrency (<= 0 means GOMAXPROCS).
-	Workers int
-	// FailFast stops dispatching new tasks after the first failure.
-	// In-flight tasks still run to completion; undispatched tasks are
-	// simply skipped (their error slots stay nil).
-	FailFast bool
-	// Ctx, when non-nil, stops dispatching new tasks once the context
-	// is done; each undispatched task's error slot is set to ctx.Err()
-	// so callers can tell "skipped by cancellation" from "succeeded".
-	// In-flight tasks run to completion — they are expected to poll the
-	// same context themselves at their own boundaries.
-	Ctx context.Context
-}
-
 // safeCall runs one task with panic supervision.
 func safeCall(i int, fn func(i int) error) (err error) {
 	defer func() {
@@ -94,12 +81,14 @@ func trimStack(s string) string {
 	return strings.Join(lines, "\n")
 }
 
-// run executes the pool and returns the per-task error slice.
-func run(n int, opt Options, fn func(i int) error) []error {
+// run executes fn over [0, n) on up to workers goroutines (<= 0 means
+// GOMAXPROCS) and returns the per-task errors. With firstErr a
+// sequential run stops at its first failure, since a caller reporting
+// the lowest-index error can use nothing after it.
+func run(ctx context.Context, n, workers int, firstErr bool, fn func(i int) error) []error {
 	if n <= 0 {
 		return nil
 	}
-	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -107,45 +96,27 @@ func run(n int, opt Options, fn func(i int) error) []error {
 		workers = n
 	}
 	errs := make([]error, n)
-	var done <-chan struct{} // nil channel when Ctx is unset: never selected
-	if opt.Ctx != nil {
-		done = opt.Ctx.Done()
-	}
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			if opt.Ctx != nil {
-				if err := opt.Ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
+			if err := ctx.Err(); err != nil {
+				errs[i] = err
+				continue
 			}
 			errs[i] = safeCall(i, fn)
-			if errs[i] != nil && opt.FailFast {
+			if errs[i] != nil && firstErr {
 				break
 			}
 		}
 		return errs
 	}
-	var (
-		wg   sync.WaitGroup
-		next = make(chan int)
-		stop chan struct{}
-		once sync.Once
-	)
-	if opt.FailFast {
-		stop = make(chan struct{})
-	}
+	var wg sync.WaitGroup
+	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				if err := safeCall(i, fn); err != nil {
-					errs[i] = err
-					if opt.FailFast {
-						once.Do(func() { close(stop) })
-					}
-				}
+				errs[i] = safeCall(i, fn)
 			}
 		}()
 	}
@@ -154,20 +125,16 @@ dispatch:
 		// Deterministic pre-check: once the context is done no further
 		// task is dispatched (the select below could otherwise race a
 		// ready worker against the closed done channel).
-		if opt.Ctx != nil {
-			if err := opt.Ctx.Err(); err != nil {
-				for j := i; j < n; j++ {
-					errs[j] = err
-				}
-				break dispatch
+		if err := ctx.Err(); err != nil {
+			for j := i; j < n; j++ {
+				errs[j] = err
 			}
+			break
 		}
 		select {
-		case <-stop: // nil channel when !FailFast: never selected
-			break dispatch
-		case <-done: // nil channel when Ctx is unset: never selected
+		case <-ctx.Done():
 			for j := i; j < n; j++ {
-				errs[j] = opt.Ctx.Err()
+				errs[j] = ctx.Err()
 			}
 			break dispatch
 		case next <- i:
@@ -179,14 +146,14 @@ dispatch:
 }
 
 // ForEach runs fn(i) for i in [0, n) on up to workers goroutines
-// (workers <= 0 means GOMAXPROCS). It returns the error of the
-// lowest-index failing call (all calls run to completion; deterministic
-// error selection keeps test output stable). A panicking task surfaces
-// as that task's *PanicError instead of crashing the pool.
-func ForEach(n, workers int, fn func(i int) error) error {
-	// The sequential path historically stops at the first error.
-	errs := run(n, Options{Workers: workers, FailFast: workers == 1}, fn)
-	for i, err := range errs {
+// (workers <= 0 means GOMAXPROCS) and returns the error of the
+// lowest-index failing task, wrapped with its index. A parallel run
+// completes every dispatched task, which keeps the choice of error
+// deterministic; a sequential run stops at its first failure. A
+// panicking task surfaces as that task's *PanicError instead of crashing
+// the pool.
+func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
+	for i, err := range run(ctx, n, workers, true, fn) {
 		if err != nil {
 			return fmt.Errorf("par: task %d: %w", i, err)
 		}
@@ -194,13 +161,28 @@ func ForEach(n, workers int, fn func(i int) error) error {
 	return nil
 }
 
-// ForEachOpt is the supervised variant: it runs fn over [0, n) under
-// opt and returns nil or a *MultiError aggregating every task failure
-// in index order.
-func ForEachOpt(n int, opt Options, fn func(i int) error) error {
-	errs := run(n, opt, fn)
+// Map runs fn over [0, n) as ForEach does and collects the results by
+// index. On failure it returns ForEach's error together with the partial
+// results: zero values at failed and undispatched indices.
+func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := ForEach(ctx, n, workers, func(i int) error {
+		v, err := fn(i)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+		return nil
+	})
+	return out, err
+}
+
+// ForEachAll runs fn over [0, n) as ForEach does, but a sequential run
+// too attempts every task, and the result is nil or a *MultiError
+// listing every failure in index order.
+func ForEachAll(ctx context.Context, n, workers int, fn func(i int) error) error {
 	var m *MultiError
-	for i, err := range errs {
+	for i, err := range run(ctx, n, workers, false, fn) {
 		if err != nil {
 			if m == nil {
 				m = &MultiError{Total: n}
@@ -212,37 +194,4 @@ func ForEachOpt(n int, opt Options, fn func(i int) error) error {
 		return nil
 	}
 	return m
-}
-
-// Map runs fn over [0, n) in parallel and collects the results by index.
-func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(n, workers, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MapOpt is the supervised Map: on failure it returns the partial
-// result slice (zero values at failed or skipped indices) together with
-// a *MultiError describing every failure.
-func MapOpt[T any](n int, opt Options, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEachOpt(n, opt, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	return out, err
 }

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -12,7 +13,7 @@ import (
 func TestForEachRunsAll(t *testing.T) {
 	var count atomic.Int64
 	seen := make([]atomic.Bool, 100)
-	err := ForEach(100, 8, func(i int) error {
+	err := ForEach(context.Background(), 100, 8, func(i int) error {
 		count.Add(1)
 		if seen[i].Swap(true) {
 			return fmt.Errorf("index %d ran twice", i)
@@ -28,17 +29,17 @@ func TestForEachRunsAll(t *testing.T) {
 }
 
 func TestForEachZeroAndNegative(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := ForEach(context.Background(), 0, 4, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Error(err)
 	}
-	if err := ForEach(-3, 4, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := ForEach(context.Background(), -3, 4, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestForEachSequentialPath(t *testing.T) {
 	var order []int
-	err := ForEach(5, 1, func(i int) error {
+	err := ForEach(context.Background(), 5, 1, func(i int) error {
 		order = append(order, i)
 		return nil
 	})
@@ -53,7 +54,7 @@ func TestForEachSequentialPath(t *testing.T) {
 }
 
 func TestForEachReportsLowestIndexError(t *testing.T) {
-	err := ForEach(10, 4, func(i int) error {
+	err := ForEach(context.Background(), 10, 4, func(i int) error {
 		if i == 3 || i == 7 {
 			return fmt.Errorf("boom %d", i)
 		}
@@ -66,7 +67,7 @@ func TestForEachReportsLowestIndexError(t *testing.T) {
 
 func TestForEachAllTasksRunDespiteError(t *testing.T) {
 	var count atomic.Int64
-	ForEach(50, 8, func(i int) error {
+	ForEach(context.Background(), 50, 8, func(i int) error {
 		count.Add(1)
 		if i == 0 {
 			return errors.New("early failure")
@@ -79,7 +80,7 @@ func TestForEachAllTasksRunDespiteError(t *testing.T) {
 }
 
 func TestMapCollectsByIndex(t *testing.T) {
-	out, err := Map(20, 4, func(i int) (int, error) { return i * i, nil })
+	out, err := Map(context.Background(), 20, 4, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestMapCollectsByIndex(t *testing.T) {
 			t.Errorf("out[%d] = %d", i, v)
 		}
 	}
-	if _, err := Map(3, 2, func(i int) (int, error) {
+	if _, err := Map(context.Background(), 3, 2, func(i int) (int, error) {
 		if i == 1 {
 			return 0, errors.New("no")
 		}
@@ -102,8 +103,8 @@ func TestParallelEqualsSequentialProperty(t *testing.T) {
 	f := func(nRaw, wRaw uint8) bool {
 		n := int(nRaw % 64)
 		workers := int(wRaw%8) + 1
-		seq, err1 := Map(n, 1, func(i int) (int, error) { return 3*i + 1, nil })
-		parOut, err2 := Map(n, workers, func(i int) (int, error) { return 3*i + 1, nil })
+		seq, err1 := Map(context.Background(), n, 1, func(i int) (int, error) { return 3*i + 1, nil })
+		parOut, err2 := Map(context.Background(), n, workers, func(i int) (int, error) { return 3*i + 1, nil })
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -14,7 +15,7 @@ import (
 // fragment, and every other task still runs.
 func TestPanicBecomesError(t *testing.T) {
 	var count atomic.Int64
-	err := ForEach(20, 4, func(i int) error {
+	err := ForEach(context.Background(), 20, 4, func(i int) error {
 		count.Add(1)
 		if i == 5 {
 			panic("solver exploded")
@@ -46,7 +47,7 @@ func TestPanicBecomesError(t *testing.T) {
 func TestPanicDoesNotDeadlock(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
-		done <- ForEach(100, 2, func(i int) error { panic(i) })
+		done <- ForEach(context.Background(), 100, 2, func(i int) error { panic(i) })
 	}()
 	select {
 	case err := <-done:
@@ -60,7 +61,7 @@ func TestPanicDoesNotDeadlock(t *testing.T) {
 }
 
 func TestPanicSequentialPath(t *testing.T) {
-	err := ForEach(3, 1, func(i int) error {
+	err := ForEach(context.Background(), 3, 1, func(i int) error {
 		if i == 1 {
 			panic(errors.New("wrapped panic value"))
 		}
@@ -72,8 +73,8 @@ func TestPanicSequentialPath(t *testing.T) {
 	}
 }
 
-func TestForEachOptAggregatesAllFailures(t *testing.T) {
-	err := ForEachOpt(10, Options{Workers: 4}, func(i int) error {
+func TestForEachAllAggregatesAllFailures(t *testing.T) {
+	err := ForEachAll(context.Background(), 10, 4, func(i int) error {
 		if i%3 == 0 {
 			return fmt.Errorf("boom %d", i)
 		}
@@ -96,29 +97,17 @@ func TestForEachOptAggregatesAllFailures(t *testing.T) {
 	}
 }
 
-func TestForEachOptNilOnSuccess(t *testing.T) {
-	if err := ForEachOpt(8, Options{Workers: 3}, func(int) error { return nil }); err != nil {
+func TestForEachAllNilOnSuccess(t *testing.T) {
+	if err := ForEachAll(context.Background(), 8, 3, func(int) error { return nil }); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestFailFastSkipsRemainingTasks(t *testing.T) {
-	var count atomic.Int64
-	err := ForEachOpt(1000, Options{Workers: 2, FailFast: true}, func(i int) error {
-		count.Add(1)
-		return fmt.Errorf("boom %d", i)
-	})
-	if err == nil {
-		t.Fatal("failures swallowed")
-	}
-	if n := count.Load(); n >= 1000 {
-		t.Errorf("fail-fast dispatched all %d tasks", n)
-	}
-}
-
+// TestFailFastSequential: a sequential first-error run stops at its
+// first failure, while ForEachAll attempts every task.
 func TestFailFastSequential(t *testing.T) {
 	var count int
-	ForEachOpt(10, Options{Workers: 1, FailFast: true}, func(i int) error {
+	ForEach(context.Background(), 10, 1, func(i int) error {
 		count++
 		if i == 2 {
 			return errors.New("stop here")
@@ -128,21 +117,28 @@ func TestFailFastSequential(t *testing.T) {
 	if count != 3 {
 		t.Errorf("sequential fail-fast ran %d tasks, want 3", count)
 	}
+	count = 0
+	ForEachAll(context.Background(), 10, 1, func(i int) error {
+		count++
+		return errors.New("every task fails")
+	})
+	if count != 10 {
+		t.Errorf("sequential ForEachAll ran %d tasks, want 10", count)
+	}
 }
 
-func TestMapOptReturnsPartialResults(t *testing.T) {
-	out, err := MapOpt(6, Options{Workers: 3}, func(i int) (int, error) {
-		if i == 2 {
-			return 0, errors.New("no")
-		}
+func TestMapReturnsPartialResults(t *testing.T) {
+	out, err := Map(context.Background(), 6, 3, func(i int) (int, error) {
 		if i == 4 {
 			panic("worse")
 		}
+		if i == 2 {
+			return -1, errors.New("no")
+		}
 		return i * 10, nil
 	})
-	var m *MultiError
-	if !errors.As(err, &m) || len(m.Errs) != 2 {
-		t.Fatalf("err = %v, want MultiError with 2 failures", err)
+	if err == nil || !strings.HasPrefix(err.Error(), "par: task 2: no") {
+		t.Fatalf("err = %v, want task 2's failure", err)
 	}
 	want := []int{0, 10, 0, 30, 0, 50}
 	for i, v := range out {
@@ -150,15 +146,11 @@ func TestMapOptReturnsPartialResults(t *testing.T) {
 			t.Errorf("out[%d] = %d, want %d", i, v, want[i])
 		}
 	}
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Index != 4 {
-		t.Errorf("panic not surfaced through MultiError: %v", err)
-	}
 }
 
 func TestErrorsIsThroughMultiError(t *testing.T) {
 	sentinel := errors.New("sentinel")
-	err := ForEachOpt(3, Options{Workers: 2}, func(i int) error {
+	err := ForEachAll(context.Background(), 3, 2, func(i int) error {
 		if i == 1 {
 			return fmt.Errorf("wrapping: %w", sentinel)
 		}

@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 
+	"repro/internal/goldentest"
 	"repro/internal/obs"
 	"repro/internal/pepa"
 	"repro/internal/runctx"
@@ -174,4 +176,59 @@ func TestEnsembleStaleCheckpointIgnored(t *testing.T) {
 			t.Errorf("MeanThroughput[%s] = %v, want %v", a, got.MeanThroughput[a], v)
 		}
 	}
+}
+
+// copyFile copies src into a fresh temporary directory and returns the
+// copy's path, so a test resumes from a committed fixture without
+// rewriting it.
+func copyFile(t *testing.T, src string) string {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(t.TempDir(), filepath.Base(src))
+	if err := os.WriteFile(dst, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// TestEnsembleResumesParentFixture: testdata/partial_checkpoint.json was
+// written by an earlier release after five of twelve replications
+// (0, 3, 4, 8 and 11). Resuming it computes only the other seven,
+// reduces to the uninterrupted ensemble bit for bit, and leaves the
+// checkpoint file that release left after the same resume.
+func TestEnsembleResumesParentFixture(t *testing.T) {
+	m := pepa.MustParse("P = (work, 2).P1; P1 = (rest, 1).P; P")
+	const n = 12
+	opt := Options{Horizon: 50, Seed: 11}
+	want, err := RunEnsemble(m, opt, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	opt.Checkpoint, opt.Obs = copyFile(t, "testdata/partial_checkpoint.json"), reg
+	got, err := RunEnsemble(m, opt, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := reg.Counter("checkpoint_writes_total", obs.L("job", "sim.ensemble")); w != 7 {
+		t.Errorf("resume wrote %g replications, want 7", w)
+	}
+	if got.Replications != want.Replications || got.Deadlocks != want.Deadlocks ||
+		math.Float64bits(got.MeanEvents) != math.Float64bits(want.MeanEvents) {
+		t.Fatalf("resumed ensemble differs: %+v vs %+v", got, want)
+	}
+	for a, v := range want.MeanThroughput {
+		if math.Float64bits(got.MeanThroughput[a]) != math.Float64bits(v) ||
+			math.Float64bits(got.ThroughputStd[a]) != math.Float64bits(want.ThroughputStd[a]) {
+			t.Errorf("action %s: resumed %v ± %v, want %v ± %v", a, got.MeanThroughput[a], got.ThroughputStd[a], v, want.ThroughputStd[a])
+		}
+	}
+	data, err := os.ReadFile(opt.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldentest.Check(t, "testdata/goldens/resumed_checkpoint.json", string(data))
 }

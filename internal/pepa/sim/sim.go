@@ -12,15 +12,14 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/checkpoint"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/pepa"
 	"repro/internal/pepa/derive"
 	"repro/internal/rng"
 	"repro/internal/runctx"
+	"repro/internal/ssa"
 )
 
 // Options configures a simulation run.
@@ -222,10 +221,10 @@ func (e *Ensemble) ThroughputCI(action string, z float64) (mean, halfWidth float
 	return mean, halfWidth
 }
 
-// repRecord is the per-replication summary persisted to the ensemble
-// checkpoint: exactly the fields the reduction consumes. Every field
-// round-trips JSON exactly (ints, bool, shortest-decimal float64), so a
-// resumed reduction is bit-identical to an uninterrupted one.
+// repRecord is what the reduction keeps of a replication, and so what
+// the ensemble checkpoint stores of it. Every field round-trips JSON
+// exactly (ints, bool, shortest-decimal float64), so a resumed reduction
+// is bit-identical to an uninterrupted one.
 type repRecord struct {
 	ActionCounts map[string]int `json:"actions"`
 	Events       int            `json:"events"`
@@ -233,10 +232,11 @@ type repRecord struct {
 	Deadlocked   bool           `json:"deadlocked"`
 }
 
-// ensemblePayload is the checkpoint payload: completed replications
-// keyed by replication index.
-type ensemblePayload struct {
-	Reps map[int]repRecord `json:"reps"`
+// ReplicationSeed is the seed of replication i of an ensemble with base
+// seed seed. Replications use it in RunEnsemble, and a caller re-running
+// one replication on its own must use it too.
+func ReplicationSeed(seed uint64, i int) uint64 {
+	return seed + uint64(i)*0x9E3779B97F4A7C15
 }
 
 // RunEnsemble simulates n replications, in parallel when Options.Workers
@@ -258,84 +258,54 @@ func RunEnsembleCtx(ctx context.Context, m *pepa.Model, opt Options, n int) (*En
 	if n < 1 {
 		return nil, fmt.Errorf("sim: need at least one replication")
 	}
-	reps := make(map[int]repRecord, n)
-	var (
-		ck *checkpoint.File
-		mu sync.Mutex
-	)
+	var file *checkpoint.File
 	if opt.Checkpoint != "" {
-		ck = &checkpoint.File{
+		file = &checkpoint.File{
 			Path: opt.Checkpoint,
 			Job:  "sim.ensemble",
 			Fingerprint: checkpoint.Fingerprint("sim.ensemble", m.String(),
 				fmt.Sprintf("horizon=%g seed=%d maxevents=%d n=%d", opt.Horizon, opt.Seed, opt.MaxEvents, n)),
 			Obs: opt.Obs,
 		}
-		var saved ensemblePayload
-		if ok, err := ck.Load(&saved); err != nil {
-			return nil, err
-		} else if ok && saved.Reps != nil {
-			reps = saved.Reps
-		}
 	}
-	err := par.ForEachOpt(n, par.Options{Workers: opt.Workers, Ctx: ctx}, func(i int) error {
-		mu.Lock()
-		_, done := reps[i]
-		mu.Unlock()
-		if done {
-			return nil
-		}
+	reps, err := checkpoint.Open[int, repRecord](file, "reps")
+	if err != nil {
+		return nil, err
+	}
+	records, err := ssa.Replicate(ctx, "sim.ensemble", n, opt.Workers, reps, func(i int) (repRecord, error) {
 		o := opt
-		o.Seed = opt.Seed + uint64(i)*0x9E3779B97F4A7C15
+		o.Seed = ReplicationSeed(opt.Seed, i)
 		res, err := RunCtx(ctx, m, o)
 		if err != nil {
-			return fmt.Errorf("sim: replication %d: %w", i, err)
+			return repRecord{}, fmt.Errorf("sim: replication %d: %w", i, err)
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		reps[i] = repRecord{ActionCounts: res.ActionCounts, Events: res.Events, Time: res.Time, Deadlocked: res.Deadlocked}
-		if ck != nil {
-			return ck.Save(ensemblePayload{Reps: reps})
-		}
-		return nil
+		return repRecord{ActionCounts: res.ActionCounts, Events: res.Events, Time: res.Time, Deadlocked: res.Deadlocked}, nil
 	})
+	var ec *runctx.ErrCanceled
+	if errors.As(err, &ec) {
+		runctx.Record(opt.Obs, "sim.ensemble", ec.Cause)
+		if len(records) > 0 {
+			ec.Partial = reduceEnsemble(records)
+		}
+		return nil, ec
+	}
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			runctx.Record(opt.Obs, "sim.ensemble", cerr)
-			ec := runctx.New("sim.ensemble", cerr, len(reps), n, "replications")
-			if len(reps) > 0 {
-				ec.Partial = reduceEnsemble(reps, n)
-			}
-			return nil, ec
-		}
-		// Deterministic error selection, matching the pre-supervision
-		// contract: report the lowest-index failure.
-		var merr *par.MultiError
-		if errors.As(err, &merr) && len(merr.Errs) > 0 {
-			return nil, fmt.Errorf("par: %w", merr.Errs[0])
-		}
 		return nil, err
 	}
 	opt.Obs.Add("sim_replications_total", float64(n))
-	return reduceEnsemble(reps, n), nil
+	return reduceEnsemble(records), nil
 }
 
-// reduceEnsemble folds the per-replication records, in ascending
-// replication order, into the Ensemble aggregate. Records absent from
-// the map (cancelled before completion) are skipped and the divisor is
-// the number actually completed.
-func reduceEnsemble(reps map[int]repRecord, n int) *Ensemble {
+// reduceEnsemble folds the records of the completed replications, in
+// ascending replication order, into the Ensemble aggregate.
+func reduceEnsemble(reps []repRecord) *Ensemble {
 	ens := &Ensemble{
+		Replications:   len(reps),
 		MeanThroughput: map[string]float64{},
 		ThroughputStd:  map[string]float64{},
 	}
 	sumSq := map[string]float64{}
-	for i := 0; i < n; i++ {
-		res, ok := reps[i]
-		if !ok {
-			continue
-		}
-		ens.Replications++
+	for _, res := range reps {
 		for a, c := range res.ActionCounts {
 			x := float64(c) / res.Time
 			ens.MeanThroughput[a] += x

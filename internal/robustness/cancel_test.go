@@ -3,11 +3,13 @@ package robustness
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/ctmc"
+	"repro/internal/goldentest"
 	"repro/internal/obs"
 	"repro/internal/runctx"
 )
@@ -164,4 +166,44 @@ func TestStudyDeadlineClassifiedAsDeadline(t *testing.T) {
 	if got := reg.Counter("cancellations_total", obs.L("op", "robustness.makespan"), obs.L("cause", "deadline")); got != 1 {
 		t.Errorf("cancellations_total{cause=deadline} = %g, want 1", got)
 	}
+}
+
+// TestStudyResumesParentFixture: testdata/partial_checkpoint.json was
+// written by an earlier release's FinishingCDF for machines 1 and 4 of
+// mapping A. A makespan over the same grid resumes it, solves only
+// machines 2, 3 and 5, matches the uninterrupted makespan bit for bit,
+// and leaves the checkpoint file that release left after the same resume.
+func TestStudyResumesParentFixture(t *testing.T) {
+	times := grid(0, 400, 40)
+	want, err := NewStudy().MakespanCDF(MappingA, times)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile("testdata/partial_checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStudy()
+	s.Checkpoint = filepath.Join(t.TempDir(), "partial_checkpoint.json")
+	if err := os.WriteFile(s.Checkpoint, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s.Obs = reg
+	got, err := s.MakespanCDF(MappingA, times)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := reg.Counter("checkpoint_writes_total", obs.L("job", studyJob)); w != 3 {
+		t.Errorf("resume wrote %g cells, want 3", w)
+	}
+	for i := range want.Probs {
+		if math.Float64bits(got.Probs[i]) != math.Float64bits(want.Probs[i]) {
+			t.Fatalf("resumed makespan CDF differs at t=%g: %v != %v", times[i], got.Probs[i], want.Probs[i])
+		}
+	}
+	if data, err = os.ReadFile(s.Checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	goldentest.Check(t, "testdata/goldens/resumed_checkpoint.json", string(data))
 }

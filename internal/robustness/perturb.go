@@ -2,7 +2,6 @@ package robustness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -123,7 +122,7 @@ func (s *Study) RobustnessUnderPerturbation(mapping string, tau, spread float64,
 			s.fillRates(rates[j][k], cell, &etc, j)
 		}
 	}
-	finish, err := par.MapOpt(NumMachines, par.Options{Workers: s.Workers}, func(j int) ([][]float64, error) {
+	finish, err := par.Map(ctx, NumMachines, s.Workers, func(j int) ([][]float64, error) {
 		cell := cells[j]
 		s.Obs.Add("robustness_family_total", float64(n), obs.L("outcome", "reuse"))
 		probs, err := cell.fam.FirstPassageCDFs(ctx, rates[j], cell.p0, cell.targets, times, passageEps, s.Obs)
@@ -133,10 +132,6 @@ func (s *Study) RobustnessUnderPerturbation(mapping string, tau, spread float64,
 		return probs, nil
 	})
 	if err != nil {
-		var merr *par.MultiError
-		if errors.As(err, &merr) && len(merr.Errs) > 0 {
-			return nil, fmt.Errorf("par: %w", merr.Errs[0])
-		}
 		return nil, err
 	}
 	last := len(times) - 1

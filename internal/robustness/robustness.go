@@ -19,7 +19,6 @@ package robustness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -108,9 +107,12 @@ type Study struct {
 	// the machines already on disk and produces byte-identical output.
 	// The file is keyed by a fingerprint of the study parameters and the
 	// time grid; a mismatch is treated as a cache miss, never an error.
+	// Each FinishingCDF or MakespanCDF call reads the file once and then
+	// rewrites it whole, so two such calls must not share the file
+	// concurrently: the last writer would drop the other's cells (a
+	// dropped cell is recomputed on resume, never misread).
 	Checkpoint string
 
-	ckMu sync.Mutex
 	// hookCell, when non-nil, runs after each per-machine cell has been
 	// computed and checkpointed — the test seam that cancels a study at
 	// a deterministic point mid-flight.
@@ -326,12 +328,6 @@ func (s *Study) MachineModel(mapping string, j int, cyclic bool) (*pepa.Model, e
 // studyJob is the checkpoint job name of per-machine study cells.
 const studyJob = "robustness.study"
 
-// studyPayload is the checkpoint payload: finished per-machine CDF
-// probability rows keyed by "<mapping>/<machine index>".
-type studyPayload struct {
-	Cells map[string][]float64 `json:"cells"`
-}
-
 // fingerprint derives the checkpoint fingerprint from every parameter
 // that determines a cell's numbers: the availability rates, the seed,
 // the full ETC matrix, and the exact time grid (all hashed at full
@@ -356,46 +352,15 @@ func (s *Study) fingerprint(times []float64) string {
 	)
 }
 
-func (s *Study) ckFile(times []float64) *checkpoint.File {
-	return &checkpoint.File{Path: s.Checkpoint, Job: studyJob, Fingerprint: s.fingerprint(times), Obs: s.Obs}
-}
-
-// loadCell returns the checkpointed probability row for a cell key, if
-// the study has a checkpoint path and the file holds a matching run.
-func (s *Study) loadCell(times []float64, key string) ([]float64, bool, error) {
-	if s.Checkpoint == "" {
-		return nil, false, nil
+// openCells opens the study's finished per-machine CDF probability rows
+// on the grid, keyed by "<mapping>/<machine index>": from the checkpoint
+// file when the study has one, in memory otherwise.
+func (s *Study) openCells(times []float64) (*checkpoint.Map[string, []float64], error) {
+	var file *checkpoint.File
+	if s.Checkpoint != "" {
+		file = &checkpoint.File{Path: s.Checkpoint, Job: studyJob, Fingerprint: s.fingerprint(times), Obs: s.Obs}
 	}
-	s.ckMu.Lock()
-	defer s.ckMu.Unlock()
-	var pay studyPayload
-	ok, err := s.ckFile(times).Load(&pay)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	probs, ok := pay.Cells[key]
-	return probs, ok, nil
-}
-
-// saveCell merges one finished cell into the checkpoint file. The
-// read-merge-write cycle is serialized by ckMu, so parallel machine
-// workers never lose each other's cells.
-func (s *Study) saveCell(times []float64, key string, probs []float64) error {
-	if s.Checkpoint == "" {
-		return nil
-	}
-	s.ckMu.Lock()
-	defer s.ckMu.Unlock()
-	ck := s.ckFile(times)
-	var pay studyPayload
-	if _, err := ck.Load(&pay); err != nil {
-		return err
-	}
-	if pay.Cells == nil {
-		pay.Cells = map[string][]float64{}
-	}
-	pay.Cells[key] = probs
-	return ck.Save(&pay)
+	return checkpoint.Open[string, []float64](file, "cells")
 }
 
 // FinishingCDF computes the CDF of the finishing time of machine j under
@@ -410,10 +375,18 @@ func (s *Study) FinishingCDF(mapping string, j int, times []float64) (*ctmc.Pass
 // already on disk for identical parameters is returned without solving,
 // byte-identical to a fresh computation.
 func (s *Study) FinishingCDFCtx(ctx context.Context, mapping string, j int, times []float64) (*ctmc.PassageCDF, error) {
-	key := fmt.Sprintf("%s/%d", mapping, j)
-	if probs, ok, err := s.loadCell(times, key); err != nil {
+	cells, err := s.openCells(times)
+	if err != nil {
 		return nil, err
-	} else if ok {
+	}
+	return s.finishingCDF(ctx, cells, mapping, j, times)
+}
+
+// finishingCDF returns machine j's cell from cells, solving and storing
+// it first when cells does not hold it.
+func (s *Study) finishingCDF(ctx context.Context, cells *checkpoint.Map[string, []float64], mapping string, j int, times []float64) (*ctmc.PassageCDF, error) {
+	key := fmt.Sprintf("%s/%d", mapping, j)
+	if probs, ok := cells.Get(key); ok {
 		return &ctmc.PassageCDF{Times: append([]float64(nil), times...), Probs: probs}, nil
 	}
 	cell, err := s.machineCell(ctx, mapping, j)
@@ -427,7 +400,7 @@ func (s *Study) FinishingCDFCtx(ctx context.Context, mapping string, j int, time
 	if err != nil {
 		return nil, err
 	}
-	if err := s.saveCell(times, key, probs[0]); err != nil {
+	if err := cells.Put(key, probs[0]); err != nil {
 		return nil, err
 	}
 	return &ctmc.PassageCDF{Times: append([]float64(nil), times...), Probs: probs[0]}, nil
@@ -532,8 +505,12 @@ func (s *Study) MakespanCDF(mapping string, times []float64) (*ctmc.PassageCDF, 
 // only the unfinished machines and the final product is byte-identical
 // to an uninterrupted run.
 func (s *Study) MakespanCDFCtx(ctx context.Context, mapping string, times []float64) (*ctmc.PassageCDF, error) {
-	cdfs, err := par.MapOpt(NumMachines, par.Options{Workers: s.Workers, Ctx: ctx}, func(j int) (*ctmc.PassageCDF, error) {
-		cdf, err := s.FinishingCDFCtx(ctx, mapping, j, times)
+	cells, err := s.openCells(times)
+	if err != nil {
+		return nil, err
+	}
+	cdfs, err := par.Map(ctx, NumMachines, s.Workers, func(j int) (*ctmc.PassageCDF, error) {
+		cdf, err := s.finishingCDF(ctx, cells, mapping, j, times)
 		if err != nil {
 			return nil, fmt.Errorf("robustness: machine %d: %w", j+1, err)
 		}
@@ -554,10 +531,6 @@ func (s *Study) MakespanCDFCtx(ctx context.Context, mapping string, times []floa
 			ec := runctx.New("robustness.makespan", cerr, done, NumMachines, "machines")
 			ec.Partial = cdfs
 			return nil, ec
-		}
-		var merr *par.MultiError
-		if errors.As(err, &merr) && len(merr.Errs) > 0 {
-			return nil, fmt.Errorf("par: %w", merr.Errs[0])
 		}
 		return nil, err
 	}

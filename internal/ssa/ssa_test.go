@@ -1,0 +1,75 @@
+package ssa
+
+import (
+	"context"
+	"errors"
+	"sync"
+	"testing"
+
+	"repro/internal/checkpoint"
+	"repro/internal/runctx"
+)
+
+// TestReplicateRunsOnlyMissingReplications: replications the map already
+// holds are returned as stored and never re-run; the rest run once each,
+// concurrently, and come back in index order.
+func TestReplicateRunsOnlyMissingReplications(t *testing.T) {
+	reps, err := checkpoint.Open[int, int](nil, "reps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{1, 4} {
+		if err := reps.Put(i, -i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mu sync.Mutex
+	ran := map[int]int{}
+	got, err := Replicate(context.Background(), "test.ensemble", 6, 3, reps, func(i int) (int, error) {
+		mu.Lock()
+		ran[i]++
+		mu.Unlock()
+		return 10 * i, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{0, -1, 20, 30, -4, 50}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("replication %d = %d, want %d", i, got[i], want[i])
+		}
+	}
+	if len(ran) != 4 || ran[1] != 0 || ran[4] != 0 {
+		t.Errorf("ran %v, want replications 0, 2, 3 and 5 once each", ran)
+	}
+}
+
+// TestReplicateCanceled: a cancel stops dispatch, and the error counts,
+// and the result lists, every replication the map holds, stored before
+// the run or finished in it.
+func TestReplicateCanceled(t *testing.T) {
+	reps, err := checkpoint.Open[int, int](nil, "reps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reps.Put(3, 3); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := Replicate(ctx, "test.ensemble", 6, 1, reps, func(i int) (int, error) {
+		cancel() // replication 0 finishes; nothing after it starts
+		return 10 + i, nil
+	})
+	var ec *runctx.ErrCanceled
+	if !errors.As(err, &ec) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want a *runctx.ErrCanceled wrapping context.Canceled", err)
+	}
+	if ec.Op != "test.ensemble" || ec.Done != 2 || ec.Total != 6 || ec.Unit != "replications" {
+		t.Errorf("report = %s %d/%d %s, want test.ensemble 2/6 replications", ec.Op, ec.Done, ec.Total, ec.Unit)
+	}
+	if len(got) != 2 || got[0] != 10 || got[1] != 3 {
+		t.Errorf("finished replications = %v, want [10 3] (replications 0 and 3)", got)
+	}
+}
