@@ -36,24 +36,41 @@ func runCmd(t *testing.T, args ...string) (string, error) {
 	return out.String(), runErr
 }
 
+// TestSingleExperiments: -only runs the named experiment alone, under
+// its banner. The root TestGoldenPaperPass pins every output's bytes.
 func TestSingleExperiments(t *testing.T) {
-	cases := map[string]string{
-		"table1":     "Mapping A",
-		"fig1":       "match=true",
-		"fig2":       "digraph activity",
-		"fig6":       "digest-ok=true",
-		"security":   "escalation-possible=false",
-		"futurework": "container output identical to native: true",
-		"badges":     "earned 5/5 badges",
-	}
-	for name, want := range cases {
+	for _, name := range []string{"table1", "badges"} {
 		out, err := runCmd(t, "-only", name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !strings.Contains(out, want) {
-			t.Errorf("%s output missing %q:\n%s", name, want, out)
+		if strings.Count(out, "==== ") != 1 || !strings.HasPrefix(out, "==== "+name+" — ") {
+			t.Errorf("-only %s did not run exactly that experiment:\n%s", name, out)
 		}
+	}
+}
+
+// TestOnlyRejectsUnknownName: a misspelt -only fails naming the valid
+// experiments, before the run builds anything or touches its checkpoint.
+func TestOnlyRejectsUnknownName(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "study.ckpt")
+	if err := os.WriteFile(ck, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := runCmd(t, "-only", "fig7", "-checkpoint", ck)
+	if err == nil {
+		t.Fatalf("-only fig7 succeeded:\n%s", out)
+	}
+	for _, want := range []string{`"fig7"`, "table1", "badges", "chaos"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	if out != "" {
+		t.Errorf("a rejected run printed:\n%s", out)
+	}
+	if _, err := os.Stat(ck); err != nil {
+		t.Errorf("a rejected run removed the checkpoint: %v", err)
 	}
 }
 

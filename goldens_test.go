@@ -4,11 +4,11 @@ package repro
 // deterministic (fixed seeds, sorted iteration, content-addressed
 // builds), so the exact bytes are asserted. Regenerate with:
 //
-//	go test -run TestGolden -update
+//	go test -run TestGolden -update .
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -17,38 +17,34 @@ import (
 	"repro/internal/goldentest"
 	"repro/internal/hostenv"
 	"repro/internal/hub"
+	"repro/internal/paper"
 	"repro/internal/robustness"
 )
 
-// The -update flag is shared with the package-level golden tests via
-// internal/goldentest.
-var update = goldentest.Update
-
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
-	path := filepath.Join("testdata", "goldens", name)
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("golden %s missing (run with -update): %v", name, err)
-	}
-	// Compare up to end-of-line encoding so a CRLF checkout (git
-	// autocrlf) cannot fail byte-identical content.
-	if goldentest.NormalizeEOL(string(want)) != goldentest.NormalizeEOL(got) {
-		t.Errorf("%s drifted from golden.\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
-	}
+	goldentest.Check(t, filepath.Join("testdata", "goldens", name), got)
 }
 
-func TestGoldenTableI(t *testing.T) {
-	checkGolden(t, "table1.txt", robustness.FormatTableI())
+// TestGoldenPaperPass opens one paper pass and pins every fault-free
+// experiment's output to testdata/goldens/<name>.txt, the file
+// `repro -outdir` writes.
+func TestGoldenPaperPass(t *testing.T) {
+	ctx := context.Background()
+	p, err := paper.Open(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for _, ex := range paper.Experiments() {
+		t.Run(ex.Name, func(t *testing.T) {
+			out, err := ex.Run(ctx, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, ex.Name+".txt", out)
+		})
+	}
 }
 
 func cdfTable(t *testing.T, mapping string) string {

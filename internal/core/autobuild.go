@@ -69,7 +69,7 @@ func (f *Framework) PublishFromStore(client *hub.Client, store *recipestore.Stor
 	}
 	digest, err := client.RemoteBuild(f.Collection, string(t), tag, src)
 	if err != nil {
-		return "", fmt.Errorf("core: remote build of %s@%s: %w", t, commitHash[:12], err)
+		return "", fmt.Errorf("core: remote build of %s@%s: %w", t, commitHash, err)
 	}
 	return digest, nil
 }

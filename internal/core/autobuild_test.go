@@ -2,6 +2,7 @@ package core
 
 import (
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/hub"
@@ -113,5 +114,26 @@ func TestRecipeHistoryRebuildsOldVersion(t *testing.T) {
 	}
 	if err := store.Verify(); err != nil {
 		t.Errorf("store integrity: %v", err)
+	}
+}
+
+// TestPublishFromStoreShortPrefix: the store accepts any unambiguous
+// commit prefix, so a failed remote build names the commit as the caller
+// did instead of slicing a string that may be shorter than 12 digits.
+func TestPublishFromStoreShortPrefix(t *testing.T) {
+	fw := New()
+	store := recipestore.NewStore()
+	commit, err := fw.CommitRecipes(store, "wss2", "initial import of PEPA tool recipes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(hub.NewServer(hub.NewStore()).Handler()) // no auto-build
+	defer ts.Close()
+	_, err = fw.PublishFromStore(hub.NewClient(ts.URL), store, commit.Hash[:8], ToolPEPA, "v1")
+	if err == nil {
+		t.Fatal("remote build succeeded on a hub without auto-build")
+	}
+	if want := "remote build of pepa@" + commit.Hash[:8] + ":"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not contain %q", err, want)
 	}
 }

@@ -97,12 +97,19 @@ func (f *Framework) AssessBadges(client *hub.Client) (*BadgeReport, error) {
 		return nil, err
 	}
 
+	// One native-vs-container validation per tool on the build host feeds
+	// Functional, Validated and the build-host half of Reproduced.
+	onBuilder := map[Tool]*ValidationReport{}
+	builderErr := map[Tool]error{}
+	for _, t := range Tools() {
+		ex := ExampleModel(t)
+		onBuilder[t], builderErr[t] = f.Validate(t, builder, builds[t].Image, ex.Name, ex.Source, ex.Args...)
+	}
+
 	// Functional.
 	functional := BadgeResult{Badge: BadgeFunctional, Earned: true}
 	for _, t := range Tools() {
-		ex := ExampleModel(t)
-		rep, err := f.Validate(t, builder, builds[t].Image, ex.Name, ex.Source, ex.Args...)
-		if err != nil || rep.ContainerOut == "" {
+		if rep, err := onBuilder[t], builderErr[t]; err != nil || rep.ContainerOut == "" {
 			functional.Earned = false
 			functional.Evidence = append(functional.Evidence, fmt.Sprintf("%s: containerized run failed: %v", t, err))
 			continue
@@ -147,9 +154,7 @@ func (f *Framework) AssessBadges(client *hub.Client) (*BadgeReport, error) {
 	// Validated: native-vs-container equality on the build host.
 	validated := BadgeResult{Badge: BadgeValidated, Earned: true}
 	for _, t := range Tools() {
-		ex := ExampleModel(t)
-		rep, err := f.Validate(t, builder, builds[t].Image, ex.Name, ex.Source, ex.Args...)
-		if err != nil || !rep.Match {
+		if rep, err := onBuilder[t], builderErr[t]; err != nil || !rep.Match {
 			validated.Earned = false
 			validated.Evidence = append(validated.Evidence, fmt.Sprintf("%s: containerized output differs from native", t))
 			continue
@@ -175,13 +180,12 @@ func (f *Framework) AssessBadges(client *hub.Client) (*BadgeReport, error) {
 			reproduced.Evidence = append(reproduced.Evidence, fmt.Sprintf("%s: pull on independent host failed: %v", t, err))
 			continue
 		}
-		ex := ExampleModel(t)
-		repB, err := f.Validate(t, builder, builds[t].Image, ex.Name, ex.Source, ex.Args...)
-		if err != nil {
-			return nil, err
+		if builderErr[t] != nil {
+			return nil, builderErr[t]
 		}
+		ex := ExampleModel(t)
 		repI, err := f.Validate(t, independent, img, ex.Name, ex.Source, ex.Args...)
-		if err != nil || repI.ContainerOut != repB.ContainerOut {
+		if err != nil || repI.ContainerOut != onBuilder[t].ContainerOut {
 			reproduced.Earned = false
 			reproduced.Evidence = append(reproduced.Evidence, fmt.Sprintf("%s: independent host produced different output", t))
 			continue

@@ -298,25 +298,13 @@ func (f *Framework) ValidateWithFiles(t Tool, host *hostenv.Host, img *image.Ima
 	if _, ok := files[mainFile]; !ok {
 		return nil, fmt.Errorf("core: main file %q not among provided files", mainFile)
 	}
-	if err := host.FS.MkdirAll(hostModelDir, 0o755); err != nil {
+	if err := stageModels(host, files); err != nil {
 		return nil, err
-	}
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	isFile := map[string]bool{}
-	for _, name := range names {
-		if err := host.FS.WriteFile(hostModelDir+"/"+name, []byte(files[name]), 0o644); err != nil {
-			return nil, err
-		}
-		isFile[name] = true
 	}
 	qualify := func(dir string) []string {
 		out := []string{dir + "/" + mainFile}
 		for _, a := range args {
-			if isFile[a] {
+			if _, ok := files[a]; ok {
 				out = append(out, dir+"/"+a)
 			} else {
 				out = append(out, a)
@@ -334,11 +322,7 @@ func (f *Framework) ValidateWithFiles(t Tool, host *hostenv.Host, img *image.Ima
 		return nil, fmt.Errorf("core: native run of %s on %s: %w", t, host.Name, err)
 	}
 	containerSpan := stage.StartSpan("container_run")
-	run, err := f.Engine.Run(img, host, runtime.RunOptions{
-		Isolation: runtime.IsolationSingularity,
-		Args:      qualify(containerModelDir),
-		Binds:     []runtime.Bind{{HostPath: hostModelDir, ContainerPath: containerModelDir}},
-	})
+	run, err := f.runStaged(img, host, qualify(containerModelDir))
 	containerSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: container run of %s on %s: %w", t, host.Name, err)
@@ -355,6 +339,42 @@ func (f *Framework) ValidateWithFiles(t Tool, host *hostenv.Host, img *image.Ima
 		Match:  nativeOut == run.Stdout,
 		Digest: digest,
 	}, nil
+}
+
+// stageModels writes files into host's model directory, /data in a container.
+func stageModels(host *hostenv.Host, files map[string]string) error {
+	if err := host.FS.MkdirAll(hostModelDir, 0o755); err != nil {
+		return err
+	}
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if err := host.FS.WriteFile(hostModelDir+"/"+name, []byte(files[name]), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runStaged runs img on host with the model directory bound to /data.
+func (f *Framework) runStaged(img *image.Image, host *hostenv.Host, args []string) (*runtime.RunResult, error) {
+	return f.Engine.Run(img, host, runtime.RunOptions{
+		Isolation: runtime.IsolationSingularity,
+		Args:      args,
+		Binds:     []runtime.Bind{{HostPath: hostModelDir, ContainerPath: containerModelDir}},
+	})
+}
+
+// runExample stages t's example model on host and runs img on it.
+func (f *Framework) runExample(img *image.Image, host *hostenv.Host, t Tool) (*runtime.RunResult, error) {
+	ex := ExampleModel(t)
+	if err := stageModels(host, map[string]string{ex.Name: ex.Source}); err != nil {
+		return nil, err
+	}
+	return f.runStaged(img, host, append([]string{containerModelDir + "/" + ex.Name}, ex.Args...))
 }
 
 // FailureClass tags a failed matrix cell with the retry taxonomy of
@@ -474,9 +494,6 @@ func (f *Framework) ValidationMatrixCtx(ctx context.Context, client *hub.Client)
 	// Reference outputs from the build host.
 	refSpan := matrix.StartSpan("reference_runs")
 	reference := map[Tool]string{}
-	if err := builder.FS.MkdirAll(hostModelDir, 0o755); err != nil {
-		return nil, err
-	}
 	for _, t := range Tools() {
 		if toolErr[t] != nil {
 			continue
@@ -485,15 +502,7 @@ func (f *Framework) ValidationMatrixCtx(ctx context.Context, client *hub.Client)
 			toolErr[t] = fmt.Errorf("core: reference run of %s: %w", t, cerr)
 			continue
 		}
-		ex := ExampleModel(t)
-		if err := builder.FS.WriteFile(hostModelDir+"/"+ex.Name, []byte(ex.Source), 0o644); err != nil {
-			return nil, err
-		}
-		run, err := f.Engine.Run(builds[t].Image, builder, runtime.RunOptions{
-			Isolation: runtime.IsolationSingularity,
-			Args:      append([]string{containerModelDir + "/" + ex.Name}, ex.Args...),
-			Binds:     []runtime.Bind{{HostPath: hostModelDir, ContainerPath: containerModelDir}},
-		})
+		run, err := f.runExample(builds[t].Image, builder, t)
 		if err != nil {
 			toolErr[t] = fmt.Errorf("core: reference run of %s: %w", t, err)
 			continue
@@ -575,18 +584,7 @@ func (f *Framework) matrixCell(ctx context.Context, parent *obs.Span, client *hu
 	}
 	entry.Digest = gotDigest
 	entry.DigestMatch = gotDigest == wantDigest
-	ex := ExampleModel(t)
-	if err := host.FS.MkdirAll(hostModelDir, 0o755); err != nil {
-		return failCell(entry, nil, "", err)
-	}
-	if err := host.FS.WriteFile(hostModelDir+"/"+ex.Name, []byte(ex.Source), 0o644); err != nil {
-		return failCell(entry, nil, "", err)
-	}
-	run, err := f.Engine.Run(img, host, runtime.RunOptions{
-		Isolation: runtime.IsolationSingularity,
-		Args:      append([]string{containerModelDir + "/" + ex.Name}, ex.Args...),
-		Binds:     []runtime.Bind{{HostPath: hostModelDir, ContainerPath: containerModelDir}},
-	})
+	run, err := f.runExample(img, host, t)
 	if err != nil {
 		return failCell(entry, nil, "", fmt.Errorf("core: running %s on %s: %w", t, hostName, err))
 	}
