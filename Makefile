@@ -97,25 +97,26 @@ chaos-cancel:
 	$(GO) test -race -count=1 ./internal/par ./internal/checkpoint ./internal/ssa ./internal/fsatomic ./internal/sigctx ./internal/runctx
 
 # Durability/self-healing chaos lane (docs/RESILIENCE.md): WAL crash-point
-# recovery, resumable chunk-verified manifest and layer pulls under seeded
+# recovery, the store-state oracle, compaction after in-memory rot,
+# resumable chunk-verified manifest and layer pulls under seeded
 # truncation, response and upload caps, scrub/quarantine/repair, and
 # admission-control shedding — all under -race.
 # Fault plans and jitter are seeded, so failures replay exactly.
 chaos-hub:
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestWAL|TestScrub|TestRepush|TestQuarantine|TestIdempotentPut|TestLoadReplays|TestLoadReencodes|TestLoadParentStateDir|TestReopenKeepsEachBuildHostsBytes|TestPull|TestSameImageFromTwoBuildHosts|TestServeBlobRange|TestParseRange|TestChunkDigests|TestResponseCap|TestUploadCap|TestAdmission|TestTokenBucket|TestClientHonorsRetryAfter|TestClientThrottleCap' \
+		-run 'TestChaos|TestWAL|TestScrub|TestRepush|TestQuarantine|TestIdempotentPut|TestLoadReplays|TestLoadReencodes|TestLoadParentStateDir|TestReopenKeepsEachBuildHostsBytes|TestStoreStateOracle|TestCompactionAfterRotKeepsVerifiedBlob|TestPull|TestSameImageFromTwoBuildHosts|TestServeBlobRange|TestParseRange|TestChunkDigests|TestResponseCap|TestUploadCap|TestAdmission|TestTokenBucket|TestClientHonorsRetryAfter|TestClientThrottleCap' \
 		./internal/hub
 	$(GO) test -race -count=1 ./internal/fsatomic ./internal/faultinject
 
 # Replicated-cluster chaos lane (docs/RESILIENCE.md): rendezvous
 # placement, per-peer failover, hinted handoff, read repair after
-# bit-rot, rebalancing on join/leave, per-host breaker scoping, and the
+# bit-rot, rebalancing on join/leave, per-peer breaker isolation, and the
 # hinted-handoff journal fuzz seeds — all under -race. Fault plans are
 # seeded, so failures replay exactly.
 chaos-cluster:
 	$(GO) test -race -count=1 ./internal/hub/cluster
 	$(GO) test -race -count=1 \
-		-run 'TestBreakerForScopedPerHost|TestBreakerChaosFailingPeerDoesNotRejectHealthyPeer|TestThrottleFailover|TestHint|FuzzHintJournalRecords' \
+		-run 'TestThrottleFailover|TestHint|FuzzHintJournalRecords' \
 		./internal/hub
 	$(GO) test -race -count=1 -run 'TestCluster|TestServePeerFaultTargeting' ./cmd/schub
 

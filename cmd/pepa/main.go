@@ -202,7 +202,7 @@ func run() error {
 		return nil
 	case *cdfPattern != "":
 		targets := ss.StatesMatching(func(term string) bool {
-			return contains(term, *cdfPattern)
+			return strings.Contains(term, *cdfPattern)
 		})
 		if len(targets) == 0 {
 			return fmt.Errorf("no state matches pattern %q", *cdfPattern)
@@ -292,13 +292,4 @@ func runSweep(m *pepa.Model, sweepSpec, measureSpec string) error {
 	}
 	fmt.Print(series.TSV())
 	return nil
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return len(sub) == 0
 }

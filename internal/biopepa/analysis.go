@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/checkpoint"
 	"repro/internal/ctmc"
@@ -300,7 +301,7 @@ func (m *Model) BuildCTMCCtx(ctx context.Context, opt CTMCOptions) (*CTMCSpace, 
 	key := func(x []float64) string {
 		b := make([]byte, 0, len(x)*4)
 		for _, v := range x {
-			b = appendInt(b, int64(v))
+			b = strconv.AppendInt(b, int64(v), 10)
 			b = append(b, ',')
 		}
 		return string(b)
@@ -389,22 +390,4 @@ func (m *Model) BuildCTMCCtx(ctx context.Context, opt CTMCOptions) (*CTMCSpace, 
 		space.Chain.ActionRate[n] = v
 	}
 	return space, nil
-}
-
-func appendInt(b []byte, v int64) []byte {
-	if v < 0 {
-		b = append(b, '-')
-		v = -v
-	}
-	if v == 0 {
-		return append(b, '0')
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for v > 0 {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(b, tmp[i:]...)
 }

@@ -143,13 +143,12 @@ func Parse(src string) (*Model, error) {
 	if sysStart < 0 {
 		return nil, fmt.Errorf("gpepa: no grouped system equation found (expected Label{Component[count]} ...)")
 	}
-	// Reconstruct the definitions source from the original text span is
-	// fragile; instead re-lex by slicing tokens and re-rendering. Simpler:
-	// parse defs by running the PEPA parser over the source up to the
-	// system tokens' first position.
-	defEnd := toks[sysStart]
-	defsSrc := srcPrefixBefore(src, defEnd.Line, defEnd.Col)
-	defs, err := pepa.Parse(defsSrc)
+	// The definitions are the tokens before the system equation, ended by
+	// an EOF where the system equation starts. The capped slice makes
+	// append copy, so toks[sysStart] stays the system's first token.
+	sys := toks[sysStart]
+	defToks := append(toks[:sysStart:sysStart], pepa.Token{Kind: pepa.TokEOF, Line: sys.Line, Col: sys.Col})
+	defs, err := pepa.ParseTokens(defToks)
 	if err != nil {
 		return nil, fmt.Errorf("gpepa: parsing definitions: %w", err)
 	}
@@ -175,24 +174,6 @@ func MustParse(src string) *Model {
 		panic(err)
 	}
 	return m
-}
-
-// srcPrefixBefore returns the portion of src strictly before (line, col),
-// with line and col 1-based.
-func srcPrefixBefore(src string, line, col int) string {
-	curLine, curCol := 1, 1
-	for i, r := range src {
-		if curLine == line && curCol == col {
-			return src[:i]
-		}
-		if r == '\n' {
-			curLine++
-			curCol = 1
-		} else {
-			curCol++
-		}
-	}
-	return src
 }
 
 type groupParser struct {

@@ -318,6 +318,44 @@ func TestClientThrottleCap(t *testing.T) {
 	}
 }
 
+// TestThrottleFailoverReturns429Immediately: with ThrottleFailover set,
+// a 429 + Retry-After surfaces as an *HTTPError without sleeping, so a
+// clustered caller can try the next replica at once.
+func TestThrottleFailoverReturns429Immediately(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "3")
+		http.Error(w, "shed", http.StatusTooManyRequests)
+	}))
+	defer ts.Close()
+
+	var slept []time.Duration
+	opts := chaosOptions(4)
+	opts.ThrottleFailover = true
+	opts.Sleep = func(d time.Duration) { slept = append(slept, d) }
+	c := NewClientWithOptions(ts.URL, opts)
+
+	_, _, err := c.Pull("coll", "pepa", "latest", "")
+	var he *HTTPError
+	if !errors.As(err, &he) || he.Status != http.StatusTooManyRequests {
+		t.Fatalf("err = %v, want HTTP 429", err)
+	}
+	if he.RetryAfter != 3*time.Second {
+		t.Errorf("RetryAfter = %v, want 3s", he.RetryAfter)
+	}
+	if len(slept) != 0 {
+		t.Errorf("client slept %v; throttle failover must not sleep", slept)
+	}
+	var found bool
+	for _, line := range c.AttemptLog() {
+		if strings.Contains(line, "throttled, failing over") {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("attempt log missing failover line:\n%s", strings.Join(c.AttemptLog(), "\n"))
+	}
+}
+
 // TestAdmissionDefaults: zero options resolve to documented defaults.
 func TestAdmissionDefaults(t *testing.T) {
 	o := AdmissionOptions{}.withDefaults()

@@ -73,7 +73,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 // idempotent, so transient failures retry safely.
 func (c *Client) RemoteBuild(coll, name, tag, recipeSrc string) (string, error) {
 	op := fmt.Sprintf("build %s/%s:%s", coll, name, tag)
-	url := fmt.Sprintf("%s/v1/build/%s/%s/%s", c.BaseURL, coll, name, tag)
+	url := fmt.Sprintf("%s/v1/build/%s/%s/%s", c.baseURL, coll, name, tag)
 	var digest string
 	err := c.do(op, func() (*http.Request, error) {
 		req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(recipeSrc))

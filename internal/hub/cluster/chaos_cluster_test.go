@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/hub"
 	"repro/internal/obs"
 )
 
@@ -207,6 +209,66 @@ func TestChaosBitRotScrubAndReadRepair(t *testing.T) {
 	for _, n := range names {
 		if rep := h.stores[n].ScrubOnce(nil); rep.Corrupt != 0 || rep.Skipped != 0 {
 			t.Errorf("final scrub on %s = %+v, want zero mismatches and zero quarantined", n, rep)
+		}
+	}
+}
+
+// TestChaosDeadPeerOpensOnlyItsOwnBreaker: a cluster builds one client
+// per peer, each with its own breaker. A dead first-ranked owner opens
+// its own client's breaker while the pull fails over; the healthy peers'
+// breakers stay closed and the pulls they serve log no rejection.
+func TestChaosDeadPeerOpensOnlyItsOwnBreaker(t *testing.T) {
+	names := []string{"a", "b", "c"}
+	h := newHarness(t, names, 3, nil, nil, 2)
+	img := layeredTestImage(t, "pepa", "latest", "base", "deps", "solver")
+	digest, err := h.cl.Push("tools", img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := h.cl.rank(digest)[0]
+
+	// A fresh router whose connections to the dead peer all drop.
+	plan := faultinject.NewPlan(1, faultinject.Rule{Peer: dead, Kind: faultinject.KindConn, First: 1 << 30})
+	var peers []Peer
+	for _, n := range names {
+		peers = append(peers, Peer{Name: n, URL: h.urls[n]})
+	}
+	opts := chaosClientOptions(2)
+	opts.BreakerThreshold = 2
+	reg := obs.NewRegistry()
+	router, err := New(Options{
+		Peers: peers, Replication: 3, Seed: 1, Obs: reg, Client: opts,
+		TransportFor: func(p string) http.RoundTripper { return plan.TransportFor(p, nil) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, got, err := router.Pull("tools", "pepa", "latest", digest); err != nil || got != digest {
+		t.Fatalf("pull = (%s, %v), want a failover to a healthy peer\nlog:\n%s", got, err, router.FormatLog())
+	}
+	if _, _, err := router.PeerClient(dead).Pull("tools", "pepa", "latest", digest); !errors.Is(err, hub.ErrCircuitOpen) {
+		t.Errorf("direct pull from the dead peer = %v, want its open breaker to reject it", err)
+	}
+	for _, n := range names {
+		c := router.PeerClient(n)
+		opened := reg.Counter("hub_breaker_transitions_total", obs.L("from", "closed"), obs.L("to", "open"), obs.L("peer", n))
+		if n == dead {
+			if st := c.Breaker().State(); st != hub.BreakerOpen || opened != 1 {
+				t.Errorf("dead peer %s: breaker %v after %v openings, want open once", n, st, opened)
+			}
+			continue
+		}
+		if _, got, err := c.Pull("tools", "pepa", "latest", digest); err != nil || got != digest {
+			t.Errorf("healthy peer %s: pull = (%s, %v), want %s", n, got, err, digest)
+		}
+		if st := c.Breaker().State(); st != hub.BreakerClosed || opened != 0 {
+			t.Errorf("healthy peer %s: breaker %v after %v openings, want closed throughout", n, st, opened)
+		}
+		for _, line := range c.AttemptLog() {
+			if strings.Contains(line, "rejected") {
+				t.Errorf("healthy peer %s logged a breaker rejection: %s", n, line)
+			}
 		}
 	}
 }

@@ -129,14 +129,20 @@ func (s *Store) HintCount() int {
 func (s *Store) EntryCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.meta)
+	return len(s.entries)
 }
 
 // QuarantinedCount returns the number of quarantined entries.
 func (s *Store) QuarantinedCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.quarantined)
+	n := 0
+	for _, r := range s.entries {
+		if r.reason != "" {
+			n++
+		}
+	}
+	return n
 }
 
 // NodeStatus is one peer's replica summary (GET /v1/_cluster/status).
@@ -226,7 +232,7 @@ func (c *Client) AddHint(h Hint) error {
 	}
 	op := fmt.Sprintf("hint %s %s/%s:%s", h.Target, h.Collection, h.Container, h.Tag)
 	return c.do(op, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodPost, c.BaseURL+"/v1/_cluster/hints", bytes.NewReader(body))
+		return http.NewRequest(http.MethodPost, c.baseURL+"/v1/_cluster/hints", bytes.NewReader(body))
 	}, func(resp *http.Response) error {
 		var out struct {
 			Stored bool `json:"stored"`
@@ -243,7 +249,7 @@ func (c *Client) AddHint(h Hint) error {
 
 // Hints lists the hints the hub holds for target (all when empty).
 func (c *Client) Hints(target string) ([]Hint, error) {
-	url := c.BaseURL + "/v1/_cluster/hints"
+	url := c.baseURL + "/v1/_cluster/hints"
 	if target != "" {
 		url += "?target=" + target
 	}
@@ -276,7 +282,7 @@ func (c *Client) AckHint(h Hint) (bool, error) {
 	}
 	op := fmt.Sprintf("ackhint %s %s/%s:%s", h.Target, h.Collection, h.Container, h.Tag)
 	err = c.do(op, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodPost, c.BaseURL+"/v1/_cluster/hints/ack", bytes.NewReader(body))
+		return http.NewRequest(http.MethodPost, c.baseURL+"/v1/_cluster/hints/ack", bytes.NewReader(body))
 	}, func(resp *http.Response) error {
 		if err := jsonDecode(io.LimitReader(resp.Body, c.MaxResponseBytes), &out); err != nil {
 			return fmt.Errorf("%w: decoding ack response: %v", ErrCorrupt, err)
@@ -290,7 +296,7 @@ func (c *Client) AckHint(h Hint) (bool, error) {
 func (c *Client) NodeStatus() (NodeStatus, error) {
 	var out NodeStatus
 	err := c.do("status", func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, c.BaseURL+"/v1/_cluster/status", nil)
+		return http.NewRequest(http.MethodGet, c.baseURL+"/v1/_cluster/status", nil)
 	}, func(resp *http.Response) error {
 		if err := jsonDecode(io.LimitReader(resp.Body, c.MaxResponseBytes), &out); err != nil {
 			return fmt.Errorf("%w: decoding status response: %v", ErrCorrupt, err)

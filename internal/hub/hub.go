@@ -20,6 +20,7 @@ package hub
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -27,6 +28,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,11 +63,9 @@ type Entry struct {
 // store opened with OpenDurable additionally journals every mutation to
 // a write-ahead log before acknowledging it (see persist.go, wal.go).
 type Store struct {
-	mu          sync.RWMutex
-	blobs       map[string][]byte // key: coll/name:tag
-	digest      map[string]string
-	meta        map[string]Entry
-	quarantined map[string]string // key -> quarantine reason
+	mu sync.RWMutex
+	// entries holds one record per ref, keyed by coll/name:tag.
+	entries map[string]record
 	// layers is the content-addressed layer index: encoded layer frames
 	// keyed by digest, learned from installed layered blobs and from
 	// PutLayer staging. A cache, not durable state (see layers.go).
@@ -75,22 +75,55 @@ type Store struct {
 	hints map[string]Hint
 
 	// pmu serializes mutations so the journal order matches the order
-	// the in-memory maps were updated in; nil wal means in-memory only.
+	// the in-memory state was updated in; nil wal means in-memory only.
 	pmu          sync.Mutex
 	dir          string
 	wal          *wal
 	compactEvery int
 }
 
+// record is everything a store holds for one ref. Every mutation
+// replaces a record whole, so an entry, its bytes and the verdict on
+// them cannot disagree.
+type record struct {
+	// entry describes the image; its Quarantined flag is not read (see
+	// Entry).
+	entry Entry
+	// blob is the stored SCIF2 encoding. It is never mutated in place, so
+	// readers may keep it after the record is replaced.
+	blob []byte
+	// reason says why the bytes are quarantined; empty when healthy.
+	reason string
+	// file names the durable blob file the bytes were verified into,
+	// computed where they entered a durable store (Put, journal replay,
+	// snapshot load). Empty on an in-memory store.
+	file string
+}
+
+// Entry returns the record's entry as the store shows it: quarantined
+// exactly when the record carries a reason.
+func (r record) Entry() Entry {
+	e := r.entry
+	e.Quarantined = r.reason != ""
+	return e
+}
+
 // NewStore creates an empty registry store.
 func NewStore() *Store {
 	return &Store{
-		blobs:       map[string][]byte{},
-		digest:      map[string]string{},
-		meta:        map[string]Entry{},
-		quarantined: map[string]string{},
-		layers:      map[string][]byte{},
-		hints:       map[string]Hint{},
+		entries: map[string]record{},
+		layers:  map[string][]byte{},
+		hints:   map[string]Hint{},
+	}
+}
+
+// setLocked makes r the record for k; healthy bytes feed the layer
+// index, so journal replay and snapshot loads rebuild it for free.
+// Caller holds s.mu.
+func (s *Store) setLocked(k string, r record) {
+	s.entries[k] = r
+	if r.reason == "" {
+		s.indexLayersLocked(r.blob)
 	}
 }
 
@@ -129,10 +162,9 @@ func (s *Store) Put(coll, name, tag string, blob []byte) (string, error) {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
 	s.mu.RLock()
-	_, inQuarantine := s.quarantined[k]
-	identical := s.digest[k] == d && !inQuarantine
+	cur, exists := s.entries[k]
 	s.mu.RUnlock()
-	if identical {
+	if exists && cur.reason == "" && cur.entry.Digest == d {
 		// Idempotent re-push: the stored entry already holds exactly
 		// these bytes and is healthy.
 		return d, nil
@@ -141,20 +173,22 @@ func (s *Store) Put(coll, name, tag string, blob []byte) (string, error) {
 		// The caller keeps its slice; the store owns an immutable copy.
 		stored = bytes.Clone(blob)
 	}
-	e := Entry{
+	r := record{entry: Entry{
 		Collection: coll, Container: name, Tag: tag,
 		Digest: d, Size: len(stored), BuildHost: img.Meta.BuildHost,
 		Layers: len(img.Layers),
-	}
+	}, blob: stored}
 	if s.wal != nil {
-		pe := persistedEntry{Entry: e, Blob: blobFileName(d, stored)}
+		r.file = blobFileName(d, stored)
 		// Repairing quarantined content must overwrite the on-disk blob:
 		// its content-addressed file may be the corrupt copy.
-		if err := s.persistPut(pe, stored, inQuarantine); err != nil {
+		if err := s.persistPut(r, cur.reason != ""); err != nil {
 			return "", err
 		}
 	}
-	s.installEntry(k, e, stored)
+	s.mu.Lock()
+	s.setLocked(k, r)
+	s.mu.Unlock()
 	if s.wal != nil && s.compactEvery > 0 && s.wal.records >= s.compactEvery {
 		if err := s.compactLocked(); err != nil {
 			return "", err
@@ -170,18 +204,19 @@ func (s *Store) Delete(coll, name, tag string) (bool, error) {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
 	s.mu.RLock()
-	e, ok := s.meta[k]
+	r, ok := s.entries[k]
 	s.mu.RUnlock()
 	if !ok {
 		return false, nil
 	}
 	if s.wal != nil {
-		pe := persistedEntry{Entry: e}
-		if err := s.wal.append(walDelete, pe); err != nil {
+		if err := s.wal.append(walDelete, persistedEntry{Entry: r.Entry()}); err != nil {
 			return false, err
 		}
 	}
-	s.removeEntry(k)
+	s.mu.Lock()
+	delete(s.entries, k)
+	s.mu.Unlock()
 	return true, nil
 }
 
@@ -190,37 +225,29 @@ func (s *Store) Delete(coll, name, tag string) (bool, error) {
 func (s *Store) Get(coll, name, tag string) ([]byte, string, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	k := key(coll, name, tag)
-	blob, ok := s.blobs[k]
-	if !ok {
+	r, ok := s.entries[key(coll, name, tag)]
+	if !ok || r.reason != "" {
 		return nil, "", false
 	}
-	if _, bad := s.quarantined[k]; bad {
-		return nil, "", false
-	}
-	return append([]byte(nil), blob...), s.digest[k], true
+	return append([]byte(nil), r.blob...), r.entry.Digest, true
 }
 
 // view returns the stored blob without copying, plus its entry and
-// quarantine reason. The slice is safe to read concurrently: Put
-// replaces blobs wholesale and never mutates them in place.
+// quarantine reason. The slice is safe to read concurrently: records are
+// replaced whole and their blobs never mutated in place.
 func (s *Store) view(coll, name, tag string) (blob []byte, e Entry, reason string, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	k := key(coll, name, tag)
-	e, ok = s.meta[k]
-	if !ok {
-		return nil, Entry{}, "", false
-	}
-	return s.blobs[k], e, s.quarantined[k], true
+	r, ok := s.entries[key(coll, name, tag)]
+	return r.blob, r.Entry(), r.reason, ok
 }
 
 // QuarantineReason reports whether the entry is quarantined and why.
 func (s *Store) QuarantineReason(coll, name, tag string) (string, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	reason, ok := s.quarantined[key(coll, name, tag)]
-	return reason, ok
+	r := s.entries[key(coll, name, tag)]
+	return r.reason, r.reason != ""
 }
 
 // List returns the entries of one collection, sorted by container then tag.
@@ -228,18 +255,20 @@ func (s *Store) List(coll string) []Entry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []Entry
-	for _, e := range s.meta {
-		if e.Collection == coll {
-			out = append(out, e)
+	for _, r := range s.entries {
+		if r.entry.Collection == coll {
+			out = append(out, r.Entry())
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Container != out[j].Container {
-			return out[i].Container < out[j].Container
-		}
-		return out[i].Tag < out[j].Tag
-	})
+	slices.SortFunc(out, compareEntries)
 	return out
+}
+
+// compareEntries orders entries by collection, container, then tag: the
+// order of List and of the snapshot index.
+func compareEntries(a, b Entry) int {
+	return cmp.Or(strings.Compare(a.Collection, b.Collection),
+		strings.Compare(a.Container, b.Container), strings.Compare(a.Tag, b.Tag))
 }
 
 // Collections lists collection names, sorted.
@@ -247,8 +276,8 @@ func (s *Store) Collections() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	set := map[string]bool{}
-	for _, e := range s.meta {
-		set[e.Collection] = true
+	for _, r := range s.entries {
+		set[r.entry.Collection] = true
 	}
 	out := make([]string, 0, len(set))
 	for c := range set {
@@ -472,11 +501,12 @@ func jsonDecode(r io.Reader, v any) error {
 	return json.NewDecoder(r).Decode(v)
 }
 
-// Client talks to a hub server. The zero value is not usable; construct
-// with NewClient or NewClientWithOptions. All operations retry
-// transient failures with backoff and run through a circuit breaker.
+// Client talks to one hub server, fixed at construction. The zero value
+// is not usable; construct with NewClient or NewClientWithOptions. All
+// operations retry transient failures with backoff and run through the
+// client's circuit breaker.
 type Client struct {
-	BaseURL string // e.g. "http://127.0.0.1:4321"
+	baseURL string // e.g. "http://127.0.0.1:4321"
 	HTTP    *http.Client
 	// Retry tunes the retry loop (zero fields use defaults).
 	Retry RetryPolicy
@@ -484,15 +514,10 @@ type Client struct {
 	// (default 64 MiB).
 	MaxResponseBytes int64
 
-	// breakers holds one circuit breaker per destination host, created
-	// lazily as requests are routed (see breakerFor): a failing peer
-	// trips only its own breaker, so a client whose BaseURL moves
-	// between hub replicas never rejects requests to healthy ones.
-	bmu            sync.Mutex
-	breakers       map[string]*Breaker
-	brThreshold    int
-	brCooldown     int
-	onBrTransition func(from, to BreakerState)
+	// breaker guards every request. Each client talks to one hub (a
+	// cluster builds one client per peer), so a failing peer trips only
+	// its own client's breaker.
+	breaker *Breaker
 	// throttleFailover makes 429+Retry-After responses return
 	// immediately (as *HTTPError) instead of sleeping out the hint, so a
 	// clustered caller can try the next replica at once. Single-hub
@@ -565,13 +590,11 @@ func NewClientWithOptions(baseURL string, opts ClientOptions) *Client {
 		opts.LayerCache = NewLayerCache()
 	}
 	c := &Client{
-		BaseURL:          strings.TrimRight(baseURL, "/"),
+		baseURL:          strings.TrimRight(baseURL, "/"),
 		HTTP:             &http.Client{Timeout: opts.Timeout, Transport: opts.Transport},
 		Retry:            opts.Retry,
 		MaxResponseBytes: opts.MaxResponseBytes,
-		breakers:         map[string]*Breaker{},
-		brThreshold:      opts.BreakerThreshold,
-		brCooldown:       opts.BreakerCooldown,
+		breaker:          NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
 		throttleFailover: opts.ThrottleFailover,
 		layerCache:       opts.LayerCache,
 		jitter:           newJitter(opts.JitterSeed),
@@ -579,16 +602,14 @@ func NewClientWithOptions(baseURL string, opts ClientOptions) *Client {
 		obs:              opts.Obs,
 	}
 	if reg := opts.Obs; reg != nil {
-		// The transition hook is shared by every per-host breaker. With a
-		// PeerName the series carries a stable {peer} label; without one
-		// it is the legacy unlabeled gauge (single-host clients only ever
-		// create one breaker, so the aggregate is exact).
+		// With a PeerName the series carries a stable {peer} label;
+		// without one it is the legacy unlabeled gauge.
 		var labels []obs.Label
 		if opts.PeerName != "" {
 			labels = []obs.Label{obs.L("peer", opts.PeerName)}
 		}
 		reg.Set("hub_breaker_state", float64(BreakerClosed), labels...)
-		c.onBrTransition = func(from, to BreakerState) {
+		c.breaker.onTransition = func(from, to BreakerState) {
 			reg.Inc("hub_breaker_transitions_total",
 				append([]obs.Label{obs.L("from", from.String()), obs.L("to", to.String())}, labels...)...)
 			reg.Set("hub_breaker_state", float64(to), labels...)
@@ -601,7 +622,7 @@ func NewClientWithOptions(baseURL string, opts ClientOptions) *Client {
 func (c *Client) List(coll string) ([]Entry, error) {
 	var entries []Entry
 	err := c.do("list "+coll, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/%s", c.BaseURL, coll), nil)
+		return http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/%s", c.baseURL, coll), nil)
 	}, func(resp *http.Response) error {
 		if err := jsonDecode(io.LimitReader(resp.Body, c.MaxResponseBytes), &entries); err != nil {
 			return fmt.Errorf("%w: decoding list response: %v", ErrCorrupt, err)
@@ -618,7 +639,7 @@ func (c *Client) List(coll string) ([]Entry, error) {
 func (c *Client) Collections() ([]string, error) {
 	var out []string
 	err := c.do("collections", func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, c.BaseURL+"/v1/", nil)
+		return http.NewRequest(http.MethodGet, c.baseURL+"/v1/", nil)
 	}, func(resp *http.Response) error {
 		if err := jsonDecode(io.LimitReader(resp.Body, c.MaxResponseBytes), &out); err != nil {
 			return fmt.Errorf("%w: decoding collections response: %v", ErrCorrupt, err)

@@ -140,7 +140,7 @@ func TestServerRejectsCorruptUpload(t *testing.T) {
 	c, _, done := newTestClient(t)
 	defer done()
 	for _, path := range []string{"/v1/c/n/t/manifest", "/v1/_layers/sha256:00"} {
-		req, _ := http.NewRequest(http.MethodPut, c.BaseURL+path, bytes.NewReader([]byte("garbage")))
+		req, _ := http.NewRequest(http.MethodPut, c.baseURL+path, bytes.NewReader([]byte("garbage")))
 		resp, err := c.HTTP.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -160,7 +160,7 @@ func TestImagePathOnlyDeletes(t *testing.T) {
 	if _, err := c.Push("coll", testImage("pepa", "latest", "v1")); err != nil {
 		t.Fatal(err)
 	}
-	url := c.BaseURL + "/v1/coll/pepa/latest"
+	url := c.baseURL + "/v1/coll/pepa/latest"
 	for _, method := range []string{http.MethodGet, http.MethodPut, http.MethodPost} {
 		req, _ := http.NewRequest(method, url, bytes.NewReader([]byte("body")))
 		resp, err := c.HTTP.Do(req)

@@ -202,7 +202,7 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request, coll, na
 			http.Error(w, "image not found", http.StatusNotFound)
 			return
 		}
-		if e.Quarantined || reason != "" {
+		if reason != "" {
 			w.Header().Set(headerHubError, hubErrQuarantined)
 			http.Error(w, fmt.Sprintf("content quarantined (%s); re-push to repair", reason), http.StatusGone)
 			return
@@ -319,7 +319,7 @@ func (c *Client) MissingLayers(digests []string) ([]string, error) {
 		Missing []string `json:"missing"`
 	}
 	err = c.do("negotiate layers", func() (*http.Request, error) {
-		return http.NewRequest(http.MethodPost, c.BaseURL+"/v1/_layers/missing", bytes.NewReader(body))
+		return http.NewRequest(http.MethodPost, c.baseURL+"/v1/_layers/missing", bytes.NewReader(body))
 	}, func(resp *http.Response) error {
 		if err := jsonDecode(io.LimitReader(resp.Body, c.MaxResponseBytes), &out); err != nil {
 			return fmt.Errorf("%w: decoding negotiation response: %v", ErrCorrupt, err)
@@ -389,7 +389,7 @@ func (c *Client) Push(coll string, img *image.Image) (string, error) {
 // digest.
 func (c *Client) pushLayer(l *image.Layer) error {
 	op := "pushlayer " + l.Digest()
-	url := c.BaseURL + "/v1/_layers/" + l.Digest()
+	url := c.baseURL + "/v1/_layers/" + l.Digest()
 	err := c.do(op, func() (*http.Request, error) {
 		return http.NewRequest(http.MethodPut, url, bytes.NewReader(l.Bytes()))
 	}, func(resp *http.Response) error {
@@ -417,7 +417,7 @@ func (c *Client) pushLayer(l *image.Layer) error {
 // surfaces as *HTTPError for the caller to re-negotiate.
 func (c *Client) putManifest(coll, name, tag string, manifestBytes []byte, localDigest string) error {
 	op := fmt.Sprintf("push %s/%s:%s", coll, name, tag)
-	url := fmt.Sprintf("%s/v1/%s/%s/%s/manifest", c.BaseURL, coll, name, tag)
+	url := fmt.Sprintf("%s/v1/%s/%s/%s/manifest", c.baseURL, coll, name, tag)
 	return c.do(op, func() (*http.Request, error) {
 		return http.NewRequest(http.MethodPut, url, bytes.NewReader(manifestBytes))
 	}, func(resp *http.Response) error {

@@ -76,7 +76,7 @@ func TestLayeredPushPullRoundTrip(t *testing.T) {
 	}
 
 	// A fresh client reassembles the image from its layers.
-	c2 := NewClient(strings.TrimSuffix(c.BaseURL, "/"))
+	c2 := NewClient(strings.TrimSuffix(c.baseURL, "/"))
 	pulled, gotDigest, err := c2.Pull("pepa-tools", "pepa", "latest", localDigest)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestLayeredPullUsesLayerCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	puller := NewClient(c.BaseURL)
+	puller := NewClient(c.baseURL)
 	if _, _, err := puller.Pull("coll", "pepa", "v1", da); err != nil {
 		t.Fatal(err)
 	}

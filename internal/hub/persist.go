@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -68,7 +69,7 @@ func OpenDurable(dir string, opts DurableOptions) (*Store, OpenReport, error) {
 			return nil, OpenReport{}, err
 		}
 		s = loaded
-		report.SnapshotEntries = len(s.meta)
+		report.SnapshotEntries = s.EntryCount()
 	}
 	w, replay, err := openWAL(dir)
 	if err != nil {
@@ -79,7 +80,7 @@ func OpenDurable(dir string, opts DurableOptions) (*Store, OpenReport, error) {
 	}
 	report.JournalRecords = len(replay.Records)
 	report.TornBytes = replay.TornBytes
-	report.Quarantined = len(s.quarantined)
+	report.Quarantined = s.QuarantinedCount()
 	s.dir = dir
 	s.wal = w
 	s.compactEvery = opts.CompactEvery
@@ -167,135 +168,97 @@ func (s *Store) gcBlobs(index []persistedEntry) {
 	}
 }
 
-// persistPut makes one put durable before it is applied: the blob file
-// is written (fsynced, atomically renamed) and then the journal record
-// is appended. force rewrites the blob file even if one with that name
-// exists — required when repairing a quarantined entry whose on-disk
+// persistPut makes one put durable before it is applied: the record's
+// blob file is written (fsynced, atomically renamed) and then the journal
+// record is appended. force rewrites the blob file even if one with that
+// name exists — required when repairing a quarantined entry whose on-disk
 // copy may be the corrupt one. Caller holds pmu.
-func (s *Store) persistPut(pe persistedEntry, blob []byte, force bool) error {
-	path := filepath.Join(s.dir, pe.Blob)
+func (s *Store) persistPut(r record, force bool) error {
+	path := filepath.Join(s.dir, r.file)
 	_, statErr := os.Stat(path)
 	if force || statErr != nil {
-		if err := fsatomic.WriteFile(path, blob, 0o644); err != nil {
-			return fmt.Errorf("hub: saving blob %s: %w", pe.Blob, err)
+		if err := fsatomic.WriteFile(path, r.blob, 0o644); err != nil {
+			return fmt.Errorf("hub: saving blob %s: %w", r.file, err)
 		}
 	}
-	return s.wal.append(walPut, pe)
+	return s.wal.append(walPut, persistedEntry{Entry: r.Entry(), Blob: r.file})
 }
 
-// loadBlob reads and verifies one entry's blob file, returning the SCIF2
-// bytes to hold and the entry updated to describe them (a SCIF1 file
-// written by an older hub is re-encoded; its digest is unchanged). ok is
-// false when the file is unreadable, malformed, or not the entry's
-// digest.
-func loadBlob(path string, e Entry) ([]byte, Entry, bool) {
-	raw, err := os.ReadFile(path)
+// loadBlob reads and verifies the blob file pe names, returning the
+// record to hold: the SCIF2 bytes, the entry updated to describe them (a
+// SCIF1 file written by an older hub is re-encoded; its digest is
+// unchanged) and the file the bytes belong in. ok is false when the file
+// is unreadable, malformed, or not the entry's digest. The caller has
+// checked the name with validBlobName.
+func loadBlob(dir string, pe persistedEntry) (record, bool) {
+	raw, err := os.ReadFile(filepath.Join(dir, pe.Blob))
 	if err != nil {
-		return nil, e, false
+		return record{}, false
 	}
 	blob, img, d, err := storedForm(raw)
-	if err != nil || d != e.Digest {
-		return nil, e, false
+	if err != nil || d != pe.Digest {
+		return record{}, false
 	}
+	e := pe.Entry
 	e.Size, e.Layers = len(blob), len(img.Layers)
-	return blob, e, true
+	return record{entry: e, blob: blob, file: blobFileName(d, blob)}, true
 }
 
 // applyWALRecord applies one replayed journal record to the in-memory
-// maps (no re-journaling). Put records re-verify their blob bytes; a
+// state (no re-journaling). Put records re-verify their blob bytes; a
 // blob name that is not the digest's own file, or a missing or
 // digest-mismatched blob, quarantines the entry instead of failing the
 // open.
 func (s *Store) applyWALRecord(dir string, rec walRecord) {
 	pe := rec.Entry
 	k := key(pe.Collection, pe.Container, pe.Tag)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch rec.Op {
 	case walPut:
-		if validBlobName(pe.Digest, pe.Blob) {
-			if blob, e, ok := loadBlob(filepath.Join(dir, pe.Blob), pe.Entry); ok {
-				s.installEntry(k, e, blob)
-				return
-			}
+		r, ok := record{}, validBlobName(pe.Digest, pe.Blob)
+		if ok {
+			r, ok = loadBlob(dir, pe)
 		}
-		pe.Entry.Quarantined = true
-		s.installQuarantined(k, pe.Entry, nil, "journal blob failed digest verification")
+		if !ok {
+			r = record{entry: pe.Entry, reason: "journal blob failed digest verification"}
+		}
+		s.setLocked(k, r)
 	case walDelete:
-		s.removeEntry(k)
+		delete(s.entries, k)
 	case walQuarantine:
-		s.mu.Lock()
-		if e, ok := s.meta[k]; ok {
-			e.Quarantined = true
-			s.meta[k] = e
-			s.quarantined[k] = "quarantined by scrubber"
-		}
-		s.mu.Unlock()
+		s.quarantineLocked(k, "quarantined by scrubber")
 	case walHintAdd:
 		if rec.Hint != nil && rec.Hint.validate() == nil {
-			s.mu.Lock()
 			s.hints[rec.Hint.hintKey()] = *rec.Hint
-			s.mu.Unlock()
 		}
 	case walHintAck:
 		if rec.Hint != nil {
-			s.mu.Lock()
 			if existing, ok := s.hints[rec.Hint.hintKey()]; ok && existing.Digest == rec.Hint.Digest {
 				delete(s.hints, rec.Hint.hintKey())
 			}
-			s.mu.Unlock()
 		}
 	}
 }
 
-// installEntry replaces the in-memory state for k (clearing quarantine).
-// The blob's layer frames also feed the layer index here, so WAL replay
-// and snapshot loads rebuild it for free.
-func (s *Store) installEntry(k string, e Entry, blob []byte) {
-	s.mu.Lock()
-	e.Quarantined = false
-	s.blobs[k] = blob
-	s.digest[k] = e.Digest
-	s.meta[k] = e
-	delete(s.quarantined, k)
-	s.indexLayersLocked(blob)
-	s.mu.Unlock()
-}
-
-// installQuarantined installs k as quarantined content: listed, but
-// served as 410 until a re-push repairs it.
-func (s *Store) installQuarantined(k string, e Entry, blob []byte, reason string) {
-	s.mu.Lock()
-	e.Quarantined = true
-	s.blobs[k] = blob
-	s.digest[k] = e.Digest
-	s.meta[k] = e
-	s.quarantined[k] = reason
-	s.mu.Unlock()
-}
-
-// removeEntry drops k from the in-memory maps.
-func (s *Store) removeEntry(k string) {
-	s.mu.Lock()
-	delete(s.blobs, k)
-	delete(s.digest, k)
-	delete(s.meta, k)
-	delete(s.quarantined, k)
-	s.mu.Unlock()
-}
-
-// writeSnapshot writes every blob file plus the index into the state
-// directory, atomically, and returns the index. A quarantined entry is
-// never read back from disk, so it names no blob file. Caller holds pmu.
+// writeSnapshot writes every missing blob file plus the index into the
+// state directory, atomically, and returns the index. A healthy entry
+// names the file its bytes were verified into, so rot in memory never
+// reaches disk; a quarantined entry is never read back from disk, so it
+// names no blob file. Caller holds pmu.
 func (s *Store) writeSnapshot() ([]persistedEntry, error) {
 	dir := s.dir
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var index []persistedEntry
-	for k, e := range s.meta {
-		pe := persistedEntry{Entry: e}
-		if !e.Quarantined {
-			pe.Blob = blobFileName(s.digest[k], s.blobs[k])
+	index := make([]persistedEntry, 0, len(s.entries))
+	for _, r := range s.entries {
+		pe := persistedEntry{Entry: r.Entry()}
+		if r.reason == "" {
+			pe.Blob = r.file
+			// The file is missing only when the bytes were loaded from a
+			// file under an older name, or it was removed behind the store.
 			if _, err := os.Stat(filepath.Join(dir, pe.Blob)); err != nil {
-				if err := fsatomic.WriteFile(filepath.Join(dir, pe.Blob), s.blobs[k], 0o644); err != nil {
+				if err := fsatomic.WriteFile(filepath.Join(dir, pe.Blob), r.blob, 0o644); err != nil {
 					return nil, fmt.Errorf("hub: saving blob %s: %w", pe.Blob, err)
 				}
 			}
@@ -303,11 +266,7 @@ func (s *Store) writeSnapshot() ([]persistedEntry, error) {
 		index = append(index, pe)
 	}
 	// Deterministic index order.
-	for i := 1; i < len(index); i++ {
-		for j := i; j > 0 && indexLess(index[j], index[j-1]); j-- {
-			index[j], index[j-1] = index[j-1], index[j]
-		}
-	}
+	slices.SortFunc(index, func(a, b persistedEntry) int { return compareEntries(a.Entry, b.Entry) })
 	data, err := json.MarshalIndent(index, "", "  ")
 	if err != nil {
 		return nil, err
@@ -331,16 +290,6 @@ func (s *Store) writeSnapshot() ([]persistedEntry, error) {
 	// file — the blobs above get the same treatment, so a restored index
 	// never points at a half-written blob.
 	return index, fsatomic.WriteFile(filepath.Join(dir, indexFile), data, 0o644)
-}
-
-func indexLess(a, b persistedEntry) bool {
-	if a.Collection != b.Collection {
-		return a.Collection < b.Collection
-	}
-	if a.Container != b.Container {
-		return a.Container < b.Container
-	}
-	return a.Tag < b.Tag
 }
 
 // blobFileName names the file holding blob, the stored encoding of an
@@ -397,31 +346,32 @@ func loadSnapshot(dir string) (*Store, error) {
 		return nil, fmt.Errorf("hub: corrupt index: %w", err)
 	}
 	s := NewStore()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, pe := range index {
 		k := key(pe.Collection, pe.Container, pe.Tag)
 		if pe.Entry.Quarantined {
 			// Never read from disk, so its blob name is never joined.
-			s.installQuarantined(k, pe.Entry, nil, "quarantined in snapshot")
+			s.setLocked(k, record{entry: pe.Entry, reason: "quarantined in snapshot"})
 			continue
 		}
 		if !validBlobName(pe.Digest, pe.Blob) {
 			return nil, fmt.Errorf("hub: suspicious blob path %q in index", pe.Blob)
 		}
-		blob, e, ok := loadBlob(filepath.Join(dir, pe.Blob), pe.Entry)
+		r, ok := loadBlob(dir, pe)
 		if !ok {
-			s.installQuarantined(k, pe.Entry, nil, "snapshot blob failed digest verification")
-			continue
+			r = record{entry: pe.Entry, reason: "snapshot blob failed digest verification"}
 		}
-		s.installEntry(k, e, blob)
+		s.setLocked(k, r)
 	}
-	loadHints(s, dir)
+	loadHintsLocked(s, dir)
 	return s, nil
 }
 
-// loadHints restores hints.json into the store (leniently: hints are
-// recoverable metadata — a peer re-detecting a down owner
-// recreates them — so an unreadable file never fails a load).
-func loadHints(s *Store, dir string) {
+// loadHintsLocked restores hints.json into the store (leniently: hints
+// are recoverable metadata — a peer re-detecting a down owner recreates
+// them — so an unreadable file never fails a load). Caller holds s.mu.
+func loadHintsLocked(s *Store, dir string) {
 	raw, err := os.ReadFile(filepath.Join(dir, hintsFile))
 	if err != nil {
 		return
@@ -430,11 +380,9 @@ func loadHints(s *Store, dir string) {
 	if err := json.Unmarshal(raw, &hints); err != nil {
 		return
 	}
-	s.mu.Lock()
 	for _, h := range hints {
 		if h.validate() == nil {
 			s.hints[h.hintKey()] = h
 		}
 	}
-	s.mu.Unlock()
 }

@@ -118,7 +118,7 @@ func (c *Client) PullToFile(coll, name, tag, expectedDigest, destPath string) (s
 // (PullToFile).
 func (c *Client) pull(coll, name, tag, expectedDigest string, spool *pullSpool) (*image.Image, *image.Manifest, []byte, error) {
 	op := fmt.Sprintf("pull %s/%s:%s", coll, name, tag)
-	url := fmt.Sprintf("%s/v1/%s/%s/%s/manifest", c.BaseURL, coll, name, tag)
+	url := fmt.Sprintf("%s/v1/%s/%s/%s/manifest", c.baseURL, coll, name, tag)
 	var (
 		m   *image.Manifest
 		raw []byte
@@ -164,7 +164,7 @@ func (c *Client) pull(coll, name, tag, expectedDigest string, spool *pullSpool) 
 // pullLayer downloads one layer and checks it against its digest.
 func (c *Client) pullLayer(digest string, spool *pullSpool) (*image.Layer, error) {
 	var layer *image.Layer
-	err := c.getVerified("pulllayer "+digest, c.BaseURL+"/v1/_layers/"+digest, digest, spool, func(body []byte, _ string) error {
+	err := c.getVerified("pulllayer "+digest, c.baseURL+"/v1/_layers/"+digest, digest, spool, func(body []byte, _ string) error {
 		l, err := image.DecodeLayer(body)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)

@@ -404,37 +404,9 @@ func (c *Client) ResetAttemptLog() {
 	c.logMu.Unlock()
 }
 
-// Breaker exposes the circuit breaker guarding the client's configured
-// BaseURL host (state inspection and manual reset). Breakers are scoped
-// per destination host — see breakerFor — so this is the breaker every
-// request of a single-hub client flows through.
-func (c *Client) Breaker() *Breaker { return c.breakerFor(hostOf(c.BaseURL)) }
-
-// hostOf extracts the host[:port] a base URL routes to, the key the
-// per-host breaker map is scoped by.
-func hostOf(baseURL string) string {
-	if u, err := url.Parse(baseURL); err == nil && u.Host != "" {
-		return u.Host
-	}
-	return baseURL
-}
-
-// breakerFor returns the circuit breaker for one destination host,
-// creating it closed on first use. Scoping breakers per host keeps a
-// failing peer from opening the breaker against healthy ones: a client
-// whose BaseURL is repointed between hub replicas (or whose requests
-// are routed by the cluster layer) trips only the sick host's breaker.
-func (c *Client) breakerFor(host string) *Breaker {
-	c.bmu.Lock()
-	defer c.bmu.Unlock()
-	b, ok := c.breakers[host]
-	if !ok {
-		b = NewBreaker(c.brThreshold, c.brCooldown)
-		b.onTransition = c.onBrTransition
-		c.breakers[host] = b
-	}
-	return b
-}
+// Breaker exposes the client's circuit breaker (state inspection and
+// manual reset).
+func (c *Client) Breaker() *Breaker { return c.breaker }
 
 // do runs one logical operation through the breaker and retry loop.
 // mkReq builds a fresh request per attempt (bodies cannot be replayed);
@@ -452,6 +424,7 @@ func (c *Client) do(op string, mkReq func() (*http.Request, error), handle func(
 	// at most maxThrottles times so a pathological server cannot pin it.
 	const maxThrottles = 4
 	throttled := 0
+	br := c.breaker
 	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
 		req, err := mkReq()
 		if err != nil {
@@ -461,7 +434,6 @@ func (c *Client) do(op string, mkReq func() (*http.Request, error), handle func(
 			c.obs.Inc("hub_client_outcomes_total", obs.L("class", "deterministic"))
 			return err
 		}
-		br := c.breakerFor(req.URL.Host)
 		ok, st := br.allow()
 		if !ok {
 			reason := "breaker open"
@@ -482,7 +454,7 @@ func (c *Client) do(op string, mkReq func() (*http.Request, error), handle func(
 		if attempt > 1 {
 			c.obs.Inc("hub_client_retries_total", kind)
 		}
-		err = c.attempt(br, op, req, handle)
+		err = c.attempt(op, req, handle)
 		if err == nil {
 			br.Success()
 			c.logf("%s attempt %d/%d: ok", op, attempt, pol.MaxAttempts)
@@ -557,11 +529,11 @@ func (c *Client) do(op string, mkReq func() (*http.Request, error), handle func(
 // response handler resolves the breaker probe (as a failure) before the
 // panic propagates, so supervised panics (internal/par) cannot leave the
 // breaker stuck half-open.
-func (c *Client) attempt(br *Breaker, op string, req *http.Request, handle func(*http.Response) error) (err error) {
+func (c *Client) attempt(op string, req *http.Request, handle func(*http.Response) error) (err error) {
 	completed := false
 	defer func() {
 		if !completed {
-			br.Failure()
+			c.breaker.Failure()
 		}
 	}()
 	err = c.try(op, req, handle)

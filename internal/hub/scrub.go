@@ -34,8 +34,8 @@ type ScrubReport struct {
 // corruption flips. reg may be nil.
 func (s *Store) ScrubOnce(reg *obs.Registry) ScrubReport {
 	s.mu.RLock()
-	keys := make([]string, 0, len(s.meta))
-	for k := range s.meta {
+	keys := make([]string, 0, len(s.entries))
+	for k := range s.entries {
 		keys = append(keys, k)
 	}
 	s.mu.RUnlock()
@@ -44,38 +44,33 @@ func (s *Store) ScrubOnce(reg *obs.Registry) ScrubReport {
 	var report ScrubReport
 	for _, k := range keys {
 		s.mu.RLock()
-		blob, ok := s.blobs[k]
-		want := s.digest[k]
-		_, already := s.quarantined[k]
-		e, metaOK := s.meta[k]
+		r, ok := s.entries[k]
 		s.mu.RUnlock()
-		if !ok || !metaOK {
+		if !ok {
 			continue // deleted since the key snapshot
 		}
-		if already {
+		if r.reason != "" {
 			report.Skipped++
 			continue
 		}
 		report.Checked++
 		reg.Inc("hub_scrub_blobs_checked_total")
-		_, _, got, err := storedForm(blob)
-		if err == nil && got == want {
+		_, _, got, err := storedForm(r.blob)
+		if err == nil && got == r.entry.Digest {
 			continue
 		}
 		reason := "stored bytes failed digest verification"
 		if err != nil {
 			reason = "stored bytes unparsable: " + err.Error()
 		}
-		s.quarantine(k, e, reason)
+		s.quarantine(k, r, reason)
 		report.Corrupt++
 		report.Quarantined = append(report.Quarantined, k)
 		reg.Inc("hub_scrub_corrupt_total")
 	}
 	s.scrubLayers()
 	reg.Inc("hub_scrub_runs_total")
-	s.mu.RLock()
-	reg.Set("hub_scrub_quarantined", float64(len(s.quarantined)))
-	s.mu.RUnlock()
+	reg.Set("hub_scrub_quarantined", float64(s.QuarantinedCount()))
 	return report
 }
 
@@ -108,9 +103,9 @@ func (s *Store) scrubLayers() {
 			delete(s.layers, d)
 		}
 	}
-	for k, blob := range s.blobs {
-		if _, bad := s.quarantined[k]; !bad {
-			s.indexLayersLocked(blob)
+	for _, r := range s.entries {
+		if r.reason == "" {
+			s.indexLayersLocked(r.blob)
 		}
 	}
 }
@@ -121,47 +116,54 @@ func (s *Store) scrubLayers() {
 // catch. The bit index wraps around the blob length, so any value picks
 // a valid bit deterministically. Like real rot, the mutation is
 // invisible until the next scrub or digest-verified read; it bypasses
-// the journal on durable stores (rot is not a mutation the WAL saw).
+// the journal on durable stores (rot is not a mutation the WAL saw), the
+// layer index, and the blob file the bytes were verified into.
 // Returns false for an unknown or empty entry.
 func (s *Store) FlipBit(coll, name, tag string, bit int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := key(coll, name, tag)
-	blob, ok := s.blobs[k]
-	if !ok || len(blob) == 0 {
+	r, ok := s.entries[k]
+	if !ok || len(r.blob) == 0 {
 		return false
 	}
 	// Mutate a copy: layer-index frames alias the original blob, and
 	// real rot on a blob file would not rewrite them either.
-	mutated := append([]byte(nil), blob...)
+	mutated := append([]byte(nil), r.blob...)
 	bit %= len(mutated) * 8
 	if bit < 0 {
 		bit += len(mutated) * 8
 	}
 	mutated[bit/8] ^= 1 << (bit % 8)
-	s.blobs[k] = mutated
+	r.blob = mutated
+	s.entries[k] = r
 	return true
 }
 
 // quarantine marks k as known-bad, journaling the transition on durable
 // stores so it survives restarts. The corrupt bytes are kept in memory
 // for forensics; they are never served.
-func (s *Store) quarantine(k string, e Entry, reason string) {
+func (s *Store) quarantine(k string, r record, reason string) {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
 	if s.wal != nil {
-		e.Quarantined = true
+		r.reason = reason
 		// Journal failures must not mask the quarantine: the in-memory
 		// mark still protects readers this run.
-		s.wal.append(walQuarantine, persistedEntry{Entry: e})
+		s.wal.append(walQuarantine, persistedEntry{Entry: r.Entry()})
 	}
 	s.mu.Lock()
-	if cur, ok := s.meta[k]; ok {
-		cur.Quarantined = true
-		s.meta[k] = cur
-		s.quarantined[k] = reason
-	}
+	s.quarantineLocked(k, reason)
 	s.mu.Unlock()
+}
+
+// quarantineLocked sets the reason k's record is quarantined, if k is
+// still stored. Caller holds s.mu.
+func (s *Store) quarantineLocked(k, reason string) {
+	if r, ok := s.entries[k]; ok {
+		r.reason = reason
+		s.setLocked(k, r)
+	}
 }
 
 // Scrubber runs ScrubOnce on a jittered interval in the background.

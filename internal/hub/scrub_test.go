@@ -21,8 +21,8 @@ func corruptStoredBlob(t *testing.T, s *Store, coll, name, tag, marker string) {
 	k := key(coll, name, tag)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	blob, ok := s.blobs[k]
-	if !ok || len(blob) == 0 {
+	blob := s.entries[k].blob
+	if len(blob) == 0 {
 		t.Fatalf("no stored blob for %s", k)
 	}
 	// Whole 3-byte groups of marker encode the same whatever follows.

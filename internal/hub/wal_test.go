@@ -17,17 +17,18 @@ import (
 func dumpStore(s *Store) string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.meta))
-	for k := range s.meta {
+	keys := make([]string, 0, len(s.entries))
+	for k := range s.entries {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	var b bytes.Buffer
 	for _, k := range keys {
-		e := s.meta[k]
-		sum := sha256.Sum256(s.blobs[k])
+		r := s.entries[k]
+		e := r.Entry()
+		sum := sha256.Sum256(r.blob)
 		fmt.Fprintf(&b, "%s digest=%s size=%d blob=%s quarantined=%v reason=%q\n",
-			k, s.digest[k], e.Size, hex.EncodeToString(sum[:]), e.Quarantined, s.quarantined[k])
+			k, e.Digest, e.Size, hex.EncodeToString(sum[:]), e.Quarantined, r.reason)
 	}
 	return b.String()
 }

@@ -20,6 +20,13 @@ func Parse(src string) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ParseTokens(toks)
+}
+
+// ParseTokens parses a model from tokens as LexAll returns them: the
+// stream must end in a TokEOF token, whose position error messages report
+// for input that ends too early.
+func ParseTokens(toks []Token) (*Model, error) {
 	p := &parser{toks: toks}
 	m := NewModel()
 	for {

@@ -216,23 +216,33 @@ type CheckOptions struct {
 
 // Check evaluates a property against a derived state space.
 func Check(ss *derive.StateSpace, chain *ctmc.Chain, prop *Property, opt CheckOptions) (*Result, error) {
+	var pi []float64
+	return check(ss, chain, prop, opt, &pi)
+}
+
+// check is Check with the chain's steady state held in *pi: solved on
+// first use and read from there after, so CheckAll solves it at most once.
+func check(ss *derive.StateSpace, chain *ctmc.Chain, prop *Property, opt CheckOptions, pi *[]float64) (*Result, error) {
 	if opt.Samples <= 0 {
 		opt.Samples = 200
+	}
+	if *pi == nil && (prop.Kind == SteadyState || prop.Kind == ThroughputK) {
+		solved, err := chain.SteadyState(ctmc.SteadyStateOptions{})
+		if err != nil {
+			return nil, err
+		}
+		*pi = solved
 	}
 	res := &Result{Property: prop}
 	switch prop.Kind {
 	case SteadyState:
-		pi, err := chain.SteadyState(ctmc.SteadyStateOptions{})
-		if err != nil {
-			return nil, err
-		}
 		sel := ss.StatesMatching(func(term string) bool {
 			return strings.Contains(term, prop.Pattern)
 		})
 		if len(sel) == 0 {
 			return nil, fmt.Errorf("query: no state matches %q", prop.Pattern)
 		}
-		res.Value = chain.Utilization(pi, sel)
+		res.Value = chain.Utilization(*pi, sel)
 	case Reachability:
 		targets := ss.StatesMatching(func(term string) bool {
 			return strings.Contains(term, prop.Pattern)
@@ -251,11 +261,7 @@ func Check(ss *derive.StateSpace, chain *ctmc.Chain, prop *Property, opt CheckOp
 		}
 		res.Value = cdf.Probs[len(cdf.Probs)-1]
 	case ThroughputK:
-		pi, err := chain.SteadyState(ctmc.SteadyStateOptions{})
-		if err != nil {
-			return nil, err
-		}
-		tp, err := chain.Throughput(pi, prop.Pattern)
+		tp, err := chain.Throughput(*pi, prop.Pattern)
 		if err != nil {
 			return nil, err
 		}
@@ -266,15 +272,16 @@ func Check(ss *derive.StateSpace, chain *ctmc.Chain, prop *Property, opt CheckOp
 }
 
 // CheckAll parses and evaluates several properties, stopping on the first
-// parse/evaluation error.
+// parse/evaluation error. The steady state is solved at most once.
 func CheckAll(ss *derive.StateSpace, chain *ctmc.Chain, props []string, opt CheckOptions) ([]*Result, error) {
 	out := make([]*Result, 0, len(props))
+	var pi []float64
 	for _, src := range props {
 		p, err := Parse(src)
 		if err != nil {
 			return nil, err
 		}
-		r, err := Check(ss, chain, p, opt)
+		r, err := check(ss, chain, p, opt, &pi)
 		if err != nil {
 			return nil, err
 		}

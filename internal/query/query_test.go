@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ctmc"
+	"repro/internal/obs"
 	"repro/internal/pepa"
 	"repro/internal/pepa/derive"
 )
@@ -159,6 +160,28 @@ func TestCheckAll(t *testing.T) {
 	}
 	if _, err := CheckAll(ss, chain, []string{"garbage"}, CheckOptions{}); err == nil {
 		t.Error("bad property accepted by CheckAll")
+	}
+}
+
+// TestCheckAllSolvesSteadyStateOnce: the S and T properties of one
+// CheckAll call share one steady-state solve, counted by the accepted
+// stages the chain records.
+func TestCheckAllSolvesSteadyStateOnce(t *testing.T) {
+	ss, chain := solved(t, workRest)
+	chain.Obs = obs.NewRegistry()
+	if _, err := CheckAll(ss, chain, []string{
+		`S >= 0.6 [ "P1" ]`,
+		`T >= 0.5 [ work ]`,
+		`S < 0.5 [ "P" ]`,
+	}, CheckOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	solves := 0.0
+	for _, stage := range []string{"gauss-seidel", "power-iteration", "bicgstab", "dense-lu"} {
+		solves += chain.Obs.Counter("ctmc_solve_stage_total", obs.L("stage", stage), obs.L("outcome", "accepted"))
+	}
+	if solves != 1 {
+		t.Errorf("CheckAll solved the steady state %v times, want once", solves)
 	}
 }
 

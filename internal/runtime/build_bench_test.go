@@ -48,8 +48,8 @@ func benchHost(tb testing.TB) *hostenv.Host {
 	return h
 }
 
-// BenchmarkBuildStagedCold measures a from-scratch build with every cache
-// disabled: all four stages execute each iteration.
+// BenchmarkBuildStagedCold measures a from-scratch build on a fresh
+// engine, whose caches are empty: every stage executes each iteration.
 func BenchmarkBuildStagedCold(b *testing.B) {
 	host := benchHost(b)
 	rcp, err := recipe.Parse(benchRecipe("final"))
@@ -60,8 +60,6 @@ func BenchmarkBuildStagedCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()
-		e.CacheDisabled = true
-		e.StageCacheDisabled = true
 		res, err := e.Build(rcp, host, BuildContext{}, "bench", "latest")
 		if err != nil {
 			b.Fatal(err)

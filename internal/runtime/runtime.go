@@ -81,8 +81,6 @@ type Engine struct {
 	// clone the filesystem, so sharing is safe.
 	cacheMu sync.Mutex
 	cache   map[string]*BuildResult
-	// CacheDisabled turns the cache off (benchmarks of cold builds).
-	CacheDisabled bool
 	// cacheHits counts builds served whole from the cache; read it via
 	// CacheHits. It is atomic because callers poll it while concurrent
 	// builds are in flight.
@@ -96,9 +94,6 @@ type Engine struct {
 	stageMu sync.Mutex
 	stages  map[string]*stageRec
 	layers  *LayerStore
-	// StageCacheDisabled turns stage caching and replay off (cold-build
-	// benchmarks); builds still emit layered images.
-	StageCacheDisabled bool
 
 	// Obs, when non-nil, receives engine metrics (builds by cache
 	// outcome, runs by isolation model, native runs). Nil costs nothing.
@@ -199,7 +194,7 @@ func (e *Engine) BuildCtx(cctx context.Context, rcp *recipe.Recipe, host *hosten
 	// build by any host serves every host; the hit path patches BuildHost
 	// into a shallow copy when the requesting host differs.
 	cacheKey := ""
-	if !e.CacheDisabled && ctx.FS == nil && e.cache != nil {
+	if ctx.FS == nil {
 		cacheKey = rcp.Source + "\x00" + name + "\x00" + tag
 		e.cacheMu.Lock()
 		res, ok := e.cache[cacheKey]

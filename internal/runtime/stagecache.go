@@ -135,23 +135,16 @@ func copyVars(m map[string]string) map[string]string {
 	return out
 }
 
-// stageLookup consults the stage cache (nil-safe, honoring
-// StageCacheDisabled).
+// stageLookup consults the stage cache.
 func (e *Engine) stageLookup(key string) (*stageRec, bool) {
-	if e.StageCacheDisabled || e.stages == nil {
-		return nil, false
-	}
 	e.stageMu.Lock()
 	defer e.stageMu.Unlock()
 	rec, ok := e.stages[key]
 	return rec, ok
 }
 
-// stageStore records a stage outcome (no-op when the stage cache is off).
+// stageStore records a stage outcome.
 func (e *Engine) stageStore(key string, rec *stageRec) {
-	if e.StageCacheDisabled || e.stages == nil {
-		return
-	}
 	e.stageMu.Lock()
 	defer e.stageMu.Unlock()
 	e.stages[key] = rec

@@ -191,22 +191,6 @@ func TestLayerStoreDedupesAcrossImages(t *testing.T) {
 	}
 }
 
-func TestStageCacheDisabledForcesColdBuilds(t *testing.T) {
-	e := NewEngine()
-	e.CacheDisabled = true
-	e.StageCacheDisabled = true
-	host := buildHost(t)
-	for i := 0; i < 2; i++ {
-		res, err := e.Build(mustRecipe(t, stagedRecipe), host, BuildContext{}, "staged", "latest")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.StagesReplayed != 0 || res.StagesExecuted != 4 {
-			t.Fatalf("build %d: executed=%d replayed=%d, want 4/0", i, res.StagesExecuted, res.StagesReplayed)
-		}
-	}
-}
-
 func TestFilesStageInvalidatedByContextEdit(t *testing.T) {
 	e := NewEngine()
 	host := buildHost(t)
