@@ -3,14 +3,14 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench bench-snapshot bench-compare bench-baseline bench-scaling bench-build repro chaos chaos-cancel chaos-hub chaos-cluster conformance conformance-deep fuzz fuzz-smoke goldens clean
+.PHONY: all build vet test race bench-smoke bench bench-snapshot bench-compare bench-baseline bench-build repro chaos chaos-cancel chaos-hub chaos-cluster conformance conformance-deep fuzz fuzz-smoke goldens clean
 
 # Solve-path benchmarks recorded in BENCH_baseline.json (docs/PERFORMANCE.md).
 # Which of them benchcmp actually gates is its -gate regex; the rest are
 # reported with a baseline reference but never fail the build.
 # -benchmem is part of the contract: benchcmp compares allocs/op alongside
 # ns/op, which catches scratch-buffer regressions timing noise absorbs.
-BENCH_GATED = ^(BenchmarkTransientSeries|BenchmarkTransientWorkers|BenchmarkFirstPassageCDF|BenchmarkToCSR|BenchmarkVecMulParallel|BenchmarkAssemblyReuse|BenchmarkPerturbationSweep|BenchmarkSteadyStateStiff|BenchmarkExplore|BenchmarkExploreSmall)$$
+BENCH_GATED = ^(BenchmarkTransientSeries|BenchmarkTransientDense|BenchmarkFirstPassageCDF|BenchmarkToCSR|BenchmarkVecMulScatter|BenchmarkAssemblyReuse|BenchmarkPerturbationSweep|BenchmarkSteadyStateStiff|BenchmarkExplore|BenchmarkExploreSmall)$$
 BENCH_PKGS  = ./internal/ctmc ./internal/numeric/sparse ./internal/robustness ./internal/pepa/derive
 
 all: build vet test
@@ -37,7 +37,7 @@ race:
 bench-smoke:
 	cd benchmark && $(GO) test ./...
 
-# One benchmark per paper table/figure plus ablations and parallel scaling.
+# One benchmark per paper table/figure plus ablations and the fan-out benchmarks.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -59,14 +59,6 @@ bench-compare:
 bench-baseline:
 	$(GO) test -run XXX -bench '$(BENCH_GATED)' -benchmem -benchtime 10x -count 3 $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_baseline.json -update -note "make bench-baseline"
-
-# Short-mode parallel-scaling sweep: run only the workers=N families and
-# fail when any worker count is slower than workers=1 beyond the scaling
-# threshold, within this run (no committed baseline involved, so the gate
-# is portable across machines; docs/PERFORMANCE.md).
-bench-scaling:
-	$(GO) test -run XXX -bench '^BenchmarkTransientWorkers$$' -benchmem -benchtime 10x -count 3 ./internal/ctmc \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_baseline.json -gate '^$$' -out bench_scaling.json
 
 # Staged-build benchmarks (docs/PERFORMANCE.md): cold (all stages execute)
 # vs warm (only the edited last stage executes). Informational — new
@@ -97,14 +89,15 @@ chaos-cancel:
 	$(GO) test -race -count=1 ./internal/par ./internal/checkpoint ./internal/ssa ./internal/fsatomic ./internal/sigctx ./internal/runctx
 
 # Durability/self-healing chaos lane (docs/RESILIENCE.md): WAL crash-point
-# recovery, the store-state oracle, compaction after in-memory rot,
+# recovery, the store-state oracle, compaction after in-memory rot (of a
+# store's own blobs and of blobs an older release named by digest alone),
 # resumable chunk-verified manifest and layer pulls under seeded
 # truncation, response and upload caps, scrub/quarantine/repair, and
 # admission-control shedding — all under -race.
 # Fault plans and jitter are seeded, so failures replay exactly.
 chaos-hub:
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestWAL|TestScrub|TestRepush|TestQuarantine|TestIdempotentPut|TestLoadReplays|TestLoadReencodes|TestLoadParentStateDir|TestReopenKeepsEachBuildHostsBytes|TestStoreStateOracle|TestCompactionAfterRotKeepsVerifiedBlob|TestPull|TestSameImageFromTwoBuildHosts|TestServeBlobRange|TestParseRange|TestChunkDigests|TestResponseCap|TestUploadCap|TestAdmission|TestTokenBucket|TestClientHonorsRetryAfter|TestClientThrottleCap' \
+		-run 'TestChaos|TestWAL|TestScrub|TestRepush|TestQuarantine|TestIdempotentPut|TestLoadReplays|TestLoadReencodes|TestLoadParentStateDir|TestReopenKeepsEachBuildHostsBytes|TestStoreStateOracle|TestCompactionAfterRotKeepsVerifiedBlob|TestCompactionAfterRotKeepsLegacyBlob|TestPull|TestSameImageFromTwoBuildHosts|TestServeBlobRange|TestParseRange|TestChunkDigests|TestResponseCap|TestUploadCap|TestAdmission|TestTokenBucket|TestClientHonorsRetryAfter|TestClientThrottleCap' \
 		./internal/hub
 	$(GO) test -race -count=1 ./internal/fsatomic ./internal/faultinject
 

@@ -61,48 +61,13 @@ type Result struct {
 	Regressed bool `json:"regressed"`
 }
 
-// ScalingResult is the per-family verdict of the scaling-ratio rule: for
-// each benchmark family with `/workers=N` sub-benchmarks, every N > 1 is
-// compared against the family's own workers=1 time *within the current
-// run*. Absolute thresholds catch drift against the committed baseline;
-// this rule catches negative parallel scaling that an absolute gate would
-// miss entirely (every worker count can regress in lockstep and still
-// pass a per-name ratio check).
-type ScalingResult struct {
-	Family string `json:"family"`
-	// BaselineNs is the family's workers=1 ns/op in this run.
-	BaselineNs float64 `json:"workers1_ns_per_op"`
-	// WorstNs/WorstWorkers identify the slowest parallel variant.
-	WorstNs      float64 `json:"worst_ns_per_op"`
-	WorstWorkers int     `json:"worst_workers"`
-	// Ratio is WorstNs / BaselineNs (> 1 means parallel slower than
-	// sequential).
-	Ratio     float64 `json:"ratio"`
-	Gated     bool    `json:"gated"`
-	Regressed bool    `json:"regressed"`
-	// BestNs/BestWorkers identify the fastest parallel variant.
-	BestNs      float64 `json:"best_ns_per_op,omitempty"`
-	BestWorkers int     `json:"best_workers,omitempty"`
-	// Plateau is set when no parallel variant beats workers=1 — flat or
-	// inverted scaling. Warn-only, never a failure: a GOMAXPROCS=1 runner
-	// produces exactly this shape for a perfectly healthy kernel, so the
-	// rule reports the symptom and leaves the diagnosis to a human
-	// (docs/PERFORMANCE.md).
-	Plateau bool `json:"plateau,omitempty"`
-}
-
 // Report is the JSON comparison artifact written by -out.
 type Report struct {
 	Threshold       float64  `json:"threshold"`
 	AllocsThreshold float64  `json:"allocs_threshold,omitempty"`
 	Gate            string   `json:"gate"`
 	Results         []Result `json:"results"`
-	// ScalingThreshold/ScalingGate parameterize the scaling-ratio rule;
-	// Scaling holds one entry per family with workers= sub-benchmarks.
-	ScalingThreshold float64         `json:"scaling_threshold,omitempty"`
-	ScalingGate      string          `json:"scaling_gate,omitempty"`
-	Scaling          []ScalingResult `json:"scaling,omitempty"`
-	Failed           bool            `json:"failed"`
+	Failed          bool     `json:"failed"`
 }
 
 // benchLine matches e.g. "BenchmarkToCSR-4   	 100	  12345678 ns/op	..."
@@ -193,76 +158,6 @@ func compare(current, currentAllocs, base, baseAllocs map[string]float64, gate *
 	return rep
 }
 
-// workersVariant splits a normalized benchmark name into its family and
-// worker count, e.g. "BenchmarkTransientWorkers/workers=8" -> family
-// "BenchmarkTransientWorkers", workers 8.
-var workersVariant = regexp.MustCompile(`^(.+)/workers=([0-9]+)$`)
-
-// scalingCompare applies the scaling-ratio rule to the current run:
-// within each `family/workers=N` group, every N > 1 is compared against
-// the family's workers=1 time, and a gated family whose worst ratio
-// exceeds the threshold is marked regressed. Families without a
-// workers=1 variant are skipped (there is nothing to normalize by).
-func scalingCompare(current map[string]float64, gate *regexp.Regexp, threshold float64) []ScalingResult {
-	type variant struct {
-		workers int
-		ns      float64
-	}
-	families := map[string][]variant{}
-	for name, ns := range current {
-		m := workersVariant.FindStringSubmatch(name)
-		if m == nil {
-			continue
-		}
-		w, err := strconv.Atoi(m[2])
-		if err != nil {
-			continue
-		}
-		families[m[1]] = append(families[m[1]], variant{workers: w, ns: ns})
-	}
-	names := make([]string, 0, len(families))
-	for f := range families {
-		names = append(names, f)
-	}
-	sort.Strings(names)
-	var out []ScalingResult
-	for _, fam := range names {
-		var base float64
-		for _, v := range families[fam] {
-			if v.workers == 1 {
-				base = v.ns
-			}
-		}
-		if base <= 0 {
-			continue
-		}
-		res := ScalingResult{Family: fam, BaselineNs: base, Gated: gate.MatchString(fam)}
-		for _, v := range families[fam] {
-			if v.workers <= 1 {
-				continue
-			}
-			if ratio := v.ns / base; ratio > res.Ratio {
-				res.Ratio = ratio
-				res.WorstNs = v.ns
-				res.WorstWorkers = v.workers
-			}
-			if res.BestWorkers == 0 || v.ns < res.BestNs {
-				res.BestNs = v.ns
-				res.BestWorkers = v.workers
-			}
-		}
-		if res.WorstWorkers == 0 {
-			continue // only a workers=1 variant: nothing to compare
-		}
-		res.Regressed = res.Gated && res.Ratio > threshold
-		// Flat-or-worse scaling: warn only. The absolute gate above already
-		// bounds how much worse "worse" may be.
-		res.Plateau = res.BestNs >= base
-		out = append(out, res)
-	}
-	return out
-}
-
 func formatReport(w io.Writer, rep Report) {
 	fmt.Fprintf(w, "%-60s %14s %14s %8s %12s\n", "benchmark", "ns/op", "baseline", "ratio", "allocs/op")
 	for _, r := range rep.Results {
@@ -286,25 +181,6 @@ func formatReport(w io.Writer, rep Report) {
 		}
 	}
 	fmt.Fprintln(w, "(* gated benchmark, ! gated regression beyond threshold)")
-	if len(rep.Scaling) > 0 {
-		fmt.Fprintf(w, "\n%-60s %14s %14s %8s\n", "scaling family", "workers=1", "worst", "ratio")
-		for _, s := range rep.Scaling {
-			mark := " "
-			if s.Regressed {
-				mark = "!"
-			} else if s.Gated {
-				mark = "*"
-			}
-			fmt.Fprintf(w, "%s %-58s %14.0f %14.0f %6.2fx (workers=%d)\n", mark, s.Family, s.BaselineNs, s.WorstNs, s.Ratio, s.WorstWorkers)
-		}
-		fmt.Fprintln(w, "(ratio = slowest parallel variant / workers=1, within this run)")
-		for _, s := range rep.Scaling {
-			if s.Plateau {
-				fmt.Fprintf(w, "warn: %s: no parallel variant beats workers=1 (best workers=%d at %.0f ns/op); flat scaling — GOMAXPROCS-limited runner? (warn-only, never fails)\n",
-					s.Family, s.BestWorkers, s.BestNs)
-			}
-		}
-	}
 }
 
 // defaultGate names the benchmarks that may fail a comparison. Explore
@@ -319,8 +195,6 @@ func run() error {
 	gateExpr := flag.String("gate", defaultGate, "regexp of benchmark names that may fail the run")
 	threshold := flag.Float64("threshold", 1.2, "max allowed current/baseline ns per op ratio for gated benchmarks")
 	allocsThreshold := flag.Float64("allocs-threshold", 1.25, "max allowed current/baseline allocs per op ratio for gated benchmarks (compared only when both sides were recorded with -benchmem)")
-	scalingGateExpr := flag.String("scaling-gate", "Workers", "regexp of benchmark families whose workers=N variants may fail the scaling-ratio rule")
-	scalingThreshold := flag.Float64("scaling-threshold", 1.3, "max allowed workers=N / workers=1 ns per op ratio within the current run (lenient enough for single-core runners)")
 	out := flag.String("out", "", "also write the comparison report as JSON to this file")
 	note := flag.String("note", "", "note stored in the baseline with -update")
 	flag.Parse()
@@ -333,10 +207,6 @@ func run() error {
 	gate, err := regexp.Compile(*gateExpr)
 	if err != nil {
 		return fmt.Errorf("benchcmp: bad -gate: %v", err)
-	}
-	scalingGate, err := regexp.Compile(*scalingGateExpr)
-	if err != nil {
-		return fmt.Errorf("benchcmp: bad -scaling-gate: %v", err)
 	}
 	current, currentAllocs, err := parseBench(os.Stdin)
 	if err != nil {
@@ -374,14 +244,6 @@ func run() error {
 		return fmt.Errorf("benchcmp: %s: %v", *baselinePath, err)
 	}
 	rep := compare(current, currentAllocs, base.NsPerOp, base.AllocsPerOp, gate, *threshold, *allocsThreshold)
-	rep.ScalingThreshold = *scalingThreshold
-	rep.ScalingGate = scalingGate.String()
-	rep.Scaling = scalingCompare(current, scalingGate, *scalingThreshold)
-	for _, s := range rep.Scaling {
-		if s.Regressed {
-			rep.Failed = true
-		}
-	}
 	formatReport(os.Stdout, rep)
 	if *out != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
@@ -393,12 +255,6 @@ func run() error {
 		}
 	}
 	if rep.Failed {
-		for _, s := range rep.Scaling {
-			if s.Regressed {
-				return fmt.Errorf("benchcmp: %s workers=%d is %.2fx slower than workers=1 (scaling threshold %.2fx)",
-					s.Family, s.WorstWorkers, s.Ratio, *scalingThreshold)
-			}
-		}
 		return fmt.Errorf("benchcmp: gated benchmark regressed beyond %.2fx ns/op (or %.2fx allocs/op)", *threshold, *allocsThreshold)
 	}
 	return nil

@@ -151,104 +151,6 @@ func TestCompareAllocsGating(t *testing.T) {
 	}
 }
 
-func TestScalingCompareRatioRule(t *testing.T) {
-	current := map[string]float64{
-		"BenchmarkTransientWorkers/workers=1": 10_000_000,
-		"BenchmarkTransientWorkers/workers=2": 9_000_000,
-		"BenchmarkTransientWorkers/workers=8": 15_000_000, // 1.5x: regression
-		"BenchmarkOtherWorkers/workers=1":     1_000_000,
-		"BenchmarkOtherWorkers/workers=4":     1_100_000, // 1.1x: fine
-		"BenchmarkUngated/workers=1":          5_000_000,
-		"BenchmarkUngated/workers=8":          50_000_000, // terrible but ungated
-		"BenchmarkNoBaseline/workers=8":       1_000_000,  // no workers=1: skipped
-		"BenchmarkTransientSeries/cached":     3_000_000,  // not a workers family
-	}
-	gate := regexp.MustCompile(`Transient|Other`)
-	got := scalingCompare(current, gate, 1.3)
-	if len(got) != 3 {
-		t.Fatalf("want 3 scaling families, got %d: %+v", len(got), got)
-	}
-	byFam := map[string]ScalingResult{}
-	for _, s := range got {
-		byFam[s.Family] = s
-	}
-	tw := byFam["BenchmarkTransientWorkers"]
-	if !tw.Gated || !tw.Regressed || tw.WorstWorkers != 8 || tw.Ratio != 1.5 {
-		t.Fatalf("TransientWorkers verdict wrong: %+v", tw)
-	}
-	ow := byFam["BenchmarkOtherWorkers"]
-	if !ow.Gated || ow.Regressed || ow.WorstWorkers != 4 {
-		t.Fatalf("OtherWorkers verdict wrong: %+v", ow)
-	}
-	ug := byFam["BenchmarkUngated"]
-	if ug.Gated || ug.Regressed {
-		t.Fatalf("ungated family must never regress the run: %+v", ug)
-	}
-	if _, ok := byFam["BenchmarkNoBaseline"]; ok {
-		t.Fatal("family without workers=1 must be skipped")
-	}
-}
-
-func TestScalingCompareParsesRealNames(t *testing.T) {
-	// End to end through the parser: GOMAXPROCS suffixes are stripped
-	// before the workers= split, and min-over-repeats applies per name.
-	out := `
-BenchmarkTransientWorkers/workers=1-4   3  20000000 ns/op
-BenchmarkTransientWorkers/workers=1-4   3  18000000 ns/op
-BenchmarkTransientWorkers/workers=8-4   3  54000000 ns/op
-`
-	current, _, err := parseBench(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := scalingCompare(current, regexp.MustCompile(`Workers`), 1.3)
-	if len(got) != 1 {
-		t.Fatalf("want 1 family, got %+v", got)
-	}
-	if got[0].BaselineNs != 18000000 || got[0].WorstNs != 54000000 || !got[0].Regressed {
-		t.Fatalf("verdict wrong: %+v", got[0])
-	}
-	if got[0].Ratio != 3.0 {
-		t.Fatalf("ratio = %g, want 3.0", got[0].Ratio)
-	}
-}
-
-func TestScalingComparePlateauWarnOnly(t *testing.T) {
-	// A family where no parallel variant beats workers=1 is flagged as a
-	// plateau but never regressed on that basis alone — a GOMAXPROCS=1
-	// runner produces exactly this shape for a healthy kernel.
-	cases := []struct {
-		name        string
-		current     map[string]float64
-		wantPlateau bool
-	}{
-		{"flat", map[string]float64{
-			"BenchmarkTransientWorkers/workers=1": 10_000_000,
-			"BenchmarkTransientWorkers/workers=2": 10_000_000,
-			"BenchmarkTransientWorkers/workers=4": 11_000_000,
-		}, true},
-		{"scaling", map[string]float64{
-			"BenchmarkTransientWorkers/workers=1": 10_000_000,
-			"BenchmarkTransientWorkers/workers=2": 6_000_000,
-			"BenchmarkTransientWorkers/workers=4": 4_000_000,
-		}, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := scalingCompare(tc.current, regexp.MustCompile(`Workers`), 1.3)
-			if len(got) != 1 {
-				t.Fatalf("want 1 family, got %+v", got)
-			}
-			if got[0].Plateau != tc.wantPlateau {
-				t.Fatalf("Plateau = %v, want %v (%+v)", got[0].Plateau, tc.wantPlateau, got[0])
-			}
-			if got[0].Regressed {
-				t.Fatalf("plateau/within-threshold family must not regress: %+v", got[0])
-			}
-		})
-	}
-}
-
 func TestDefaultGateCoversDerivation(t *testing.T) {
 	gate := regexp.MustCompile(defaultGate)
 	for _, name := range []string{"BenchmarkExplore", "BenchmarkExploreSmall/tableI", "BenchmarkExploreSmall/pclan6"} {

@@ -55,7 +55,6 @@ func run() error {
 	exportLTS := fs.String("export-lts", "", "write the transition system (CSV) to this file")
 	checkProps := fs.String("check", "", "evaluate ';'-separated CSL-style properties, e.g. 'S>=0.9[\"Proc\"]; T>=2[serve]'")
 	metricsOut := fs.String("metrics-out", "", "write a JSON solver-metrics snapshot to this file on exit")
-	workers := fs.Int("workers", 0, "goroutines for the solver's matrix kernels (0 or 1 sequential; results are bit-identical)")
 	timeout := fs.Duration("timeout", 0, "abort the analysis after this long (0 = no deadline); SIGINT/SIGTERM also cancel, a second signal force-aborts")
 	ckPath := fs.String("checkpoint", "", "persist finished simulation replications to this file (crash-safe); with -resume, skip the ones already there")
 	resume := fs.Bool("resume", false, "reuse matching replications from -checkpoint instead of starting fresh")
@@ -209,7 +208,6 @@ func run() error {
 		}
 		chain := ctmc.FromStateSpace(ss)
 		chain.Obs = reg
-		chain.Workers = *workers
 		times := make([]float64, *n+1)
 		for i := range times {
 			times[i] = *tmax * float64(i) / float64(*n)
@@ -230,7 +228,6 @@ func run() error {
 	default:
 		chain := ctmc.FromStateSpace(ss)
 		chain.Obs = reg
-		chain.Workers = *workers
 		if dl := ss.Deadlocks(); len(dl) > 0 {
 			fmt.Printf("model has %d absorbing state(s); steady-state analysis skipped\n", len(dl))
 			return nil

@@ -228,7 +228,7 @@ func (b *passageBatch) solveGroup(ctx context.Context, members []int, q float64)
 		clear(next)
 		var terms int
 		if lone != nil {
-			terms, err = uniformize(ctx, lone, nil, w, base, next, acc)
+			terms, err = uniformize(ctx, lone, w, base, next, acc)
 		} else {
 			terms, err = lockstep(ctx, b.rowPtr, b.col, pv, g, w, base, next, acc)
 		}

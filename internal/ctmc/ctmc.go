@@ -28,10 +28,10 @@ import (
 // rate matrices needed for throughput rewards.
 //
 // A Chain holds no solve state. Each solve derives what it needs from Q
-// when it is called — Qᵀ, the uniformized DTMC and its transpose, Poisson
-// weight tables, partition plans, a worker pool — and keeps none of it
-// after it returns, so concurrent solves share nothing but the read-only
-// chain.
+// when it is called — Qᵀ, the uniformized DTMC, Poisson weight tables —
+// and keeps none of it after it returns, so concurrent solves share
+// nothing but the read-only chain. Each solve runs on the calling
+// goroutine.
 type Chain struct {
 	N int
 	// Q is the infinitesimal generator: Q[i][j] is the total rate from i to
@@ -50,11 +50,6 @@ type Chain struct {
 	// residuals, uniformization truncation depths, Poisson-table reuse).
 	// Nil costs nothing.
 	Obs *obs.Registry
-	// Workers bounds the goroutines the solve kernels use for
-	// matrix-vector products (<= 1 means sequential). Every parallel
-	// kernel is bit-identical to its sequential twin, so Workers changes
-	// wall-clock time only, never a single output bit.
-	Workers int
 }
 
 // weightKey identifies a truncated Poisson weight table.
@@ -137,10 +132,6 @@ type SteadyStateOptions struct {
 	// DenseLimit is the largest N for which the dense LU fallback is
 	// attempted (default 2000).
 	DenseLimit int
-	// Workers bounds the goroutines of the power-iteration products and
-	// residual checks (0 inherits Chain.Workers; <= 1 sequential).
-	// Bit-identical for any value.
-	Workers int
 }
 
 func (o SteadyStateOptions) withDefaults() SteadyStateOptions {
@@ -217,11 +208,7 @@ func (c *Chain) SteadyStateCtx(ctx context.Context, opt SteadyStateOptions) ([]f
 	if c.N == 1 {
 		return []float64{1}, nil
 	}
-	if opt.Workers == 0 {
-		opt.Workers = c.Workers
-	}
 	s := c.newSteadySolve(opt)
-	defer s.pool.Close()
 	var stages []StageAttempt
 	if !opt.DenseOnly {
 		for _, rung := range [...]func(*steadySolve, context.Context) ([]float64, StageAttempt, bool){
@@ -280,10 +267,6 @@ func (c *Chain) recordStage(att StageAttempt, ok bool) {
 	}
 	method := obs.L("method", att.Method)
 	c.Obs.Inc("ctmc_steady_stages_total", method, obs.L("outcome", outcome))
-	// Per-stage outcome counter keyed by stage name, so dashboards can
-	// watch how often each ladder rung (notably the Krylov stage) fires
-	// and whether it accepts, without parsing the combined trace.
-	c.Obs.Inc("ctmc_solve_stage_total", obs.L("stage", att.Method), obs.L("outcome", outcome))
 	c.Obs.Add("ctmc_steady_iterations_total", float64(att.Iterations), method)
 	if !math.IsNaN(att.Residual) {
 		c.Obs.Set("ctmc_steady_residual", att.Residual, method)
@@ -291,39 +274,24 @@ func (c *Chain) recordStage(att StageAttempt, ok bool) {
 }
 
 // steadySolve is the state of one SteadyState call: Qᵀ, which every rung
-// reads; for a Workers > 1 call, the partition plan of Qᵀ and a worker
-// pool for the parallel products; and one scratch arena, so a rejected
-// rung's work vectors serve the next rung instead of growing the heap.
-// None of it outlives the call, which closes the pool on return.
+// reads, and one scratch arena, so a rejected rung's work vectors serve
+// the next rung instead of growing the heap. None of it outlives the call.
 type steadySolve struct {
 	c       *Chain
 	opt     SteadyStateOptions
 	qt      *sparse.CSR
-	plan    *sparse.Plan
-	pool    *sparse.Pool
 	scratch sparse.Scratch
 }
 
 func (c *Chain) newSteadySolve(opt SteadyStateOptions) *steadySolve {
-	s := &steadySolve{c: c, opt: opt, qt: c.Q.Transpose()}
-	if opt.Workers > 1 {
-		s.plan = sparse.NewPlan(s.qt, opt.Workers)
-		s.pool = sparse.NewPool(opt.Workers - 1)
-	}
-	return s
+	return &steadySolve{c: c, opt: opt, qt: c.Q.Transpose()}
 }
 
-// residual computes the acceptance residual ||piᵀ·Q||_inf of the rungs,
-// routing the product through the transpose-backed parallel kernel when
-// workers > 1 (bit-identical to the sequential path).
+// residual computes the acceptance residual ||piᵀ·Q||_inf of the rungs.
 func (s *steadySolve) residual(pi []float64) float64 {
 	y := s.scratch.Get(s.c.N)
 	defer s.scratch.Put(y)
-	if s.opt.Workers > 1 {
-		sparse.VecMulAccumPlanT(s.qt, y, pi, nil, 0, s.plan, s.pool)
-	} else {
-		s.c.Q.VecMulTo(y, pi)
-	}
+	s.c.Q.VecMulTo(y, pi)
 	return linalg.NormInf(y)
 }
 
@@ -340,7 +308,7 @@ func (s *steadySolve) power(ctx context.Context) ([]float64, StageAttempt, bool)
 	}
 	p := s.c.uniformized(q*1.1, nil)
 	pi, res, err := sparse.PowerIteration(p, sparse.IterOptions{
-		MaxIter: opt.MaxIter * 5, Tol: opt.Tol, Workers: opt.Workers, Pool: s.pool, Cancel: ctx.Err, Scratch: &s.scratch,
+		MaxIter: opt.MaxIter * 5, Tol: opt.Tol, Cancel: ctx.Err, Scratch: &s.scratch,
 	})
 	att.Iterations = res.Iterations
 	if err != nil {
@@ -430,25 +398,15 @@ func (s *steadySolve) gaussSeidel(ctx context.Context) ([]float64, StageAttempt,
 // steady-state system A·piᵀ = e_n, where A is Qᵀ with its last row
 // replaced by the all-ones normalization row (the same system dense
 // factorizes, but matrix-free and sparse): the product y = A·x is the
-// Qᵀ product — routed through the plan/pool kernel when workers allow,
-// bit-identical to the sequential path — with y[n-1] overwritten by
-// sum(x). A Krylov method's iteration count is governed by the spectrum,
-// not the stiffness ratio, so this rung catches generators whose rate
-// spreads starve both stationary iterations while n is far beyond the
-// dense fallback limit.
+// Qᵀ product with y[n-1] overwritten by sum(x). A Krylov method's
+// iteration count is governed by the spectrum, not the stiffness ratio,
+// so this rung catches generators whose rate spreads starve both
+// stationary iterations while n is far beyond the dense fallback limit.
 func (s *steadySolve) krylov(ctx context.Context) ([]float64, StageAttempt, bool) {
 	att := StageAttempt{Method: "bicgstab", Residual: math.NaN()}
 	n, qt, opt, scratch := s.c.N, s.qt, s.opt, &s.scratch
-	var plan *sparse.Plan
-	if opt.Workers > 1 && qt.NNZ() >= sparse.ParallelNNZThreshold {
-		plan = s.plan
-	}
 	apply := func(y, x []float64) {
-		if plan != nil {
-			sparse.VecMulAccumPlanT(qt, y, x, nil, 0, plan, s.pool)
-		} else {
-			qt.MulVecTo(y, x)
-		}
+		qt.MulVecTo(y, x)
 		var sum float64
 		for _, v := range x {
 			sum += v
@@ -570,7 +528,6 @@ func (c *Chain) TransientCtx(ctx context.Context, p0 []float64, t, eps float64) 
 		eps = 1e-10
 	}
 	u := &uniformizer{c: c, q: c.MaxExitRate()}
-	defer u.close()
 	out := make([]float64, c.N)
 	if err := u.step(ctx, slices.Clone(p0), make([]float64, c.N), out, t, eps); err != nil {
 		return nil, err
@@ -589,39 +546,21 @@ func checkInitial(p0 []float64, n int) error {
 
 // uniformizer is the state of one transient call on the uniformized DTMC
 // P = I + Q/q, with the rows of isTarget (nil for none) made absorbing:
-// P, built by the first step that needs it; for a Workers > 1 chain whose
-// P reaches sparse.ParallelNNZThreshold, the pooled transpose kernel; and
-// the Poisson weight tables of the call's distinct steps, so the uniform
-// steps of a grid share one table. None of it outlives the call: close
-// shuts the pool down before the call returns.
+// P, built by the first step that needs it, and the Poisson weight tables
+// of the call's distinct steps, so the uniform steps of a grid share one
+// table. None of it outlives the call.
 type uniformizer struct {
 	c        *Chain
 	q        float64
 	isTarget []bool
 	p        *sparse.CSR
-	par      *transposeKernel
 	tables   map[weightKey]*poisson.Weights
 }
 
-func (u *uniformizer) close() {
-	if u.par != nil {
-		u.par.pool.Close()
-	}
-}
-
-// operator returns P, building it on first use together with, for a
-// Workers > 1 chain whose P reaches sparse.ParallelNNZThreshold, Pᵀ, its
-// partition plan and a worker pool. The power loop needs xᵀ·P, whose
-// scatter writes defeat row partitioning; the transpose turns each output
-// entry into an independent dot product (bit-identical, disjoint writes).
-// Smaller matrices never pay for the transpose or the pool.
+// operator returns P, building it on first use.
 func (u *uniformizer) operator() *sparse.CSR {
 	if u.p == nil {
 		u.p = u.c.uniformized(u.q, u.isTarget)
-		if w := u.c.Workers; w > 1 && u.p.NNZ() >= sparse.ParallelNNZThreshold {
-			pt := u.p.Transpose()
-			u.par = &transposeKernel{pt: pt, plan: sparse.NewPlan(pt, w), pool: sparse.NewPool(w - 1)}
-		}
 	}
 	return u.p
 }
@@ -663,13 +602,12 @@ func (u *uniformizer) step(ctx context.Context, x, next, out []float64, dt, eps 
 	c.Obs.Inc("ctmc_transient_solves_total")
 	c.Obs.Add("ctmc_uniformization_terms_total", float64(w.Right+1))
 	c.Obs.Set("ctmc_uniformization_truncation_depth", float64(w.Right))
-	c.Obs.Set("ctmc_solve_workers", math.Max(1, float64(c.Workers)))
 	// out is pure accumulation, and the windowed scatter relies on
 	// everything outside next's dirty window being exact zero, so both
 	// start zeroed.
 	clear(next)
 	clear(out)
-	if k, cerr := uniformize(ctx, p, u.par, w, x, next, out); cerr != nil {
+	if k, cerr := uniformize(ctx, p, w, x, next, out); cerr != nil {
 		runctx.Record(c.Obs, "ctmc.transient", cerr)
 		return runctx.New("ctmc.transient", cerr, k, w.Right+1, "uniformization terms")
 	}
@@ -678,26 +616,13 @@ func (u *uniformizer) step(ctx context.Context, x, next, out []float64, dt, eps 
 	return nil
 }
 
-// transposeKernel is the pooled transpose product a call above
-// sparse.ParallelNNZThreshold hands the term loop: Pᵀ, its partition
-// plan, and the call's worker pool.
-type transposeKernel struct {
-	pt   *sparse.CSR
-	plan *sparse.Plan
-	pool *sparse.Pool
-}
-
 // uniformize sums the Poisson-weighted uniformization terms
 // acc += Σ_{k≤w.Right} w.Pmf(k)·x·P^k, with x starting as cur. cur and
 // next are the two propagation buffers and are clobbered; next and acc
 // must be zero on entry. It returns the number of terms summed and, when
-// ctx is canceled between terms, ctx's error.
-//
-// Each term runs the windowed scatter, or — when par is non-nil and the
-// live nonzeros under the iterate's support reach
-// sparse.ParallelNNZThreshold — the pooled transpose kernel. Both fuse the
-// Poisson accumulation into the product and are bit-identical.
-func uniformize(ctx context.Context, p *sparse.CSR, par *transposeKernel, w *poisson.Weights, cur, next, acc []float64) (int, error) {
+// ctx is canceled between terms, ctx's error. Each term runs the windowed
+// scatter, which fuses the Poisson accumulation into the product.
+func uniformize(ctx context.Context, p *sparse.CSR, w *poisson.Weights, cur, next, acc []float64) (int, error) {
 	n := len(cur)
 	// lo/hi is the nonzero support window of cur; dirtyLo/dirtyHi bounds
 	// what next may hold from its previous use as cur. Propagating the
@@ -736,26 +661,13 @@ func uniformize(ctx context.Context, p *sparse.CSR, par *transposeKernel, w *poi
 			}
 			break
 		}
-		// Adaptive dispatch: the parallel transpose kernel reads every
-		// stored entry, so it only wins once the iterate's support covers
-		// enough of the matrix; a concentrated iterate runs the windowed
-		// scatter. Both paths fuse the Poisson accumulation into the pass.
-		if par != nil && p.ActiveNNZ(cur, lo, hi, sparse.ParallelNNZThreshold) >= sparse.ParallelNNZThreshold {
-			sparse.VecMulAccumPlanT(par.pt, next, cur, accTerm, pw, par.plan, par.pool)
-			cur, next = next, cur
-			// The kernel wrote every entry of the new cur; the swapped-out
-			// buffer only held the old support window.
-			dirtyLo, dirtyHi = lo, hi
-			lo, hi = 0, n
-		} else {
-			if dirtyHi > dirtyLo {
-				clear(next[dirtyLo:dirtyHi])
-			}
-			nlo, nhi := p.VecMulAccumScatter(next, cur, accTerm, pw, lo, hi)
-			cur, next = next, cur
-			dirtyLo, dirtyHi = lo, hi
-			lo, hi = nlo, nhi
+		if dirtyHi > dirtyLo {
+			clear(next[dirtyLo:dirtyHi])
 		}
+		nlo, nhi := p.VecMulAccumScatter(next, cur, accTerm, pw, lo, hi)
+		cur, next = next, cur
+		dirtyLo, dirtyHi = lo, hi
+		lo, hi = nlo, nhi
 	}
 	return w.Right + 1, nil
 }
@@ -774,7 +686,6 @@ func (c *Chain) TransientSeries(p0 []float64, times []float64, eps float64) ([][
 func (c *Chain) TransientSeriesCtx(ctx context.Context, p0 []float64, times []float64, eps float64) ([][]float64, error) {
 	out := make([][]float64, len(times))
 	u := &uniformizer{c: c, q: c.MaxExitRate()}
-	defer u.close()
 	err := u.walk(ctx, seriesGrid, p0, times, eps, func(i int, pt []float64) {
 		out[i] = slices.Clone(pt)
 	})
@@ -1010,7 +921,6 @@ func (c *Chain) FirstPassageCDFCtx(ctx context.Context, p0 []float64, targets []
 		return nil, err
 	}
 	u := &uniformizer{c: c, q: q, isTarget: isTarget}
-	defer u.close()
 	// The walk runs on the absorbing generator, so each point reduces to
 	// its absorbed mass on the spot: bit-identical to reducing
 	// TransientSeries on that generator, with no per-point distribution.

@@ -113,9 +113,9 @@ func (f *ChainFamily) StateSpace() *derive.StateSpace { return f.ss }
 func (f *ChainFamily) RateNames() []string { return append([]string(nil), f.rateNames...) }
 
 // ChainForRates builds the member chain for a rate-constant environment:
-// every Const-provenance activity is re-valued from env (validated like
-// derive.Reprice — missing, non-positive, or non-finite constants
-// error), Fixed ones keep the prototype's value, and the generator is
+// every Const-provenance activity is re-valued from env (missing,
+// non-positive, or non-finite constants error), Fixed ones keep the
+// prototype's value, and the generator is
 // assembled through the memoized plan. The result is byte-identical to
 // deriving the re-rated model from scratch and calling FromStateSpace.
 func (f *ChainFamily) ChainForRates(env map[string]float64) (*Chain, error) {
@@ -151,8 +151,8 @@ func (f *ChainFamily) ChainForRates(env map[string]float64) (*Chain, error) {
 	}, nil
 }
 
-// checkRate validates one member rate as derive.Reprice does: finite and
-// positive (a zero rate would change reachability, not just weights).
+// checkRate validates one member rate: finite and positive (a zero rate
+// would change reachability, not just weights).
 func checkRate(name string, v float64) error {
 	if !(v > 0) || math.IsInf(v, 0) {
 		return fmt.Errorf("rate constant %q = %g is not finite and positive", name, v)

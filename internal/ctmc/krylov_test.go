@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/numeric/sparse"
 	"repro/internal/obs"
 )
 
@@ -62,10 +61,10 @@ func TestSteadyStateKrylovStageAccepts(t *testing.T) {
 		{"bicgstab", "accepted", 1},
 		{"bicgstab", "rejected", 0},
 	} {
-		got := c.Obs.Counter("ctmc_solve_stage_total",
-			obs.L("stage", want.stage), obs.L("outcome", want.outcome))
+		got := c.Obs.Counter("ctmc_steady_stages_total",
+			obs.L("method", want.stage), obs.L("outcome", want.outcome))
 		if got != want.n {
-			t.Errorf("ctmc_solve_stage_total{stage=%s,outcome=%s} = %g, want %g",
+			t.Errorf("ctmc_steady_stages_total{method=%s,outcome=%s} = %g, want %g",
 				want.stage, want.outcome, got, want.n)
 		}
 	}
@@ -123,34 +122,5 @@ func TestSteadyKrylovAgreesWithPowerIteration(t *testing.T) {
 	}
 	if compared == 0 {
 		t.Fatal("no case had both stages accept; the property was never exercised")
-	}
-}
-
-// TestSteadyKrylovWorkersBitIdentical extends the Float64bits battery to
-// the ladder's Krylov rung: the accepted distribution must not depend on
-// the worker count.
-func TestSteadyKrylovWorkersBitIdentical(t *testing.T) {
-	saved := sparse.ParallelNNZThreshold
-	sparse.ParallelNNZThreshold = 0
-	defer func() { sparse.ParallelNNZThreshold = saved }()
-	c := stiffChain(150)
-	solve := func(workers int) []float64 {
-		s := c.newSteadySolve(SteadyStateOptions{MaxIter: 50, Workers: workers}.withDefaults())
-		defer s.pool.Close()
-		pi, att, ok := s.krylov(context.Background())
-		if !ok {
-			t.Fatalf("workers=%d: rejected: %s", workers, att.Err)
-		}
-		return pi
-	}
-	want := solve(1)
-	for _, w := range []int{2, 4, 8} {
-		got := solve(w)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("workers=%d: pi[%d] = %x, want %x", w, i,
-					math.Float64bits(got[i]), math.Float64bits(want[i]))
-			}
-		}
 	}
 }

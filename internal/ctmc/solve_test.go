@@ -2,8 +2,8 @@ package ctmc
 
 // Tests of the solve path's contracts: a chain keeps no solve state, so
 // editing Q between calls is simply correct and concurrent solves of one
-// chain agree; Workers never changes an output bit; malformed generators
-// are rejected; and a uniform grid computes one Poisson table per call.
+// chain agree; malformed generators are rejected; and a uniform grid
+// computes one Poisson table per call.
 
 import (
 	"slices"
@@ -34,55 +34,17 @@ func cdfGrid(n int, step float64) []float64 {
 	return times
 }
 
-func TestTransientWorkersBitIdentical(t *testing.T) {
-	// A chain big enough (~60k nonzeros) that Workers > 1 actually runs the
-	// transpose-backed kernel rather than the small-matrix fallback.
-	k := 20000
-	rates := benchChainRates(k)
-	seqChain := NewChain(k+1, rates)
-	seq, err := seqChain.Transient(seqChain.PointMass(0), 3, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4} {
-		c := NewChain(k+1, rates)
-		c.Workers = workers
-		got, err := c.Transient(c.PointMass(0), 3, 1e-9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := range seq {
-			if got[s] != seq[s] {
-				t.Fatalf("workers=%d: state %d: %g != %g", workers, s, got[s], seq[s])
-			}
-		}
-	}
-}
-
-func TestSteadyStateWorkersBitIdentical(t *testing.T) {
-	k := 300
-	rates := benchChainRates(k)
-	a := NewChain(k+1, rates)
-	b := NewChain(k+1, rates)
-	b.Workers = 4
-	piA, errA := a.SteadyState(SteadyStateOptions{})
-	piB, errB := b.SteadyState(SteadyStateOptions{})
-	if errA != nil || errB != nil {
-		t.Fatalf("errors: %v / %v", errA, errB)
-	}
-	for s := range piA {
-		if piA[s] != piB[s] {
-			t.Fatalf("state %d: %g != %g", s, piA[s], piB[s])
-		}
-	}
-}
-
 func TestConcurrentTransientSolvesShareCache(t *testing.T) {
 	// Hammer one chain from several goroutines: solves share only the
 	// read-only chain, so they must be race-free (run under -race in CI)
 	// and every result identical.
 	c := NewChain(101, benchChainRates(100))
 	want, err := c.Transient(c.PointMass(0), 2, 1e-10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := cdfGrid(4, 0.4)
+	wantSeries, err := c.TransientSeries(c.PointMass(0), times, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +61,17 @@ func TestConcurrentTransientSolvesShareCache(t *testing.T) {
 			}
 			for s := range want {
 				if got[s] != want[s] {
+					errs[g] = errMismatch
+					return
+				}
+			}
+			series, err := c.TransientSeries(c.PointMass(0), times, 1e-9)
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			for k := range wantSeries {
+				if !bitsEqual(series[k], wantSeries[k]) {
 					errs[g] = errMismatch
 					return
 				}

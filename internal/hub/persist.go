@@ -243,9 +243,10 @@ func (s *Store) applyWALRecord(dir string, rec walRecord) {
 
 // writeSnapshot writes every missing blob file plus the index into the
 // state directory, atomically, and returns the index. A healthy entry
-// names the file its bytes were verified into, so rot in memory never
-// reaches disk; a quarantined entry is never read back from disk, so it
-// names no blob file. Caller holds pmu.
+// names the file its bytes were verified into, and a missing file is
+// written only from bytes that hash to its name (verifiedBlob), so rot in
+// memory never reaches disk; a quarantined entry is never read back from
+// disk, so it names no blob file. Caller holds pmu.
 func (s *Store) writeSnapshot() ([]persistedEntry, error) {
 	dir := s.dir
 	s.mu.RLock()
@@ -257,9 +258,12 @@ func (s *Store) writeSnapshot() ([]persistedEntry, error) {
 			pe.Blob = r.file
 			// The file is missing only when the bytes were loaded from a
 			// file under an older name, or it was removed behind the store.
-			if _, err := os.Stat(filepath.Join(dir, pe.Blob)); err != nil {
-				if err := fsatomic.WriteFile(filepath.Join(dir, pe.Blob), r.blob, 0o644); err != nil {
-					return nil, fmt.Errorf("hub: saving blob %s: %w", pe.Blob, err)
+			path := filepath.Join(dir, pe.Blob)
+			if _, err := os.Stat(path); err != nil {
+				if blob, ok := verifiedBlob(dir, r); ok {
+					if err := fsatomic.WriteFile(path, blob, 0o644); err != nil {
+						return nil, fmt.Errorf("hub: saving blob %s: %w", pe.Blob, err)
+					}
 				}
 			}
 		}
@@ -290,6 +294,21 @@ func (s *Store) writeSnapshot() ([]persistedEntry, error) {
 	// file — the blobs above get the same treatment, so a restored index
 	// never points at a half-written blob.
 	return index, fsatomic.WriteFile(filepath.Join(dir, indexFile), data, 0o644)
+}
+
+// verifiedBlob returns bytes that hash to the name of r's missing blob
+// file: the bytes in memory, unless they rotted after they were verified,
+// else those of the file named by the digest alone (as older hubs wrote
+// it), verified as a load verifies them. ok is false when neither holds
+// them, and the caller writes nothing, so rot in memory never reaches
+// disk.
+func verifiedBlob(dir string, r record) ([]byte, bool) {
+	if blobFileName(r.entry.Digest, r.blob) == r.file {
+		return r.blob, true
+	}
+	legacy := strings.TrimPrefix(r.entry.Digest, "sha256:") + ".scif"
+	lr, ok := loadBlob(dir, persistedEntry{Entry: r.entry, Blob: legacy})
+	return lr.blob, ok && lr.file == r.file
 }
 
 // blobFileName names the file holding blob, the stored encoding of an

@@ -1,6 +1,7 @@
 package hub
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -366,20 +367,7 @@ func TestReopenKeepsEachBuildHostsBytes(t *testing.T) {
 // every entry served under its digest, and still does after the
 // compaction on Close rewrites the blob files under their new names.
 func TestLoadParentStateDir(t *testing.T) {
-	dir := t.TempDir()
-	files, err := filepath.Glob("testdata/parent_store/*")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("fixture files = %v, %v", files, err)
-	}
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir := copyParentStore(t)
 	specs := []struct{ coll, name, tag, payload string }{
 		{"pepa-containers", "pepa", "latest", "solver-v1"},
 		{"pepa-containers", "gpa", "latest", "analyser"},
@@ -405,5 +393,66 @@ func TestLoadParentStateDir(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// copyParentStore copies testdata/parent_store into a fresh directory and
+// returns it.
+func copyParentStore(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	files, err := filepath.Glob("testdata/parent_store/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("fixture files = %v, %v", files, err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestCompactionAfterRotKeepsLegacyBlob: a store opened from
+// testdata/parent_store holds its bytes under blob files named by digest
+// alone, so the first compaction (here the one Close runs) writes each
+// entry's file under its new name. Rot in memory before then must not
+// reach disk: the missing file is written only from bytes that hash to
+// its name — here the verified legacy file's — and the entry reopens
+// healthy with the bytes of its recorded digest.
+func TestCompactionAfterRotKeepsLegacyBlob(t *testing.T) {
+	dir := copyParentStore(t)
+	s, _, err := OpenDurable(dir, DurableOptions{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, digest, ok := s.Get("pepa-containers", "pepa", "latest")
+	if !ok {
+		t.Fatal("fixture entry pepa-containers/pepa:latest missing")
+	}
+	if !s.FlipBit("pepa-containers", "pepa", "latest", 4000) {
+		t.Fatal("FlipBit found no entry")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, report, err := OpenDurable(dir, DurableOptions{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if report.Quarantined != 0 {
+		t.Errorf("reopen report %+v, want nothing quarantined", report)
+	}
+	got, d, ok := back.Get("pepa-containers", "pepa", "latest")
+	if !ok || d != digest || !bytes.Equal(got, want) {
+		t.Fatalf("reopened entry = (ok %v, %s), want the verified bytes under %s", ok, d, digest)
+	}
+	if _, _, stored, err := storedForm(got); err != nil || stored != digest {
+		t.Errorf("reopened bytes have digest %s (%v), want %s", stored, err, digest)
 	}
 }

@@ -1,11 +1,10 @@
 package sparse
 
 // Tier-1 kernel benchmarks gated by `make bench-compare`: BenchmarkToCSR
-// guards the O(nnz) assembly path and BenchmarkVecMulParallel the
-// transpose-backed left-multiply that the uniformization loop runs on.
+// guards the O(nnz) assembly path and BenchmarkVecMulScatter the
+// left-multiply that the uniformization loop runs on.
 
 import (
-	"fmt"
 	"math"
 	"testing"
 )
@@ -77,7 +76,10 @@ func BenchmarkAssemblyReuse(b *testing.B) {
 	})
 }
 
-func BenchmarkVecMulParallel(b *testing.B) {
+// BenchmarkVecMulScatter times the full sequential scatter y = xᵀ·A
+// (VecMulTo) on a 200k-state tridiagonal: the product a full-support
+// uniformization term computes.
+func BenchmarkVecMulScatter(b *testing.B) {
 	n := 200000
 	c := NewCOO(n, n, 3*n)
 	for i := 0; i < n; i++ {
@@ -90,33 +92,13 @@ func BenchmarkVecMulParallel(b *testing.B) {
 		}
 	}
 	m := c.ToCSR()
-	mt := m.Transpose()
 	x := make([]float64, n)
 	y := make([]float64, n)
 	for i := range x {
 		x[i] = math.Abs(math.Sin(float64(i)))
 	}
-	b.Run("scatter-sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.VecMulTo(y, x)
-		}
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		// The plan and pool are built once, outside the timed loop, the
-		// way a ctmc solve builds them per call: the caller runs one part
-		// itself, so the pool holds workers-1 goroutines.
-		plan := NewPlan(mt, workers)
-		var pool *Pool
-		if workers > 1 {
-			pool = NewPool(workers - 1)
-		}
-		// "=" keeps the worker count out of benchcmp's GOMAXPROCS-suffix
-		// normalization (which strips a trailing -N).
-		b.Run(fmt.Sprintf("transpose-workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				VecMulAccumPlanT(mt, y, x, nil, 0, plan, pool)
-			}
-		})
-		pool.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.VecMulTo(y, x)
 	}
 }

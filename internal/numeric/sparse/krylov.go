@@ -28,9 +28,7 @@ type MatVec func(y, x []float64)
 // (rho = 0, ⟨r̂,v⟩ = 0, omega = 0) and on NaN contamination; callers
 // treat those like non-convergence and escalate. Cancel, Scratch, and
 // MaxIter/Tol come from opt; the matrix-vector product is whatever apply
-// does — with a plan/pool-backed product the solve parallelizes while
-// staying bit-identical for any worker count, because every other
-// operation here is a sequential loop.
+// does.
 func BiCGStab(apply MatVec, x, b, diag []float64, opt IterOptions) (IterResult, error) {
 	opt = opt.withDefaults()
 	n := len(x)

@@ -156,34 +156,6 @@ func (m *CSR) MulVecTo(y, x []float64) {
 	}
 }
 
-// ParallelNNZThreshold is the stored-entry count below which NewPlan
-// returns a single block the kernels run inline: under ~50k entries the
-// dispatch cost dominates the product itself. It is a variable so tests
-// can force tiny matrices down the parallel paths; results are
-// bit-identical either way, so tuning it changes wall-clock time only.
-var ParallelNNZThreshold = 50_000
-
-// nnzBalancedBounds partitions rows [0, rows) into `workers` contiguous
-// blocks of roughly equal nonzero count, returning workers+1 ascending
-// boundaries. A single dense row whose entry count exceeds the per-worker
-// quota swallows several quotas at once, which legitimately yields
-// consecutive equal boundaries (empty blocks); callers must skip those.
-func nnzBalancedBounds(rowPtr []int, rows, workers int) []int {
-	bounds := make([]int, workers+1)
-	bounds[workers] = rows
-	target := rowPtr[rows] / workers
-	prev := 0
-	for w := 1; w < workers; w++ {
-		quota := w * target
-		// First row at or past the quota, searched from the previous
-		// boundary so the bounds are non-decreasing by construction.
-		row := prev + sort.SearchInts(rowPtr[prev:rows], quota)
-		bounds[w] = row
-		prev = row
-	}
-	return bounds
-}
-
 // VecMul computes y = xᵀ·A (row vector times matrix), returning y.
 func (m *CSR) VecMul(x []float64) []float64 {
 	if len(x) != m.Rows {
@@ -208,6 +180,49 @@ func (m *CSR) VecMulTo(y, x []float64) {
 			y[m.ColIdx[k]] += xi * m.Val[k]
 		}
 	}
+}
+
+// VecMulAccumScatter computes y = xᵀ·A for a sparse-support iterate by
+// scattering only the rows in [lo, hi) of x (x must be zero outside that
+// window, and y must be zero everywhere on entry), optionally fusing the
+// uniformization accumulation acc += pw·x over the same window (pass
+// acc == nil to skip it). It returns the conservative [ylo, yhi) column
+// window that may now hold nonzeros, so the caller can keep propagating a
+// point mass in O(support) instead of O(n) per term.
+//
+// The (i, k) accumulation order matches VecMulTo exactly — rows outside
+// the window would have been skipped by its x[i] == 0 test anyway — so
+// the output is bit-identical to the full scatter.
+func (m *CSR) VecMulAccumScatter(y, x, acc []float64, pw float64, lo, hi int) (ylo, yhi int) {
+	fuse := acc != nil && pw > 0
+	ylo, yhi = m.Cols, 0
+	for i := lo; i < hi; i++ {
+		xi := x[i]
+		if xi == 0 {
+			continue
+		}
+		if fuse {
+			acc[i] += pw * xi
+		}
+		s, e := m.RowPtr[i], m.RowPtr[i+1]
+		if s < e {
+			// Columns are ascending within a row, so the row's write window
+			// is [first, last+1).
+			if j := m.ColIdx[s]; j < ylo {
+				ylo = j
+			}
+			if j := m.ColIdx[e-1]; j+1 > yhi {
+				yhi = j + 1
+			}
+		}
+		for k := s; k < e; k++ {
+			y[m.ColIdx[k]] += xi * m.Val[k]
+		}
+	}
+	if ylo >= yhi {
+		return 0, 0
+	}
+	return ylo, yhi
 }
 
 // Transpose returns Aᵀ as a new CSR matrix.
@@ -286,17 +301,6 @@ func (m *CSR) DiagInto(d []float64) {
 type IterOptions struct {
 	MaxIter int     // maximum sweeps (default 10000)
 	Tol     float64 // infinity-norm convergence tolerance (default 1e-12)
-	// Workers parallelizes the per-iteration vector-matrix product in
-	// PowerIteration (<= 1 means sequential): the iteration matrix is
-	// transposed and partitioned once at solve start. Results are
-	// bit-identical for any value. Gauss–Seidel sweeps are inherently
-	// sequential and ignore it; BiCGStab runs whatever product its caller
-	// hands it.
-	Workers int
-	// Pool optionally supplies a persistent worker pool for the parallel
-	// products. When nil, every partition runs inline on the caller's
-	// goroutine. Results are bit-identical either way.
-	Pool *Pool
 	// Scratch optionally recycles the solver's internal work vectors
 	// (Gauss–Seidel's diagonal, PowerIteration's product buffer,
 	// BiCGStab's Krylov vectors). Vectors a solver returns to its caller
@@ -390,14 +394,6 @@ func PowerIteration(p *CSR, opt IterOptions) ([]float64, IterResult, error) {
 	for i := range x {
 		x[i] = 1 / float64(n)
 	}
-	var (
-		pt   *CSR
-		plan *Plan
-	)
-	if opt.Workers > 1 {
-		pt = p.Transpose()
-		plan = NewPlan(pt, opt.Workers)
-	}
 	y := opt.Scratch.Get(n)
 	defer opt.Scratch.Put(y)
 	var res IterResult
@@ -407,11 +403,7 @@ func PowerIteration(p *CSR, opt IterOptions) ([]float64, IterResult, error) {
 				return x, res, err
 			}
 		}
-		if opt.Workers > 1 {
-			VecMulAccumPlanT(pt, y, x, nil, 0, plan, opt.Pool)
-		} else {
-			p.VecMulTo(y, x)
-		}
+		p.VecMulTo(y, x)
 		var sum float64
 		for _, v := range y {
 			sum += v

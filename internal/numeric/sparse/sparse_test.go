@@ -297,37 +297,6 @@ func TestDiagSkipsMissingDiagonal(t *testing.T) {
 	}
 }
 
-func TestPowerIterationWorkersBitIdentical(t *testing.T) {
-	// A lazy random walk on a cycle, large enough to cross the parallel
-	// threshold so Workers > 1 actually takes the transpose-backed path.
-	n := 30000
-	c := NewCOO(n, n, 3*n)
-	for i := 0; i < n; i++ {
-		c.Add(i, i, 0.5)
-		c.Add(i, (i+1)%n, 0.3)
-		c.Add(i, (i+n-1)%n, 0.2)
-	}
-	p := c.ToCSR()
-	seq, resSeq, err := PowerIteration(p, IterOptions{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4} {
-		par, resPar, err := PowerIteration(p, IterOptions{Tol: 1e-10, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resPar.Iterations != resSeq.Iterations {
-			t.Fatalf("workers=%d: iteration count diverged: %d vs %d", workers, resPar.Iterations, resSeq.Iterations)
-		}
-		for i := range seq {
-			if par[i] != seq[i] {
-				t.Fatalf("workers=%d: mismatch at state %d: %g vs %g", workers, i, par[i], seq[i])
-			}
-		}
-	}
-}
-
 func TestOutOfBoundsPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -31,13 +31,13 @@ import (
 // one keeps exactly the active rate (the apparent-rate ratios are x/x,
 // which pepa.Rate.Ratio evaluates to exactly 1, and scaling by 1 is
 // exact). Anything else — both-active synchronization, multi-transition
-// apparent rates, rate arithmetic — is left opaque and blocks repricing.
+// apparent rates, rate arithmetic — is left opaque and blocks re-rating.
 type RateSrc struct {
 	// Const names the rate constant whose value the rate equals exactly
 	// ("" when the rate is not a plain constant reference).
 	Const string
 	// Fixed marks a rate independent of the rate environment (literal or
-	// passive weight): repricing keeps the derived value.
+	// passive weight): re-rating keeps the derived value.
 	Fixed bool
 }
 

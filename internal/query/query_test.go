@@ -178,7 +178,7 @@ func TestCheckAllSolvesSteadyStateOnce(t *testing.T) {
 	}
 	solves := 0.0
 	for _, stage := range []string{"gauss-seidel", "power-iteration", "bicgstab", "dense-lu"} {
-		solves += chain.Obs.Counter("ctmc_solve_stage_total", obs.L("stage", stage), obs.L("outcome", "accepted"))
+		solves += chain.Obs.Counter("ctmc_steady_stages_total", obs.L("method", stage), obs.L("outcome", "accepted"))
 	}
 	if solves != 1 {
 		t.Errorf("CheckAll solved the steady state %v times, want once", solves)

@@ -1,6 +1,9 @@
 package recipe
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzParse checks the definition-file parser never panics and that
 // successful parses survive a String round trip.
@@ -29,7 +32,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("printer emitted unparsable output: %v\nprinted:\n%s", err, printed)
 		}
-		if r2.Bootstrap != r.Bootstrap || r2.From != r.From || r2.Post != r.Post ||
+		if r2.Bootstrap != r.Bootstrap || r2.From != r.From || !slices.Equal(r2.Posts, r.Posts) ||
 			r2.Runscript != r.Runscript || r2.Environment != r.Environment || r2.Test != r.Test {
 			t.Fatalf("round trip changed recipe\ninput: %q", src)
 		}

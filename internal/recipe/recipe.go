@@ -26,9 +26,6 @@ type Recipe struct {
 	// Environment lines are executed (as shell) at the start of every run.
 	Environment string
 	Files       []FilePair
-	// Post is the concatenation of every %post section (newline-joined) —
-	// the single-script view legacy callers execute.
-	Post string
 	// Posts lists each %post section separately, in file order. A recipe
 	// may repeat %post to mark build-stage boundaries: the staged build
 	// executor caches and replays each section as its own image layer.
@@ -91,7 +88,6 @@ func Parse(src string) (*Recipe, error) {
 		case "%post":
 			if p := dedent(text); p != "" {
 				r.Posts = append(r.Posts, p)
-				r.Post = strings.Join(r.Posts, "\n")
 			}
 		case "%runscript":
 			r.Runscript = dedent(text)
@@ -217,23 +213,10 @@ func (r *Recipe) String() string {
 			fmt.Fprintf(&b, "    %s %s\n", fp.Src, fp.Dst)
 		}
 	}
-	for _, p := range r.PostStages() {
+	for _, p := range r.Posts {
 		writeSection("%post", p)
 	}
 	writeSection("%runscript", r.Runscript)
 	writeSection("%test", r.Test)
 	return b.String()
-}
-
-// PostStages returns the %post sections in execution order. Recipes
-// constructed by hand with only Post set behave as a single stage, so
-// the staged executor and legacy callers see the same script stream.
-func (r *Recipe) PostStages() []string {
-	if len(r.Posts) > 0 {
-		return r.Posts
-	}
-	if r.Post != "" {
-		return []string{r.Post}
-	}
-	return nil
 }

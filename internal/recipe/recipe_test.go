@@ -1,6 +1,7 @@
 package recipe
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -54,8 +55,8 @@ func TestParseFullRecipe(t *testing.T) {
 	if len(r.Files) != 1 || r.Files[0].Src != "models/test.pepa" || r.Files[0].Dst != "/opt/models/test.pepa" {
 		t.Errorf("files = %v", r.Files)
 	}
-	if !strings.Contains(r.Post, "pkg install pepa-eclipse-plugin") {
-		t.Errorf("post = %q", r.Post)
+	if len(r.Posts) != 1 || !strings.Contains(r.Posts[0], "pkg install pepa-eclipse-plugin") {
+		t.Errorf("posts = %q", r.Posts)
 	}
 	if !strings.Contains(r.Runscript, "$ARG1") {
 		t.Errorf("runscript = %q", r.Runscript)
@@ -120,8 +121,8 @@ func TestDedent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Post != "mkdir /a\necho hi > /a/f" {
-		t.Errorf("post = %q", r.Post)
+	if want := []string{"mkdir /a\necho hi > /a/f"}; !slices.Equal(r.Posts, want) {
+		t.Errorf("posts = %q, want %q", r.Posts, want)
 	}
 }
 
@@ -136,7 +137,7 @@ func TestStringRoundTrip(t *testing.T) {
 		t.Fatalf("reparse failed: %v\n%s", err, printed)
 	}
 	if r2.Bootstrap != r1.Bootstrap || r2.From != r1.From ||
-		r2.Help != r1.Help || r2.Post != r1.Post ||
+		r2.Help != r1.Help || !slices.Equal(r2.Posts, r1.Posts) ||
 		r2.Runscript != r1.Runscript || r2.Test != r1.Test ||
 		r2.Environment != r1.Environment {
 		t.Error("round trip changed recipe content")

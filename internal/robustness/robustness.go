@@ -95,10 +95,8 @@ type Study struct {
 	Obs *obs.Registry
 	// Workers bounds the goroutines of the per-machine fan-out of
 	// MakespanCDF and RobustnessUnderPerturbation (0 means GOMAXPROCS, 1
-	// means sequential). Each machine's passages solve on one goroutine:
-	// the machine chains sit far below sparse.ParallelNNZThreshold, so no
-	// kernel runs in parallel. Results are bit-identical for any value;
-	// see docs/PERFORMANCE.md.
+	// means sequential). Each machine's passages solve on one goroutine.
+	// Results are bit-identical for any value; see docs/PERFORMANCE.md.
 	Workers int
 	// Checkpoint, when non-empty, names a file where every finished
 	// per-machine passage CDF is persisted (atomically, via

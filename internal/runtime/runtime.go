@@ -303,7 +303,7 @@ func (e *Engine) BuildCtx(cctx context.Context, rcp *recipe.Recipe, host *hosten
 	env.AllowEscalation = true
 	env.Repo = base.Repo
 	env.ExecHook = e.execHook(fs)
-	for _, script := range rcp.PostStages() {
+	for _, script := range rcp.Posts {
 		if strings.TrimSpace(script) == "" {
 			continue
 		}
