@@ -70,7 +70,7 @@ type Report struct {
 	Failed          bool     `json:"failed"`
 }
 
-// benchLine matches e.g. "BenchmarkToCSR-4   	 100	  12345678 ns/op	..."
+// benchLine matches e.g. "BenchmarkAssembleRows-4   	 100	  12345678 ns/op	..."
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op`)
 
 // allocsSuffix matches the trailing -benchmem column on the same line,
@@ -187,7 +187,7 @@ func formatReport(w io.Writer, rep Report) {
 // covers BenchmarkExplore and the small-model rows of
 // BenchmarkExploreSmall, which catch a derivation whose setup costs more
 // than it saves on the models each sweep derives.
-const defaultGate = "TransientSeries|ToCSR|AssemblyReuse|PerturbationSweep|Explore"
+const defaultGate = "TransientSeries|AssembleRows|AssemblyReuse|PerturbationSweep|Explore"
 
 func run() error {
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "baseline snapshot to compare against")

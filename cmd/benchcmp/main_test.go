@@ -16,8 +16,8 @@ BenchmarkFirstPassageCDF-4                  	     500	   2561139 ns/op
 PASS
 ok  	repro/internal/ctmc	4.2s
 pkg: repro/internal/numeric/sparse
-BenchmarkToCSR-4   	     100	  11000000 ns/op
-BenchmarkToCSR-4   	     100	  10500000 ns/op
+BenchmarkAssembleRows-4   	     100	  11000000 ns/op
+BenchmarkAssembleRows-4   	     100	  10500000 ns/op
 BenchmarkVecMulParallel/transpose-workers=2-4 	 1000	 400000 ns/op
 --- some unrelated line ---
 `
@@ -31,7 +31,7 @@ func TestParseBench(t *testing.T) {
 		"BenchmarkTransientSeries/uncached":           22427268,
 		"BenchmarkTransientSeries/cached":             3587139,
 		"BenchmarkFirstPassageCDF":                    2561139,
-		"BenchmarkToCSR":                              10500000, // min of the two runs
+		"BenchmarkAssembleRows":                       10500000, // min of the two runs
 		"BenchmarkVecMulParallel/transpose-workers=2": 400000,
 	}
 	if len(got) != len(want) {
@@ -68,8 +68,8 @@ BenchmarkFoo-4   10  4000000 ns/op  2048 B/op  5 allocs/op
 
 func TestNormalizeName(t *testing.T) {
 	cases := map[string]string{
-		"BenchmarkToCSR-8": "BenchmarkToCSR",
-		"BenchmarkToCSR":   "BenchmarkToCSR",
+		"BenchmarkAssembleRows-8":                       "BenchmarkAssembleRows",
+		"BenchmarkAssembleRows":                         "BenchmarkAssembleRows",
 		"BenchmarkVecMulParallel/transpose-workers=2-4": "BenchmarkVecMulParallel/transpose-workers=2",
 		"BenchmarkTransientWorkers/workers=8-16":        "BenchmarkTransientWorkers/workers=8",
 	}
@@ -81,10 +81,10 @@ func TestNormalizeName(t *testing.T) {
 }
 
 func TestCompareGating(t *testing.T) {
-	gate := regexp.MustCompile(`TransientSeries|ToCSR`)
+	gate := regexp.MustCompile(`TransientSeries|AssembleRows`)
 	base := map[string]float64{
 		"BenchmarkTransientSeries/cached": 100,
-		"BenchmarkToCSR":                  100,
+		"BenchmarkAssembleRows":           100,
 		"BenchmarkFirstPassageCDF":        100,
 	}
 	cases := []struct {
@@ -92,9 +92,9 @@ func TestCompareGating(t *testing.T) {
 		current    map[string]float64
 		wantFailed bool
 	}{
-		{"all flat", map[string]float64{"BenchmarkTransientSeries/cached": 100, "BenchmarkToCSR": 100, "BenchmarkFirstPassageCDF": 100}, false},
-		{"gated within threshold", map[string]float64{"BenchmarkToCSR": 119}, false},
-		{"gated beyond threshold", map[string]float64{"BenchmarkToCSR": 121}, true},
+		{"all flat", map[string]float64{"BenchmarkTransientSeries/cached": 100, "BenchmarkAssembleRows": 100, "BenchmarkFirstPassageCDF": 100}, false},
+		{"gated within threshold", map[string]float64{"BenchmarkAssembleRows": 119}, false},
+		{"gated beyond threshold", map[string]float64{"BenchmarkAssembleRows": 121}, true},
 		{"ungated regression ignored", map[string]float64{"BenchmarkFirstPassageCDF": 500}, false},
 		{"new benchmark never fails", map[string]float64{"BenchmarkTransientSeries/brandnew": 1e9}, false},
 		{"improvement never fails", map[string]float64{"BenchmarkTransientSeries/cached": 10}, false},
@@ -110,8 +110,8 @@ func TestCompareGating(t *testing.T) {
 }
 
 func TestCompareFlagsRegressedResult(t *testing.T) {
-	gate := regexp.MustCompile(`ToCSR`)
-	rep := compare(map[string]float64{"BenchmarkToCSR": 150}, nil, map[string]float64{"BenchmarkToCSR": 100}, nil, gate, 1.2, 1.25)
+	gate := regexp.MustCompile(`AssembleRows`)
+	rep := compare(map[string]float64{"BenchmarkAssembleRows": 150}, nil, map[string]float64{"BenchmarkAssembleRows": 100}, nil, gate, 1.2, 1.25)
 	if len(rep.Results) != 1 {
 		t.Fatalf("got %d results", len(rep.Results))
 	}
@@ -122,20 +122,20 @@ func TestCompareFlagsRegressedResult(t *testing.T) {
 }
 
 func TestCompareAllocsGating(t *testing.T) {
-	gate := regexp.MustCompile(`ToCSR`)
-	baseNs := map[string]float64{"BenchmarkToCSR": 100, "BenchmarkFirstPassageCDF": 100}
-	baseAllocs := map[string]float64{"BenchmarkToCSR": 10, "BenchmarkFirstPassageCDF": 10}
+	gate := regexp.MustCompile(`AssembleRows`)
+	baseNs := map[string]float64{"BenchmarkAssembleRows": 100, "BenchmarkFirstPassageCDF": 100}
+	baseAllocs := map[string]float64{"BenchmarkAssembleRows": 10, "BenchmarkFirstPassageCDF": 10}
 	cases := []struct {
 		name       string
 		ns, allocs map[string]float64
 		wantFailed bool
 	}{
-		{"time flat, allocs flat", map[string]float64{"BenchmarkToCSR": 100}, map[string]float64{"BenchmarkToCSR": 10}, false},
-		{"time flat, allocs within threshold", map[string]float64{"BenchmarkToCSR": 100}, map[string]float64{"BenchmarkToCSR": 12}, false},
-		{"time flat, allocs beyond threshold", map[string]float64{"BenchmarkToCSR": 100}, map[string]float64{"BenchmarkToCSR": 13}, true},
+		{"time flat, allocs flat", map[string]float64{"BenchmarkAssembleRows": 100}, map[string]float64{"BenchmarkAssembleRows": 10}, false},
+		{"time flat, allocs within threshold", map[string]float64{"BenchmarkAssembleRows": 100}, map[string]float64{"BenchmarkAssembleRows": 12}, false},
+		{"time flat, allocs beyond threshold", map[string]float64{"BenchmarkAssembleRows": 100}, map[string]float64{"BenchmarkAssembleRows": 13}, true},
 		{"ungated allocs regression ignored", map[string]float64{"BenchmarkFirstPassageCDF": 100}, map[string]float64{"BenchmarkFirstPassageCDF": 100}, false},
-		{"no current allocs: time-only gate", map[string]float64{"BenchmarkToCSR": 100}, nil, false},
-		{"no baseline allocs: time-only gate", map[string]float64{"BenchmarkToCSR": 100}, map[string]float64{"BenchmarkToCSR": 1000}, false},
+		{"no current allocs: time-only gate", map[string]float64{"BenchmarkAssembleRows": 100}, nil, false},
+		{"no baseline allocs: time-only gate", map[string]float64{"BenchmarkAssembleRows": 100}, map[string]float64{"BenchmarkAssembleRows": 1000}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

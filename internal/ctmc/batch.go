@@ -87,7 +87,7 @@ func (f *ChainFamily) FirstPassageCDFs(ctx context.Context, rates [][]float64, p
 		f: f, rates: rates, p0: p0, isTarget: isTarget, times: times, steps: steps,
 		stepEps: eps / float64(len(times)), reg: reg, out: out,
 		rowPtr: rowPtr, col: col,
-		vals: make([]float64, f.nnz), exit: make([]float64, n), slot: make([]float64, len(col)),
+		vals: make([]float64, f.plan.NNZ()), exit: make([]float64, n), slot: make([]float64, len(col)),
 	}
 
 	// Each member's q is its absorbing generator's largest exit rate. q is

@@ -61,34 +61,38 @@ type weightKey struct{ lambda, eps float64 }
 // cycling through horizons gets the map reset instead of unbounded growth.
 const maxWeightTables = 256
 
-// FromStateSpace builds the CTMC of a derived PEPA state space.
+// FromStateSpace builds the CTMC of a derived PEPA state space. Each
+// state's transitions, then its diagonal, go straight into the generator's
+// row (sparse.Builder), so no coordinate list is built beside the chain.
 func FromStateSpace(ss *derive.StateSpace) *Chain {
 	n := ss.NumStates()
-	coo := sparse.NewCOO(n, n, ss.NumTransitions()+n)
+	b := sparse.NewBuilder(n, n, ss.NumTransitions()+n)
 	exit := make([]float64, n)
-	actRate := map[string][]float64{}
+	actRate := make(map[string][]float64, len(ss.ActionTypes))
 	for _, a := range ss.ActionTypes {
 		actRate[a] = make([]float64, n)
 	}
 	for s := 0; s < n; s++ {
 		for _, tr := range ss.Trans[s] {
-			coo.Add(s, tr.To, tr.Rate)
+			b.Add(s, tr.To, tr.Rate)
 			exit[s] += tr.Rate
 			actRate[tr.Action][s] += tr.Rate
 		}
-		coo.Add(s, s, -exit[s])
+		b.Add(s, s, -exit[s])
 	}
-	return &Chain{N: n, Q: coo.ToCSR(), ExitRate: exit, ActionRate: actRate, Initial: 0}
+	return &Chain{N: n, Q: b.CSR(), ExitRate: exit, ActionRate: actRate, Initial: 0}
 }
 
 // NewChain builds a CTMC directly from a dense rate map (tests, synthetic
-// chains). rates[i][j] is the transition rate from i to j.
+// chains). rates[i][j] is the transition rate from i to j; diagonal keys
+// are ignored (the diagonal is minus the row's exit rate), and a key
+// outside the n states panics.
 func NewChain(n int, rates map[[2]int]float64) *Chain {
-	coo := sparse.NewCOO(n, n, len(rates)+n)
-	exit := make([]float64, n)
 	keys := make([][2]int, 0, len(rates))
 	for k := range rates {
-		keys = append(keys, k)
+		if k[0] != k[1] {
+			keys = append(keys, k)
+		}
 	}
 	sort.Slice(keys, func(a, b int) bool {
 		if keys[a][0] != keys[b][0] {
@@ -96,21 +100,24 @@ func NewChain(n int, rates map[[2]int]float64) *Chain {
 		}
 		return keys[a][1] < keys[b][1]
 	})
+	b := sparse.NewBuilder(n, n, len(keys)+n)
+	exit := make([]float64, n)
+	row := 0 // every row before it has its diagonal
 	for _, k := range keys {
 		r := rates[k]
-		if k[0] == k[1] {
-			continue
-		}
 		if r < 0 {
 			panic(fmt.Sprintf("ctmc: negative rate %g at %v", r, k))
 		}
-		coo.Add(k[0], k[1], r)
+		for ; row < k[0] && row < n; row++ {
+			b.Add(row, row, -exit[row])
+		}
+		b.Add(k[0], k[1], r) // panics on a key outside the n states
 		exit[k[0]] += r
 	}
-	for i := 0; i < n; i++ {
-		coo.Add(i, i, -exit[i])
+	for ; row < n; row++ {
+		b.Add(row, row, -exit[row])
 	}
-	return &Chain{N: n, Q: coo.ToCSR(), ExitRate: exit, ActionRate: map[string][]float64{}}
+	return &Chain{N: n, Q: b.CSR(), ExitRate: exit, ActionRate: map[string][]float64{}}
 }
 
 // MaxExitRate returns the uniformization constant max_i |q_ii|.
@@ -771,7 +778,8 @@ func gridStep(op string, i int, t, prev float64) (float64, error) {
 // column-sorted and duplicate-free, so the build is one pass over Q: the
 // off-diagonal mass is accumulated in ascending-column order, the
 // diagonal 1-offDiag is emitted at its sorted position, and exact-zero
-// values are dropped, just as a COO round-trip through ToCSR would.
+// values are dropped, just as assembling the entries through a
+// sparse.Builder would.
 func (c *Chain) uniformized(q float64, isTarget []bool) *sparse.CSR {
 	n := c.N
 	m := &sparse.CSR{

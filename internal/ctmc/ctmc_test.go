@@ -315,6 +315,52 @@ func TestFromStateSpaceThroughputUtilization(t *testing.T) {
 	}
 }
 
+// TestFromStateSpaceAllocatesOnlyItsOutput pins the generator assembly's
+// allocation: on a derived LAN, FromStateSpace allocates the chain it
+// returns — Q's header, RowPtr, ColIdx and Val, ExitRate, the action-rate
+// map and one vector per action type — and a constant handful beside it,
+// however many states and transitions the space has.
+func TestFromStateSpaceAllocatesOnlyItsOutput(t *testing.T) {
+	m, err := pepa.Parse(digestLANModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := derive.Explore(m, derive.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Eleven today: the Chain, the Builder, Q's header and its three
+	// slices, ExitRate and the map's four tables; the rest is slack for
+	// the runtime's map layout. A per-row or per-entry allocation would add
+	// hundreds (the space has 64 states and 272 transitions).
+	const fixed = 16
+	allocs := testing.AllocsPerRun(20, func() { FromStateSpace(ss) })
+	if limit := float64(fixed + len(ss.ActionTypes)); allocs > limit {
+		t.Fatalf("FromStateSpace allocates %v times on %d states, %d transitions and %d action types; want at most %v",
+			allocs, ss.NumStates(), ss.NumTransitions(), len(ss.ActionTypes), limit)
+	}
+}
+
+// TestNewChainRejectsKeysOutsideTheChain: an off-diagonal rate whose
+// source or target is not one of the n states panics instead of being
+// dropped; a diagonal key is ignored wherever it lies.
+func TestNewChainRejectsKeysOutsideTheChain(t *testing.T) {
+	for _, k := range [][2]int{{0, 3}, {3, 0}, {-1, 1}, {1, -1}, {5, 9}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewChain(3) with a rate at %v did not panic", k)
+				}
+			}()
+			NewChain(3, map[[2]int]float64{{0, 1}: 1, k: 2})
+		}()
+	}
+	c := NewChain(3, map[[2]int]float64{{0, 1}: 1, {7, 7}: 2})
+	if c.Q.NNZ() != 2 || c.Q.At(0, 0) != -1 || c.Q.At(0, 1) != 1 {
+		t.Fatalf("diagonal key changed the generator: %+v", c.Q)
+	}
+}
+
 func TestGeneratorRowsSumToZeroProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		s := seed

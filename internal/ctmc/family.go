@@ -16,10 +16,10 @@ import (
 // ChainFamily amortizes chain construction across models that share one
 // derivation structure and differ only in rate-constant values — the
 // shape of a perturbation sweep, where every sample re-rates the same
-// machine model. The family derives the prototype once, memoizes the
-// COO→CSR assembly permutation (sparse.AssemblyPlan), and builds each
+// machine model. The family derives the prototype once, plans the row
+// assembly of its generator once (sparse.AssemblyPlan), and builds each
 // member with an O(nnz) rate evaluation plus gather instead of a fresh
-// BFS derivation and counting sort.
+// BFS derivation and per-row sort.
 //
 // Exactness: PEPA derivation is structure-driven, and rate provenance
 // (derive.RateSrc) is only recorded where re-evaluation provably
@@ -38,9 +38,8 @@ import (
 // independent Chains with the usual concurrency contract.
 type ChainFamily struct {
 	ss          *derive.StateSpace
-	plan        *sparse.AssemblyPlan
+	plan        *sparse.AssemblyPlan // entries: per state, its transitions then the diagonal
 	fingerprint string
-	nnz         int // COO pattern entries: transitions + one diagonal per state
 	// rateNames are the Const-provenance constants, sorted; rateOf[k] is
 	// the index into rateNames of the rate of the k-th transition (in
 	// state, then transition order), or -1 for a Fixed rate.
@@ -59,17 +58,16 @@ func NewChainFamily(ss *derive.StateSpace) (*ChainFamily, error) {
 		return nil, fmt.Errorf("ctmc: %w", err)
 	}
 	n := ss.NumStates()
-	// Replay FromStateSpace's exact COO entry order — per state: each
-	// transition, then the diagonal — so the memoized permutation gathers
-	// members bit-identically to the fresh ToCSR path.
-	coo := sparse.NewCOO(n, n, ss.NumTransitions()+n)
+	// FromStateSpace's exact entry order — per state: each transition,
+	// then the diagonal — so the plan gathers members bit-identically to
+	// the fresh row assembly.
+	rowPtr := make([]int, n+1)
+	col := make([]int, 0, ss.NumTransitions()+n)
 	index := map[string]int32{}
 	var names []string
 	for s := 0; s < n; s++ {
-		var exit float64
 		for _, tr := range ss.Trans[s] {
-			coo.Add(s, tr.To, tr.Rate)
-			exit += tr.Rate
+			col = append(col, tr.To)
 			if c := tr.Src.Const; c != "" {
 				if _, ok := index[c]; !ok {
 					index[c] = 0
@@ -77,7 +75,8 @@ func NewChainFamily(ss *derive.StateSpace) (*ChainFamily, error) {
 				}
 			}
 		}
-		coo.Add(s, s, -exit)
+		col = append(col, s)
+		rowPtr[s+1] = len(col)
 	}
 	sort.Strings(names)
 	for i, c := range names {
@@ -95,9 +94,8 @@ func NewChainFamily(ss *derive.StateSpace) (*ChainFamily, error) {
 	}
 	return &ChainFamily{
 		ss:          ss,
-		plan:        coo.Plan(),
+		plan:        sparse.NewAssemblyPlan(n, n, rowPtr, col),
 		fingerprint: StructuralFingerprint(ss.Model),
-		nnz:         coo.NNZ(),
 		rateNames:   names,
 		rateOf:      rateOf,
 	}, nil
@@ -131,7 +129,7 @@ func (f *ChainFamily) ChainForRates(env map[string]float64) (*Chain, error) {
 		rates[c] = v
 	}
 	n := f.ss.NumStates()
-	vals := make([]float64, f.nnz)
+	vals := make([]float64, f.plan.NNZ())
 	exit := make([]float64, n)
 	f.memberValues(vals, exit, rates)
 	actRate := map[string][]float64{}
@@ -160,8 +158,8 @@ func checkRate(name string, v float64) error {
 	return nil
 }
 
-// memberValues fills the generator's COO entry values of one member —
-// vals, aligned with the assembly plan's input — and its per-state exit
+// memberValues fills the generator's entry values of one member — vals,
+// aligned with the assembly plan's input — and its per-state exit
 // rates, from the member's rates in RateNames order. Per state: each
 // transition's rate (Fixed ones keep the prototype's value), then the
 // diagonal -exit, with exit summed in transition order exactly as

@@ -96,14 +96,14 @@ func TestFirstPassageCDFRejectsMalformedGenerator(t *testing.T) {
 	// Hand-build chains whose generators violate (or satisfy) the
 	// nonnegative off-diagonal requirement.
 	build := func(entries map[[2]int]float64, n int) *Chain {
-		coo := newCOOFromMap(entries, n)
+		q := csrFromMap(entries, n)
 		exit := make([]float64, n)
 		for k, v := range entries {
 			if k[0] != k[1] && v > 0 {
 				exit[k[0]] += v
 			}
 		}
-		return &Chain{N: n, Q: coo, ExitRate: exit, ActionRate: map[string][]float64{}}
+		return &Chain{N: n, Q: q, ExitRate: exit, ActionRate: map[string][]float64{}}
 	}
 	cases := []struct {
 		name    string
@@ -133,10 +133,10 @@ func TestFirstPassageCDFRejectsMalformedGenerator(t *testing.T) {
 	}
 }
 
-// newCOOFromMap assembles a CSR from a dense entry map in deterministic
+// csrFromMap assembles a CSR from a dense entry map in deterministic
 // (sorted) insertion order, bypassing NewChain's negative-rate panic so
 // malformed generators can be constructed for the rejection tests.
-func newCOOFromMap(entries map[[2]int]float64, n int) *sparse.CSR {
+func csrFromMap(entries map[[2]int]float64, n int) *sparse.CSR {
 	keys := make([][2]int, 0, len(entries))
 	for k := range entries {
 		keys = append(keys, k)
@@ -147,11 +147,11 @@ func newCOOFromMap(entries map[[2]int]float64, n int) *sparse.CSR {
 		}
 		return keys[a][1] < keys[b][1]
 	})
-	coo := sparse.NewCOO(n, n, len(keys))
+	b := sparse.NewBuilder(n, n, len(keys))
 	for _, k := range keys {
-		coo.Add(k[0], k[1], entries[k])
+		b.Add(k[0], k[1], entries[k])
 	}
-	return coo.ToCSR()
+	return b.CSR()
 }
 
 func TestPoissonWeightSharingAcrossUniformGrid(t *testing.T) {

@@ -3,83 +3,49 @@ package sparse
 import (
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// patternCOO rebuilds a COO with the same coordinate pattern as c but
-// fresh values from next, including exact zeros (dropped only if the
-// whole slot cancels) so the zero-sum drop path is exercised.
-func patternCOO(c *COO, next func() float64) *COO {
-	c2 := NewCOO(c.Rows, c.Cols, len(c.entries))
-	for _, e := range c.entries {
-		v := next()*4 - 2
-		if next() < 0.15 {
-			v = 0
-		}
-		c2.Add(e.Row, e.Col, v)
-	}
-	return c2
-}
-
-// TestAssemblyPlanReassembleBitIdentical is the satellite property pin:
-// a plan built from one member of a same-pattern family must reassemble
-// every other member bit-identically to a fresh ToCSR (itself pinned to
-// the global stable sort by TestToCSRMatchesStableSortReference) —
-// including randomized value sets with duplicates, exact zeros, and
-// cancellations that drop entries from the output.
+// TestAssemblyPlanReassembleBitIdentical is the plan's property pin: a
+// plan built from one row-ordered pattern must reassemble every member of
+// that pattern — randomized value sets with duplicates, exact zeros, and
+// cancellations that drop entries from the output — bit-identically to a
+// Builder fed the same entries and to the global stable-sort reference.
 func TestAssemblyPlanReassembleBitIdentical(t *testing.T) {
 	f := func(seed int64) bool {
-		s := uint64(seed)
-		next := func() float64 {
-			s = s*6364136223846793005 + 1442695040888963407
-			return float64(s>>11) / (1 << 53)
-		}
-		rows, cols := 1+int(next()*20), 1+int(next()*20)
-		c := NewCOO(rows, cols)
-		n := int(next() * 200)
-		for e := 0; e < n; e++ {
-			i, j := int(next()*float64(rows)), int(next()*float64(cols))
-			c.Add(i, j, next()*4-2)
-			if next() < 0.2 {
-				c.Add(i, j, next()*4-2) // duplicate coordinate
-			}
-		}
-		plan := c.Plan()
-		if !plan.Matches(c) {
-			t.Log("plan does not match its own source")
-			return false
-		}
-		// The source itself, then several re-valued members — one with a
+		next := lcg(seed)
+		e := randomRows(next)
+		plan := e.plan()
+		// The source values, then several re-valued members — one with a
 		// forced exact cancellation so a slot drops out of the pattern.
-		members := []*COO{c}
+		members := [][]float64{e.val}
 		for m := 0; m < 3; m++ {
-			members = append(members, patternCOO(c, next))
-		}
-		if n > 0 {
-			cancel := NewCOO(rows, cols, len(c.entries))
-			for k, e := range c.entries {
-				v := next() * 2
-				if k%2 == 1 && cancel.entries[k-1].Row == e.Row && cancel.entries[k-1].Col == e.Col {
-					v = -cancel.entries[k-1].Val // exact pairwise cancellation
+			vals := make([]float64, len(e.val))
+			for k := range vals {
+				if vals[k] = next()*4 - 2; next() < 0.15 {
+					vals[k] = 0
 				}
-				cancel.Add(e.Row, e.Col, v)
 			}
-			members = append(members, cancel)
+			members = append(members, vals)
 		}
-		for mi, m := range members {
-			got, err := plan.Reassemble(m)
-			if err != nil {
-				t.Logf("member %d: %v", mi, err)
+		cancel := make([]float64, len(e.val))
+		for k := range cancel {
+			cancel[k] = next() * 2
+			if k%2 == 1 && e.row[k-1] == e.row[k] && e.col[k-1] == e.col[k] {
+				cancel[k] = -cancel[k-1] // exact pairwise cancellation
+			}
+		}
+		members = append(members, cancel)
+		for mi, vals := range members {
+			got := plan.Gather(vals)
+			if !csrEqual(got, e.buildVals(vals)) {
+				t.Logf("member %d: gather differs from the Builder", mi)
 				return false
 			}
-			if !csrEqual(got, m.ToCSR()) {
-				t.Logf("member %d: reassembly differs from ToCSR", mi)
-				return false
-			}
-			if !csrEqual(got, referenceToCSR(m)) {
-				t.Logf("member %d: reassembly differs from stable-sort reference", mi)
+			member := &entries{rows: e.rows, cols: e.cols, row: e.row, col: e.col, val: vals}
+			if !csrEqual(got, referenceToCSR(member)) {
+				t.Logf("member %d: gather differs from stable-sort reference", mi)
 				return false
 			}
 		}
@@ -90,61 +56,17 @@ func TestAssemblyPlanReassembleBitIdentical(t *testing.T) {
 	}
 }
 
-func TestAssemblyPlanRejectsPatternMismatch(t *testing.T) {
-	c := NewCOO(3, 3)
-	c.Add(0, 1, 1)
-	c.Add(2, 0, 2)
-	c.Add(0, 1, 3)
-	plan := c.Plan()
-
-	swapped := NewCOO(3, 3)
-	swapped.Add(2, 0, 1) // same coordinate set, different insertion order
-	swapped.Add(0, 1, 2)
-	swapped.Add(0, 1, 3)
-	extra := NewCOO(3, 3)
-	extra.Add(0, 1, 1)
-	extra.Add(2, 0, 2)
-	extra.Add(0, 1, 3)
-	extra.Add(1, 1, 4)
-	shape := NewCOO(4, 3)
-	shape.Add(0, 1, 1)
-	shape.Add(2, 0, 2)
-	shape.Add(0, 1, 3)
-	for name, bad := range map[string]*COO{"order": swapped, "extra": extra, "shape": shape} {
-		if plan.Matches(bad) {
-			t.Errorf("%s: Matches = true, want false", name)
-		}
-		if _, err := plan.Reassemble(bad); err == nil {
-			t.Errorf("%s: Reassemble accepted a mismatched pattern", name)
-		} else if !strings.Contains(err.Error(), "pattern mismatch") {
-			t.Errorf("%s: err = %v", name, err)
-		}
-	}
-	// The real pattern still works after the rejections.
-	if _, err := plan.Reassemble(c); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAssemblyPlanGatherMatchesReassemble(t *testing.T) {
-	c := NewCOO(4, 4)
-	coords := [][2]int{{0, 0}, {1, 2}, {1, 2}, {3, 1}, {2, 3}, {0, 0}}
-	for _, ij := range coords {
-		c.Add(ij[0], ij[1], 1)
-	}
-	plan := c.Plan()
-	vals := []float64{0.5, 2, -2, 7, 0, 1.25} // slot (1,2) cancels exactly
-	c2 := NewCOO(4, 4)
+func TestAssemblyPlanGatherMatchesBuilder(t *testing.T) {
+	e := &entries{rows: 4, cols: 4}
+	coords := [][2]int{{0, 0}, {0, 0}, {1, 2}, {1, 2}, {2, 3}, {3, 1}}
+	vals := []float64{0.5, 1.25, 2, -2, 0, 7} // slot (1,2) cancels exactly
 	for k, ij := range coords {
-		c2.Add(ij[0], ij[1], vals[k])
+		e.add(ij[0], ij[1], vals[k])
 	}
-	want, err := plan.Reassemble(c2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := e.plan()
 	got := plan.Gather(vals)
-	if !csrEqual(got, want) {
-		t.Fatal("Gather differs from Reassemble")
+	if !csrEqual(got, e.build()) {
+		t.Fatal("Gather differs from the Builder")
 	}
 	if got.At(1, 2) != 0 || got.NNZ() != 2 {
 		t.Fatalf("cancelled slot not dropped: nnz=%d", got.NNZ())
@@ -162,15 +84,125 @@ func TestAssemblyPlanGatherMatchesReassemble(t *testing.T) {
 	if want := []int{0, 2, 3, 1}; !reflect.DeepEqual(col, want) {
 		t.Fatalf("Pattern col = %v, want %v", col, want)
 	}
+	checkSlotSums(t, plan, vals, got)
+}
+
+// checkSlotSums checks that every slot sum of vals is bit-identical to the
+// value Gather stored for it, or exactly zero where Gather dropped it.
+func checkSlotSums(t *testing.T, plan *AssemblyPlan, vals []float64, gathered *CSR) {
+	t.Helper()
+	rowPtr, col := plan.Pattern()
 	sums := make([]float64, len(col))
 	plan.SlotSums(sums, vals)
-	for i := 0; i < 4; i++ {
+	for i := 0; i+1 < len(rowPtr); i++ {
 		for s := rowPtr[i]; s < rowPtr[i+1]; s++ {
-			if math.Float64bits(sums[s]) != math.Float64bits(got.At(i, col[s])) {
-				t.Fatalf("slot (%d,%d) = %g, Gather stored %g", i, col[s], sums[s], got.At(i, col[s]))
+			if got := gathered.At(i, col[s]); math.Float64bits(sums[s]) != math.Float64bits(got) && !(sums[s] == 0 && got == 0) {
+				t.Fatalf("slot (%d,%d) = %g, Gather stored %g", i, col[s], sums[s], got)
 			}
 		}
 	}
+}
+
+// decodeRows reads a row-ordered entry list from fuzz input: two bytes of
+// shape (1–16 rows and columns), then one entry per three bytes — a row
+// step (0 stays in the row; a larger step leaves the rows it skips
+// empty), a column, and a value code. The codes produce exact zeros, −0,
+// negations of the previous value (an exact cancellation when the
+// coordinate repeats), values with long mantissas, self-loops, and a
+// generator diagonal: minus the row's sum so far, at the row's own column.
+func decodeRows(data []byte) *entries {
+	if len(data) < 2 {
+		return nil
+	}
+	e := &entries{rows: 1 + int(data[0]%16), cols: 1 + int(data[1]%16)}
+	row, rowSum, prev := 0, 0.0, 0.0
+	for k := 2; k+2 < len(data); k += 3 {
+		if step := int(data[k] % 4); step > 0 {
+			row, rowSum = row+step, 0
+		}
+		if row >= e.rows {
+			break
+		}
+		j, code := int(data[k+1])%e.cols, data[k+2]
+		mag := float64(code>>3) + 1
+		var v float64
+		switch code % 8 {
+		case 0:
+			v = 0
+		case 1:
+			v = math.Copysign(0, -1)
+		case 2:
+			v = -prev
+		case 3:
+			v = mag / 3
+		case 4:
+			v = -mag * 0.1
+		case 5:
+			v = mag * 1e16 // absorbs small addends: its sums depend on their order
+		case 6:
+			j, v = row%e.cols, mag*0.37 // self-loop beside the diagonal
+		case 7:
+			j, v = row%e.cols, -rowSum // the generator diagonal
+		}
+		e.add(row, j, v)
+		rowSum += v
+		prev = v
+	}
+	return e
+}
+
+// FuzzAssembleRows is the row assembly's bit-identity oracle: for any
+// row-ordered entry list, the Builder and the gather of a plan built from
+// the same pattern equal the global stable-sort reference bit for bit,
+// with the values as given and reversed; and an entry outside the matrix
+// panics in both.
+func FuzzAssembleRows(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e := decodeRows(data)
+		if e == nil {
+			return
+		}
+		want := referenceToCSR(e)
+		if got := e.build(); !csrEqual(got, want) {
+			t.Fatalf("Builder differs from the stable-sort reference:\ngot  %+v\nwant %+v", got, want)
+		}
+		plan := e.plan()
+		got := plan.Gather(e.val)
+		if !csrEqual(got, want) {
+			t.Fatalf("plan gather differs from the stable-sort reference:\ngot  %+v\nwant %+v", got, want)
+		}
+		checkSlotSums(t, plan, e.val, got)
+		rev := make([]float64, len(e.val))
+		for k, v := range e.val {
+			rev[len(rev)-1-k] = v
+		}
+		member := &entries{rows: e.rows, cols: e.cols, row: e.row, col: e.col, val: rev}
+		if want, got := referenceToCSR(member), plan.Gather(rev); !csrEqual(got, want) || !csrEqual(e.buildVals(rev), want) {
+			t.Fatal("a re-valued member differs from the stable-sort reference")
+		}
+
+		over := int(data[0] >> 4) // how far outside the matrix
+		mustPanic := func(name string, fn func()) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}
+		mustPanic("row past the end", func() { NewBuilder(e.rows, e.cols, 0).Add(e.rows+over, 0, 1) })
+		mustPanic("negative row", func() { NewBuilder(e.rows, e.cols, 0).Add(-1-over, 0, 1) })
+		mustPanic("column past the end", func() { NewBuilder(e.rows, e.cols, 0).Add(0, e.cols+over, 1) })
+		mustPanic("negative column", func() { NewBuilder(e.rows, e.cols, 0).Add(0, -1-over, 1) })
+		if len(e.col) > 0 {
+			bad := append([]int(nil), e.col...)
+			bad[len(bad)-1] = e.cols + over
+			mustPanic("plan column past the end", func() {
+				(&entries{rows: e.rows, cols: e.cols, row: e.row, col: bad, val: e.val}).plan()
+			})
+		}
+	})
 }
 
 // TestScratchCutsSolverAllocations is the satellite allocs/op regression
@@ -178,17 +210,17 @@ func TestAssemblyPlanGatherMatchesReassemble(t *testing.T) {
 // less per call than without one.
 func TestScratchCutsSolverAllocations(t *testing.T) {
 	n := 64
-	c := NewCOO(n, n)
+	bld := NewBuilder(n, n, 3*n)
 	for i := 0; i < n; i++ {
-		c.Add(i, i, 4)
+		bld.Add(i, i, 4)
 		if i > 0 {
-			c.Add(i, i-1, -1)
+			bld.Add(i, i-1, -1)
 		}
 		if i < n-1 {
-			c.Add(i, i+1, -1)
+			bld.Add(i, i+1, -1)
 		}
 	}
-	a := c.ToCSR()
+	a := bld.CSR()
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = float64(i%7) + 1

@@ -10,18 +10,18 @@ import (
 // rate spread of `spread` between the smallest and largest diagonal —
 // the sparse shape of a stiff generator's normalized system.
 func stiffTridiag(n int, spread float64) *CSR {
-	c := NewCOO(n, n)
+	b := NewBuilder(n, n, 3*n)
 	for i := 0; i < n; i++ {
 		d := 2 + spread*float64(i)/float64(n)
-		c.Add(i, i, d)
+		b.Add(i, i, d)
 		if i > 0 {
-			c.Add(i, i-1, -1)
+			b.Add(i, i-1, -1)
 		}
 		if i < n-1 {
-			c.Add(i, i+1, -1)
+			b.Add(i, i+1, -1)
 		}
 	}
-	return c.ToCSR()
+	return b.CSR()
 }
 
 // bicgstab solves a·x = b the way ctmc's Krylov rung does: matrix-free
@@ -66,7 +66,7 @@ func TestBiCGStabSolvesStiffSystem(t *testing.T) {
 
 func TestBiCGStabBreakdownOnSingularSystem(t *testing.T) {
 	n := 4
-	zero := NewCOO(n, n).ToCSR() // A = 0: first search direction dies
+	zero := NewBuilder(n, n, 0).CSR() // A = 0: first search direction dies
 	b := []float64{1, 0, 0, 0}
 	x := make([]float64, n)
 	_, err := bicgstab(zero, x, b, IterOptions{MaxIter: 10})

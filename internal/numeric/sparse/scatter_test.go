@@ -12,7 +12,7 @@ func randomCSR(s *uint64, n int) *CSR {
 		*s = *s*6364136223846793005 + 1442695040888963407
 		return float64(*s>>11) / (1 << 53)
 	}
-	c := NewCOO(n, n)
+	b := NewBuilder(n, n, 0)
 	denseRow := int(next() * float64(n))
 	for i := 0; i < n; i++ {
 		if i != denseRow && next() < 0.2 {
@@ -20,11 +20,11 @@ func randomCSR(s *uint64, n int) *CSR {
 		}
 		for j := 0; j < n; j++ {
 			if i == denseRow || next() < 0.35 {
-				c.Add(i, j, next()*4-2)
+				b.Add(i, j, next()*4-2)
 			}
 		}
 	}
-	return c.ToCSR()
+	return b.CSR()
 }
 
 func TestVecMulAccumScatterMatchesFullScatter(t *testing.T) {

@@ -3,8 +3,8 @@
 // to solve the large, sparse linear systems that arise from CTMC generator
 // matrices.
 //
-// Matrices are assembled in coordinate (COO) form — duplicate entries are
-// summed — and converted once to CSR for fast products and sweeps. All
+// Matrices are assembled row by row straight into CSR (Builder) —
+// duplicate entries are summed — for fast products and sweeps. All
 // routines are deterministic.
 package sparse
 
@@ -14,97 +14,102 @@ import (
 	"sort"
 )
 
-// Triplet is a single (row, col, value) coordinate entry.
-type Triplet struct {
-	Row, Col int
-	Val      float64
+// Builder assembles a CSR matrix in place, row by row. Entries arrive in
+// row order — each Add's row is never below the previous one's — and are
+// appended straight to the matrix's ColIdx and Val. Moving to a later row
+// closes the open one inside its own tail of those slices: its entries are
+// stable-sorted by column, equal columns are summed in insertion order, and
+// exact-zero sums are dropped. No coordinate list is kept, and closing a
+// row allocates nothing.
+//
+// The result is bit-identical to stable-sorting the same entries globally
+// by (row, col) and summing each run of equal coordinates in order; the
+// tests pin it against that reference.
+type Builder struct {
+	m   *CSR
+	row int // the open row; every row before it is closed
 }
 
-// COO is a coordinate-format accumulator for building sparse matrices.
-// Entries with the same (row, col) are summed when converting to CSR.
-type COO struct {
-	Rows, Cols int
-	entries    []Triplet
-}
-
-// NewCOO creates an empty rows×cols accumulator. An optional capacity hint
-// pre-sizes the triplet slice so builders that know their entry count up
-// front (generator assembly, uniformization) avoid re-growing it.
-func NewCOO(rows, cols int, capacityHint ...int) *COO {
+// NewBuilder starts an empty rows×cols matrix. capacity pre-sizes ColIdx
+// and Val for callers that know their entry count up front (generator
+// assembly); a non-positive capacity allocates nothing.
+func NewBuilder(rows, cols, capacity int) *Builder {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("sparse: negative dimension %dx%d", rows, cols))
 	}
-	c := &COO{Rows: rows, Cols: cols}
-	if len(capacityHint) > 0 && capacityHint[0] > 0 {
-		c.entries = make([]Triplet, 0, capacityHint[0])
+	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+	if capacity > 0 {
+		m.ColIdx = make([]int, 0, capacity)
+		m.Val = make([]float64, 0, capacity)
 	}
-	return c
+	return &Builder{m: m}
 }
 
-// Add accumulates v at (i, j). Zero values are kept (they may cancel later).
-func (c *COO) Add(i, j int, v float64) {
-	if i < 0 || i >= c.Rows || j < 0 || j >= c.Cols {
-		panic(fmt.Sprintf("sparse: index (%d,%d) out of bounds for %dx%d", i, j, c.Rows, c.Cols))
+// Add accumulates v at (i, j). Zero values are kept (they may cancel
+// later). i must not be below the row of the previous Add: entries arrive
+// row by row, and a later row closes every row before it.
+func (b *Builder) Add(i, j int, v float64) {
+	m := b.m
+	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
+		panic(fmt.Sprintf("sparse: index (%d,%d) out of bounds for %dx%d", i, j, m.Rows, m.Cols))
 	}
-	c.entries = append(c.entries, Triplet{Row: i, Col: j, Val: v})
+	if i != b.row {
+		if i < b.row {
+			panic(fmt.Sprintf("sparse: entry (%d,%d) added after row %d", i, j, b.row))
+		}
+		b.closeRows(i)
+	}
+	m.ColIdx = append(m.ColIdx, j)
+	m.Val = append(m.Val, v)
 }
 
-// NNZ returns the number of accumulated (pre-dedup) entries.
-func (c *COO) NNZ() int { return len(c.entries) }
+// CSR closes the open row and every row after it and returns the matrix.
+// The Builder must not be used afterwards.
+func (b *Builder) CSR() *CSR {
+	b.closeRows(b.m.Rows)
+	return b.m
+}
 
-// ToCSR converts the accumulator to CSR, summing duplicates and dropping
-// exact-zero results.
-//
-// Instead of a global O(nnz log nnz) comparison sort, entries are bucketed
-// with a stable two-pass counting sort by row (O(nnz + rows)) and only each
-// row's handful of entries is comparison-sorted by column. The resulting
-// permutation — and therefore every duplicate-summation order and output
-// bit — is identical to a global stable sort by (row, col).
-func (c *COO) ToCSR() *CSR {
-	nnz := len(c.entries)
-	// Pass 1: count entries per row; prefix-sum into segment starts.
-	start := make([]int, c.Rows+1)
-	for i := range c.entries {
-		start[c.entries[i].Row+1]++
-	}
-	for i := 0; i < c.Rows; i++ {
-		start[i+1] += start[i]
-	}
-	// Pass 2: scatter into row segments, preserving insertion order.
-	ents := make([]Triplet, nnz)
-	next := make([]int, c.Rows)
-	copy(next, start[:c.Rows])
-	for _, e := range c.entries {
-		ents[next[e.Row]] = e
-		next[e.Row]++
-	}
-	m := &CSR{
-		Rows: c.Rows, Cols: c.Cols,
-		RowPtr: make([]int, c.Rows+1),
-		ColIdx: make([]int, 0, nnz),
-		Val:    make([]float64, 0, nnz),
-	}
-	for i := 0; i < c.Rows; i++ {
-		seg := ents[start[i]:start[i+1]]
-		sort.SliceStable(seg, func(a, b int) bool { return seg[a].Col < seg[b].Col })
-		for k := 0; k < len(seg); {
-			j := seg[k].Col
-			var v float64
-			for k < len(seg) && seg[k].Col == j {
-				v += seg[k].Val
-				k++
-			}
-			if v != 0 {
-				m.ColIdx = append(m.ColIdx, j)
-				m.Val = append(m.Val, v)
-				m.RowPtr[i+1]++
-			}
+// closeRows closes the open row — sort, sum duplicates, drop exact zeros,
+// all in place — and every empty row after it, leaving row to open.
+func (b *Builder) closeRows(to int) {
+	m := b.m
+	s := m.RowPtr[b.row]
+	col, val := m.ColIdx[s:], m.Val[s:]
+	sortRow(col, val)
+	// w never passes the read position: each kept sum consumes at least
+	// one entry.
+	w := s
+	for k := 0; k < len(col); {
+		j := col[k]
+		var v float64
+		for ; k < len(col) && col[k] == j; k++ {
+			v += val[k]
+		}
+		if v != 0 {
+			m.ColIdx[w], m.Val[w] = j, v
+			w++
 		}
 	}
-	for i := 0; i < c.Rows; i++ {
-		m.RowPtr[i+1] += m.RowPtr[i]
+	m.ColIdx, m.Val = m.ColIdx[:w], m.Val[:w]
+	for ; b.row < to; b.row++ {
+		m.RowPtr[b.row+1] = w
 	}
-	return m
+}
+
+// sortRow stable-sorts one row's entries by column, moving val alongside.
+// An insertion sort: stable by construction, allocation-free, and linear
+// on a row that is already sorted. Generator rows hold a handful of
+// entries, so its quadratic worst case does not arise.
+func sortRow[V any](col []int, val []V) {
+	for i := 1; i < len(col); i++ {
+		c, v := col[i], val[i]
+		k := i - 1
+		for ; k >= 0 && col[k] > c; k-- {
+			col[k+1], val[k+1] = col[k], val[k]
+		}
+		col[k+1], val[k+1] = c, v
+	}
 }
 
 // CSR is a compressed sparse row matrix.
