@@ -288,21 +288,6 @@ func BenchmarkUniformizationTransient(b *testing.B) {
 	}
 }
 
-func BenchmarkGPEPAFluidDerivative(b *testing.B) {
-	m := gpepa.MustParse(core.ClientServerGPEPAModel)
-	sys, err := gpepa.Compile(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := append([]float64(nil), sys.X0...)
-	dst := make([]float64, len(x))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.Derivative(x, dst)
-	}
-}
-
 func BenchmarkGPEPASimulation(b *testing.B) {
 	m := gpepa.MustParse(core.ClientServerGPEPAModel)
 	sys, err := gpepa.Compile(m)

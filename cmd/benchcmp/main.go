@@ -125,7 +125,8 @@ func parseBench(r io.Reader) (ns, allocs map[string]float64, err error) {
 // regresses when its ns/op ratio exceeds threshold OR its allocs/op ratio
 // exceeds allocsThreshold (the latter only when both sides carry an
 // allocation count — baselines recorded before -benchmem gate on time
-// alone until re-recorded).
+// alone until re-recorded). A row whose baseline records 0 allocs/op
+// regresses on any allocation.
 func compare(current, currentAllocs, base, baseAllocs map[string]float64, gate *regexp.Regexp, threshold, allocsThreshold float64) Report {
 	names := make([]string, 0, len(current))
 	for name := range current {
@@ -142,11 +143,20 @@ func compare(current, currentAllocs, base, baseAllocs map[string]float64, gate *
 		}
 		if a, ok := currentAllocs[name]; ok {
 			res.AllocsPerOp = a
-			if ba, ok := baseAllocs[name]; ok && ba > 0 {
+			if ba, ok := baseAllocs[name]; ok {
 				res.BaselineAllocs = ba
-				res.AllocsRatio = a / ba
-				if res.Gated && res.AllocsRatio > allocsThreshold {
-					res.Regressed = true
+				switch {
+				case ba > 0:
+					res.AllocsRatio = a / ba
+					if res.Gated && res.AllocsRatio > allocsThreshold {
+						res.Regressed = true
+					}
+				case a > 0:
+					// A row recorded allocation-free stays so: every
+					// multiple of its baseline is zero.
+					if res.Gated {
+						res.Regressed = true
+					}
 				}
 			}
 		}

@@ -151,6 +151,35 @@ func TestCompareAllocsGating(t *testing.T) {
 	}
 }
 
+// TestCompareZeroAllocBaseline: a gated row recorded at 0 allocs/op fails
+// on any allocation (no ratio of a zero baseline exists to exceed the
+// threshold), stays green at 0, and an ungated one is only reported.
+func TestCompareZeroAllocBaseline(t *testing.T) {
+	gate := regexp.MustCompile(`GPEPAFluidDerivative`)
+	baseNs := map[string]float64{"BenchmarkGPEPAFluidDerivative": 100, "BenchmarkVecMulScatter": 100}
+	baseAllocs := map[string]float64{"BenchmarkGPEPAFluidDerivative": 0, "BenchmarkVecMulScatter": 0}
+	for _, tc := range []struct {
+		name       string
+		allocs     map[string]float64
+		wantFailed bool
+	}{
+		{"still allocation-free", map[string]float64{"BenchmarkGPEPAFluidDerivative": 0}, false},
+		{"one allocation", map[string]float64{"BenchmarkGPEPAFluidDerivative": 1}, true},
+		{"ungated allocation reported only", map[string]float64{"BenchmarkVecMulScatter": 3}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ns := map[string]float64{}
+			for name := range tc.allocs {
+				ns[name] = 100
+			}
+			rep := compare(ns, tc.allocs, baseNs, baseAllocs, gate, 1.2, 1.25)
+			if rep.Failed != tc.wantFailed {
+				t.Fatalf("Failed = %v, want %v (%+v)", rep.Failed, tc.wantFailed, rep.Results)
+			}
+		})
+	}
+}
+
 func TestDefaultGateCoversDerivation(t *testing.T) {
 	gate := regexp.MustCompile(defaultGate)
 	for _, name := range []string{"BenchmarkExplore", "BenchmarkExploreSmall/tableI", "BenchmarkExploreSmall/pclan6"} {

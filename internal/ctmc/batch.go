@@ -27,16 +27,17 @@ import (
 // slots — and keeps each member's values in flat arrays, so a member costs
 // O(nnz) floats. Members whose uniformization rate q is equal share every
 // Poisson table and advance in lockstep: one pass over the pattern per
-// uniformization term, member index innermost. A member alone in its
-// group runs the windowed scatter of Chain.Transient on its own CSR. The
-// batch solves sequentially; callers fan out across families.
+// uniformization term, member index innermost, in blocks of at most
+// memberBlock members. A member alone in its group runs the windowed
+// scatter of Chain.Transient on its own CSR. The batch solves
+// sequentially; callers fan out across families.
 //
 // reg, when non-nil, receives the per-member path's transient-solve and
 // uniformization-term totals (one Add per group per grid point) and the
-// family Poisson-cache outcomes; nil costs nothing, and the result bits
-// are the same either way. A canceled ctx is polled once per group per
-// uniformization term and yields a *runctx.ErrCanceled counting the
-// members finished.
+// family Poisson-cache outcomes (one lookup per group per grid point);
+// nil costs nothing, and the result bits are the same either way. A
+// canceled ctx is polled once per block per uniformization term and
+// yields a *runctx.ErrCanceled counting the members finished.
 func (f *ChainFamily) FirstPassageCDFs(ctx context.Context, rates [][]float64, p0 []float64, targets []int, times []float64, eps float64, reg *obs.Registry) ([][]float64, error) {
 	n := f.ss.NumStates()
 	if err := checkInitial(p0, n); err != nil {
@@ -88,6 +89,7 @@ func (f *ChainFamily) FirstPassageCDFs(ctx context.Context, rates [][]float64, p
 		stepEps: eps / float64(len(times)), reg: reg, out: out,
 		rowPtr: rowPtr, col: col,
 		vals: make([]float64, f.plan.NNZ()), exit: make([]float64, n), slot: make([]float64, len(col)),
+		tables: make([]*poisson.Weights, len(times)),
 	}
 
 	// Each member's q is its absorbing generator's largest exit rate. q is
@@ -105,8 +107,9 @@ func (f *ChainFamily) FirstPassageCDFs(ctx context.Context, rates [][]float64, p
 		order[k] = k
 	}
 	slices.SortStableFunc(order, func(a, c int) int { return cmp.Compare(q[a], q[c]) })
-	b.pv = make([]float64, len(rates)*len(col))
-	b.work = make([]float64, 3*n*len(rates))
+	width := min(len(rates), memberBlock) // the widest block
+	b.pv = make([]float64, width*len(col))
+	b.work = make([]float64, 3*n*width)
 	for a := 0; a < len(order); {
 		z := a + 1
 		for z < len(order) && q[order[z]] == q[order[a]] {
@@ -124,6 +127,11 @@ func (f *ChainFamily) FirstPassageCDFs(ctx context.Context, rates [][]float64, p
 	return out, nil
 }
 
+// memberBlock bounds the members one lockstep pass carries. A larger group
+// is solved in near-equal blocks, one after another over one block-sized
+// workspace, so the workspace does not grow with the group.
+const memberBlock = 64
+
 // passageBatch is the call-wide state of one FirstPassageCDFs call. The
 // uniformized generator P of every member lives on the family's assembly
 // slot pattern (rowPtr, col), which is a superset of each member's own
@@ -134,6 +142,8 @@ func (f *ChainFamily) FirstPassageCDFs(ctx context.Context, rates [][]float64, p
 // q), target-row off-diagonals — each add ±0 to a running sum that is
 // never -0, so every entry's value and summation order match the
 // per-member path. A lone member's P is compacted to its own CSR first.
+// Members never mix: splitting a group into blocks only changes which
+// members share a pass, never a member's own sums.
 type passageBatch struct {
 	f        *ChainFamily
 	rates    [][]float64
@@ -149,9 +159,12 @@ type passageBatch struct {
 
 	// One member's generator entry values, exit rates and Q slot sums.
 	vals, exit, slot []float64
-	// The current group's P values (entry-major, member-minor) and the
-	// room for its three state-major iterate buffers, sized for every
-	// member.
+	// The current group's Poisson table per grid step (nil where the step
+	// is the identity), shared by its blocks.
+	tables []*poisson.Weights
+	// The current block's P values (entry-major, member-minor) and the
+	// room for its three state-major iterate buffers, sized for
+	// memberBlock members or all of them, whichever is fewer.
 	pv, work []float64
 }
 
@@ -191,8 +204,41 @@ func (b *passageBatch) uniformizationRate(k int) (float64, error) {
 }
 
 // solveGroup walks the time grid for one group of members that share the
-// uniformization rate q, filling their probability rows.
+// uniformization rate q, filling their probability rows. It fetches each
+// grid step's Poisson table and counts its solves once for the whole
+// group, then solves the group in near-equal blocks of at most
+// memberBlock members.
 func (b *passageBatch) solveGroup(ctx context.Context, members []int, q float64) error {
+	g := len(members)
+	for i, dt := range b.steps {
+		b.tables[i] = nil
+		if q == 0 || dt == 0 {
+			// The transient step is the identity.
+			continue
+		}
+		w, err := b.f.passageWeights(q*dt, b.stepEps, b.reg)
+		if err != nil {
+			return fmt.Errorf("ctmc: passage step to t[%d]=%g: %w", i, b.times[i], err)
+		}
+		b.reg.Add("ctmc_transient_solves_total", float64(g))
+		b.reg.Add("ctmc_uniformization_terms_total", float64(g*(w.Right+1)))
+		b.reg.Set("ctmc_uniformization_truncation_depth", float64(w.Right))
+		b.tables[i] = w
+	}
+	nb := (g + memberBlock - 1) / memberBlock
+	for j := 0; j < nb; j++ {
+		if err := b.solveBlock(ctx, members[j*g/nb:(j+1)*g/nb], q); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// solveBlock walks the time grid for one block of a group. A block of one
+// is a group of one (a split group's blocks hold at least
+// memberBlock/2 members each), whose P is compacted for the windowed
+// scatter.
+func (b *passageBatch) solveBlock(ctx context.Context, members []int, q float64) error {
 	g, n := len(members), len(b.isTarget)
 	pv := b.pv[:len(b.col)*g]
 	var lone *sparse.CSR
@@ -210,23 +256,16 @@ func (b *passageBatch) solveGroup(ctx context.Context, members []int, q float64)
 			base[i*g+m] = v
 		}
 	}
-	for i, dt := range b.steps {
-		if q == 0 || dt == 0 {
-			// The transient step is the identity.
+	for i, w := range b.tables {
+		if w == nil {
 			b.record(base, members, i)
 			continue
 		}
-		w, err := b.f.passageWeights(q*dt, b.stepEps, b.reg)
-		if err != nil {
-			return fmt.Errorf("ctmc: passage step to t[%d]=%g: %w", i, b.times[i], err)
-		}
-		b.reg.Add("ctmc_transient_solves_total", float64(g))
-		b.reg.Add("ctmc_uniformization_terms_total", float64(g*(w.Right+1)))
-		b.reg.Set("ctmc_uniformization_truncation_depth", float64(w.Right))
 		acc := spare
 		clear(acc)
 		clear(next)
 		var terms int
+		var err error
 		if lone != nil {
 			terms, err = uniformize(ctx, lone, w, base, next, acc)
 		} else {
@@ -244,7 +283,7 @@ func (b *passageBatch) solveGroup(ctx context.Context, members []int, q float64)
 }
 
 // fillP writes member k's uniformized values into slot m of a g-member
-// group's pv, exactly as uniformized computes them for the member's
+// block's pv, exactly as uniformized computes them for the member's
 // targets: v/q off the diagonal and 1 - Σ v/q (in column order) on it for
 // a non-target row, the identity row for a target.
 func (b *passageBatch) fillP(pv []float64, g, m, k int, q float64) {
@@ -328,7 +367,11 @@ func normalize(v []float64, g int) {
 // innermost. x, y and acc hold g values per state; pv holds g values per
 // pattern entry. It visits rows and entries the windowed scatter skips;
 // each such product is ±0 and changes no bit (see passageBatch), so every
-// member's iterate matches uniformize's. x and y are clobbered; acc must
+// member's iterate matches uniformize's. The member loops are unrolled by
+// four, which reorders only work on different members: each member's sums
+// keep their order, and the loop body is long enough that the kernel's
+// speed does not depend on where the linker places it (measured at 0 and
+// 32 mod 64 bytes, docs/PERFORMANCE.md). x and y are clobbered; acc must
 // be zero on entry.
 func lockstep(ctx context.Context, rowPtr, col []int, pv []float64, g int, w *poisson.Weights, x, y, acc []float64) (int, error) {
 	n := len(rowPtr) - 1
@@ -351,8 +394,16 @@ func lockstep(ctx context.Context, rowPtr, col []int, pv []float64, g int, w *po
 			if pw > 0 {
 				ai := acc[i*g : i*g+g]
 				ai = ai[:len(xi)]
-				for m, v := range xi {
-					ai[m] += pw * v
+				m := 0
+				for ; m+4 <= len(xi); m += 4 {
+					x4, a4 := xi[m:m+4:m+4], ai[m:m+4:m+4]
+					a4[0] += pw * x4[0]
+					a4[1] += pw * x4[1]
+					a4[2] += pw * x4[2]
+					a4[3] += pw * x4[3]
+				}
+				for ; m < len(xi); m++ {
+					ai[m] += pw * xi[m]
 				}
 			}
 			for e := rowPtr[i]; e < rowPtr[i+1]; e++ {
@@ -360,8 +411,16 @@ func lockstep(ctx context.Context, rowPtr, col []int, pv []float64, g int, w *po
 				yj := y[j*g : j*g+g]
 				pe := pv[e*g : e*g+g]
 				yj, pe = yj[:len(xi)], pe[:len(xi)]
-				for m, v := range xi {
-					yj[m] += v * pe[m]
+				m := 0
+				for ; m+4 <= len(xi); m += 4 {
+					x4, y4, p4 := xi[m:m+4:m+4], yj[m:m+4:m+4], pe[m:m+4:m+4]
+					y4[0] += x4[0] * p4[0]
+					y4[1] += x4[1] * p4[1]
+					y4[2] += x4[2] * p4[2]
+					y4[3] += x4[3] * p4[3]
+				}
+				for ; m < len(xi); m++ {
+					yj[m] += xi[m] * pe[m]
 				}
 			}
 		}

@@ -80,24 +80,31 @@ func decade(r *rng.Source, lo, hi float64) float64 {
 }
 
 // TestFirstPassageCDFsBitIdenticalBattery pins the batch's exactness: over
-// 200 seeded trials every member's CDF is Float64bits-identical to
+// 209 seeded trials every member's CDF is Float64bits-identical to
 // ChainForRates + FirstPassageCDF. Trials vary the structure; the member
-// count (1–40); whether members share q (one lockstep group), mix shared
-// and distinct q (lockstep groups beside singletons), or draw every rate
-// across 20 decades (mostly singletons); non-uniform grids with repeated
-// points; point-mass and spread-out p0; target sets holding the initial
-// mass; and eps from 1e-10 to 1e-3. The battery must also reach both a
-// q-setting row whose uniformized diagonal is exactly 0 and one whose
-// diagonal is not, and both kinds of group.
+// count (1–40, then 65, 130 and 257 in the last nine trials, so a group
+// larger than memberBlock is split into blocks); whether members share q
+// (one lockstep group), mix shared and distinct q (lockstep groups beside
+// singletons), or draw every rate across 20 decades (mostly singletons);
+// non-uniform grids with repeated points; point-mass and spread-out p0;
+// target sets holding the initial mass; and eps from 1e-10 to 1e-3. The
+// battery must also reach both a q-setting row whose uniformized diagonal
+// is exactly 0 and one whose diagonal is not, both kinds of group, and a
+// group solved in several blocks.
 func TestFirstPassageCDFsBitIdenticalBattery(t *testing.T) {
 	r := rng.New(20191116)
-	var zeroDiag, nonzeroDiag, lockstepTrials, singletonTrials int
-	for trial := 0; trial < 200; trial++ {
+	var zeroDiag, nonzeroDiag, lockstepTrials, singletonTrials, blockTrials int
+	for trial := 0; trial < 209; trial++ {
 		fam := batteryFamily(t, r)
 		names := fam.RateNames()
 		n := fam.StateSpace().NumStates()
 		mode := trial % 3
-		members := 1 + r.Intn(40)
+		var members int
+		if trial < 200 {
+			members = 1 + r.Intn(40)
+		} else {
+			members = []int{65, 130, 257}[(trial-200)/3]
+		}
 		rates := make([][]float64, members)
 		for k := range rates {
 			// D's rates dominate every other exit rate, so they set q:
@@ -199,16 +206,20 @@ func TestFirstPassageCDFsBitIdenticalBattery(t *testing.T) {
 				}
 			}
 		}
-		lockstep, singleton := false, false
+		lockstep, singleton, blocks := false, false, false
 		for _, c := range qs {
 			lockstep = lockstep || c > 1
 			singleton = singleton || c == 1
+			blocks = blocks || c > memberBlock
 		}
 		if lockstep {
 			lockstepTrials++
 		}
 		if singleton {
 			singletonTrials++
+		}
+		if blocks {
+			blockTrials++
 		}
 
 		times := make([]float64, 1+r.Intn(12))
@@ -246,13 +257,16 @@ func TestFirstPassageCDFsBitIdenticalBattery(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("battery: %d exactly-zero and %d nonzero q-row diagonals; %d trials with a lockstep group, %d with a singleton",
-		zeroDiag, nonzeroDiag, lockstepTrials, singletonTrials)
+	t.Logf("battery: %d exactly-zero and %d nonzero q-row diagonals; %d trials with a lockstep group, %d with a singleton, %d with a group in several blocks",
+		zeroDiag, nonzeroDiag, lockstepTrials, singletonTrials, blockTrials)
 	if zeroDiag == 0 || nonzeroDiag == 0 {
 		t.Errorf("battery reached %d exactly-zero and %d nonzero q-row diagonals; want both", zeroDiag, nonzeroDiag)
 	}
 	if lockstepTrials == 0 || singletonTrials == 0 {
 		t.Errorf("battery ran %d trials with a lockstep group and %d with a singleton; want both", lockstepTrials, singletonTrials)
+	}
+	if blockTrials == 0 {
+		t.Errorf("battery split no group into blocks of at most %d members", memberBlock)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/ctmc"
@@ -72,16 +73,25 @@ func StatesCSV(w io.Writer, ss *derive.StateSpace) error {
 	return nil
 }
 
-// SteadyStateCSV writes "state,term,probability" rows.
+// SteadyStateCSV writes "state,term,probability" rows: the bytes
+// fmt's "%d,%q,%.12g\n" renders, built by strconv in one reused line
+// buffer and written with one Write per row.
 func SteadyStateCSV(w io.Writer, ss *derive.StateSpace, pi []float64) error {
 	if len(pi) != ss.NumStates() {
 		return fmt.Errorf("export: distribution length %d != %d states", len(pi), ss.NumStates())
 	}
-	if _, err := fmt.Fprintln(w, "state,term,probability"); err != nil {
+	if _, err := io.WriteString(w, "state,term,probability\n"); err != nil {
 		return err
 	}
+	var line []byte
 	for s, term := range ss.States {
-		if _, err := fmt.Fprintf(w, "%d,%q,%.12g\n", s, term, pi[s]); err != nil {
+		line = strconv.AppendInt(line[:0], int64(s), 10)
+		line = append(line, ',')
+		line = strconv.AppendQuote(line, term)
+		line = append(line, ',')
+		line = strconv.AppendFloat(line, pi[s], 'g', 12, 64)
+		line = append(line, '\n')
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package export
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -181,5 +182,37 @@ func TestCDFTSV(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "1\t0.5") {
 		t.Errorf("cdf tsv:\n%s", buf.String())
+	}
+}
+
+// TestSteadyStateCSVMatchesFmt: each row is byte for byte what
+// fmt.Fprintf(w, "%d,%q,%.12g\n", ...) writes, for terms that need
+// escaping (quotes, backslashes, tabs, control bytes, non-ASCII text,
+// invalid UTF-8) and for probabilities 0, -0, the smallest subnormal,
+// NaN, ±Inf and ordinary values.
+func TestSteadyStateCSVMatchesFmt(t *testing.T) {
+	terms := []string{
+		`P1 <a, b> Q`, `say "hi"`, `back\slash`, "tab\there", "bell\a\x00\x1f\x7f",
+		"Zustände ✓ 日本", "bad\xffutf8\xc3", "", "P[3]",
+	}
+	pis := []float64{0, math.Copysign(0, -1), 5e-324, math.NaN(), math.Inf(1), math.Inf(-1), 0.25, 1.0 / 3, 123456789.123456789}
+	ss := &derive.StateSpace{}
+	var pi []float64
+	for _, term := range terms {
+		for _, p := range pis {
+			ss.States = append(ss.States, term)
+			pi = append(pi, p)
+		}
+	}
+	var got, want bytes.Buffer
+	if err := SteadyStateCSV(&got, ss, pi); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintln(&want, "state,term,probability")
+	for s, term := range ss.States {
+		fmt.Fprintf(&want, "%d,%q,%.12g\n", s, term, pi[s])
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("SteadyStateCSV differs from the fmt rendering:\n--- got ---\n%s\n--- want ---\n%s", got.Bytes(), want.Bytes())
 	}
 }

@@ -20,12 +20,27 @@ type LocalState struct {
 	State string // canonical term syntax of the sequential derivative
 }
 
-// localTransition is one activity of a sequential derivative.
+// localTransition is one activity of a sequential derivative; its action
+// is the one whose byAction list holds it.
 type localTransition struct {
-	action string
-	rate   float64 // active rate (fluid analysis requires active rates)
-	from   int     // variable index
-	to     int     // variable index
+	rate float64 // active rate (fluid analysis requires active rates)
+	from int     // variable index
+	to   int     // variable index
+}
+
+// fluidNode is one node of the compiled group tree: a group leaf
+// (left == nil) or a cooperation between two subtrees. Actions are
+// indexed as in FluidSystem.Actions. The tree is read-only once compiled,
+// so concurrent solves and simulations share it.
+type fluidNode struct {
+	// trans holds a leaf's local transitions in compile order, and
+	// byAction[a] the positions in trans of its Actions[a] transitions.
+	trans    []localTransition
+	byAction [][]int
+
+	left, right *fluidNode
+	// sync[a] reports whether a cooperation synchronises on Actions[a].
+	sync []bool
 }
 
 // FluidSystem is the compiled mean-field ODE system of a GPEPA model.
@@ -45,24 +60,28 @@ type FluidSystem struct {
 	// replication workers; nil costs nothing.
 	Obs *obs.Registry
 
-	groups     []*Group
-	transByGrp map[string][]localTransition // group label -> local transitions
-	groupVars  map[string][]int             // group label -> variable indices
+	groups    []*Group         // group seeds, in Groups() order
+	root      *fluidNode       // the compiled system equation
+	leaves    []*fluidNode     // its group leaves, in Groups() order
+	groupVars map[string][]int // group label -> variable indices
 }
 
 // Compile derives every group's sequential state space and assembles the
-// fluid ODE structure. It fails if any component offers a passive rate:
-// GPAnalyser's fluid analysis requires fully specified (active) rates.
+// fluid ODE structure: the system equation becomes a tree of fluidNodes,
+// so evaluating it looks up no action or label by name. It fails if any
+// component offers a passive rate: GPAnalyser's fluid analysis requires
+// fully specified (active) rates.
 func Compile(m *Model) (*FluidSystem, error) {
 	fs := &FluidSystem{
-		Model:      m,
-		Index:      map[LocalState]int{},
-		transByGrp: map[string][]localTransition{},
-		groupVars:  map[string][]int{},
+		Model:     m,
+		Index:     map[LocalState]int{},
+		groupVars: map[string][]int{},
 	}
-	actions := map[string]bool{}
 	fs.groups = m.Groups()
-	for _, g := range fs.groups {
+	fs.leaves = make([]*fluidNode, len(fs.groups))
+	names := make([][]string, len(fs.groups)) // each leaf transition's action
+	actions := map[string]bool{}
+	for gi, g := range fs.groups {
 		// The group's derivative states, discovered breadth first from its
 		// declared seeds in order, are the variables of the group.
 		seeds := make([]pepa.Process, len(g.Seeds))
@@ -81,17 +100,18 @@ func Compile(m *Model) (*FluidSystem, error) {
 			fs.groupVars[g.Label] = append(fs.groupVars[g.Label], fs.Index[ls])
 		}
 		// Record local transitions with variable indices.
+		leaf := &fluidNode{}
 		for s, ts := range locals.Trans {
 			for _, tr := range ts {
 				if tr.Rate.Passive {
 					return nil, fmt.Errorf("gpepa: component state %s in group %q offers action %q at a passive rate; fluid analysis requires active rates", locals.States[s], g.Label, tr.Action)
 				}
-				fs.transByGrp[g.Label] = append(fs.transByGrp[g.Label], localTransition{
-					action: tr.Action, rate: tr.Rate.Value, from: base + s, to: base + tr.To,
-				})
+				leaf.trans = append(leaf.trans, localTransition{rate: tr.Rate.Value, from: base + s, to: base + tr.To})
+				names[gi] = append(names[gi], tr.Action)
 				actions[tr.Action] = true
 			}
 		}
+		fs.leaves[gi] = leaf
 	}
 	// Initial populations.
 	fs.X0 = make([]float64, len(fs.Vars))
@@ -105,14 +125,43 @@ func Compile(m *Model) (*FluidSystem, error) {
 		fs.Actions = append(fs.Actions, a)
 	}
 	sort.Strings(fs.Actions)
+	for gi, leaf := range fs.leaves {
+		leaf.byAction = make([][]int, len(fs.Actions))
+		for k, name := range names[gi] {
+			a := sort.SearchStrings(fs.Actions, name)
+			leaf.byAction[a] = append(leaf.byAction[a], k)
+		}
+	}
+	// The tree's leaves are taken in the order Groups() lists them: both
+	// walk the system equation left to right.
+	next := 0
+	var build func(GroupExpr) *fluidNode
+	build = func(e GroupExpr) *fluidNode {
+		switch t := e.(type) {
+		case *Group:
+			next++
+			return fs.leaves[next-1]
+		case *GroupCoop:
+			n := &fluidNode{sync: make([]bool, len(fs.Actions))}
+			n.left = build(t.Left)
+			n.right = build(t.Right)
+			for a, name := range fs.Actions {
+				n.sync[a] = pepa.Contains(t.Set, name)
+			}
+			return n
+		default:
+			panic(fmt.Sprintf("gpepa: unknown group expr %T", e))
+		}
+	}
+	fs.root = build(m.System)
 	return fs, nil
 }
 
 // WithCounts returns a copy of the compiled system with the seed count
 // of (group, component) replaced, recompiling nothing: seed counts enter
 // the fluid structure only through the initial population vector, so the
-// derived variables, transitions, and action set are shared with the
-// receiver and only the group seeds and X0 are rebuilt. A scalability
+// derived variables, the group tree and the action set are shared with
+// the receiver and only the group seeds and X0 are rebuilt. A scalability
 // sweep compiles once and stamps out its population points through this
 // (the per-point BFS derivations the compile-per-point path paid were
 // pure overhead). Model still names the prototype; it is not cloned.
@@ -140,7 +189,7 @@ func (fs *FluidSystem) WithCounts(group, component string, count float64) (*Flui
 	}
 	out := &FluidSystem{
 		Model: fs.Model, Vars: fs.Vars, Index: fs.Index, Actions: fs.Actions,
-		Obs: fs.Obs, groups: groups, transByGrp: fs.transByGrp, groupVars: fs.groupVars,
+		Obs: fs.Obs, groups: groups, root: fs.root, leaves: fs.leaves, groupVars: fs.groupVars,
 	}
 	out.X0 = make([]float64, len(fs.Vars))
 	for _, g := range groups {
@@ -151,102 +200,90 @@ func (fs *FluidSystem) WithCounts(group, component string, count float64) (*Flui
 	return out, nil
 }
 
-// apparentInGroup computes A_G(a)(x) = sum over local a-transitions of
-// x_from * rate.
-func (fs *FluidSystem) apparentInGroup(label, action string, x []float64) float64 {
-	var total float64
-	for _, tr := range fs.transByGrp[label] {
-		if tr.action == action {
+// rate is the apparent rate of action a in the subtree at population x: a
+// leaf sums x_from·rate over its a-transitions in compile order; a
+// cooperation takes the min of its children's rates where it synchronises
+// on a and their sum where it does not.
+func (n *fluidNode) rate(a int, x []float64) float64 {
+	if n.left == nil {
+		var total float64
+		for _, k := range n.byAction[a] {
+			tr := &n.trans[k]
 			total += x[tr.from] * tr.rate
 		}
+		return total
 	}
-	return total
-}
-
-// treeRate evaluates the total rate of an action over the grouped system
-// tree: min at synchronizing nodes, sum at interleaving nodes.
-func (fs *FluidSystem) treeRate(e GroupExpr, action string, x []float64) float64 {
-	switch t := e.(type) {
-	case *Group:
-		return fs.apparentInGroup(t.Label, action, x)
-	case *GroupCoop:
-		l := fs.treeRate(t.Left, action, x)
-		r := fs.treeRate(t.Right, action, x)
-		if pepa.Contains(t.Set, action) {
-			if l < r {
-				return l
-			}
-			return r
+	l := n.left.rate(a, x)
+	r := n.right.rate(a, x)
+	if n.sync[a] {
+		if l < r {
+			return l
 		}
-		return l + r
-	default:
-		panic(fmt.Sprintf("gpepa: unknown group expr %T", e))
+		return r
 	}
+	return l + r
 }
 
-// distribute walks the tree allocating the action's total rate R to group
-// leaves: synchronizing children both receive R; interleaving children
-// split R proportionally to their subtree apparent rates.
-func (fs *FluidSystem) distribute(e GroupExpr, action string, x []float64, r float64, leafRate map[string]float64) {
+// flow adds to dst the flows of action a occurring at rate r in the
+// subtree: a cooperation that synchronises on a passes r to both
+// children, one that does not splits r in proportion to their apparent
+// rates, and a leaf moves r along its a-transitions in proportion to
+// x_from·rate. Rates read only x, and each leaf writes only its own
+// group's variables, so the order in which leaves apply their flows
+// changes no bit of dst.
+func (n *fluidNode) flow(a int, x []float64, r float64, dst []float64) {
 	if r == 0 {
 		return
 	}
-	switch t := e.(type) {
-	case *Group:
-		leafRate[t.Label] += r
-	case *GroupCoop:
-		if pepa.Contains(t.Set, action) {
-			fs.distribute(t.Left, action, x, r, leafRate)
-			fs.distribute(t.Right, action, x, r, leafRate)
+	if n.left == nil {
+		ag := n.rate(a, x)
+		if ag == 0 {
 			return
 		}
-		l := fs.treeRate(t.Left, action, x)
-		rr := fs.treeRate(t.Right, action, x)
-		if l+rr == 0 {
-			return
+		for _, k := range n.byAction[a] {
+			tr := &n.trans[k]
+			f := r * (x[tr.from] * tr.rate / ag)
+			dst[tr.from] -= f
+			dst[tr.to] += f
 		}
-		fs.distribute(t.Left, action, x, r*l/(l+rr), leafRate)
-		fs.distribute(t.Right, action, x, r*rr/(l+rr), leafRate)
+		return
 	}
+	if n.sync[a] {
+		n.left.flow(a, x, r, dst)
+		n.right.flow(a, x, r, dst)
+		return
+	}
+	l := n.left.rate(a, x)
+	rr := n.right.rate(a, x)
+	if l+rr == 0 {
+		return
+	}
+	n.left.flow(a, x, r*l/(l+rr), dst)
+	n.right.flow(a, x, r*rr/(l+rr), dst)
 }
 
-// Derivative computes dx/dt at population x into dst.
+// Derivative computes dx/dt at population x into dst. It allocates
+// nothing.
 func (fs *FluidSystem) Derivative(x, dst []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for _, action := range fs.Actions {
-		total := fs.treeRate(fs.Model.System, action, x)
+	clear(dst)
+	for a := range fs.Actions {
+		total := fs.root.rate(a, x)
 		if total <= 0 {
 			continue
 		}
-		leafRate := map[string]float64{}
-		fs.distribute(fs.Model.System, action, x, total, leafRate)
-		for _, g := range fs.groups {
-			rg := leafRate[g.Label]
-			if rg == 0 {
-				continue
-			}
-			ag := fs.apparentInGroup(g.Label, action, x)
-			if ag == 0 {
-				continue
-			}
-			for _, tr := range fs.transByGrp[g.Label] {
-				if tr.action != action {
-					continue
-				}
-				flow := rg * (x[tr.from] * tr.rate / ag)
-				dst[tr.from] -= flow
-				dst[tr.to] += flow
-			}
-		}
+		fs.root.flow(a, x, total, dst)
 	}
 }
 
 // ActionThroughput returns the instantaneous system-wide rate of an action
-// at population x (the fluid analogue of PEPA throughput).
+// at population x (the fluid analogue of PEPA throughput); 0 for an action
+// no group offers.
 func (fs *FluidSystem) ActionThroughput(action string, x []float64) float64 {
-	return fs.treeRate(fs.Model.System, action, x)
+	a := sort.SearchStrings(fs.Actions, action)
+	if a == len(fs.Actions) || fs.Actions[a] != action {
+		return 0
+	}
+	return fs.root.rate(a, x)
 }
 
 // GroupPopulation sums the variables of one group at population x.

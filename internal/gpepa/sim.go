@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
-	"repro/internal/pepa"
 	"repro/internal/rng"
 	"repro/internal/runctx"
 	"repro/internal/ssa"
@@ -48,12 +47,20 @@ func (fs *FluidSystem) simulate(ctx context.Context, horizon float64, n int, see
 		return ssa.Path{}, fmt.Errorf("gpepa: bad simulation parameters horizon=%g n=%d", horizon, n)
 	}
 	rates := func(x, dst []float64) error {
-		for i, a := range fs.Actions {
-			dst[i] = fs.treeRate(fs.Model.System, a, x)
+		for a := range fs.Actions {
+			dst[a] = fs.root.rate(a, x)
 		}
 		return nil
 	}
-	fire := func(r int, x []float64, src *rng.Source) { fs.fire(fs.Model.System, fs.Actions[r], x, src) }
+	// Room for the largest choice a leaf makes, owned by this trajectory.
+	var most int
+	for _, leaf := range fs.leaves {
+		for _, ks := range leaf.byAction {
+			most = max(most, len(ks))
+		}
+	}
+	weights := make([]float64, most)
+	fire := func(a int, x []float64, src *rng.Source) { fs.root.fire(a, x, src, weights) }
 	p, err := ssa.Run(ctx, "gpepa.sim", fs.X0, horizon, n, seed, len(fs.Actions), rates, fire)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
@@ -66,55 +73,44 @@ func (fs *FluidSystem) simulate(ctx context.Context, horizon float64, n int, see
 	return p, nil
 }
 
-// fire applies one occurrence of the action to the population vector,
+// fire applies one occurrence of action a to the population vector,
 // choosing participating components by the semantics' probabilities:
 // synchronizing subtrees each fire one component; interleaving subtrees
-// are chosen proportionally to their apparent rates.
-func (fs *FluidSystem) fire(e GroupExpr, action string, x []float64, r *rng.Source) {
-	switch t := e.(type) {
-	case *Group:
-		// Choose a local transition proportional to x_from * rate.
-		trs := fs.transByGrp[t.Label]
-		weights := make([]float64, 0, len(trs))
-		idxs := make([]int, 0, len(trs))
-		for i, tr := range trs {
-			if tr.action == action {
-				weights = append(weights, x[tr.from]*tr.rate)
-				idxs = append(idxs, i)
-			}
-		}
-		if len(weights) == 0 {
-			return
-		}
+// are chosen proportionally to their apparent rates; a leaf picks a local
+// transition proportionally to x_from·rate, its weights written into
+// weights, which must hold the leaf's a-transitions.
+func (n *fluidNode) fire(a int, x []float64, src *rng.Source, weights []float64) {
+	if n.left == nil {
+		ks := n.byAction[a]
+		w := weights[:len(ks)]
 		var anyPositive bool
-		for _, w := range weights {
-			if w > 0 {
-				anyPositive = true
-				break
-			}
+		for i, k := range ks {
+			tr := &n.trans[k]
+			w[i] = x[tr.from] * tr.rate
+			anyPositive = anyPositive || w[i] > 0
 		}
 		if !anyPositive {
 			return
 		}
-		tr := trs[idxs[r.Choose(weights)]]
+		tr := &n.trans[ks[src.Choose(w)]]
 		x[tr.from]--
 		x[tr.to]++
-	case *GroupCoop:
-		if pepa.Contains(t.Set, action) {
-			fs.fire(t.Left, action, x, r)
-			fs.fire(t.Right, action, x, r)
-			return
-		}
-		l := fs.treeRate(t.Left, action, x)
-		rr := fs.treeRate(t.Right, action, x)
-		if l+rr <= 0 {
-			return
-		}
-		if r.Choose([]float64{l, rr}) == 0 {
-			fs.fire(t.Left, action, x, r)
-		} else {
-			fs.fire(t.Right, action, x, r)
-		}
+		return
+	}
+	if n.sync[a] {
+		n.left.fire(a, x, src, weights)
+		n.right.fire(a, x, src, weights)
+		return
+	}
+	l := n.left.rate(a, x)
+	rr := n.right.rate(a, x)
+	if l+rr <= 0 {
+		return
+	}
+	if src.Choose([]float64{l, rr}) == 0 {
+		n.left.fire(a, x, src, weights)
+	} else {
+		n.right.fire(a, x, src, weights)
 	}
 }
 

@@ -181,8 +181,11 @@ func (m *CSR) VecMulTo(y, x []float64) {
 		if xi == 0 {
 			continue
 		}
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			y[m.ColIdx[k]] += xi * m.Val[k]
+		s, e := m.RowPtr[i], m.RowPtr[i+1]
+		cols, vals := m.ColIdx[s:e], m.Val[s:e]
+		vals = vals[:len(cols)]
+		for k, j := range cols {
+			y[j] += xi * vals[k]
 		}
 	}
 }
@@ -220,8 +223,10 @@ func (m *CSR) VecMulAccumScatter(y, x, acc []float64, pw float64, lo, hi int) (y
 				yhi = j + 1
 			}
 		}
-		for k := s; k < e; k++ {
-			y[m.ColIdx[k]] += xi * m.Val[k]
+		cols, vals := m.ColIdx[s:e], m.Val[s:e]
+		vals = vals[:len(cols)]
+		for k, j := range cols {
+			y[j] += xi * vals[k]
 		}
 	}
 	if ylo >= yhi {
