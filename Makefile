@@ -8,8 +8,9 @@ GO ?= go
 # Solve-path benchmarks recorded in BENCH_baseline.json (docs/PERFORMANCE.md).
 # Which of them benchcmp actually gates is its -gate regex; the rest are
 # reported with a baseline reference but never fail the build.
-# -benchmem is part of the contract: benchcmp compares allocs/op alongside
-# ns/op, which catches scratch-buffer regressions timing noise absorbs.
+# -benchmem is part of the contract: benchcmp compares B/op and allocs/op
+# alongside ns/op, which catches scratch-buffer regressions timing noise
+# absorbs.
 BENCH_GATED = ^(BenchmarkTransientSeries|BenchmarkTransientDense|BenchmarkFirstPassageCDF|BenchmarkAssembleRows|BenchmarkVecMulScatter|BenchmarkAssemblyReuse|BenchmarkPerturbationSweep|BenchmarkSteadyStateStiff|BenchmarkExplore|BenchmarkExploreSmall|BenchmarkGPEPAFluidDerivative)$$
 BENCH_PKGS  = ./internal/ctmc ./internal/numeric/sparse ./internal/robustness ./internal/pepa/derive ./internal/gpepa
 
@@ -55,17 +56,17 @@ bench-snapshot:
 BENCH_RUN = $(GO) test -run XXX -bench '$(BENCH_GATED)' -benchmem -benchtime 10x -count 3 $(BENCH_PKGS) > bench_gated.txt
 
 # Compare the solve-path benchmarks against the committed baseline; fails
-# when a gated benchmark is >20% slower or >25% more allocs/op
+# when a gated benchmark is >20% slower or >25% more B/op or allocs/op
 # (docs/PERFORMANCE.md). Advisory in CI: ns/op drifts between machines.
 bench-compare:
 	$(BENCH_RUN)
 	$(GO) run ./cmd/benchcmp -baseline BENCH_baseline.json -out bench_compare.json < bench_gated.txt
 
 # Blocking allocation gate (CI test job): fails when any recorded row's
-# allocs/op exceeds 1.25x its baseline (any allocation, for a row recorded
-# at 0, such as BenchmarkGPEPAFluidDerivative), whatever ns/op does. -gate .
-# covers every row, and -threshold 1e6 is an ns/op ratio no run reaches,
-# so only allocs/op can fail it.
+# B/op or allocs/op exceeds 1.25x its baseline (any allocation, for a row
+# recorded at 0, such as BenchmarkGPEPAFluidDerivative), whatever ns/op
+# does. -gate . covers every row, and -threshold 1e6 is an ns/op ratio no
+# run reaches, so only B/op and allocs/op can fail it.
 bench-allocs:
 	$(BENCH_RUN)
 	$(GO) run ./cmd/benchcmp -baseline BENCH_baseline.json -gate . -threshold 1e6 -allocs-threshold 1.25 < bench_gated.txt

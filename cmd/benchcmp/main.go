@@ -7,9 +7,9 @@
 //
 // Benchmark names are normalized by stripping the trailing -N GOMAXPROCS
 // suffix, so baselines survive core-count changes; ns/op is the compared
-// quantity, and allocs/op is compared too when the input was produced
-// with -benchmem. Only benchmarks whose normalized name matches -gate can
-// fail the run — everything else is reported informationally.
+// quantity, and B/op and allocs/op are compared too when the input was
+// produced with -benchmem. Only benchmarks whose normalized name matches
+// -gate can fail the run — everything else is reported informationally.
 package main
 
 import (
@@ -33,8 +33,10 @@ type Baseline struct {
 	Note string `json:"note,omitempty"`
 	// NsPerOp maps the normalized benchmark name to its ns/op.
 	NsPerOp map[string]float64 `json:"ns_per_op"`
-	// AllocsPerOp maps the normalized benchmark name to its allocs/op.
-	// Present only for benchmarks recorded with -benchmem.
+	// BytesPerOp and AllocsPerOp map the normalized benchmark name to its
+	// B/op and allocs/op. Present only for benchmarks recorded with
+	// -benchmem.
+	BytesPerOp  map[string]float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
 }
 
@@ -46,6 +48,13 @@ type Result struct {
 	Baseline float64 `json:"baseline_ns_per_op,omitempty"`
 	// Ratio is current/baseline (>1 means slower), 0 when new.
 	Ratio float64 `json:"ratio,omitempty"`
+	// BytesPerOp is the measured B/op; present with -benchmem.
+	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
+	// BaselineBytes is the stored B/op, 0 when absent.
+	BaselineBytes float64 `json:"baseline_bytes_per_op,omitempty"`
+	// BytesRatio is current/baseline bytes per op, 0 when either side is
+	// missing or the baseline is 0.
+	BytesRatio float64 `json:"bytes_ratio,omitempty"`
 	// AllocsPerOp is the measured allocs/op; present with -benchmem.
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	// BaselineAllocs is the stored allocs/op, 0 when absent.
@@ -56,8 +65,8 @@ type Result struct {
 	AllocsRatio float64 `json:"allocs_ratio,omitempty"`
 	// Gated marks benchmarks that can fail the run.
 	Gated bool `json:"gated"`
-	// Regressed is set when Gated and Ratio (time or allocs) exceeds its
-	// threshold.
+	// Regressed is set when Gated and Ratio (time, bytes or allocs)
+	// exceeds its threshold.
 	Regressed bool `json:"regressed"`
 }
 
@@ -73,9 +82,9 @@ type Report struct {
 // benchLine matches e.g. "BenchmarkAssembleRows-4   	 100	  12345678 ns/op	..."
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op`)
 
-// allocsSuffix matches the trailing -benchmem column on the same line,
+// memColumns matches the trailing -benchmem columns on the same line,
 // e.g. "	    1024 B/op	       3 allocs/op".
-var allocsSuffix = regexp.MustCompile(`\s([0-9]+) allocs/op`)
+var memColumns = regexp.MustCompile(`\s([0-9]+) B/op\s+([0-9]+) allocs/op`)
 
 // gomaxprocsSuffix strips the trailing -N that `go test` appends for
 // GOMAXPROCS != 1, so baselines transfer between machines with different
@@ -86,78 +95,97 @@ func normalizeName(name string) string {
 	return gomaxprocsSuffix.ReplaceAllString(name, "")
 }
 
-// parseBench extracts (normalized name -> ns/op) pairs from `go test -bench`
-// output, plus (normalized name -> allocs/op) for lines carrying the
-// -benchmem column. A benchmark appearing more than once (e.g. several
-// packages or -count > 1) keeps its minimum — the least noisy estimate.
-func parseBench(r io.Reader) (ns, allocs map[string]float64, err error) {
-	ns = map[string]float64{}
-	allocs = map[string]float64{}
+// parseBench extracts the normalized name -> ns/op pairs from `go test
+// -bench` output into NsPerOp, and the name -> B/op and allocs/op pairs of
+// lines carrying the -benchmem columns into BytesPerOp and AllocsPerOp. A
+// benchmark appearing more than once (e.g. several packages or -count > 1)
+// keeps its minimum of each — the least noisy estimate.
+func parseBench(r io.Reader) (Baseline, error) {
+	b := Baseline{NsPerOp: map[string]float64{}, BytesPerOp: map[string]float64{}, AllocsPerOp: map[string]float64{}}
+	keepMin := func(m map[string]float64, name string, v float64) {
+		if prev, ok := m[name]; !ok || v < prev {
+			m[name] = v
+		}
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
+		line := sc.Text()
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
 		v, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
-			return nil, nil, fmt.Errorf("benchcmp: bad ns/op in %q: %v", sc.Text(), err)
+			return Baseline{}, fmt.Errorf("benchcmp: bad ns/op in %q: %v", line, err)
 		}
 		name := normalizeName(m[1])
-		if prev, ok := ns[name]; !ok || v < prev {
-			ns[name] = v
-		}
-		if am := allocsSuffix.FindStringSubmatch(sc.Text()); am != nil {
-			a, err := strconv.ParseFloat(am[1], 64)
+		keepMin(b.NsPerOp, name, v)
+		if mm := memColumns.FindStringSubmatch(line); mm != nil {
+			bytes, err := strconv.ParseFloat(mm[1], 64)
 			if err != nil {
-				return nil, nil, fmt.Errorf("benchcmp: bad allocs/op in %q: %v", sc.Text(), err)
+				return Baseline{}, fmt.Errorf("benchcmp: bad B/op in %q: %v", line, err)
 			}
-			if prev, ok := allocs[name]; !ok || a < prev {
-				allocs[name] = a
+			allocs, err := strconv.ParseFloat(mm[2], 64)
+			if err != nil {
+				return Baseline{}, fmt.Errorf("benchcmp: bad allocs/op in %q: %v", line, err)
 			}
+			keepMin(b.BytesPerOp, name, bytes)
+			keepMin(b.AllocsPerOp, name, allocs)
 		}
 	}
-	return ns, allocs, sc.Err()
+	return b, sc.Err()
 }
 
-// compare builds the report for current vs baseline. A gated benchmark
-// regresses when its ns/op ratio exceeds threshold OR its allocs/op ratio
-// exceeds allocsThreshold (the latter only when both sides carry an
-// allocation count — baselines recorded before -benchmem gate on time
-// alone until re-recorded). A row whose baseline records 0 allocs/op
-// regresses on any allocation.
-func compare(current, currentAllocs, base, baseAllocs map[string]float64, gate *regexp.Regexp, threshold, allocsThreshold float64) Report {
-	names := make([]string, 0, len(current))
-	for name := range current {
+// overMemory compares one allocation figure (B/op or allocs/op) with its
+// baseline: the ratio, 0 for a zero baseline, and whether the figure
+// exceeds threshold times the baseline. A zero baseline is exceeded by
+// any allocation: every multiple of it is zero.
+func overMemory(cur, base, threshold float64) (ratio float64, over bool) {
+	if base > 0 {
+		ratio = cur / base
+		return ratio, ratio > threshold
+	}
+	return 0, cur > 0
+}
+
+// compare builds the report for current vs base. A gated benchmark
+// regresses when its ns/op ratio exceeds threshold, or its B/op or
+// allocs/op ratio exceeds allocsThreshold (each only when both sides
+// carry the figure — baselines recorded before -benchmem, or before
+// bytes were stored, gate on what they have until re-recorded). A row
+// whose baseline records 0 B/op or 0 allocs/op regresses on any
+// allocation.
+func compare(current, base Baseline, gate *regexp.Regexp, threshold, allocsThreshold float64) Report {
+	names := make([]string, 0, len(current.NsPerOp))
+	for name := range current.NsPerOp {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	rep := Report{Threshold: threshold, AllocsThreshold: allocsThreshold, Gate: gate.String()}
 	for _, name := range names {
-		res := Result{Name: name, NsPerOp: current[name], Gated: gate.MatchString(name)}
-		if b, ok := base[name]; ok && b > 0 {
+		res := Result{Name: name, NsPerOp: current.NsPerOp[name], Gated: gate.MatchString(name)}
+		if b, ok := base.NsPerOp[name]; ok && b > 0 {
 			res.Baseline = b
 			res.Ratio = res.NsPerOp / b
 			res.Regressed = res.Gated && res.Ratio > threshold
 		}
-		if a, ok := currentAllocs[name]; ok {
-			res.AllocsPerOp = a
-			if ba, ok := baseAllocs[name]; ok {
-				res.BaselineAllocs = ba
-				switch {
-				case ba > 0:
-					res.AllocsRatio = a / ba
-					if res.Gated && res.AllocsRatio > allocsThreshold {
-						res.Regressed = true
-					}
-				case a > 0:
-					// A row recorded allocation-free stays so: every
-					// multiple of its baseline is zero.
-					if res.Gated {
-						res.Regressed = true
-					}
-				}
+		if v, ok := current.BytesPerOp[name]; ok {
+			res.BytesPerOp = v
+			if bv, ok := base.BytesPerOp[name]; ok {
+				var over bool
+				res.BaselineBytes = bv
+				res.BytesRatio, over = overMemory(v, bv, allocsThreshold)
+				res.Regressed = res.Regressed || res.Gated && over
+			}
+		}
+		if v, ok := current.AllocsPerOp[name]; ok {
+			res.AllocsPerOp = v
+			if bv, ok := base.AllocsPerOp[name]; ok {
+				var over bool
+				res.BaselineAllocs = bv
+				res.AllocsRatio, over = overMemory(v, bv, allocsThreshold)
+				res.Regressed = res.Regressed || res.Gated && over
 			}
 		}
 		if res.Regressed {
@@ -169,7 +197,19 @@ func compare(current, currentAllocs, base, baseAllocs map[string]float64, gate *
 }
 
 func formatReport(w io.Writer, rep Report) {
-	fmt.Fprintf(w, "%-60s %14s %14s %8s %12s\n", "benchmark", "ns/op", "baseline", "ratio", "allocs/op")
+	fmt.Fprintf(w, "%-60s %14s %14s %8s %18s %12s\n", "benchmark", "ns/op", "baseline", "ratio", "B/op", "allocs/op")
+	// memory renders a B/op or allocs/op cell: the figure and its ratio to
+	// the baseline, "-" when neither side has one.
+	memory := func(v, base, ratio float64) string {
+		if v == 0 && base == 0 {
+			return "-"
+		}
+		cell := fmt.Sprintf("%.0f", v)
+		if ratio > 0 {
+			cell += fmt.Sprintf(" (%.2fx)", ratio)
+		}
+		return cell
+	}
 	for _, r := range rep.Results {
 		mark := " "
 		if r.Regressed {
@@ -177,17 +217,12 @@ func formatReport(w io.Writer, rep Report) {
 		} else if r.Gated {
 			mark = "*"
 		}
-		allocs := "-"
-		if r.AllocsPerOp > 0 || r.BaselineAllocs > 0 {
-			allocs = fmt.Sprintf("%.0f", r.AllocsPerOp)
-			if r.AllocsRatio > 0 {
-				allocs += fmt.Sprintf(" (%.2fx)", r.AllocsRatio)
-			}
-		}
+		bytes := memory(r.BytesPerOp, r.BaselineBytes, r.BytesRatio)
+		allocs := memory(r.AllocsPerOp, r.BaselineAllocs, r.AllocsRatio)
 		if r.Baseline > 0 {
-			fmt.Fprintf(w, "%s %-58s %14.0f %14.0f %7.2fx %12s\n", mark, r.Name, r.NsPerOp, r.Baseline, r.Ratio, allocs)
+			fmt.Fprintf(w, "%s %-58s %14.0f %14.0f %7.2fx %18s %12s\n", mark, r.Name, r.NsPerOp, r.Baseline, r.Ratio, bytes, allocs)
 		} else {
-			fmt.Fprintf(w, "%s %-58s %14.0f %14s %8s %12s\n", mark, r.Name, r.NsPerOp, "(new)", "-", allocs)
+			fmt.Fprintf(w, "%s %-58s %14.0f %14s %8s %18s %12s\n", mark, r.Name, r.NsPerOp, "(new)", "-", bytes, allocs)
 		}
 	}
 	fmt.Fprintln(w, "(* gated benchmark, ! gated regression beyond threshold)")
@@ -204,7 +239,7 @@ func run() error {
 	update := flag.Bool("update", false, "rewrite the baseline from the parsed input instead of comparing")
 	gateExpr := flag.String("gate", defaultGate, "regexp of benchmark names that may fail the run")
 	threshold := flag.Float64("threshold", 1.2, "max allowed current/baseline ns per op ratio for gated benchmarks")
-	allocsThreshold := flag.Float64("allocs-threshold", 1.25, "max allowed current/baseline allocs per op ratio for gated benchmarks (compared only when both sides were recorded with -benchmem)")
+	allocsThreshold := flag.Float64("allocs-threshold", 1.25, "max allowed current/baseline B/op and allocs/op ratio for gated benchmarks (compared only when both sides were recorded with -benchmem)")
 	out := flag.String("out", "", "also write the comparison report as JSON to this file")
 	note := flag.String("note", "", "note stored in the baseline with -update")
 	flag.Parse()
@@ -218,30 +253,27 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("benchcmp: bad -gate: %v", err)
 	}
-	current, currentAllocs, err := parseBench(os.Stdin)
+	current, err := parseBench(os.Stdin)
 	if err != nil {
 		return err
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		return fmt.Errorf("benchcmp: interrupted: %w", cerr)
 	}
-	if len(current) == 0 {
+	if len(current.NsPerOp) == 0 {
 		return fmt.Errorf("benchcmp: no benchmark lines on stdin (pipe `go test -bench` output in)")
 	}
 
 	if *update {
-		b := Baseline{Note: *note, NsPerOp: current}
-		if len(currentAllocs) > 0 {
-			b.AllocsPerOp = currentAllocs
-		}
-		data, err := json.MarshalIndent(b, "", "  ")
+		current.Note = *note
+		data, err := json.MarshalIndent(current, "", "  ")
 		if err != nil {
 			return err
 		}
 		if err := os.WriteFile(*baselinePath, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("benchcmp: wrote %d benchmarks to %s\n", len(current), *baselinePath)
+		fmt.Printf("benchcmp: wrote %d benchmarks to %s\n", len(current.NsPerOp), *baselinePath)
 		return nil
 	}
 
@@ -253,7 +285,7 @@ func run() error {
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("benchcmp: %s: %v", *baselinePath, err)
 	}
-	rep := compare(current, currentAllocs, base.NsPerOp, base.AllocsPerOp, gate, *threshold, *allocsThreshold)
+	rep := compare(current, base, gate, *threshold, *allocsThreshold)
 	formatReport(os.Stdout, rep)
 	if *out != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
@@ -265,7 +297,7 @@ func run() error {
 		}
 	}
 	if rep.Failed {
-		return fmt.Errorf("benchcmp: gated benchmark regressed beyond %.2fx ns/op (or %.2fx allocs/op)", *threshold, *allocsThreshold)
+		return fmt.Errorf("benchcmp: gated benchmark regressed beyond %.2fx ns/op (or %.2fx B/op or allocs/op)", *threshold, *allocsThreshold)
 	}
 	return nil
 }

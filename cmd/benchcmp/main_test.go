@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"regexp"
 	"strings"
 	"testing"
@@ -23,10 +24,11 @@ BenchmarkVecMulParallel/transpose-workers=2-4 	 1000	 400000 ns/op
 `
 
 func TestParseBench(t *testing.T) {
-	got, allocs, err := parseBench(strings.NewReader(sampleOutput))
+	parsed, err := parseBench(strings.NewReader(sampleOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, bytes, allocs := parsed.NsPerOp, parsed.BytesPerOp, parsed.AllocsPerOp
 	want := map[string]float64{
 		"BenchmarkTransientSeries/uncached":           22427268,
 		"BenchmarkTransientSeries/cached":             3587139,
@@ -50,19 +52,32 @@ func TestParseBench(t *testing.T) {
 	if allocs["BenchmarkTransientSeries/cached"] != 3 {
 		t.Errorf("cached allocs = %g, want 3", allocs["BenchmarkTransientSeries/cached"])
 	}
-}
-
-func TestParseBenchAllocsMinOverRepeats(t *testing.T) {
-	out := `
-BenchmarkFoo-4   10  5000000 ns/op  2048 B/op  7 allocs/op
-BenchmarkFoo-4   10  4000000 ns/op  2048 B/op  5 allocs/op
-`
-	ns, allocs, err := parseBench(strings.NewReader(out))
+	if len(bytes) != 1 || bytes["BenchmarkTransientSeries/cached"] != 1024 {
+		t.Errorf("bytes = %v, want only the cached line's 1024 B/op", bytes)
+	}
+	// -update stores the parsed snapshot whole, B/op included.
+	data, err := json.Marshal(parsed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ns["BenchmarkFoo"] != 4000000 || allocs["BenchmarkFoo"] != 5 {
-		t.Fatalf("min not kept: ns=%g allocs=%g", ns["BenchmarkFoo"], allocs["BenchmarkFoo"])
+	if !strings.Contains(string(data), `"bytes_per_op":{"BenchmarkTransientSeries/cached":1024}`) {
+		t.Errorf("recorded baseline %s lacks the B/op column", data)
+	}
+}
+
+// TestParseBenchAllocsMinOverRepeats: each column keeps its own minimum
+// over repeated lines, even when the minima come from different lines.
+func TestParseBenchAllocsMinOverRepeats(t *testing.T) {
+	out := `
+BenchmarkFoo-4   10  5000000 ns/op  2048 B/op  7 allocs/op
+BenchmarkFoo-4   10  4000000 ns/op  4096 B/op  5 allocs/op
+`
+	b, err := parseBench(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.NsPerOp["BenchmarkFoo"] != 4000000 || b.BytesPerOp["BenchmarkFoo"] != 2048 || b.AllocsPerOp["BenchmarkFoo"] != 5 {
+		t.Fatalf("min not kept: ns=%g bytes=%g allocs=%g", b.NsPerOp["BenchmarkFoo"], b.BytesPerOp["BenchmarkFoo"], b.AllocsPerOp["BenchmarkFoo"])
 	}
 }
 
@@ -101,7 +116,7 @@ func TestCompareGating(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := compare(tc.current, nil, base, nil, gate, 1.2, 1.25)
+			rep := compare(Baseline{NsPerOp: tc.current}, Baseline{NsPerOp: base}, gate, 1.2, 1.25)
 			if rep.Failed != tc.wantFailed {
 				t.Fatalf("Failed = %v, want %v (%+v)", rep.Failed, tc.wantFailed, rep.Results)
 			}
@@ -111,7 +126,7 @@ func TestCompareGating(t *testing.T) {
 
 func TestCompareFlagsRegressedResult(t *testing.T) {
 	gate := regexp.MustCompile(`AssembleRows`)
-	rep := compare(map[string]float64{"BenchmarkAssembleRows": 150}, nil, map[string]float64{"BenchmarkAssembleRows": 100}, nil, gate, 1.2, 1.25)
+	rep := compare(Baseline{NsPerOp: map[string]float64{"BenchmarkAssembleRows": 150}}, Baseline{NsPerOp: map[string]float64{"BenchmarkAssembleRows": 100}}, gate, 1.2, 1.25)
 	if len(rep.Results) != 1 {
 		t.Fatalf("got %d results", len(rep.Results))
 	}
@@ -143,7 +158,7 @@ func TestCompareAllocsGating(t *testing.T) {
 			if tc.name == "no baseline allocs: time-only gate" {
 				ba = nil
 			}
-			rep := compare(tc.ns, tc.allocs, baseNs, ba, gate, 1.2, 1.25)
+			rep := compare(Baseline{NsPerOp: tc.ns, AllocsPerOp: tc.allocs}, Baseline{NsPerOp: baseNs, AllocsPerOp: ba}, gate, 1.2, 1.25)
 			if rep.Failed != tc.wantFailed {
 				t.Fatalf("Failed = %v, want %v (%+v)", rep.Failed, tc.wantFailed, rep.Results)
 			}
@@ -172,7 +187,52 @@ func TestCompareZeroAllocBaseline(t *testing.T) {
 			for name := range tc.allocs {
 				ns[name] = 100
 			}
-			rep := compare(ns, tc.allocs, baseNs, baseAllocs, gate, 1.2, 1.25)
+			rep := compare(Baseline{NsPerOp: ns, AllocsPerOp: tc.allocs}, Baseline{NsPerOp: baseNs, AllocsPerOp: baseAllocs}, gate, 1.2, 1.25)
+			if rep.Failed != tc.wantFailed {
+				t.Fatalf("Failed = %v, want %v (%+v)", rep.Failed, tc.wantFailed, rep.Results)
+			}
+		})
+	}
+}
+
+// TestCompareBytesGating: B/op is gated like allocs/op, by the same
+// threshold — a row that allocates as often but more bytes fails — and a
+// row recorded at 0 B/op fails on any byte; a baseline without B/op gates
+// on what it has.
+func TestCompareBytesGating(t *testing.T) {
+	gate := regexp.MustCompile(`PerturbationSweep|GPEPAFluidDerivative`)
+	base := Baseline{
+		NsPerOp:     map[string]float64{"BenchmarkPerturbationSweep/warm": 100, "BenchmarkGPEPAFluidDerivative": 100, "BenchmarkVecMulScatter": 100},
+		BytesPerOp:  map[string]float64{"BenchmarkPerturbationSweep/warm": 1000, "BenchmarkGPEPAFluidDerivative": 0, "BenchmarkVecMulScatter": 1000},
+		AllocsPerOp: map[string]float64{"BenchmarkPerturbationSweep/warm": 10, "BenchmarkGPEPAFluidDerivative": 0, "BenchmarkVecMulScatter": 10},
+	}
+	for _, tc := range []struct {
+		name          string
+		bytes, allocs float64
+		bench         string
+		noBaseBytes   bool
+		wantFailed    bool
+	}{
+		{"bytes flat", 1000, 10, "BenchmarkPerturbationSweep/warm", false, false},
+		{"bytes at threshold", 1250, 10, "BenchmarkPerturbationSweep/warm", false, false},
+		{"bytes beyond threshold, allocs flat", 1251, 10, "BenchmarkPerturbationSweep/warm", false, true},
+		{"bytes fall", 10, 10, "BenchmarkPerturbationSweep/warm", false, false},
+		{"no baseline bytes: allocs gate only", 5000, 10, "BenchmarkPerturbationSweep/warm", true, false},
+		{"zero-byte row still allocation-free", 0, 0, "BenchmarkGPEPAFluidDerivative", false, false},
+		{"zero-byte row allocates a byte", 1, 0, "BenchmarkGPEPAFluidDerivative", false, true},
+		{"ungated bytes regression reported only", 5000, 10, "BenchmarkVecMulScatter", false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := base
+			if tc.noBaseBytes {
+				b.BytesPerOp = nil
+			}
+			cur := Baseline{
+				NsPerOp:     map[string]float64{tc.bench: 100},
+				BytesPerOp:  map[string]float64{tc.bench: tc.bytes},
+				AllocsPerOp: map[string]float64{tc.bench: tc.allocs},
+			}
+			rep := compare(cur, b, gate, 1.2, 1.25)
 			if rep.Failed != tc.wantFailed {
 				t.Fatalf("Failed = %v, want %v (%+v)", rep.Failed, tc.wantFailed, rep.Results)
 			}

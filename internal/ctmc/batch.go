@@ -18,9 +18,12 @@ import (
 // many family members on one ascending time grid in one call. rates[k]
 // holds member k's rate constants in RateNames order, validated as
 // ChainForRates validates them; every member starts from p0 and passes
-// into the same target set. It returns one probability row per member
-// (rows may share one backing array), each Float64bits-identical to
-// ChainForRates(env_k).FirstPassageCDF(p0, targets, times, eps).
+// into the same target set. It stores no probability: visit(k, i, p)
+// receives member k's CDF at times[i], Float64bits-identical to
+// ChainForRates(env_k).FirstPassageCDF(p0, targets, times, eps).Probs[i],
+// so a caller keeps only what it reports. visit sees each (member, point)
+// pair exactly once, from the calling goroutine, in no promised order;
+// when the call fails, the pairs visited before the error are partial.
 //
 // No member builds a Chain. The call lays the absorbing, uniformized
 // generator of every member on one shared pattern — the family's assembly
@@ -38,28 +41,28 @@ import (
 // nil costs nothing, and the result bits are the same either way. A
 // canceled ctx is polled once per block per uniformization term and
 // yields a *runctx.ErrCanceled counting the members finished.
-func (f *ChainFamily) FirstPassageCDFs(ctx context.Context, rates [][]float64, p0 []float64, targets []int, times []float64, eps float64, reg *obs.Registry) ([][]float64, error) {
+func (f *ChainFamily) FirstPassageCDFs(ctx context.Context, rates [][]float64, p0 []float64, targets []int, times []float64, eps float64, reg *obs.Registry, visit func(member, point int, p float64)) error {
 	n := f.ss.NumStates()
 	if err := checkInitial(p0, n); err != nil {
-		return nil, err
+		return err
 	}
 	if len(targets) == 0 {
-		return nil, fmt.Errorf("ctmc: empty passage target set")
+		return fmt.Errorf("ctmc: empty passage target set")
 	}
 	isTarget := make([]bool, n)
 	for _, s := range targets {
 		if s < 0 || s >= n {
-			return nil, fmt.Errorf("ctmc: target state %d out of range", s)
+			return fmt.Errorf("ctmc: target state %d out of range", s)
 		}
 		isTarget[s] = true
 	}
 	for k, row := range rates {
 		if len(row) != len(f.rateNames) {
-			return nil, fmt.Errorf("ctmc: family member %d has %d rates for %d rate constants", k, len(row), len(f.rateNames))
+			return fmt.Errorf("ctmc: family member %d has %d rates for %d rate constants", k, len(row), len(f.rateNames))
 		}
 		for c, v := range row {
 			if err := checkRate(f.rateNames[c], v); err != nil {
-				return nil, fmt.Errorf("ctmc: family member %d: %w", k, err)
+				return fmt.Errorf("ctmc: family member %d: %w", k, err)
 			}
 		}
 	}
@@ -68,17 +71,12 @@ func (f *ChainFamily) FirstPassageCDFs(ctx context.Context, rates [][]float64, p
 	for i, t := range times {
 		dt, err := gridStep("FirstPassageCDFs", i, t, prev)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		steps[i], prev = dt, t
 	}
-	probs := make([]float64, len(rates)*len(times))
-	out := make([][]float64, len(rates))
-	for k := range out {
-		out[k] = probs[k*len(times) : (k+1)*len(times) : (k+1)*len(times)]
-	}
 	if len(rates) == 0 || len(times) == 0 {
-		return out, nil
+		return nil
 	}
 	if eps <= 0 {
 		eps = 1e-10
@@ -86,7 +84,7 @@ func (f *ChainFamily) FirstPassageCDFs(ctx context.Context, rates [][]float64, p
 	rowPtr, col := f.plan.Pattern()
 	b := &passageBatch{
 		f: f, rates: rates, p0: p0, isTarget: isTarget, times: times, steps: steps,
-		stepEps: eps / float64(len(times)), reg: reg, out: out,
+		stepEps: eps / float64(len(times)), reg: reg, visit: visit,
 		rowPtr: rowPtr, col: col,
 		vals: make([]float64, f.plan.NNZ()), exit: make([]float64, n), slot: make([]float64, len(col)),
 		tables: make([]*poisson.Weights, len(times)),
@@ -99,7 +97,7 @@ func (f *ChainFamily) FirstPassageCDFs(ctx context.Context, rates [][]float64, p
 	for k := range rates {
 		var err error
 		if q[k], err = b.uniformizationRate(k); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	order := make([]int, len(rates))
@@ -118,13 +116,13 @@ func (f *ChainFamily) FirstPassageCDFs(ctx context.Context, rates [][]float64, p
 		if err := b.solveGroup(ctx, order[a:z], q[order[a]]); err != nil {
 			var ec *runctx.ErrCanceled
 			if errors.As(err, &ec) {
-				return nil, runctx.New("ctmc.passage-batch", err, a, len(rates), "members")
+				return runctx.New("ctmc.passage-batch", err, a, len(rates), "members")
 			}
-			return nil, err
+			return err
 		}
 		a = z
 	}
-	return out, nil
+	return nil
 }
 
 // memberBlock bounds the members one lockstep pass carries. A larger group
@@ -153,7 +151,7 @@ type passageBatch struct {
 	steps    []float64 // steps[i] = times[i] - times[i-1], times[-1] = 0
 	stepEps  float64
 	reg      *obs.Registry
-	out      [][]float64
+	visit    func(member, point int, p float64)
 
 	rowPtr, col []int
 
@@ -204,7 +202,7 @@ func (b *passageBatch) uniformizationRate(k int) (float64, error) {
 }
 
 // solveGroup walks the time grid for one group of members that share the
-// uniformization rate q, filling their probability rows. It fetches each
+// uniformization rate q, visiting their CDF values. It fetches each
 // grid step's Poisson table and counts its solves once for the whole
 // group, then solves the group in near-equal blocks of at most
 // memberBlock members.
@@ -330,7 +328,7 @@ func (b *passageBatch) compact(pv []float64) *sparse.CSR {
 	return p
 }
 
-// record stores grid point i of every group member's CDF: the mass on
+// record visits grid point i of every block member's CDF: the mass on
 // target states, summed in state order and clamped like absorbedMass.
 func (b *passageBatch) record(dist []float64, members []int, i int) {
 	g := len(members)
@@ -341,7 +339,7 @@ func (b *passageBatch) record(dist []float64, members []int, i int) {
 				mass += dist[s*g+m]
 			}
 		}
-		b.out[k][i] = sparseutil.Clamp01(mass)
+		b.visit(k, i, sparseutil.Clamp01(mass))
 	}
 }
 

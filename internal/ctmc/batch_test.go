@@ -9,11 +9,38 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/pepa"
 	"repro/internal/pepa/derive"
 	"repro/internal/rng"
 	"repro/internal/runctx"
 )
+
+// passageRows runs FirstPassageCDFs and collects its visits into one
+// probability row per member. A successful call must visit every
+// (member, point) pair exactly once; the helper fails t otherwise.
+func passageRows(t *testing.T, fam *ChainFamily, rates [][]float64, p0 []float64, targets []int, times []float64, eps float64, reg *obs.Registry) ([][]float64, error) {
+	t.Helper()
+	rows, seen := make([][]float64, len(rates)), make([][]int, len(rates))
+	for k := range rows {
+		rows[k], seen[k] = make([]float64, len(times)), make([]int, len(times))
+	}
+	err := fam.FirstPassageCDFs(context.Background(), rates, p0, targets, times, eps, reg, func(k, i int, p float64) {
+		seen[k][i]++
+		rows[k][i] = p
+	})
+	if err != nil {
+		return nil, err
+	}
+	for k := range seen {
+		for i, c := range seen[k] {
+			if c != 1 {
+				t.Fatalf("member %d point %d visited %d times, want once", k, i, c)
+			}
+		}
+	}
+	return rows, nil
+}
 
 // batteryFamily derives a random single-component family from r: local
 // states S0..S{l-1}, each offering one to three prefixes to random
@@ -240,7 +267,7 @@ func TestFirstPassageCDFsBitIdenticalBattery(t *testing.T) {
 			}
 		}
 
-		got, err := fam.FirstPassageCDFs(context.Background(), rates, p0, targets, times, eps, nil)
+		got, err := passageRows(t, fam, rates, p0, targets, times, eps, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -270,6 +297,45 @@ func TestFirstPassageCDFsBitIdenticalBattery(t *testing.T) {
 	}
 }
 
+// ignoreVisit is a FirstPassageCDFs visitor for calls whose values a test
+// does not read.
+func ignoreVisit(int, int, float64) {}
+
+// TestFirstPassageCDFsVisitsEachPointOnce: the visitor sees every (member,
+// point) pair exactly once, whatever path solves the member — a lockstep
+// pair, a singleton, a grid point at t = 0 and a repeated one (both
+// identity steps) — and nothing when there is no member or no point.
+func TestFirstPassageCDFsVisitsEachPointOnce(t *testing.T) {
+	fam, err := NewChainFamily(famExplore(t, famModel(t, "1.5", "0.25")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0 := make([]float64, fam.StateSpace().NumStates())
+	p0[0] = 1
+	rates := [][]float64{{1.5, 0.25}, {0.7, 3.1}, {1.5, 0.25}}
+	times := []float64{0, 0.5, 0.5, 2, 2}
+	rows, err := passageRows(t, fam, rates, p0, []int{1}, times, 1e-10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, row := range rows {
+		if row[0] != 0 || row[1] != row[2] || row[3] != row[4] || !(row[2] < row[3]) {
+			t.Errorf("member %d: CDF %v, want 0 at t=0, equal values at each repeated time, rising between", k, row)
+		}
+	}
+	for _, tc := range []struct {
+		rates [][]float64
+		times []float64
+	}{{nil, times}, {rates, nil}} {
+		err := fam.FirstPassageCDFs(context.Background(), tc.rates, p0, []int{1}, tc.times, 1e-10, nil, func(k, i int, _ float64) {
+			t.Errorf("%d members, %d points: visited (%d, %d)", len(tc.rates), len(tc.times), k, i)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestFirstPassageCDFsValidation: member rates are validated as
 // ChainForRates validates them, and an error names the constant and the
 // member; a non-finite grid point is rejected with its index.
@@ -285,24 +351,24 @@ func TestFirstPassageCDFsValidation(t *testing.T) {
 	p0[0] = 1
 	times := []float64{0.5, 1}
 	for _, v := range []float64{math.NaN(), math.Inf(1), 0, -2} {
-		_, err := fam.FirstPassageCDFs(context.Background(), [][]float64{{1, 1}, {1, v}}, p0, []int{1}, times, 1e-10, nil)
+		err := fam.FirstPassageCDFs(context.Background(), [][]float64{{1, 1}, {1, v}}, p0, []int{1}, times, 1e-10, nil, ignoreVisit)
 		if err == nil || !strings.Contains(err.Error(), "member 1") || !strings.Contains(err.Error(), `"r2"`) {
 			t.Errorf("r2=%g: err = %v, want it to name member 1 and r2", v, err)
 		}
 	}
-	if _, err := fam.FirstPassageCDFs(context.Background(), [][]float64{{1}}, p0, []int{1}, times, 1e-10, nil); err == nil {
+	if err := fam.FirstPassageCDFs(context.Background(), [][]float64{{1}}, p0, []int{1}, times, 1e-10, nil, ignoreVisit); err == nil {
 		t.Error("short rate row accepted")
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
-		_, err := fam.FirstPassageCDFs(context.Background(), [][]float64{{1, 1}}, p0, []int{1}, []float64{0.5, 1, bad}, 1e-10, nil)
+		err := fam.FirstPassageCDFs(context.Background(), [][]float64{{1, 1}}, p0, []int{1}, []float64{0.5, 1, bad}, 1e-10, nil, ignoreVisit)
 		if err == nil || !strings.Contains(err.Error(), "t[2]") {
 			t.Errorf("grid point %g: err = %v, want it to name t[2]", bad, err)
 		}
 	}
-	if _, err := fam.FirstPassageCDFs(context.Background(), [][]float64{{1, 1}}, p0, []int{1}, []float64{1, 0.5}, 1e-10, nil); err == nil {
+	if err := fam.FirstPassageCDFs(context.Background(), [][]float64{{1, 1}}, p0, []int{1}, []float64{1, 0.5}, 1e-10, nil, ignoreVisit); err == nil {
 		t.Error("descending grid accepted")
 	}
-	if _, err := fam.FirstPassageCDFs(context.Background(), [][]float64{{1, 1}}, p0, nil, times, 1e-10, nil); err == nil {
+	if err := fam.FirstPassageCDFs(context.Background(), [][]float64{{1, 1}}, p0, nil, times, 1e-10, nil, ignoreVisit); err == nil {
 		t.Error("empty target set accepted")
 	}
 }
@@ -341,7 +407,7 @@ func TestFirstPassageCDFsCancelMidTerm(t *testing.T) {
 	// grid point needs well over six terms.
 	polls := int32(5)
 	ctx := countdownCtx{context.Background(), &polls}
-	_, err = fam.FirstPassageCDFs(ctx, rates, p0, []int{1}, []float64{2, 4, 8}, 1e-10, nil)
+	err = fam.FirstPassageCDFs(ctx, rates, p0, []int{1}, []float64{2, 4, 8}, 1e-10, nil, ignoreVisit)
 	var ec *runctx.ErrCanceled
 	if !errors.As(err, &ec) {
 		t.Fatalf("want *runctx.ErrCanceled, got %v", err)

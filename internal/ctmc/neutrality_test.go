@@ -1,7 +1,6 @@
 package ctmc
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -60,8 +59,8 @@ func TestInstrumentationNeutrality(t *testing.T) {
 	p0 := make([]float64, fam.StateSpace().NumStates())
 	p0[0] = 1
 	batchReg := obs.NewRegistry()
-	rowsA, errA := fam.FirstPassageCDFs(context.Background(), members, p0, []int{1}, times, 1e-10, nil)
-	rowsB, errB := fam.FirstPassageCDFs(context.Background(), members, p0, []int{1}, times, 1e-10, batchReg)
+	rowsA, errA := passageRows(t, fam, members, p0, []int{1}, times, 1e-10, nil)
+	rowsB, errB := passageRows(t, fam, members, p0, []int{1}, times, 1e-10, batchReg)
 	if errA != nil || errB != nil {
 		t.Fatalf("batch errors: %v, %v", errA, errB)
 	}

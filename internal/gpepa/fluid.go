@@ -43,7 +43,9 @@ type fluidNode struct {
 	sync []bool
 }
 
-// FluidSystem is the compiled mean-field ODE system of a GPEPA model.
+// FluidSystem is the compiled mean-field ODE system of a GPEPA model. No
+// solve writes it: solves, simulations and SteadyState may run
+// concurrently on one system.
 type FluidSystem struct {
 	Model *Model
 	// Vars lists the ODE variables in deterministic order.
@@ -326,26 +328,45 @@ func (fs *FluidSystem) SolveCtx(ctx context.Context, horizon float64, n int, opt
 	if n < 1 {
 		return nil, fmt.Errorf("gpepa: need at least one output interval")
 	}
+	grid := ode.Grid(0, horizon, n)
+	nv := len(fs.X0)
+	flat := make([]float64, len(grid)*nv)
+	xs := make([][]float64, 0, len(grid))
+	err := fs.integrate(ctx, fs.X0, grid, opt, func(k int, x []float64) {
+		row := flat[k*nv : (k+1)*nv : (k+1)*nv]
+		copy(row, x)
+		xs = append(xs, row)
+	})
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+			runctx.Record(fs.Obs, "gpepa.fluid", cerr)
+			ec := runctx.New("gpepa.fluid", cerr, len(xs), len(grid), "grid points")
+			ec.Partial = &FluidResult{System: fs, Times: grid[:len(xs)], X: xs}
+			return nil, ec
+		}
+		return nil, err
+	}
+	return &FluidResult{System: fs, Times: grid, X: xs}, nil
+}
+
+// integrate runs the fluid ODEs from x0 across grid, polling ctx before
+// every adaptive step, and hands each grid state to visit in the
+// integrator's own buffer (ode.DormandPrinceVisit): a caller copies what
+// it keeps. Every fluid solve goes through it, so none writes fs.
+func (fs *FluidSystem) integrate(ctx context.Context, x0, grid []float64, opt SolveOptions, visit func(k int, x []float64)) error {
 	if opt.RelTol <= 0 {
 		opt.RelTol = 1e-8
 	}
 	if opt.AbsTol <= 0 {
 		opt.AbsTol = 1e-10
 	}
-	grid := ode.Grid(0, horizon, n)
-	sol, err := ode.DormandPrince(func(t float64, y, dst []float64) {
+	_, _, err := ode.DormandPrinceVisit(func(t float64, y, dst []float64) {
 		fs.Derivative(y, dst)
-	}, fs.X0, grid, ode.DormandPrinceOptions{RelTol: opt.RelTol, AbsTol: opt.AbsTol, Cancel: ctx.Err})
+	}, x0, grid, ode.DormandPrinceOptions{RelTol: opt.RelTol, AbsTol: opt.AbsTol, Cancel: ctx.Err}, visit)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-			runctx.Record(fs.Obs, "gpepa.fluid", cerr)
-			ec := runctx.New("gpepa.fluid", cerr, len(sol.Y), len(grid), "grid points")
-			ec.Partial = &FluidResult{System: fs, Times: sol.T, X: sol.Y}
-			return nil, ec
-		}
-		return nil, fmt.Errorf("gpepa: fluid integration: %w", err)
+		return fmt.Errorf("gpepa: fluid integration: %w", err)
 	}
-	return &FluidResult{System: fs, Times: sol.T, X: sol.Y}, nil
+	return nil
 }
 
 // Series extracts the time series of one local state.

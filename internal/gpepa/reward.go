@@ -1,8 +1,13 @@
 package gpepa
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"math"
+	"slices"
+
+	"repro/internal/numeric/ode"
 )
 
 // This file implements GPAnalyser's reward measures: the client/server
@@ -26,24 +31,39 @@ func (r *FluidResult) AccumulatedActionReward(action string) float64 {
 
 // AccumulatedStateReward integrates a weighted sum of local-state
 // populations: weights maps LocalState to reward-per-unit-time per
-// component in that state (e.g. power draw of an active server).
+// component in that state (e.g. power draw of an active server). The
+// weighted sum runs in variable-index order, so the result does not
+// depend on the map's iteration order; an unknown local state is an
+// error naming the first one in (group, state) order.
 func (r *FluidResult) AccumulatedStateReward(weights map[LocalState]float64) (float64, error) {
-	idx := make(map[int]float64, len(weights))
-	for ls, w := range weights {
-		i, ok := r.System.Index[ls]
-		if !ok {
-			return 0, fmt.Errorf("gpepa: reward references unknown local state %s:%s", ls.Group, ls.State)
-		}
-		idx[i] = w
+	type term struct {
+		i int
+		w float64
 	}
-	var total float64
+	terms := make([]term, 0, len(weights))
+	var unknown []LocalState
+	for ls, w := range weights {
+		if i, ok := r.System.Index[ls]; ok {
+			terms = append(terms, term{i, w})
+		} else {
+			unknown = append(unknown, ls)
+		}
+	}
+	if len(unknown) > 0 {
+		ls := slices.MinFunc(unknown, func(a, b LocalState) int {
+			return cmp.Or(cmp.Compare(a.Group, b.Group), cmp.Compare(a.State, b.State))
+		})
+		return 0, fmt.Errorf("gpepa: reward references unknown local state %s:%s", ls.Group, ls.State)
+	}
+	slices.SortFunc(terms, func(a, b term) int { return cmp.Compare(a.i, b.i) })
 	instant := func(x []float64) float64 {
 		var v float64
-		for i, w := range idx {
-			v += w * x[i]
+		for _, t := range terms {
+			v += t.w * x[t.i]
 		}
 		return v
 	}
+	var total float64
 	for k := 1; k < len(r.Times); k++ {
 		dt := r.Times[k] - r.Times[k-1]
 		total += dt * (instant(r.X[k-1]) + instant(r.X[k])) / 2
@@ -83,7 +103,11 @@ func (fs *FluidSystem) SteadyState(opt FluidSteadyOptions) ([]float64, float64, 
 		return append([]float64(nil), fs.X0...), 0, nil
 	}
 	scale := opt.Tol * totalPop
+	// Each probe integrates one Step from the current state on 8
+	// intervals and keeps only the state it reaches.
+	grid := ode.Grid(0, opt.Step, 8)
 	x := append([]float64(nil), fs.X0...)
+	next := make([]float64, len(x))
 	dst := make([]float64, len(x))
 	t := 0.0
 	for t < opt.MaxHorizon {
@@ -97,26 +121,16 @@ func (fs *FluidSystem) SteadyState(opt FluidSteadyOptions) ([]float64, float64, 
 		if norm < scale {
 			return x, t, nil
 		}
-		// Integrate one probe interval from the current state.
-		res, err := fs.solveFrom(x, opt.Step, 8)
+		err := fs.integrate(context.Background(), x, grid, SolveOptions{}, func(k int, y []float64) {
+			if k == len(grid)-1 {
+				copy(next, y)
+			}
+		})
 		if err != nil {
 			return nil, 0, err
 		}
-		x = res
+		x, next = next, x
 		t += opt.Step
 	}
 	return nil, 0, fmt.Errorf("gpepa: no equilibrium within horizon %g", opt.MaxHorizon)
-}
-
-// solveFrom integrates the fluid ODE from an arbitrary initial state for a
-// span, returning the final state.
-func (fs *FluidSystem) solveFrom(x0 []float64, span float64, intervals int) ([]float64, error) {
-	saved := fs.X0
-	fs.X0 = x0
-	defer func() { fs.X0 = saved }()
-	res, err := fs.Solve(span, intervals, SolveOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return append([]float64(nil), res.Final()...), nil
 }

@@ -2,6 +2,9 @@ package gpepa
 
 import (
 	"math"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -68,6 +71,55 @@ func TestAccumulatedStateReward(t *testing.T) {
 	}
 }
 
+// TestAccumulatedStateRewardOrderIndependent: the weighted populations are
+// summed in variable-index order, not in the weight map's iteration
+// order, so a reward with several weights has one value — the explicit
+// index-order sum — however often it is computed; and of several unknown
+// local states the error names the first in (group, state) order.
+func TestAccumulatedStateRewardOrderIndependent(t *testing.T) {
+	fs := compileClientServer(t)
+	res, err := fs.Solve(50, 60, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fs.Vars) < 4 {
+		t.Fatalf("model has %d variables, want at least 4", len(fs.Vars))
+	}
+	weights := map[LocalState]float64{}
+	for i, ls := range fs.Vars[:4] {
+		weights[ls] = []float64{0.1, 2.7, 1e-3, 33}[i]
+	}
+	instant := func(x []float64) float64 {
+		var v float64
+		for i, ls := range fs.Vars[:4] {
+			v += weights[ls] * x[i]
+		}
+		return v
+	}
+	var want float64
+	for k := 1; k < len(res.Times); k++ {
+		want += (res.Times[k] - res.Times[k-1]) * (instant(res.X[k-1]) + instant(res.X[k])) / 2
+	}
+	for call := 0; call < 500; call++ {
+		got, err := res.AccumulatedStateReward(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: reward %x, index-order sum %x", call, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	weights[LocalState{Group: "Zeta", State: "A"}] = 1
+	weights[LocalState{Group: "Alpha", State: "B"}] = 1
+	weights[LocalState{Group: "Alpha", State: "A"}] = 1
+	for call := 0; call < 50; call++ {
+		_, err := res.AccumulatedStateReward(weights)
+		if err == nil || !strings.Contains(err.Error(), "Alpha:A") {
+			t.Fatalf("call %d: err = %v, want it to name Alpha:A", call, err)
+		}
+	}
+}
+
 func TestFluidSteadyState(t *testing.T) {
 	fs := compileClientServer(t)
 	x, tEq, err := fs.SteadyState(FluidSteadyOptions{})
@@ -109,4 +161,58 @@ func TestFluidSteadyStateHorizonExhaustion(t *testing.T) {
 	if _, _, err := fs.SteadyState(FluidSteadyOptions{Tol: 1e-15, MaxHorizon: 0.5, Step: 0.2}); err == nil {
 		t.Error("expected horizon exhaustion with impossible tolerance")
 	}
+}
+
+// TestSteadyStateConcurrentWithSolveAndSimulate: SteadyState integrates its
+// probes from an explicit state and never writes the system, so it may
+// run beside Solve and Simulate on one FluidSystem. It once swapped X0 for
+// each probe, a data race (go test -race) that also started a concurrent
+// Solve from the probe's state.
+func TestSteadyStateConcurrentWithSolveAndSimulate(t *testing.T) {
+	fs := compileClientServer(t)
+	wantSolve, err := fs.Solve(20, 40, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSim, err := fs.Simulate(5, 10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantX, wantT, err := fs.SteadyState(FluidSteadyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 5; i++ {
+			x, tEq, err := fs.SteadyState(FluidSteadyOptions{})
+			if err != nil || tEq != wantT || !reflect.DeepEqual(x, wantX) {
+				t.Errorf("concurrent SteadyState = %v at t=%g (%v), want %v at t=%g", x, tEq, err, wantX, wantT)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			res, err := fs.Solve(20, 40, SolveOptions{})
+			if err != nil || !reflect.DeepEqual(res.X, wantSolve.X) {
+				t.Errorf("concurrent Solve differs from a lone one (err %v)", err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			res, err := fs.Simulate(5, 10, 3)
+			if err != nil || !reflect.DeepEqual(res, wantSim) {
+				t.Errorf("concurrent Simulate differs from a lone one (err %v)", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/numeric/ode"
 	"repro/internal/par"
 )
 
@@ -23,8 +24,9 @@ type SweepPoint struct {
 
 // ScalabilitySweep solves the fluid model to the horizon for each
 // population count of (group, component) and records the equilibrium
-// throughput of the action. Points are independent and solve in parallel
-// on up to GOMAXPROCS goroutines, assembled in sweep order.
+// throughput of the action. Each point keeps only its state at the
+// horizon. Points are independent and solve in parallel on up to
+// GOMAXPROCS goroutines, assembled in sweep order.
 func ScalabilitySweep(m *Model, group, component string, counts []float64, horizon float64, action string) ([]SweepPoint, error) {
 	return ScalabilitySweepWorkers(m, group, component, counts, horizon, action, 0)
 }
@@ -54,16 +56,21 @@ func ScalabilitySweepWorkers(m *Model, group, component string, counts []float64
 	if err != nil {
 		return nil, err
 	}
+	grid := ode.Grid(0, horizon, 50) // read-only, shared by every point
 	return par.Map(context.Background(), len(counts), workers, func(i int) (SweepPoint, error) {
 		sys, err := proto.WithCounts(group, component, counts[i])
 		if err != nil {
 			return SweepPoint{}, err
 		}
-		res, err := sys.Solve(horizon, 50, SolveOptions{})
+		final := make([]float64, len(sys.X0))
+		err = sys.integrate(context.Background(), sys.X0, grid, SolveOptions{}, func(k int, x []float64) {
+			if k == len(grid)-1 {
+				copy(final, x)
+			}
+		})
 		if err != nil {
 			return SweepPoint{}, fmt.Errorf("gpepa: count=%g: %w", counts[i], err)
 		}
-		final := res.Final()
 		return SweepPoint{
 			Count:      counts[i],
 			Throughput: sys.ActionThroughput(action, final),

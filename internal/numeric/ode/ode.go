@@ -164,27 +164,58 @@ var (
 // DormandPrince integrates y' = f(t, y) adaptively over the output grid and
 // returns the state at each grid point. The error-per-step is controlled to
 // satisfy |err_i| <= AbsTol + RelTol*max(|y_i|, |ynew_i|) componentwise.
+// It is DormandPrinceVisit with a visitor that copies every grid state.
 func DormandPrince(f Func, y0 []float64, grid []float64, opt DormandPrinceOptions) (*Solution, error) {
+	sol := &Solution{Y: make([][]float64, 0, len(grid))}
+	// The partial trajectory outlives only a cancellation, which the
+	// collector sees through Cancel.
+	canceled := false
+	if cancel := opt.Cancel; cancel != nil {
+		opt.Cancel = func() error {
+			err := cancel()
+			canceled = err != nil
+			return err
+		}
+	}
+	var err error
+	sol.Steps, sol.Evals, err = DormandPrinceVisit(f, y0, grid, opt, func(_ int, y []float64) {
+		sol.Y = append(sol.Y, append([]float64(nil), y...))
+	})
+	if err != nil && !canceled {
+		return nil, err
+	}
+	sol.T = append([]float64(nil), grid[:len(sol.Y)]...)
+	return sol, err
+}
+
+// DormandPrinceVisit is the Dormand–Prince loop. It integrates as
+// DormandPrince does but stores no trajectory: visit(k, y) receives the
+// state at grid[k], once per grid point and in grid order, in the
+// integrator's own buffer, which visit must neither modify nor keep. It
+// returns the accepted steps and right-hand-side evaluations, and
+// DormandPrince's errors; after a cancellation the points visited are the
+// partial result.
+func DormandPrinceVisit(f Func, y0 []float64, grid []float64, opt DormandPrinceOptions, visit func(k int, y []float64)) (steps, evals int, err error) {
 	if len(grid) < 2 {
-		return nil, fmt.Errorf("ode: DormandPrince needs at least two grid points")
+		return 0, 0, fmt.Errorf("ode: DormandPrince needs at least two grid points")
 	}
 	span := grid[len(grid)-1] - grid[0]
 	if span <= 0 {
-		return nil, fmt.Errorf("ode: DormandPrince grid span must be positive")
+		return 0, 0, fmt.Errorf("ode: DormandPrince grid span must be positive")
 	}
 	opt = opt.withDefaults(span)
 	n := len(y0)
-	y := append([]float64(nil), y0...)
-	sol := &Solution{T: append([]float64(nil), grid...)}
-	sol.Y = append(sol.Y, append([]float64(nil), y...))
-
-	k := make([][]float64, 7)
+	// One backing array for the state, the seven stages and the three
+	// step buffers.
+	buf := make([]float64, 11*n)
+	y := buf[:n:n]
+	copy(y, y0)
+	var k [7][]float64
 	for i := range k {
-		k[i] = make([]float64, n)
+		k[i] = buf[(i+1)*n : (i+2)*n : (i+2)*n]
 	}
-	ytmp := make([]float64, n)
-	ynew := make([]float64, n)
-	yerr := make([]float64, n)
+	ytmp, ynew, yerr := buf[8*n:9*n:9*n], buf[9*n:10*n:10*n], buf[10*n:]
+	visit(0, y)
 
 	t := grid[0]
 	h := opt.InitStep
@@ -192,16 +223,15 @@ func DormandPrince(f Func, y0 []float64, grid []float64, opt DormandPrinceOption
 	for gi < len(grid) {
 		if opt.Cancel != nil {
 			if err := opt.Cancel(); err != nil {
-				sol.T = sol.T[:len(sol.Y)]
-				return sol, err
+				return steps, evals, err
 			}
 		}
-		if sol.Steps >= opt.MaxSteps {
-			return nil, fmt.Errorf("ode: DormandPrince exceeded %d steps at t=%g", opt.MaxSteps, t)
+		if steps >= opt.MaxSteps {
+			return steps, evals, fmt.Errorf("ode: DormandPrince exceeded %d steps at t=%g", opt.MaxSteps, t)
 		}
 		target := grid[gi]
 		if t >= target {
-			sol.Y = append(sol.Y, append([]float64(nil), y...))
+			visit(gi, y)
 			gi++
 			continue
 		}
@@ -224,7 +254,7 @@ func DormandPrince(f Func, y0 []float64, grid []float64, opt DormandPrinceOption
 			}
 			f(t+dpC[s]*h, ytmp, k[s])
 		}
-		sol.Evals += 7
+		evals += 7
 		// Fifth-order solution and embedded error estimate.
 		var errNorm float64
 		for i := 0; i < n; i++ {
@@ -244,9 +274,9 @@ func DormandPrince(f Func, y0 []float64, grid []float64, opt DormandPrinceOption
 			// Accept the step.
 			t += h
 			copy(y, ynew)
-			sol.Steps++
+			steps++
 			if hitGrid || t >= target {
-				sol.Y = append(sol.Y, append([]float64(nil), y...))
+				visit(gi, y)
 				gi++
 			}
 		}
@@ -268,5 +298,5 @@ func DormandPrince(f Func, y0 []float64, grid []float64, opt DormandPrinceOption
 			h = opt.MinStep
 		}
 	}
-	return sol, nil
+	return steps, evals, nil
 }

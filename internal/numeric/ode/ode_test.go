@@ -1,6 +1,7 @@
 package ode
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -158,5 +159,91 @@ func TestLinearSystemAgainstClosedForm(t *testing.T) {
 		if math.Abs(sol.Y[k][0]-w1) > 1e-7 || math.Abs(sol.Y[k][1]-w2) > 1e-7 {
 			t.Errorf("t=%g: got %v, want [%g %g]", tm, sol.Y[k], w1, w2)
 		}
+	}
+}
+
+// visitAll runs DormandPrinceVisit and copies every visited state, failing
+// t unless the grid points arrive once each, in order.
+func visitAll(t *testing.T, f Func, y0, grid []float64, opt DormandPrinceOptions) ([][]float64, int, int, error) {
+	t.Helper()
+	var ys [][]float64
+	steps, evals, err := DormandPrinceVisit(f, y0, grid, opt, func(k int, y []float64) {
+		if k != len(ys) {
+			t.Fatalf("visited grid point %d after %d points", k, len(ys))
+		}
+		ys = append(ys, append([]float64(nil), y...))
+	})
+	return ys, steps, evals, err
+}
+
+// sameBits reports whether two trajectories are Float64bits-identical.
+func sameBits(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if len(a[k]) != len(b[k]) {
+			return false
+		}
+		for i := range a[k] {
+			if math.Float64bits(a[k][i]) != math.Float64bits(b[k][i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestDormandPrinceVisitMatchesSolution: the visitor sees exactly the
+// states DormandPrince stores, bit for bit and with the same step and
+// evaluation counts, on a grid with repeated points (one of them the
+// start); and a cancellation mid-grid leaves DormandPrince's partial
+// Solution what it was — the uncancelled trajectory's prefix with T cut
+// to match — and the visitor the same prefix.
+func TestDormandPrinceVisitMatchesSolution(t *testing.T) {
+	grid := []float64{0, 0, 0.5, 0.5, 1, 2.5, 2.5, 4}
+	opt := DormandPrinceOptions{RelTol: 1e-9, AbsTol: 1e-12}
+	sol, err := DormandPrince(oscillator, []float64{1, 0}, grid, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ys, steps, evals, err := visitAll(t, oscillator, []float64{1, 0}, grid, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ys) != len(grid) || !sameBits(ys, sol.Y) || steps != sol.Steps || evals != sol.Evals {
+		t.Fatalf("visits (%d points, %d steps, %d evals) differ from the Solution (%d points, %d steps, %d evals)",
+			len(ys), steps, evals, len(sol.Y), sol.Steps, sol.Evals)
+	}
+	if !sameBits(sol.Y[:1], sol.Y[1:2]) || !sameBits(sol.Y[2:3], sol.Y[3:4]) || !sameBits(sol.Y[5:6], sol.Y[6:7]) {
+		t.Error("a repeated grid point has two states")
+	}
+
+	errStop := errors.New("stop")
+	countdown := func(polls int) func() error {
+		return func() error {
+			if polls--; polls < 0 {
+				return errStop
+			}
+			return nil
+		}
+	}
+	const polls = 24
+	opt.Cancel = countdown(polls)
+	part, err := DormandPrince(oscillator, []float64{1, 0}, grid, opt)
+	if !errors.Is(err, errStop) || part == nil {
+		t.Fatalf("canceled DormandPrince = %v, %v; want a partial Solution and the Cancel error", part, err)
+	}
+	reached := len(part.Y)
+	if reached < 4 || reached >= len(grid) {
+		t.Fatalf("cancellation after %d polls reached %d of %d grid points; want a point mid-grid", polls, reached, len(grid))
+	}
+	if !sameBits(part.Y, sol.Y[:reached]) || !sameBits([][]float64{part.T}, [][]float64{grid[:reached]}) {
+		t.Errorf("partial Solution (T %v) is not the trajectory's prefix over the grid points reached", part.T)
+	}
+	opt.Cancel = countdown(polls)
+	ys, _, _, err = visitAll(t, oscillator, []float64{1, 0}, grid, opt)
+	if !errors.Is(err, errStop) || !sameBits(ys, part.Y) {
+		t.Errorf("canceled visits: %d points, err %v; want the partial Solution's %d and the Cancel error", len(ys), err, reached)
 	}
 }

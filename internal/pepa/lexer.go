@@ -317,7 +317,9 @@ func (l *Lexer) Next() (Token, error) {
 // LexAll tokenizes the entire input, for tests and tools.
 func LexAll(src string) ([]Token, error) {
 	l := NewLexer(src)
-	var toks []Token
+	// Sized once from the source: the paper's models lex to 2.7–5.2
+	// source bytes per token, so most fit and the densest grow once.
+	toks := make([]Token, 0, len(src)/4+16)
 	for {
 		t, err := l.Next()
 		if err != nil {

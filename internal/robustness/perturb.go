@@ -86,7 +86,9 @@ func (s *Study) Perturbed(spread float64, seed uint64) (*Study, error) {
 // perturbed members are one batched passage solve on the machine's chain
 // family (ctmc.ChainFamily.FirstPassageCDFs), and a sample's probability is
 // the product of its machines' CDFs at tau, multiplied in machine order
-// as MakespanCDF multiplies them.
+// as MakespanCDF multiplies them. Only those CDF values at tau are kept,
+// one per member and machine, so the study's storage does not grow with
+// the grid.
 func (s *Study) RobustnessUnderPerturbation(mapping string, tau, spread float64, n int, seed uint64, samples int) (*PerturbationReport, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("robustness: need at least one perturbation sample")
@@ -122,25 +124,30 @@ func (s *Study) RobustnessUnderPerturbation(mapping string, tau, spread float64,
 			s.fillRates(rates[j][k], cell, &etc, j)
 		}
 	}
-	finish, err := par.Map(ctx, NumMachines, s.Workers, func(j int) ([][]float64, error) {
-		cell := cells[j]
+	last := len(times) - 1
+	atTau := make([]float64, NumMachines*n) // machine j's member k at j*n+k
+	err = par.ForEach(ctx, NumMachines, s.Workers, func(j int) error {
+		cell, row := cells[j], atTau[j*n:(j+1)*n]
 		s.Obs.Add("robustness_family_total", float64(n), obs.L("outcome", "reuse"))
-		probs, err := cell.fam.FirstPassageCDFs(ctx, rates[j], cell.p0, cell.targets, times, passageEps, s.Obs)
+		err := cell.fam.FirstPassageCDFs(ctx, rates[j], cell.p0, cell.targets, times, passageEps, s.Obs, func(k, i int, p float64) {
+			if i == last {
+				row[k] = p
+			}
+		})
 		if err != nil {
-			return nil, fmt.Errorf("robustness: machine %d: %w", j+1, err)
+			return fmt.Errorf("robustness: machine %d: %w", j+1, err)
 		}
-		return probs, nil
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	last := len(times) - 1
 	rep := &PerturbationReport{Mapping: mapping, Tau: tau, Nominal: nominal.Probs[last], Spread: spread}
 	rep.Values = make([]float64, n)
 	for k := range rep.Values {
 		v := 1.0
-		for j := range finish {
-			v *= finish[j][k][last]
+		for j := 0; j < NumMachines; j++ {
+			v *= atTau[j*n+k]
 		}
 		rep.Values[k] = v
 	}

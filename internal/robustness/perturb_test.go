@@ -2,6 +2,7 @@ package robustness
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -171,5 +172,35 @@ func TestRobustnessUnderPerturbationWorkersBitIdentical(t *testing.T) {
 		if !same(a.Values[k], b.Values[k]) {
 			t.Fatalf("Values[%d] = %x (workers=1) vs %x (workers=4)", k, math.Float64bits(a.Values[k]), math.Float64bits(b.Values[k]))
 		}
+	}
+}
+
+// TestPerturbationGridBytesIndependentOfMembers: RobustnessUnderPerturbation
+// keeps one CDF value per member and machine, so the bytes a finer grid
+// adds do not depend on the member count — going from 40 to 400 samples
+// costs 64 members what it costs 16. Keeping every member's grid would
+// add 8 bytes per member, machine and extra point; the test allows 1% of
+// that for the 48 extra members.
+func TestPerturbationGridBytesIndependentOfMembers(t *testing.T) {
+	s := NewStudy()
+	s.Workers = 1
+	allocated := func(n, samples int) uint64 {
+		// A first call builds the families and fills the Poisson tables.
+		if _, err := s.RobustnessUnderPerturbation(MappingA, 60, 0.3, n, 7, samples); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := s.RobustnessUnderPerturbation(MappingA, 60, 0.3, n, 7, samples); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	growth := func(n int) float64 { return float64(allocated(n, 400)) - float64(allocated(n, 40)) }
+	small, large := growth(16), growth(64)
+	perMember := float64(NumMachines * (64 - 16) * (400 - 40) * 8)
+	if math.Abs(large-small) > perMember/100 {
+		t.Errorf("40 -> 400 samples adds %.0f bytes at 16 members and %.0f at 64; storing every member's grid would add %.0f more", small, large, perMember)
 	}
 }

@@ -394,14 +394,17 @@ func (s *Study) finishingCDF(ctx context.Context, cells *checkpoint.Map[string, 
 	rates := make([]float64, len(cell.source))
 	s.fillRates(rates, cell, &s.ETC, j)
 	s.Obs.Inc("robustness_family_total", obs.L("outcome", "reuse"))
-	probs, err := cell.fam.FirstPassageCDFs(ctx, [][]float64{rates}, cell.p0, cell.targets, times, passageEps, s.Obs)
+	probs := make([]float64, len(times))
+	err = cell.fam.FirstPassageCDFs(ctx, [][]float64{rates}, cell.p0, cell.targets, times, passageEps, s.Obs, func(_, i int, p float64) {
+		probs[i] = p
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := cells.Put(key, probs[0]); err != nil {
+	if err := cells.Put(key, probs); err != nil {
 		return nil, err
 	}
-	return &ctmc.PassageCDF{Times: append([]float64(nil), times...), Probs: probs[0]}, nil
+	return &ctmc.PassageCDF{Times: append([]float64(nil), times...), Probs: probs}, nil
 }
 
 // machineCell returns machine j's cell through the shared family cache:
