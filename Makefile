@@ -141,6 +141,8 @@ conformance-deep:
 	$(GO) test -count=1 -timeout 30m ./internal/conformance -conformance.n=200 -conformance.seed=1 -conformance.deep
 
 # Run each fuzz target briefly (seeds always run under plain `make test`).
+# Every Fuzz* target is listed here and in fuzz-smoke; where a package
+# holds two, the pattern is anchored so -fuzz matches exactly one.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/pepa
 	$(GO) test -fuzz=FuzzExplore -fuzztime=30s ./internal/pepa/derive
@@ -149,8 +151,10 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/recipe
 	$(GO) test -fuzz=FuzzRun -fuzztime=30s ./internal/shellenv
 	$(GO) test -fuzz=FuzzUnmarshalTar -fuzztime=30s ./internal/vfs
-	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=30s ./internal/image
-	$(GO) test -fuzz=FuzzHintJournalRecords -fuzztime=30s ./internal/hub
+	$(GO) test -fuzz='^FuzzUnmarshal$$' -fuzztime=30s ./internal/image
+	$(GO) test -fuzz='^FuzzManifest$$' -fuzztime=30s ./internal/image
+	$(GO) test -fuzz='^FuzzHintJournalRecords$$' -fuzztime=30s ./internal/hub
+	$(GO) test -fuzz='^FuzzWALReplay$$' -fuzztime=30s ./internal/hub
 	$(GO) test -fuzz=FuzzAssembleRows -fuzztime=30s ./internal/numeric/sparse
 
 # CI smoke lane: a few seconds per target over the checked-in seed corpora,
@@ -158,10 +162,15 @@ fuzz:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/pepa
 	$(GO) test -fuzz=FuzzExplore -fuzztime=5s ./internal/pepa/derive
+	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/biopepa
 	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/gpepa
+	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/recipe
+	$(GO) test -fuzz=FuzzRun -fuzztime=5s ./internal/shellenv
 	$(GO) test -fuzz=FuzzUnmarshalTar -fuzztime=5s ./internal/vfs
 	$(GO) test -fuzz='^FuzzUnmarshal$$' -fuzztime=5s ./internal/image
-	$(GO) test -fuzz=FuzzHintJournalRecords -fuzztime=5s ./internal/hub
+	$(GO) test -fuzz='^FuzzManifest$$' -fuzztime=5s ./internal/image
+	$(GO) test -fuzz='^FuzzHintJournalRecords$$' -fuzztime=5s ./internal/hub
+	$(GO) test -fuzz='^FuzzWALReplay$$' -fuzztime=5s ./internal/hub
 	$(GO) test -fuzz=FuzzAssembleRows -fuzztime=5s ./internal/numeric/sparse
 
 # Rewrite the golden experiment outputs after an intentional change.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/numeric/poisson"
 	"repro/internal/numeric/sparse"
@@ -31,31 +32,17 @@ import (
 // O(nnz) floats. Members whose uniformization rate q is equal share every
 // Poisson table and advance in lockstep: one pass over the pattern per
 // uniformization term, member index innermost, in blocks of at most
-// memberBlock members. A member alone in its group runs the windowed
-// scatter of Chain.Transient on its own CSR. The batch solves
-// sequentially; callers fan out across families.
+// memberBlock members. A member alone in its group is solved as a chain's
+// passage is. The batch solves sequentially; callers fan out across
+// families.
 //
-// reg, when non-nil, receives the per-member path's transient-solve and
-// uniformization-term totals (one Add per group per grid point) and the
-// family Poisson-cache outcomes (one lookup per group per grid point);
-// nil costs nothing, and the result bits are the same either way. A
-// canceled ctx is polled once per block per uniformization term and
-// yields a *runctx.ErrCanceled counting the members finished.
+// reg, when non-nil, receives the transient-solve and uniformization-term
+// totals (one Add per group per grid point) and the family Poisson-cache
+// outcomes (one lookup per group per grid point); nil costs nothing, and
+// the result bits are the same either way. A canceled ctx is polled once
+// per block per uniformization term and yields a *runctx.ErrCanceled
+// counting the members finished.
 func (f *ChainFamily) FirstPassageCDFs(ctx context.Context, rates [][]float64, p0 []float64, targets []int, times []float64, eps float64, reg *obs.Registry, visit func(member, point int, p float64)) error {
-	n := f.ss.NumStates()
-	if err := checkInitial(p0, n); err != nil {
-		return err
-	}
-	if len(targets) == 0 {
-		return fmt.Errorf("ctmc: empty passage target set")
-	}
-	isTarget := make([]bool, n)
-	for _, s := range targets {
-		if s < 0 || s >= n {
-			return fmt.Errorf("ctmc: target state %d out of range", s)
-		}
-		isTarget[s] = true
-	}
 	for k, row := range rates {
 		if len(row) != len(f.rateNames) {
 			return fmt.Errorf("ctmc: family member %d has %d rates for %d rate constants", k, len(row), len(f.rateNames))
@@ -66,63 +53,24 @@ func (f *ChainFamily) FirstPassageCDFs(ctx context.Context, rates [][]float64, p
 			}
 		}
 	}
-	steps := make([]float64, len(times))
-	prev := 0.0
-	for i, t := range times {
-		dt, err := gridStep("FirstPassageCDFs", i, t, prev)
-		if err != nil {
-			return err
-		}
-		steps[i], prev = dt, t
-	}
-	if len(rates) == 0 || len(times) == 0 {
-		return nil
-	}
-	if eps <= 0 {
-		eps = 1e-10
-	}
 	rowPtr, col := f.plan.Pattern()
-	b := &passageBatch{
-		f: f, rates: rates, p0: p0, isTarget: isTarget, times: times, steps: steps,
-		stepEps: eps / float64(len(times)), reg: reg, visit: visit,
-		rowPtr: rowPtr, col: col,
-		vals: make([]float64, f.plan.NNZ()), exit: make([]float64, n), slot: make([]float64, len(col)),
-		tables: make([]*poisson.Weights, len(times)),
+	vals, exit, slot := make([]float64, f.plan.NNZ()), make([]float64, len(rowPtr)-1), make([]float64, len(col))
+	b := passageBatch{
+		rowPtr: rowPtr, col: col, slot: slot,
+		load: func(k int) { // the member's Q values on the slot pattern
+			f.memberValues(vals, exit, rates[k])
+			f.plan.SlotSums(slot, vals)
+		},
+		store: &f.weights, reg: reg, visit: visit,
 	}
-
-	// Each member's q is its absorbing generator's largest exit rate. q is
-	// never NaN or -0 (rates are finite and positive), so equal values are
-	// equal bits: members sorted by q form one group per distinct value.
-	q := make([]float64, len(rates))
-	for k := range rates {
-		var err error
-		if q[k], err = b.uniformizationRate(k); err != nil {
-			return err
+	done, err := b.run(ctx, "FirstPassageCDFs", p0, targets, times, eps, len(rates))
+	if err != nil {
+		var ec *runctx.ErrCanceled
+		if errors.As(err, &ec) {
+			return runctx.New("ctmc.passage-batch", err, done, len(rates), "members")
 		}
 	}
-	order := make([]int, len(rates))
-	for k := range order {
-		order[k] = k
-	}
-	slices.SortStableFunc(order, func(a, c int) int { return cmp.Compare(q[a], q[c]) })
-	width := min(len(rates), memberBlock) // the widest block
-	b.pv = make([]float64, width*len(col))
-	b.work = make([]float64, 3*n*width)
-	for a := 0; a < len(order); {
-		z := a + 1
-		for z < len(order) && q[order[z]] == q[order[a]] {
-			z++
-		}
-		if err := b.solveGroup(ctx, order[a:z], q[order[a]]); err != nil {
-			var ec *runctx.ErrCanceled
-			if errors.As(err, &ec) {
-				return runctx.New("ctmc.passage-batch", err, a, len(rates), "members")
-			}
-			return err
-		}
-		a = z
-	}
-	return nil
+	return err
 }
 
 // memberBlock bounds the members one lockstep pass carries. A larger group
@@ -130,55 +78,128 @@ func (f *ChainFamily) FirstPassageCDFs(ctx context.Context, rates [][]float64, p
 // workspace, so the workspace does not grow with the group.
 const memberBlock = 64
 
-// passageBatch is the call-wide state of one FirstPassageCDFs call. The
-// uniformized generator P of every member lives on the family's assembly
-// slot pattern (rowPtr, col), which is a superset of each member's own
-// CSR: every row keeps its diagonal slot, non-target rows keep every
-// off-diagonal slot, and target rows keep theirs as explicit zeros. In a
-// lockstep group the extra entries — exact-zero slot sums, zero
-// quotients, a diagonal that rounds to exactly 0 (often the row that sets
-// q), target-row off-diagonals — each add ±0 to a running sum that is
-// never -0, so every entry's value and summation order match the
-// per-member path. A lone member's P is compacted to its own CSR first.
-// Members never mix: splitting a group into blocks only changes which
-// members share a pass, never a member's own sums.
+// passageBatch is the passage engine of both entry points: a chain's
+// FirstPassageCDF is a batch of one member laid on Q's own pattern, and
+// FirstPassageCDFs a batch of family members laid on the family's
+// assembly slot pattern. The caller supplies the pattern (rowPtr, col),
+// the loader that puts a member's generator values on it, the Poisson
+// store, the registry and the visitor; run does the rest.
+//
+// The family pattern is a superset of each member's own CSR: every row
+// keeps its diagonal slot, non-target rows keep every off-diagonal slot,
+// and target rows keep theirs as explicit zeros. In a lockstep group the
+// extra entries — exact-zero slot sums, zero quotients, a diagonal that
+// rounds to exactly 0 (often the row that sets q), target-row
+// off-diagonals — each add ±0 to a running sum that is never -0, so every
+// entry's value and summation order match a chain's own passage. A member
+// alone in its group takes its P from uniformized, which drops those
+// zeros. Members never mix: splitting a group into blocks only changes
+// which members share a pass, never a member's own sums.
 type passageBatch struct {
-	f        *ChainFamily
-	rates    [][]float64
+	rowPtr, col []int
+	// slot holds the loaded member's generator values on the pattern, and
+	// load(k) puts member k's there (a chain's slot is its own Q.Val, so
+	// its loader does nothing).
+	slot  []float64
+	load  func(k int)
+	store *weightStore
+	reg   *obs.Registry
+	visit func(member, point int, p float64)
+
 	p0       []float64
 	isTarget []bool
 	times    []float64
-	steps    []float64 // steps[i] = times[i] - times[i-1], times[-1] = 0
 	stepEps  float64
-	reg      *obs.Registry
-	visit    func(member, point int, p float64)
-
-	rowPtr, col []int
-
-	// One member's generator entry values, exit rates and Q slot sums.
-	vals, exit, slot []float64
 	// The current group's Poisson table per grid step (nil where the step
 	// is the identity), shared by its blocks.
 	tables []*poisson.Weights
-	// The current block's P values (entry-major, member-minor) and the
-	// room for its three state-major iterate buffers, sized for
-	// memberBlock members or all of them, whichever is fewer.
-	pv, work []float64
+	// width is the widest block: memberBlock members or all of them,
+	// whichever is fewer. work is the room for a block's three state-major
+	// iterate buffers, and pv, allocated by the first lockstep block, holds
+	// the block's P values (entry-major, member-minor).
+	width    int
+	work, pv []float64
 }
 
-// slotSums loads member k's generator slot sums into b.slot: Q's values on
-// the slot pattern, each bit-identical to what Gather stores for it.
-func (b *passageBatch) slotSums(k int) {
-	b.f.memberValues(b.vals, b.exit, b.rates[k])
-	b.f.plan.SlotSums(b.slot, b.vals)
+// memberRate is a member and its uniformization rate q.
+type memberRate struct {
+	k int
+	q float64
 }
 
-// uniformizationRate returns member k's uniformization rate: the largest
-// absorbing exit rate, each summing a non-target row's off-diagonal slots
-// in column order and taken in row order, as Chain.absorbingRate does. A
-// negative off-diagonal is rejected as absorbingRate rejects it.
+// run validates what both entry points share — p0, the target set and the
+// time grid (api names the entry point in a grid error) — and solves the
+// batch's members 0..members-1, group by group. It returns the members
+// finished before the group that failed.
+func (b *passageBatch) run(ctx context.Context, api string, p0 []float64, targets []int, times []float64, eps float64, members int) (int, error) {
+	n := len(b.rowPtr) - 1
+	if err := checkInitial(p0, n); err != nil {
+		return 0, err
+	}
+	if len(targets) == 0 {
+		return 0, fmt.Errorf("ctmc: empty passage target set")
+	}
+	b.isTarget = make([]bool, n)
+	for _, s := range targets {
+		if s < 0 || s >= n {
+			return 0, fmt.Errorf("ctmc: target state %d out of range", s)
+		}
+		b.isTarget[s] = true
+	}
+	prev := 0.0
+	for i, t := range times {
+		if _, err := gridStep(api, i, t, prev); err != nil {
+			return 0, err
+		}
+		prev = t
+	}
+	// A family member's q is never NaN or -0 (its rates are finite and
+	// positive), so equal values are equal bits: members sorted by q form
+	// one group per value. A chain is a group of one whatever its q, and
+	// its order stays on the stack.
+	var one [1]memberRate
+	order := one[:0]
+	if members > 1 {
+		order = make([]memberRate, 0, members)
+	}
+	for k := 0; k < members; k++ {
+		q, err := b.uniformizationRate(k)
+		if err != nil {
+			return 0, err
+		}
+		order = append(order, memberRate{k, q})
+	}
+	if members == 0 || len(times) == 0 {
+		return 0, nil
+	}
+	slices.SortStableFunc(order, func(a, c memberRate) int { return cmp.Compare(a.q, c.q) })
+	if eps <= 0 {
+		eps = 1e-10
+	}
+	b.p0, b.times, b.stepEps = p0, times, eps/float64(len(times))
+	b.tables = make([]*poisson.Weights, len(times))
+	b.width = min(members, memberBlock)
+	b.work = make([]float64, 3*n*b.width)
+	for a := 0; a < len(order); {
+		z := a + 1
+		for z < len(order) && order[z].q == order[a].q {
+			z++
+		}
+		if err := b.solveGroup(ctx, order[a:z]); err != nil {
+			return a, err
+		}
+		a = z
+	}
+	return members, nil
+}
+
+// uniformizationRate loads member k and returns its uniformization rate:
+// the largest absorbing exit rate, each summing a non-target row's
+// off-diagonal entries in column order and taken in row order. A negative
+// off-diagonal is rejected: the absorbing transform would silently lose
+// its mass.
 func (b *passageBatch) uniformizationRate(k int) (float64, error) {
-	b.slotSums(k)
+	b.load(k)
 	var q float64
 	for i, tgt := range b.isTarget {
 		if tgt {
@@ -189,7 +210,7 @@ func (b *passageBatch) uniformizationRate(k int) (float64, error) {
 			if j := b.col[s]; j != i {
 				v := b.slot[s]
 				if v < 0 {
-					return 0, fmt.Errorf("ctmc: family member %d: malformed generator: negative off-diagonal rate %g at (%d,%d)", k, v, i, j)
+					return 0, fmt.Errorf("ctmc: malformed generator: negative off-diagonal rate %g at (%d,%d)", v, i, j)
 				}
 				exit += v
 			}
@@ -201,22 +222,25 @@ func (b *passageBatch) uniformizationRate(k int) (float64, error) {
 	return q, nil
 }
 
-// solveGroup walks the time grid for one group of members that share the
-// uniformization rate q, visiting their CDF values. It fetches each
-// grid step's Poisson table and counts its solves once for the whole
-// group, then solves the group in near-equal blocks of at most
-// memberBlock members.
-func (b *passageBatch) solveGroup(ctx context.Context, members []int, q float64) error {
-	g := len(members)
-	for i, dt := range b.steps {
+// solveGroup walks the time grid for one group of members that share a
+// uniformization rate q, visiting their CDF values. It fetches each grid
+// step's Poisson table and counts its solves once for the whole group,
+// then solves the group in near-equal blocks of at most memberBlock
+// members.
+func (b *passageBatch) solveGroup(ctx context.Context, group []memberRate) error {
+	g, q := len(group), group[0].q
+	prev := 0.0
+	for i, t := range b.times {
+		dt := t - prev
+		prev = t
 		b.tables[i] = nil
 		if q == 0 || dt == 0 {
 			// The transient step is the identity.
 			continue
 		}
-		w, err := b.f.passageWeights(q*dt, b.stepEps, b.reg)
+		w, err := b.store.get(q*dt, b.stepEps, b.reg)
 		if err != nil {
-			return fmt.Errorf("ctmc: passage step to t[%d]=%g: %w", i, b.times[i], err)
+			return fmt.Errorf("ctmc: passage step to t[%d]=%g: %w", i, t, err)
 		}
 		b.reg.Add("ctmc_transient_solves_total", float64(g))
 		b.reg.Add("ctmc_uniformization_terms_total", float64(g*(w.Right+1)))
@@ -225,7 +249,7 @@ func (b *passageBatch) solveGroup(ctx context.Context, members []int, q float64)
 	}
 	nb := (g + memberBlock - 1) / memberBlock
 	for j := 0; j < nb; j++ {
-		if err := b.solveBlock(ctx, members[j*g/nb:(j+1)*g/nb], q); err != nil {
+		if err := b.solveBlock(ctx, group[j*g/nb:(j+1)*g/nb], q); err != nil {
 			return err
 		}
 	}
@@ -233,19 +257,25 @@ func (b *passageBatch) solveGroup(ctx context.Context, members []int, q float64)
 }
 
 // solveBlock walks the time grid for one block of a group. A block of one
-// is a group of one (a split group's blocks hold at least
-// memberBlock/2 members each), whose P is compacted for the windowed
-// scatter.
-func (b *passageBatch) solveBlock(ctx context.Context, members []int, q float64) error {
+// is a group of one (a split group's blocks hold at least memberBlock/2
+// members each): its P is uniformized from the member's own values and
+// each term runs the windowed scatter.
+func (b *passageBatch) solveBlock(ctx context.Context, members []memberRate, q float64) error {
 	g, n := len(members), len(b.isTarget)
-	pv := b.pv[:len(b.col)*g]
 	var lone *sparse.CSR
-	if q > 0 {
-		for m, k := range members {
-			b.fillP(pv, g, m, k, q)
+	var pv []float64
+	switch {
+	case q == 0: // every step is the identity
+	case g == 1:
+		b.load(members[0].k)
+		lone = uniformized(&sparse.CSR{Rows: n, Cols: n, RowPtr: b.rowPtr, ColIdx: b.col, Val: b.slot}, q, b.isTarget)
+	default:
+		if b.pv == nil {
+			b.pv = make([]float64, b.width*len(b.col))
 		}
-		if g == 1 {
-			lone = b.compact(pv)
+		pv = b.pv[:len(b.col)*g]
+		for m, mr := range members {
+			b.fillP(pv, g, m, mr.k, q)
 		}
 	}
 	base, spare, next := b.work[:n*g], b.work[n*g:2*n*g], b.work[2*n*g:3*n*g]
@@ -280,12 +310,12 @@ func (b *passageBatch) solveBlock(ctx context.Context, members []int, q float64)
 	return nil
 }
 
-// fillP writes member k's uniformized values into slot m of a g-member
-// block's pv, exactly as uniformized computes them for the member's
-// targets: v/q off the diagonal and 1 - Σ v/q (in column order) on it for
-// a non-target row, the identity row for a target.
+// fillP loads member k and writes its uniformized values into slot m of a
+// g-member block's pv, exactly as uniformized computes them: v/q off the
+// diagonal and 1 - Σ v/q (in column order) on it for a non-target row,
+// the identity row for a target.
 func (b *passageBatch) fillP(pv []float64, g, m, k int, q float64) {
-	b.slotSums(k)
+	b.load(k)
 	for i, tgt := range b.isTarget {
 		lo, hi := b.rowPtr[i], b.rowPtr[i+1]
 		diag := lo
@@ -306,40 +336,20 @@ func (b *passageBatch) fillP(pv []float64, g, m, k int, q float64) {
 	}
 }
 
-// compact turns a lone member's P, laid on the shared pattern, into the
-// CSR uniformized builds for the member's targets: the exact zeros are
-// dropped in place, so the windowed scatter does the per-member path's
-// work and no more.
-func (b *passageBatch) compact(pv []float64) *sparse.CSR {
-	n := len(b.isTarget)
-	idx := make([]int, n+1+len(b.col))
-	p := &sparse.CSR{Rows: n, Cols: n, RowPtr: idx[:n+1], ColIdx: idx[n+1:]}
-	k := 0
-	for i := 0; i < n; i++ {
-		for e := b.rowPtr[i]; e < b.rowPtr[i+1]; e++ {
-			if pv[e] != 0 {
-				p.ColIdx[k], pv[k] = b.col[e], pv[e]
-				k++
-			}
-		}
-		p.RowPtr[i+1] = k
-	}
-	p.ColIdx, p.Val = p.ColIdx[:k], pv[:k]
-	return p
-}
-
 // record visits grid point i of every block member's CDF: the mass on
-// target states, summed in state order and clamped like absorbedMass.
-func (b *passageBatch) record(dist []float64, members []int, i int) {
+// target states, summed in state order and clamped to [0,1]. Clamp01 also
+// maps NaN to 0, so a poisoned solve cannot leak NaN into the CDF (it
+// shows up as missing mass instead).
+func (b *passageBatch) record(dist []float64, members []memberRate, i int) {
 	g := len(members)
-	for m, k := range members {
+	for m, mr := range members {
 		var mass float64
 		for s, tgt := range b.isTarget {
 			if tgt {
 				mass += dist[s*g+m]
 			}
 		}
-		b.visit(k, i, sparseutil.Clamp01(mass))
+		b.visit(mr.k, i, sparseutil.Clamp01(mass))
 	}
 }
 
@@ -427,17 +437,30 @@ func lockstep(ctx context.Context, rowPtr, col []int, pv []float64, g int, w *po
 	return w.Right + 1, nil
 }
 
-// passageWeights returns the Poisson table for one group's grid step from
-// the family's store, computing and publishing it on a miss. Tables depend
-// only on (lambda, eps), never on the matrix, so sharing them across
-// calls and members is exact; the store is bounded by maxWeightTables.
-func (f *ChainFamily) passageWeights(lambda, eps float64, reg *obs.Registry) (*poisson.Weights, error) {
+// weightStore keeps truncated Poisson weight tables by (lambda, eps).
+// A table depends on nothing else, never on the matrix, so sharing one
+// across steps, members and calls is exact. The zero value is the store
+// of one transient or passage call; a family's store outlives its calls
+// and is locked by mu. A found table counts as the outcome "hit" in a
+// call's store and "family-hit" in a family's, a computed one as "miss".
+// The store holds at most maxWeightTables and is reset when full.
+type weightStore struct {
+	mu     *sync.Mutex // non-nil for a family's store
+	tables map[weightKey]*poisson.Weights
+}
+
+// get returns the Poisson(lambda) table truncated at eps, computing and
+// keeping it on a miss.
+func (s *weightStore) get(lambda, eps float64, reg *obs.Registry) (*poisson.Weights, error) {
+	hit := "hit"
+	if s.mu != nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		hit = "family-hit"
+	}
 	key := weightKey{lambda, eps}
-	f.mu.Lock()
-	w, ok := f.weights[key]
-	f.mu.Unlock()
-	if ok {
-		reg.Inc("ctmc_poisson_cache_total", obs.L("outcome", "family-hit"))
+	if w, ok := s.tables[key]; ok {
+		reg.Inc("ctmc_poisson_cache_total", obs.L("outcome", hit))
 		return w, nil
 	}
 	reg.Inc("ctmc_poisson_cache_total", obs.L("outcome", "miss"))
@@ -445,11 +468,9 @@ func (f *ChainFamily) passageWeights(lambda, eps float64, reg *obs.Registry) (*p
 	if err != nil {
 		return nil, err
 	}
-	f.mu.Lock()
-	if f.weights == nil || len(f.weights) >= maxWeightTables {
-		f.weights = make(map[weightKey]*poisson.Weights)
+	if s.tables == nil || len(s.tables) >= maxWeightTables {
+		s.tables = make(map[weightKey]*poisson.Weights)
 	}
-	f.weights[key] = w
-	f.mu.Unlock()
+	s.tables[key] = w
 	return w, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -203,7 +204,8 @@ func TestFirstPassageCDFsBitIdenticalBattery(t *testing.T) {
 				t.Fatal(err)
 			}
 			chains[k] = chain
-			q, err := chain.absorbingRate(isTarget)
+			one := passageBatch{rowPtr: chain.Q.RowPtr, col: chain.Q.ColIdx, slot: chain.Q.Val, load: func(int) {}, isTarget: isTarget}
+			q, err := one.uniformizationRate(0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +214,7 @@ func TestFirstPassageCDFsBitIdenticalBattery(t *testing.T) {
 			if q == 0 {
 				continue
 			}
-			p := chain.uniformized(q, isTarget)
+			p := uniformized(chain.Q, q, isTarget)
 			for i := 0; i < n; i++ {
 				if isTarget[i] {
 					continue
@@ -388,6 +390,54 @@ func TestNonFiniteTimesRejected(t *testing.T) {
 		}
 		if _, err := c.FirstPassageCDF(c.PointMass(0), []int{2}, grid, 1e-10); err == nil || !strings.Contains(err.Error(), "t[2]") {
 			t.Errorf("FirstPassageCDF with t[2]=%g: err = %v, want it to name t[2]", bad, err)
+		}
+	}
+}
+
+// TestFirstPassageCDFsConcurrentCallsShareTheStore: calls on one family
+// from several goroutines share its Poisson store (run under -race in CI),
+// and every call's values match a sequential call's bit for bit. Two grids
+// alternate, so the calls both find and publish tables.
+func TestFirstPassageCDFsConcurrentCallsShareTheStore(t *testing.T) {
+	fam, err := NewChainFamily(famExplore(t, famModel(t, "1.5", "0.25")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0 := make([]float64, fam.StateSpace().NumStates())
+	p0[0] = 1
+	rates := [][]float64{{1.5, 0.25}, {1.5, 0.25}, {0.7, 3.1}}
+	grids := [][]float64{{0.5, 1, 2, 4}, {0.3, 0.9, 2.7}}
+	want := make([][][]float64, len(grids))
+	for j, grid := range grids {
+		// A fresh family, so the goroutines below start from an empty store.
+		seq, err := NewChainFamily(fam.StateSpace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[j], err = passageRows(t, seq, rates, p0, []int{1}, grid, 1e-10, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			want := want[g%len(grids)]
+			var diverged error
+			err := fam.FirstPassageCDFs(context.Background(), rates, p0, []int{1}, grids[g%len(grids)], 1e-10, nil, func(k, i int, p float64) {
+				if math.Float64bits(p) != math.Float64bits(want[k][i]) && diverged == nil {
+					diverged = fmt.Errorf("member %d point %d: %x, sequential %x", k, i, math.Float64bits(p), math.Float64bits(want[k][i]))
+				}
+			})
+			errs[g] = errors.Join(err, diverged)
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", g, err)
 		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pepa/derive"
 	"repro/internal/runctx"
-	"repro/internal/sparseutil"
 )
 
 // Chain is a CTMC: a generator matrix Q (CSR) plus the action-labelled
@@ -313,7 +312,7 @@ func (s *steadySolve) power(ctx context.Context) ([]float64, StageAttempt, bool)
 		att.Err = "zero uniformization rate (no transitions)"
 		return nil, att, false
 	}
-	p := s.c.uniformized(q*1.1, nil)
+	p := uniformized(s.c.Q, q*1.1, nil)
 	pi, res, err := sparse.PowerIteration(p, sparse.IterOptions{
 		MaxIter: opt.MaxIter * 5, Tol: opt.Tol, Cancel: ctx.Err, Scratch: &s.scratch,
 	})
@@ -552,44 +551,22 @@ func checkInitial(p0 []float64, n int) error {
 }
 
 // uniformizer is the state of one transient call on the uniformized DTMC
-// P = I + Q/q, with the rows of isTarget (nil for none) made absorbing:
-// P, built by the first step that needs it, and the Poisson weight tables
-// of the call's distinct steps, so the uniform steps of a grid share one
-// table. None of it outlives the call.
+// P = I + Q/q: P, built by the first step that needs it, and the Poisson
+// weight tables of the call's distinct steps, so the uniform steps of a
+// grid share one table. None of it outlives the call.
 type uniformizer struct {
-	c        *Chain
-	q        float64
-	isTarget []bool
-	p        *sparse.CSR
-	tables   map[weightKey]*poisson.Weights
+	c       *Chain
+	q       float64
+	p       *sparse.CSR
+	weights weightStore
 }
 
 // operator returns P, building it on first use.
 func (u *uniformizer) operator() *sparse.CSR {
 	if u.p == nil {
-		u.p = u.c.uniformized(u.q, u.isTarget)
+		u.p = uniformized(u.c.Q, u.q, nil)
 	}
 	return u.p
-}
-
-// weights returns the truncated Poisson(lambda) weight table, computed
-// once per (lambda, eps) in the call.
-func (u *uniformizer) weights(lambda, eps float64) (*poisson.Weights, error) {
-	key := weightKey{lambda, eps}
-	if w, ok := u.tables[key]; ok {
-		u.c.Obs.Inc("ctmc_poisson_cache_total", obs.L("outcome", "hit"))
-		return w, nil
-	}
-	u.c.Obs.Inc("ctmc_poisson_cache_total", obs.L("outcome", "miss"))
-	w, err := poisson.Compute(lambda, eps)
-	if err != nil {
-		return nil, err
-	}
-	if u.tables == nil || len(u.tables) >= maxWeightTables {
-		u.tables = make(map[weightKey]*poisson.Weights)
-	}
-	u.tables[key] = w
-	return w, nil
 }
 
 // step propagates the distribution x over time dt into out. x and next
@@ -601,7 +578,7 @@ func (u *uniformizer) step(ctx context.Context, x, next, out []float64, dt, eps 
 		copy(out, x)
 		return nil
 	}
-	w, err := u.weights(u.q*dt, eps)
+	w, err := u.weights.get(u.q*dt, eps, c.Obs)
 	if err != nil {
 		return err
 	}
@@ -680,8 +657,11 @@ func uniformize(ctx context.Context, p *sparse.CSR, w *poisson.Weights, cur, nex
 }
 
 // TransientSeries evaluates the transient distribution on an ascending
-// time grid, propagating incrementally from grid point to grid point
-// (see walk) instead of solving each horizon from scratch.
+// time grid, propagating incrementally from grid point to grid point,
+// p(t_i) = Transient(p(t_{i-1}), t_i - t_{i-1}), which costs O(q·t_max)
+// matrix-vector products in total instead of O(Σ q·t_i). Truncation error
+// accumulates additively over the grid, so each step's eps is tightened by
+// the number of points.
 func (c *Chain) TransientSeries(p0 []float64, times []float64, eps float64) ([][]float64, error) {
 	return c.TransientSeriesCtx(context.Background(), p0, times, eps)
 }
@@ -691,70 +671,36 @@ func (c *Chain) TransientSeries(p0 []float64, times []float64, eps float64) ([][
 // the prefix of grid distributions already propagated (out[:Done]),
 // chained to the inner per-term cancellation for the full trace.
 func (c *Chain) TransientSeriesCtx(ctx context.Context, p0 []float64, times []float64, eps float64) ([][]float64, error) {
-	out := make([][]float64, len(times))
-	u := &uniformizer{c: c, q: c.MaxExitRate()}
-	err := u.walk(ctx, seriesGrid, p0, times, eps, func(i int, pt []float64) {
-		out[i] = slices.Clone(pt)
-	})
-	if err != nil {
-		var ec *runctx.ErrCanceled
-		if errors.As(err, &ec) {
-			ec.Partial = out[:ec.Done]
-		}
+	if err := checkInitial(p0, c.N); err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// gridName labels a grid walk's errors: the API name in grid validation
-// errors, the operation of a cancellation, and what a failed step is.
-type gridName struct{ api, op, step string }
-
-var (
-	seriesGrid  = gridName{"TransientSeries", "ctmc.transient-series", "transient step"}
-	passageGrid = gridName{"FirstPassageCDF", "ctmc.first-passage", "passage transient step"}
-)
-
-// walk is the grid walker of TransientSeries and FirstPassageCDF. It
-// propagates p0 across the ascending time grid incrementally,
-// p(t_i) = Transient(p(t_{i-1}), t_i - t_{i-1}), which costs O(q·t_max)
-// matrix-vector products in total instead of O(Σ q·t_i). Truncation error
-// accumulates additively over the grid, so each step's eps is tightened
-// by the number of points. visit sees each point's distribution in a
-// buffer the walk reuses: a caller that keeps a point copies it, and one
-// that reduces it to a scalar allocates nothing per point. An interrupted
-// walk returns a *runctx.ErrCanceled whose Done counts the points visited.
-func (u *uniformizer) walk(ctx context.Context, name gridName, p0, times []float64, eps float64, visit func(i int, pt []float64)) error {
-	n := u.c.N
-	if err := checkInitial(p0, n); err != nil {
-		return err
-	}
-	if len(times) == 0 {
-		return nil
 	}
 	if eps <= 0 {
 		eps = 1e-10
 	}
 	stepEps := eps / float64(len(times))
-	x, next, pt := slices.Clone(p0), make([]float64, n), make([]float64, n)
+	u := &uniformizer{c: c, q: c.MaxExitRate()}
+	out := make([][]float64, len(times))
+	x, next := slices.Clone(p0), make([]float64, c.N)
 	prev := 0.0
 	for i, t := range times {
-		dt, err := gridStep(name.api, i, t, prev)
+		dt, err := gridStep("TransientSeries", i, t, prev)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := u.step(ctx, x, next, pt, dt, stepEps); err != nil {
+		out[i] = make([]float64, c.N)
+		if err := u.step(ctx, x, next, out[i], dt, stepEps); err != nil {
 			var inner *runctx.ErrCanceled
 			if errors.As(err, &inner) {
-				return runctx.New(name.op, err, i, len(times), "grid points")
+				err := runctx.New("ctmc.transient-series", err, i, len(times), "grid points")
+				err.Partial = out[:i]
+				return nil, err
 			}
-			return fmt.Errorf("ctmc: %s to t=%g: %w", name.step, t, err)
+			return nil, fmt.Errorf("ctmc: transient step to t=%g: %w", t, err)
 		}
-		visit(i, pt)
-		x, pt = pt, x
+		copy(x, out[i])
 		prev = t
 	}
-	return nil
+	return out, nil
 }
 
 // gridStep validates point i of a grid walker's time grid and returns the
@@ -772,37 +718,38 @@ func gridStep(op string, i int, t, prev float64) (float64, error) {
 	return dt, nil
 }
 
-// uniformized builds P = I + Q/q directly in CSR form, with the rows of
+// uniformized builds P = I + gen/q directly in CSR form, with the rows of
 // isTarget (nil for none) made absorbing: such a row is the identity row,
-// exactly what uniformizing an all-zero generator row gives. Q's rows are
-// column-sorted and duplicate-free, so the build is one pass over Q: the
-// off-diagonal mass is accumulated in ascending-column order, the
+// exactly what uniformizing an all-zero generator row gives. gen's rows
+// are column-sorted and duplicate-free, so the build is one pass over gen:
+// the off-diagonal mass is accumulated in ascending-column order, the
 // diagonal 1-offDiag is emitted at its sorted position, and exact-zero
 // values are dropped, just as assembling the entries through a
-// sparse.Builder would.
-func (c *Chain) uniformized(q float64, isTarget []bool) *sparse.CSR {
-	n := c.N
+// sparse.Builder would. gen's diagonal is never read, and an exact-zero
+// entry changes nothing, so gen may be a family's slot pattern.
+func uniformized(gen *sparse.CSR, q float64, isTarget []bool) *sparse.CSR {
+	n := gen.Rows
 	m := &sparse.CSR{
 		Rows: n, Cols: n,
 		RowPtr: make([]int, n+1),
-		ColIdx: make([]int, 0, c.Q.NNZ()+n),
-		Val:    make([]float64, 0, c.Q.NNZ()+n),
+		ColIdx: make([]int, 0, gen.NNZ()+n),
+		Val:    make([]float64, 0, gen.NNZ()+n),
 	}
 	for i := 0; i < n; i++ {
-		s, e := c.Q.RowPtr[i], c.Q.RowPtr[i+1]
+		s, e := gen.RowPtr[i], gen.RowPtr[i+1]
 		if isTarget != nil && isTarget[i] {
 			s = e
 		}
 		var offDiag float64
 		for k := s; k < e; k++ {
-			if c.Q.ColIdx[k] != i {
-				offDiag += c.Q.Val[k] / q
+			if gen.ColIdx[k] != i {
+				offDiag += gen.Val[k] / q
 			}
 		}
 		d := 1 - offDiag
 		emittedDiag := false
 		for k := s; k < e; k++ {
-			j := c.Q.ColIdx[k]
+			j := gen.ColIdx[k]
 			if j == i {
 				continue
 			}
@@ -813,7 +760,7 @@ func (c *Chain) uniformized(q float64, isTarget []bool) *sparse.CSR {
 				}
 				emittedDiag = true
 			}
-			if v := c.Q.Val[k] / q; v != 0 {
+			if v := gen.Val[k] / q; v != 0 {
 				m.ColIdx = append(m.ColIdx, j)
 				m.Val = append(m.Val, v)
 			}
@@ -825,33 +772,6 @@ func (c *Chain) uniformized(q float64, isTarget []bool) *sparse.CSR {
 		m.RowPtr[i+1] = len(m.ColIdx)
 	}
 	return m
-}
-
-// absorbingRate returns the uniformization rate of Q with the rows of
-// isTarget made absorbing: the largest remaining row's off-diagonal sum,
-// each summed in column order. A negative off-diagonal rate in such a row
-// is an error (the absorbing transform would silently lose its mass).
-func (c *Chain) absorbingRate(isTarget []bool) (float64, error) {
-	var q float64
-	for i := 0; i < c.N; i++ {
-		if isTarget[i] {
-			continue
-		}
-		var exit float64
-		for k := c.Q.RowPtr[i]; k < c.Q.RowPtr[i+1]; k++ {
-			if j := c.Q.ColIdx[k]; j != i {
-				v := c.Q.Val[k]
-				if v < 0 {
-					return 0, fmt.Errorf("ctmc: malformed generator: negative off-diagonal rate %g at (%d,%d)", v, i, j)
-				}
-				exit += v
-			}
-		}
-		if exit > q {
-			q = exit
-		}
-	}
-	return q, nil
 }
 
 // PointMass returns a distribution concentrated on state s.
@@ -909,55 +829,34 @@ func (c *Chain) FirstPassageCDF(p0 []float64, targets []int, times []float64, ep
 	return c.FirstPassageCDFCtx(context.Background(), p0, targets, times, eps)
 }
 
-// FirstPassageCDFCtx is FirstPassageCDF with cooperative cancellation
-// (inherited from the transient-series propagation). An interrupted
-// evaluation returns a *runctx.ErrCanceled whose Partial is the
-// *PassageCDF over the grid prefix already reached.
+// FirstPassageCDFCtx is FirstPassageCDF with cooperative cancellation,
+// polled once per uniformization term. An interrupted evaluation returns a
+// *runctx.ErrCanceled whose Partial is the *PassageCDF over the grid
+// prefix already reached.
+//
+// The chain is a passage batch of one member laid on Q's own pattern, so
+// each grid point reduces to its absorbed mass on the spot, with no
+// per-point distribution.
 func (c *Chain) FirstPassageCDFCtx(ctx context.Context, p0 []float64, targets []int, times []float64, eps float64) (*PassageCDF, error) {
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("ctmc: empty passage target set")
+	// One member visits its points in grid order, so Probs grows to the
+	// points reached.
+	cdf := &PassageCDF{Times: append([]float64(nil), times...), Probs: make([]float64, 0, len(times))}
+	b := passageBatch{
+		rowPtr: c.Q.RowPtr, col: c.Q.ColIdx, slot: c.Q.Val, load: func(int) {},
+		store: new(weightStore), reg: c.Obs,
+		visit: func(_, _ int, p float64) { cdf.Probs = append(cdf.Probs, p) },
 	}
-	isTarget := make([]bool, c.N)
-	for _, s := range targets {
-		if s < 0 || s >= c.N {
-			return nil, fmt.Errorf("ctmc: target state %d out of range", s)
-		}
-		isTarget[s] = true
-	}
-	q, err := c.absorbingRate(isTarget)
-	if err != nil {
-		return nil, err
-	}
-	u := &uniformizer{c: c, q: q, isTarget: isTarget}
-	// The walk runs on the absorbing generator, so each point reduces to
-	// its absorbed mass on the spot: bit-identical to reducing
-	// TransientSeries on that generator, with no per-point distribution.
-	cdf := &PassageCDF{Times: append([]float64(nil), times...), Probs: make([]float64, len(times))}
-	err = u.walk(ctx, passageGrid, p0, times, eps, func(i int, pt []float64) {
-		cdf.Probs[i] = absorbedMass(pt, isTarget)
-	})
-	if err != nil {
+	if _, err := b.run(ctx, "FirstPassageCDF", p0, targets, times, eps, 1); err != nil {
 		var ec *runctx.ErrCanceled
 		if errors.As(err, &ec) {
-			ec.Partial = &PassageCDF{Times: append([]float64(nil), times[:ec.Done]...), Probs: append([]float64(nil), cdf.Probs[:ec.Done]...)}
+			done := len(cdf.Probs)
+			err := runctx.New("ctmc.first-passage", err, done, len(times), "grid points")
+			err.Partial = &PassageCDF{Times: cdf.Times[:done], Probs: cdf.Probs}
+			return nil, err
 		}
 		return nil, err
 	}
 	return cdf, nil
-}
-
-// absorbedMass sums the probability mass sitting on target states,
-// clamped to [0,1]. Clamp01 also maps NaN to 0, so a poisoned transient
-// solve cannot leak NaN into the CDF (it shows up as missing mass
-// instead).
-func absorbedMass(pt []float64, isTarget []bool) float64 {
-	var mass float64
-	for s, v := range pt {
-		if isTarget[s] {
-			mass += v
-		}
-	}
-	return sparseutil.Clamp01(mass)
 }
 
 // Quantile returns the earliest grid time at which the CDF reaches p, or

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 
-	"repro/internal/numeric/poisson"
 	"repro/internal/numeric/sparse"
-	"repro/internal/pepa"
 	"repro/internal/pepa/derive"
 )
 
@@ -37,17 +34,14 @@ import (
 // A ChainFamily is safe for concurrent use; member chains are
 // independent Chains with the usual concurrency contract.
 type ChainFamily struct {
-	ss          *derive.StateSpace
-	plan        *sparse.AssemblyPlan // entries: per state, its transitions then the diagonal
-	fingerprint string
+	ss   *derive.StateSpace
+	plan *sparse.AssemblyPlan // entries: per state, its transitions then the diagonal
 	// rateNames are the Const-provenance constants, sorted; rateOf[k] is
 	// the index into rateNames of the rate of the k-th transition (in
 	// state, then transition order), or -1 for a Fixed rate.
 	rateNames []string
 	rateOf    []int32
-
-	mu      sync.Mutex
-	weights map[weightKey]*poisson.Weights
+	weights   weightStore // FirstPassageCDFs' Poisson tables
 }
 
 // NewChainFamily builds a family over a derived prototype state space.
@@ -93,11 +87,11 @@ func NewChainFamily(ss *derive.StateSpace) (*ChainFamily, error) {
 		}
 	}
 	return &ChainFamily{
-		ss:          ss,
-		plan:        sparse.NewAssemblyPlan(n, n, rowPtr, col),
-		fingerprint: StructuralFingerprint(ss.Model),
-		rateNames:   names,
-		rateOf:      rateOf,
+		ss:        ss,
+		plan:      sparse.NewAssemblyPlan(n, n, rowPtr, col),
+		rateNames: names,
+		rateOf:    rateOf,
+		weights:   weightStore{mu: new(sync.Mutex)},
 	}, nil
 }
 
@@ -182,38 +176,4 @@ func (f *ChainFamily) memberValues(vals, exit, rates []float64) {
 		idx++
 		exit[s] = e
 	}
-}
-
-// ChainFor builds the member chain for a full model, first checking that
-// the model is structurally a member of this family (same definitions,
-// rate-constant names, and system equation — rate values free). The
-// check catches the silent-wrong-answer hazard of gathering one model's
-// rates through another model's assembly permutation.
-func (f *ChainFamily) ChainFor(m *pepa.Model) (*Chain, error) {
-	if StructuralFingerprint(m) != f.fingerprint {
-		return nil, fmt.Errorf("ctmc: model is not a member of this chain family (structural fingerprint mismatch)")
-	}
-	return f.ChainForRates(m.Rates)
-}
-
-// StructuralFingerprint fingerprints the rate-independent structure of a
-// model: process definitions (bodies print rate constants by name, so
-// re-rated members collide as intended), the set of rate-constant names,
-// and the system equation. Models with equal fingerprints derive the
-// same state graph whenever their rates are positive — which
-// ChainForRates enforces.
-func StructuralFingerprint(m *pepa.Model) string {
-	var b strings.Builder
-	names := append([]string(nil), m.DefOrder...)
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&b, "def %s = %s;\n", name, m.Defs[name].Body)
-	}
-	rateNames := append([]string(nil), m.RateOrder...)
-	sort.Strings(rateNames)
-	fmt.Fprintf(&b, "rates %s;\n", strings.Join(rateNames, ","))
-	if m.System != nil {
-		fmt.Fprintf(&b, "system %s", m.System)
-	}
-	return b.String()
 }

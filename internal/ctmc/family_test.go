@@ -158,29 +158,6 @@ func TestChainFamilyPassageBitIdentical(t *testing.T) {
 	}
 }
 
-// TestChainFamilyFingerprint: ChainFor accepts a re-rated member and
-// rejects a structurally different model.
-func TestChainFamilyFingerprint(t *testing.T) {
-	fam, err := NewChainFamily(famExplore(t, famModel(t, "1.5", "0.25")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	member, err := fam.ChainFor(famModel(t, "2.5", "0.5"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := FromStateSpace(famExplore(t, famModel(t, "2.5", "0.5")))
-	chainsByteIdentical(t, "ChainFor", member, fresh)
-
-	other, err := pepa.Parse("r1 = 1; r2 = 1; P = (other, r1).P1; P1 = (reset, r2).P; P")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fam.ChainFor(other); err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("structurally different model accepted: %v", err)
-	}
-}
-
 // TestChainFamilyErrors: opaque provenance blocks family construction,
 // and member construction validates the environment.
 func TestChainFamilyErrors(t *testing.T) {

@@ -104,3 +104,43 @@ func TestTransientCancelMidSeriesLeavesChainReusable(t *testing.T) {
 		}
 	}
 }
+
+// TestPassageCancelMidGridLeavesChainReusable pins FirstPassageCDFCtx's
+// cancellation contract: the error names the grid points reached, its
+// Partial is the CDF over exactly those points, bit-equal to the
+// uncanceled CDF's prefix, and the next call on the chain is unaffected.
+func TestPassageCancelMidGridLeavesChainReusable(t *testing.T) {
+	c := NewChain(101, benchChainRates(100))
+	times := cdfGrid(6, 0.5)
+	p0, targets := c.PointMass(0), []int{100}
+	full, err := c.FirstPassageCDF(p0, targets, times, 1e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := int32(40) // enough terms to finish some grid points, not all
+	_, err = c.FirstPassageCDFCtx(countdownCtx{context.Background(), &polls}, p0, targets, times, 1e-9)
+	var ec *runctx.ErrCanceled
+	if !errors.As(err, &ec) {
+		t.Fatalf("want *runctx.ErrCanceled, got %v", err)
+	}
+	if ec.Op != "ctmc.first-passage" || ec.Unit != "grid points" {
+		t.Errorf("cancellation is %q counting %q, want ctmc.first-passage counting grid points", ec.Op, ec.Unit)
+	}
+	if ec.Done <= 0 || ec.Done >= len(times) {
+		t.Fatalf("cancellation reported Done=%d, want mid-grid progress in (0,%d)", ec.Done, len(times))
+	}
+	partial, ok := ec.Partial.(*PassageCDF)
+	if !ok || len(partial.Times) != ec.Done || len(partial.Probs) != ec.Done {
+		t.Fatalf("Partial is %T, want a *PassageCDF over %d points", ec.Partial, ec.Done)
+	}
+	if !bitsEqual(partial.Times, times[:ec.Done]) || !bitsEqual(partial.Probs, full.Probs[:ec.Done]) {
+		t.Fatalf("partial CDF %v diverged from the full CDF's prefix %v", partial.Probs, full.Probs[:ec.Done])
+	}
+	again, err := c.FirstPassageCDF(p0, targets, times, 1e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitsEqual(again.Probs, full.Probs) {
+		t.Fatal("post-cancel passage diverged from the first")
+	}
+}

@@ -94,12 +94,14 @@ func (p *peer) isUp() bool {
 
 // Cluster is a replicated-hub client: it routes pushes and pulls across
 // the peer set with failover, hinted handoff, read repair, and explicit
-// hint-delivery / rebalance drives. Safe for concurrent use; note that
-// the decision log is byte-stable only for serial operation sequences
-// (which is what the chaos tests run).
+// hint-delivery / rebalance drives. Its membership is the static peer
+// list it was built over: a new membership is a new Cluster, whose
+// RebalanceOnce moves content onto the owners that list gives. Safe for
+// concurrent use; note that the decision log is byte-stable only for
+// serial operation sequences (which is what the chaos tests run).
 type Cluster struct {
-	pmu    sync.Mutex
-	peers  []*peer // configured order
+	peers  []*peer  // configured order
+	names  []string // the peers' names, in the same order
 	r      int
 	obs    *obs.Registry
 	cache  *hub.LayerCache
@@ -145,6 +147,7 @@ func New(opts Options) (*Cluster, error) {
 		}
 		seen[p.Name] = true
 		cl.peers = append(cl.peers, cl.newPeer(p))
+		cl.names = append(cl.names, p.Name)
 	}
 	return cl, nil
 }
@@ -167,15 +170,7 @@ func (cl *Cluster) newPeer(p Peer) *peer {
 func (cl *Cluster) Replication() int { return cl.r }
 
 // PeerNames returns the member names in configured order.
-func (cl *Cluster) PeerNames() []string {
-	cl.pmu.Lock()
-	defer cl.pmu.Unlock()
-	names := make([]string, len(cl.peers))
-	for i, p := range cl.peers {
-		names[i] = p.name
-	}
-	return names
-}
+func (cl *Cluster) PeerNames() []string { return append([]string(nil), cl.names...) }
 
 // PeerClient exposes the resilient hub client bound to one peer (nil for
 // an unknown name) — the escape hatch tests and the CLI use for direct
@@ -188,8 +183,6 @@ func (cl *Cluster) PeerClient(name string) *hub.Client {
 }
 
 func (cl *Cluster) peer(name string) *peer {
-	cl.pmu.Lock()
-	defer cl.pmu.Unlock()
 	for _, p := range cl.peers {
 		if p.name == name {
 			return p
@@ -218,48 +211,9 @@ func (cl *Cluster) setUp(p *peer, up bool, why string) {
 	cl.logf("peer %s marked %s (%s)", p.name, state, why)
 }
 
-// AddPeer joins a new member to the cluster (idempotent on the name).
-// The caller runs RebalanceOnce afterwards to move its share of content
-// over — only the layers it is missing cross the wire.
-func (cl *Cluster) AddPeer(p Peer) error {
-	if p.Name == "" || p.URL == "" {
-		return fmt.Errorf("cluster: peer needs both name and url")
-	}
-	cl.pmu.Lock()
-	for _, existing := range cl.peers {
-		if existing.name == p.Name {
-			cl.pmu.Unlock()
-			return fmt.Errorf("cluster: peer %q already a member", p.Name)
-		}
-	}
-	cl.pmu.Unlock()
-	np := cl.newPeer(p)
-	cl.pmu.Lock()
-	cl.peers = append(cl.peers, np)
-	cl.pmu.Unlock()
-	cl.logf("peer %s joined", p.Name)
-	return nil
-}
-
-// RemovePeer leaves a member out of the membership (its stored content
-// is untouched). The caller runs RebalanceOnce afterwards to restore
-// replication for the keys it owned.
-func (cl *Cluster) RemovePeer(name string) bool {
-	cl.pmu.Lock()
-	defer cl.pmu.Unlock()
-	for i, p := range cl.peers {
-		if p.name == name {
-			cl.peers = append(cl.peers[:i], cl.peers[i+1:]...)
-			cl.logf("peer %s left", name)
-			return true
-		}
-	}
-	return false
-}
-
-// rank returns the full rendezvous ordering of current members for key.
+// rank returns the full rendezvous ordering of the members for key.
 func (cl *Cluster) rank(key string) []string {
-	return Rank(cl.PeerNames(), key)
+	return Rank(cl.names, key)
 }
 
 // owners returns the R owners for key.
@@ -284,11 +238,8 @@ type PeerStatus struct {
 // gauges, and returns the statuses. Deterministic for a fixed fault
 // schedule: the probe order is the configured peer order.
 func (cl *Cluster) ProbeOnce() []PeerStatus {
-	cl.pmu.Lock()
-	peers := append([]*peer(nil), cl.peers...)
-	cl.pmu.Unlock()
-	out := make([]PeerStatus, 0, len(peers))
-	for _, p := range peers {
+	out := make([]PeerStatus, 0, len(cl.peers))
+	for _, p := range cl.peers {
 		st, err := p.client.NodeStatus()
 		ps := PeerStatus{Peer: Peer{Name: p.name, URL: p.url}, Node: st}
 		if err != nil {

@@ -102,6 +102,22 @@ func newHarness(t *testing.T, names []string, r int, serverPlan, clientPlan *fau
 	return h
 }
 
+// clusterOver builds a second Cluster over names against the harness's
+// servers: membership is static, so a peer joining or leaving is a new
+// Cluster over the new peer list.
+func (h *harness) clusterOver(t *testing.T, names []string, r, attempts int) *Cluster {
+	t.Helper()
+	var peers []Peer
+	for _, n := range names {
+		peers = append(peers, Peer{Name: n, URL: h.urls[n]})
+	}
+	cl, err := New(Options{Peers: peers, Replication: r, Seed: 1, Obs: h.reg, Client: chaosClientOptions(attempts)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
 func TestParsePeers(t *testing.T) {
 	cases := []struct {
 		spec string
@@ -303,7 +319,8 @@ func TestPushHandoffAndDelivery(t *testing.T) {
 }
 
 // TestRebalanceAfterJoin: a new member receives exactly its share of the
-// catalog, and a second drive is a no-op.
+// catalog when a cluster over the grown peer list rebalances, and a
+// second drive is a no-op.
 func TestRebalanceAfterJoin(t *testing.T) {
 	names := []string{"a", "b"}
 	h := newHarness(t, names, 2, nil, nil, 3)
@@ -323,18 +340,17 @@ func TestRebalanceAfterJoin(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	h.stores["c"] = store
-	if err := h.cl.AddPeer(Peer{Name: "c", URL: ts.URL}); err != nil {
-		t.Fatal(err)
-	}
+	h.urls["c"] = ts.URL
+	grown := h.clusterOver(t, []string{"a", "b", "c"}, 2, 3)
 
-	rep := h.cl.RebalanceOnce()
+	rep := grown.RebalanceOnce()
 	if rep.Refs != 4 || rep.Failed != 0 {
 		t.Fatalf("rebalance report = %+v", rep)
 	}
-	members := h.cl.PeerNames()
+	members := grown.PeerNames()
 	for name, digest := range imgs {
 		for _, o := range Owners(members, digest, 2) {
-			entries, err := h.cl.PeerClient(o).List("tools")
+			entries, err := grown.PeerClient(o).List("tools")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,13 +365,14 @@ func TestRebalanceAfterJoin(t *testing.T) {
 			}
 		}
 	}
-	if again := h.cl.RebalanceOnce(); again.Transferred != 0 || again.Failed != 0 {
+	if again := grown.RebalanceOnce(); again.Transferred != 0 || again.Failed != 0 {
 		t.Errorf("second rebalance moved data: %+v", again)
 	}
 }
 
-// TestRemovePeerRestoresReplication: after a member leaves, one drive
-// re-replicates the keys it owned onto the surviving owners.
+// TestRemovePeerRestoresReplication: after a member leaves, one drive of a
+// cluster over the shrunk peer list re-replicates the keys it owned onto
+// the surviving owners.
 func TestRemovePeerRestoresReplication(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	h := newHarness(t, names, 2, nil, nil, 3)
@@ -367,13 +384,14 @@ func TestRemovePeerRestoresReplication(t *testing.T) {
 		}
 		digests = append(digests, d)
 	}
-	if !h.cl.RemovePeer("b") {
-		t.Fatal("RemovePeer(b) = false")
+	shrunk := h.clusterOver(t, []string{"a", "c"}, 2, 3)
+	if got := shrunk.PeerNames(); !reflect.DeepEqual(got, []string{"a", "c"}) {
+		t.Fatalf("shrunk membership = %v, want [a c]", got)
 	}
-	h.cl.RebalanceOnce()
+	shrunk.RebalanceOnce()
 	for i, d := range digests {
-		for _, o := range Owners(h.cl.PeerNames(), d, 2) {
-			entries, err := h.cl.PeerClient(o).List("tools")
+		for _, o := range Owners(shrunk.PeerNames(), d, 2) {
+			entries, err := shrunk.PeerClient(o).List("tools")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -157,7 +157,7 @@ func (cl *Cluster) Pull(coll, name, tag, expectedDigest string) (*image.Image, s
 	if expectedDigest != "" {
 		order = cl.rank(expectedDigest)
 	} else {
-		order = cl.PeerNames()
+		order = cl.names
 	}
 	var absent []string
 	for _, pn := range order {

@@ -42,10 +42,7 @@ func (cl *Cluster) DeliverHints(target string) (HandoffReport, error) {
 	}
 	cl.setUp(tp, true, "hint delivery probe ok")
 
-	cl.pmu.Lock()
-	holders := append([]*peer(nil), cl.peers...)
-	cl.pmu.Unlock()
-	for _, holder := range holders {
+	for _, holder := range cl.peers {
 		if holder.name == target || !holder.isUp() {
 			continue
 		}
@@ -111,10 +108,7 @@ func (cl *Cluster) RebalanceOnce() RebalanceReport {
 	catalog := map[string]*refInfo{}
 	var order []string
 
-	cl.pmu.Lock()
-	peers := append([]*peer(nil), cl.peers...)
-	cl.pmu.Unlock()
-	for _, p := range peers {
+	for _, p := range cl.peers {
 		if !p.isUp() {
 			continue
 		}
@@ -150,7 +144,7 @@ func (cl *Cluster) RebalanceOnce() RebalanceReport {
 				if ri.digest == e.Digest {
 					ri.holders[p.name] = true
 				} else {
-					cl.logf("rebalance: %s digest diverges on %s (keeping %s's copy)", rf, p.name, firstHolder(ri.holders, peers))
+					cl.logf("rebalance: %s digest diverges on %s (keeping %s's copy)", rf, p.name, cl.firstHolder(ri.holders))
 				}
 			}
 		}
@@ -170,7 +164,7 @@ func (cl *Cluster) RebalanceOnce() RebalanceReport {
 				cl.logf("rebalance: owner %s of %s is down, leaving for next drive", o, rf)
 				continue
 			}
-			img, err := cl.pullFromHolder(ri.coll, ri.name, ri.tag, ri.digest, ri.holders, peers)
+			img, err := cl.pullFromHolder(ri.coll, ri.name, ri.tag, ri.digest, ri.holders)
 			if err != nil {
 				rep.Failed++
 				cl.logf("rebalance: no holder could serve %s (%s)", rf, describeClass(err))
@@ -195,9 +189,9 @@ func (cl *Cluster) RebalanceOnce() RebalanceReport {
 
 // pullFromHolder reads one reference from the first up holder in
 // configured peer order.
-func (cl *Cluster) pullFromHolder(coll, name, tag, digest string, holders map[string]bool, peers []*peer) (img *image.Image, err error) {
+func (cl *Cluster) pullFromHolder(coll, name, tag, digest string, holders map[string]bool) (img *image.Image, err error) {
 	err = fmt.Errorf("no up holder")
-	for _, p := range peers {
+	for _, p := range cl.peers {
 		if !holders[p.name] || !p.isUp() {
 			continue
 		}
@@ -215,8 +209,8 @@ func (cl *Cluster) pullFromHolder(coll, name, tag, digest string, holders map[st
 
 // firstHolder names the earliest holder in configured peer order (for
 // the divergence log line).
-func firstHolder(holders map[string]bool, peers []*peer) string {
-	for _, p := range peers {
+func (cl *Cluster) firstHolder(holders map[string]bool) string {
+	for _, p := range cl.peers {
 		if holders[p.name] {
 			return p.name
 		}

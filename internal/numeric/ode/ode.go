@@ -194,7 +194,10 @@ func DormandPrince(f Func, y0 []float64, grid []float64, opt DormandPrinceOption
 // integrator's own buffer, which visit must neither modify nor keep. It
 // returns the accepted steps and right-hand-side evaluations, and
 // DormandPrince's errors; after a cancellation the points visited are the
-// partial result.
+// partial result. An empty state visits every grid point without a step.
+// A step whose error estimate is NaN (a derivative that is NaN, say) is
+// rejected like any other, and once the step is down to MinStep the
+// integration fails, naming t, rather than accept a NaN state.
 func DormandPrinceVisit(f Func, y0 []float64, grid []float64, opt DormandPrinceOptions, visit func(k int, y []float64)) (steps, evals int, err error) {
 	if len(grid) < 2 {
 		return 0, 0, fmt.Errorf("ode: DormandPrince needs at least two grid points")
@@ -215,6 +218,13 @@ func DormandPrinceVisit(f Func, y0 []float64, grid []float64, opt DormandPrinceO
 		k[i] = buf[(i+1)*n : (i+2)*n : (i+2)*n]
 	}
 	ytmp, ynew, yerr := buf[8*n:9*n:9*n], buf[9*n:10*n:10*n], buf[10*n:]
+	if n == 0 {
+		// No state, no error norm (it would be 0/0): nothing to integrate.
+		for k := range grid {
+			visit(k, y)
+		}
+		return 0, 0, nil
+	}
 	visit(0, y)
 
 	t := grid[0]
@@ -270,6 +280,12 @@ func DormandPrinceVisit(f Func, y0 []float64, grid []float64, opt DormandPrinceO
 			errNorm += e * e
 		}
 		errNorm = math.Sqrt(errNorm / float64(n))
+		if math.IsNaN(errNorm) {
+			if h <= opt.MinStep {
+				return steps, evals, fmt.Errorf("ode: DormandPrince error estimate is NaN at t=%g", t)
+			}
+			errNorm = math.Inf(1) // rejected, and the step shrinks
+		}
 		if errNorm <= 1 || h <= opt.MinStep {
 			// Accept the step.
 			t += h

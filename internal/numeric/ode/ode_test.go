@@ -3,7 +3,9 @@ package ode
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
+	"time"
 )
 
 // decay is y' = -y with solution e^{-t}.
@@ -139,6 +141,60 @@ func TestDormandPrinceBadInputs(t *testing.T) {
 func TestDormandPrinceStepBudget(t *testing.T) {
 	if _, err := DormandPrince(decay, []float64{1}, Grid(0, 1, 2), DormandPrinceOptions{MaxSteps: 1, InitStep: 1e-9, MaxStep: 1e-9}); err == nil {
 		t.Error("expected step-budget error")
+	}
+}
+
+// returnsWithin runs call on its own goroutine and fails t unless it
+// returns within a few seconds, so a solver that never returns fails fast
+// instead of hanging the test binary.
+func returnsWithin(t *testing.T, call func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		call()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("DormandPrince did not return within 5s")
+	}
+}
+
+// TestDormandPrinceEmptyState: with no state there is no error norm (it
+// was sqrt(0/0), which no step passed), so the integrator visits every
+// grid point with the empty state and returns.
+func TestDormandPrinceEmptyState(t *testing.T) {
+	var sol *Solution
+	var err error
+	returnsWithin(t, func() {
+		sol, err = DormandPrince(func(float64, []float64, []float64) {}, nil, Grid(0, 1, 2), DormandPrinceOptions{})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sol.T) != 3 || len(sol.Y) != 3 || sol.Steps != 0 {
+		t.Fatalf("empty state: %d times, %d states, %d steps; want 3, 3, 0", len(sol.T), len(sol.Y), sol.Steps)
+	}
+	for k, y := range sol.Y {
+		if len(y) != 0 {
+			t.Errorf("Y[%d] = %v, want an empty state", k, y)
+		}
+	}
+}
+
+// TestDormandPrinceNaNDerivative: a derivative that is NaN (an imported
+// model's fractional power of a negative value, say) makes every error
+// estimate NaN. Each such step is rejected and shrinks h, and at MinStep
+// the integration fails naming t instead of accepting a NaN state.
+func TestDormandPrinceNaNDerivative(t *testing.T) {
+	nan := func(_ float64, _, dst []float64) { dst[0] = math.NaN() }
+	var err error
+	returnsWithin(t, func() {
+		_, err = DormandPrince(nan, []float64{1}, Grid(0, 1, 4), DormandPrinceOptions{})
+	})
+	if err == nil || !strings.Contains(err.Error(), "NaN") || !strings.Contains(err.Error(), "t=0") {
+		t.Fatalf("err = %v, want a NaN error estimate named at t=0", err)
 	}
 }
 
