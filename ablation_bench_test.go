@@ -176,31 +176,3 @@ func BenchmarkAblationAnalysisMode(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAblationMeanHittingTime compares the direct linear-system mean
-// against integrating the passage-time CDF.
-func BenchmarkAblationMeanHittingTime(b *testing.B) {
-	c := ctmc.NewChain(4, map[[2]int]float64{
-		{0, 1}: 1.5, {1, 0}: 0.5, {1, 2}: 2, {2, 3}: 0.8,
-	})
-	b.Run("direct-linear-solve", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.MeanTimeToAbsorption([]int{3}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cdf-integration", func(b *testing.B) {
-		times := make([]float64, 1001)
-		for i := range times {
-			times[i] = float64(i) * 0.04
-		}
-		for i := 0; i < b.N; i++ {
-			cdf, err := c.FirstPassageCDF(c.PointMass(0), []int{3}, times, 1e-10)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = cdf.Mean()
-		}
-	})
-}

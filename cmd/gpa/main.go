@@ -85,7 +85,7 @@ func run() error {
 			}
 			counts = append(counts, v)
 		}
-		points, err := gpepa.ScalabilitySweepWorkers(m, *sweepGroup, *sweepComponent, counts, *horizon, *sweepAction, *workers)
+		points, err := gpepa.ScalabilitySweepCtx(ctx, m, *sweepGroup, *sweepComponent, counts, *horizon, *sweepAction, *workers)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -65,6 +67,19 @@ func TestSimAnalysis(t *testing.T) {
 	}
 	if !strings.Contains(out, "stochastic simulation") {
 		t.Errorf("output:\n%s", out)
+	}
+}
+
+// TestSweepHonorsTimeout: -timeout reaches the sweep's points. At a
+// horizon of 1e7 each point integrates for seconds until its step budget
+// fails it, so a sweep that ignored the deadline would report that budget
+// error instead.
+func TestSweepHonorsTimeout(t *testing.T) {
+	_, err := runCmd(t, modelFile(t), "-analysis", "sweep",
+		"-sweep-group", "Servers", "-sweep-component", "Server",
+		"-sweep-counts", "2,5", "-horizon", "1e7", "-sweep-action", "request", "-timeout", "100ms")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the sweep canceled by its deadline", err)
 	}
 }
 

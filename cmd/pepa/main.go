@@ -175,7 +175,7 @@ func run() error {
 				props = append(props, strings.TrimSpace(p))
 			}
 		}
-		results, err := query.CheckAll(ss, ctmc.FromStateSpace(ss), props, query.CheckOptions{})
+		results, err := query.CheckAll(ss, ctmc.FromStateSpace(ss), props)
 		if err != nil {
 			return err
 		}

@@ -73,7 +73,7 @@ func PEPASolver(args []string, fs *vfs.FS, out *bytes.Buffer) error {
 		if len(args) < 3 {
 			return fmt.Errorf("usage: pepa-solver <model-file> check <property>...")
 		}
-		results, err := query.CheckAll(ss, chain, args[2:], query.CheckOptions{})
+		results, err := query.CheckAll(ss, chain, args[2:])
 		if err != nil {
 			return err
 		}

@@ -62,7 +62,7 @@ func ModelChecker(args []string, fs fsReader, out *bytes.Buffer) error {
 	if len(props) == 0 {
 		return fmt.Errorf("pepa-mc: no properties in %s", args[1])
 	}
-	results, err := query.CheckAll(ss, chain, props, query.CheckOptions{})
+	results, err := query.CheckAll(ss, chain, props)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
@@ -85,7 +86,7 @@ func (m *Model) SolveODE(horizon float64, n int) (*ODEResult, error) {
 // returns a *runctx.ErrCanceled whose Partial is the *ODEResult over
 // the grid prefix actually reached.
 func (m *Model) SolveODECtx(ctx context.Context, horizon float64, n int) (*ODEResult, error) {
-	if horizon <= 0 || n < 1 {
+	if !(horizon > 0) || math.IsInf(horizon, 0) || n < 1 {
 		return nil, fmt.Errorf("biopepa: bad ODE parameters horizon=%g n=%d", horizon, n)
 	}
 	c, err := m.compile()
@@ -173,7 +174,7 @@ func (m *Model) SimulateSSACtx(ctx context.Context, horizon float64, n int, seed
 // structure for this run alone: its rate-law environment is scratch
 // state, so concurrent replications must not share it.
 func (m *Model) simulateSSA(ctx context.Context, horizon float64, n int, seed uint64) (ssa.Path, error) {
-	if horizon <= 0 || n < 1 {
+	if !(horizon > 0) || math.IsInf(horizon, 0) || n < 1 {
 		return ssa.Path{}, fmt.Errorf("biopepa: bad SSA parameters horizon=%g n=%d", horizon, n)
 	}
 	c, err := m.compile()

@@ -1,9 +1,9 @@
 // Package ctmc assembles continuous-time Markov chains from derived PEPA
-// state spaces and solves them: steady-state distributions (iterative
-// Gauss–Seidel with a dense LU fallback), transient distributions via
-// uniformization with truncated Poisson weights, first-passage-time CDFs
-// via the absorbing-state transform, and the standard PEPA reward measures
-// (throughput, utilization).
+// state spaces and solves them: steady-state distributions (Gauss–Seidel,
+// then power iteration, then BiCGStab, then a dense LU fallback),
+// transient distributions via uniformization with truncated Poisson
+// weights, first-passage-time CDFs via the absorbing-state transform, and
+// the standard PEPA reward measures (throughput, utilization).
 package ctmc
 
 import (

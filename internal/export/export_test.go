@@ -66,7 +66,7 @@ func TestParseMatrixMarketErrors(t *testing.T) {
 	}
 }
 
-func TestTransitionsAndStatesCSV(t *testing.T) {
+func TestTransitionsCSV(t *testing.T) {
 	ss, _ := derived(t)
 	var buf bytes.Buffer
 	if err := TransitionsCSV(&buf, ss); err != nil {
@@ -81,13 +81,6 @@ func TestTransitionsAndStatesCSV(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "0,work,2,1") {
 		t.Errorf("missing transition row:\n%s", buf.String())
-	}
-	buf.Reset()
-	if err := StatesCSV(&buf, ss); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `0,"P"`) {
-		t.Errorf("states csv:\n%s", buf.String())
 	}
 }
 
@@ -106,71 +99,6 @@ func TestSteadyStateCSV(t *testing.T) {
 	}
 	if err := SteadyStateCSV(&buf, ss, pi[:1]); err == nil {
 		t.Error("length mismatch accepted")
-	}
-}
-
-func TestTimeSeriesTSV(t *testing.T) {
-	var buf bytes.Buffer
-	err := TimeSeriesTSV(&buf, []float64{0, 1}, []string{"a", "b"}, [][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "t\ta\tb\n0\t1\t3\n1\t2\t4\n"
-	if buf.String() != want {
-		t.Errorf("tsv = %q, want %q", buf.String(), want)
-	}
-	if err := TimeSeriesTSV(&buf, []float64{0}, []string{"a"}, [][]float64{{1, 2}}); err == nil {
-		t.Error("ragged series accepted")
-	}
-	if err := TimeSeriesTSV(&buf, []float64{0}, []string{"a", "b"}, [][]float64{{1}}); err == nil {
-		t.Error("name/series count mismatch accepted")
-	}
-}
-
-func TestPRISMTra(t *testing.T) {
-	_, chain := derived(t)
-	var buf bytes.Buffer
-	if err := PRISMTra(&buf, chain); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[0] != "2 2" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if lines[1] != "0 1 2" || lines[2] != "1 0 1" {
-		t.Errorf("rows = %v", lines[1:])
-	}
-}
-
-func TestPRISMSta(t *testing.T) {
-	ss, _ := derived(t)
-	var buf bytes.Buffer
-	if err := PRISMSta(&buf, ss); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "(term)\n") {
-		t.Errorf("header missing:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), `0:("P")`) {
-		t.Errorf("state row missing:\n%s", buf.String())
-	}
-}
-
-func TestPRISMLab(t *testing.T) {
-	ss, _ := derived(t)
-	var buf bytes.Buffer
-	if err := PRISMLab(&buf, ss, map[string]string{"busy": "P1"}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, `0="init" 1="busy"`) {
-		t.Errorf("label header = %q", out)
-	}
-	if !strings.Contains(out, "0: 0\n") {
-		t.Errorf("initial state not labelled:\n%s", out)
-	}
-	if !strings.Contains(out, "1: 1\n") {
-		t.Errorf("busy state not labelled:\n%s", out)
 	}
 }
 

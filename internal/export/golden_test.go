@@ -53,18 +53,8 @@ func TestGoldenExports(t *testing.T) {
 	outputs := map[string]string{
 		"generator.mtx":   render(t, func(w *bytes.Buffer) error { return GeneratorMatrixMarket(w, chain) }),
 		"transitions.csv": render(t, func(w *bytes.Buffer) error { return TransitionsCSV(w, ss) }),
-		"states.csv":      render(t, func(w *bytes.Buffer) error { return StatesCSV(w, ss) }),
 		"steady.csv":      render(t, func(w *bytes.Buffer) error { return SteadyStateCSV(w, ss, pi) }),
-		"series.tsv": render(t, func(w *bytes.Buffer) error {
-			return TimeSeriesTSV(w, []float64{0, 0.5, 1}, []string{"busy", "idle"},
-				[][]float64{{0, 0.25, 0.375}, {1, 0.75, 0.625}})
-		}),
-		"passage.tsv": render(t, func(w *bytes.Buffer) error { return CDFTSV(w, cdf) }),
-		"model.tra":   render(t, func(w *bytes.Buffer) error { return PRISMTra(w, chain) }),
-		"model.sta":   render(t, func(w *bytes.Buffer) error { return PRISMSta(w, ss) }),
-		"model.lab": render(t, func(w *bytes.Buffer) error {
-			return PRISMLab(w, ss, map[string]string{"resting": "P1", "logging": "Q1"})
-		}),
+		"passage.tsv":     render(t, func(w *bytes.Buffer) error { return CDFTSV(w, cdf) }),
 	}
 	for name, got := range outputs {
 		t.Run(name, func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/numeric/ode"
@@ -322,8 +323,8 @@ func (fs *FluidSystem) Solve(horizon float64, n int, opt SolveOptions) (*FluidRe
 // prefix actually reached. An uncancelled context changes nothing about
 // the step sequence: results are bit-identical to Solve.
 func (fs *FluidSystem) SolveCtx(ctx context.Context, horizon float64, n int, opt SolveOptions) (*FluidResult, error) {
-	if horizon <= 0 {
-		return nil, fmt.Errorf("gpepa: horizon must be positive, got %g", horizon)
+	if !(horizon > 0) || math.IsInf(horizon, 0) {
+		return nil, fmt.Errorf("gpepa: horizon must be finite and positive, got %g", horizon)
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("gpepa: need at least one output interval")

@@ -3,6 +3,7 @@ package gpepa
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/checkpoint"
 	"repro/internal/rng"
@@ -43,7 +44,7 @@ func (fs *FluidSystem) SimulateCtx(ctx context.Context, horizon float64, n int, 
 // simulate runs one trajectory by ssa.Run: the reactions are the
 // system's actions at their min-coupled tree rates.
 func (fs *FluidSystem) simulate(ctx context.Context, horizon float64, n int, seed uint64) (ssa.Path, error) {
-	if horizon <= 0 || n < 1 {
+	if !(horizon > 0) || math.IsInf(horizon, 0) || n < 1 {
 		return ssa.Path{}, fmt.Errorf("gpepa: bad simulation parameters horizon=%g n=%d", horizon, n)
 	}
 	rates := func(x, dst []float64) error {

@@ -3,9 +3,11 @@ package gpepa
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/numeric/ode"
 	"repro/internal/par"
+	"repro/internal/runctx"
 )
 
 // This file implements GPAnalyser's scalability experiments (the analysis
@@ -28,24 +30,26 @@ type SweepPoint struct {
 // horizon. Points are independent and solve in parallel on up to
 // GOMAXPROCS goroutines, assembled in sweep order.
 func ScalabilitySweep(m *Model, group, component string, counts []float64, horizon float64, action string) ([]SweepPoint, error) {
-	return ScalabilitySweepWorkers(m, group, component, counts, horizon, action, 0)
+	return ScalabilitySweepCtx(context.Background(), m, group, component, counts, horizon, action, 0)
 }
 
-// ScalabilitySweepWorkers is ScalabilitySweep with an explicit bound on
-// the point fan-out (0 means GOMAXPROCS, 1 sequential), so CLI callers
-// can plumb one worker budget through both the CTMC solvers and the
-// fluid sweeps. Points are assembled in sweep order regardless, so the
-// output is identical for any worker count.
-func ScalabilitySweepWorkers(m *Model, group, component string, counts []float64, horizon float64, action string, workers int) ([]SweepPoint, error) {
+// ScalabilitySweepCtx is ScalabilitySweep with cooperative cancellation
+// and an explicit bound on the point fan-out (0 means GOMAXPROCS, 1
+// sequential). Once ctx is done no point starts and running points stop
+// before their next integration step; the sweep then returns a
+// *runctx.ErrCanceled counting the points that finished. Points are
+// assembled in sweep order regardless, so the output is identical for
+// any worker count.
+func ScalabilitySweepCtx(ctx context.Context, m *Model, group, component string, counts []float64, horizon float64, action string, workers int) ([]SweepPoint, error) {
 	if len(counts) == 0 {
 		return nil, fmt.Errorf("gpepa: empty sweep")
 	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("gpepa: horizon must be positive")
+	if !(horizon > 0) || math.IsInf(horizon, 0) {
+		return nil, fmt.Errorf("gpepa: horizon must be finite and positive, got %g", horizon)
 	}
 	for _, c := range counts {
-		if c < 0 {
-			return nil, fmt.Errorf("gpepa: negative population %g", c)
+		if !(c >= 0) || math.IsInf(c, 0) {
+			return nil, fmt.Errorf("gpepa: population must be finite and non-negative, got %g", c)
 		}
 	}
 	// Compile once: the sweep varies only a seed population, which enters
@@ -57,13 +61,13 @@ func ScalabilitySweepWorkers(m *Model, group, component string, counts []float64
 		return nil, err
 	}
 	grid := ode.Grid(0, horizon, 50) // read-only, shared by every point
-	return par.Map(context.Background(), len(counts), workers, func(i int) (SweepPoint, error) {
+	points, err := par.Map(ctx, len(counts), workers, func(i int) (SweepPoint, error) {
 		sys, err := proto.WithCounts(group, component, counts[i])
 		if err != nil {
 			return SweepPoint{}, err
 		}
 		final := make([]float64, len(sys.X0))
-		err = sys.integrate(context.Background(), sys.X0, grid, SolveOptions{}, func(k int, x []float64) {
+		err = sys.integrate(ctx, sys.X0, grid, SolveOptions{}, func(k int, x []float64) {
 			if k == len(grid)-1 {
 				copy(final, x)
 			}
@@ -77,6 +81,19 @@ func ScalabilitySweepWorkers(m *Model, group, component string, counts []float64
 			Final:      final,
 		}, nil
 	})
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			done := 0
+			for _, p := range points {
+				if p.Final != nil {
+					done++
+				}
+			}
+			return nil, runctx.New("gpepa.sweep", cerr, done, len(counts), "points")
+		}
+		return nil, err
+	}
+	return points, nil
 }
 
 // Saturation locates the knee of a scalability sweep: the first count at

@@ -1,8 +1,14 @@
 package gpepa
 
 import (
+	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/runctx"
 )
 
 func TestScalabilitySweepShape(t *testing.T) {
@@ -58,6 +64,11 @@ func TestScalabilitySweepErrors(t *testing.T) {
 	if _, err := ScalabilitySweep(m, "Servers", "Server", []float64{-1}, 50, "request"); err == nil {
 		t.Error("negative population accepted")
 	}
+	for _, c := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := ScalabilitySweep(m, "Servers", "Server", []float64{1, c}, 50, "request"); err == nil || !strings.Contains(err.Error(), "population") {
+			t.Errorf("population %g: err = %v, want it rejected before any point is solved", c, err)
+		}
+	}
 	if _, err := ScalabilitySweep(m, "Ghost", "Server", []float64{1}, 50, "request"); err == nil {
 		t.Error("unknown group accepted")
 	}
@@ -80,12 +91,12 @@ func TestSaturationEdgeCases(t *testing.T) {
 func TestScalabilitySweepWorkersBitIdentical(t *testing.T) {
 	m := MustParse(clientServerSrc)
 	counts := []float64{2, 5, 10, 20}
-	ref, err := ScalabilitySweepWorkers(m, "Servers", "Server", counts, 100, "request", 1)
+	ref, err := ScalabilitySweepCtx(context.Background(), m, "Servers", "Server", counts, 100, "request", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 4} {
-		got, err := ScalabilitySweepWorkers(m, "Servers", "Server", counts, 100, "request", workers)
+		got, err := ScalabilitySweepCtx(context.Background(), m, "Servers", "Server", counts, 100, "request", workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,5 +110,54 @@ func TestScalabilitySweepWorkersBitIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestScalabilitySweepCanceled: a sweep stops on its context. Done before
+// the call, no point starts; done mid-run, the running point stops before
+// its next integration step. Either way the error is a
+// *runctx.ErrCanceled counting the points that finished. The sweep used
+// to integrate every point on context.Background, so a canceled sweep ran
+// on: at a horizon of 1e7 each point runs for seconds until the step
+// budget fails it.
+func TestScalabilitySweepCanceled(t *testing.T) {
+	m := MustParse(clientServerSrc)
+	counts := []float64{2, 5, 10, 20}
+	check := func(err error, cause error) *runctx.ErrCanceled {
+		t.Helper()
+		var ec *runctx.ErrCanceled
+		if !errors.As(err, &ec) || !errors.Is(err, cause) {
+			t.Fatalf("err = %v, want a *runctx.ErrCanceled wrapping %v", err, cause)
+		}
+		if ec.Op != "gpepa.sweep" || ec.Total != len(counts) || ec.Unit != "points" {
+			t.Errorf("report = %s %d/%d %s, want gpepa.sweep over %d points", ec.Op, ec.Done, ec.Total, ec.Unit, len(counts))
+		}
+		return ec
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	points, err := ScalabilitySweepCtx(ctx, m, "Servers", "Server", counts, 100, "request", 2)
+	if points != nil {
+		t.Errorf("canceled sweep returned %d points", len(points))
+	}
+	if ec := check(err, context.Canceled); ec.Done != 0 {
+		t.Errorf("%d points finished under a context canceled before the call", ec.Done)
+	}
+
+	ctx, cancel = context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := ScalabilitySweepCtx(ctx, m, "Servers", "Server", counts, 1e7, "request", 1)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if ec := check(err, context.DeadlineExceeded); ec.Done != 0 {
+			t.Errorf("%d points of a 1e7 horizon finished within 50ms", ec.Done)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("canceled sweep did not return within 5s")
 	}
 }

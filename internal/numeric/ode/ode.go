@@ -197,10 +197,17 @@ func DormandPrince(f Func, y0 []float64, grid []float64, opt DormandPrinceOption
 // partial result. An empty state visits every grid point without a step.
 // A step whose error estimate is NaN (a derivative that is NaN, say) is
 // rejected like any other, and once the step is down to MinStep the
-// integration fails, naming t, rather than accept a NaN state.
+// integration fails, naming t, rather than accept a NaN state. A NaN or
+// infinite grid point is an error before any step: no step size could
+// reach it.
 func DormandPrinceVisit(f Func, y0 []float64, grid []float64, opt DormandPrinceOptions, visit func(k int, y []float64)) (steps, evals int, err error) {
 	if len(grid) < 2 {
 		return 0, 0, fmt.Errorf("ode: DormandPrince needs at least two grid points")
+	}
+	for k, g := range grid {
+		if math.IsNaN(g) || math.IsInf(g, 0) {
+			return 0, 0, fmt.Errorf("ode: DormandPrince grid point %d is %g", k, g)
+		}
 	}
 	span := grid[len(grid)-1] - grid[0]
 	if span <= 0 {

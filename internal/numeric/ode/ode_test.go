@@ -198,6 +198,35 @@ func TestDormandPrinceNaNDerivative(t *testing.T) {
 	}
 }
 
+// TestDormandPrinceNonFiniteGrid: a NaN or infinite grid point is an
+// error before any step. A NaN end point used to make the step size NaN,
+// so no step was accepted and the step budget, which counts accepted
+// steps, never ran out: the loop spun until killed.
+func TestDormandPrinceNonFiniteGrid(t *testing.T) {
+	decay := func(_ float64, y, dst []float64) { dst[0] = -y[0] }
+	grids := map[string][]float64{
+		"end NaN":      Grid(0, math.NaN(), 4),
+		"end +Inf":     Grid(0, math.Inf(1), 4),
+		"interior NaN": {0, math.NaN(), 1},
+		"start -Inf":   {math.Inf(-1), 0, 1},
+	}
+	for name, grid := range grids {
+		t.Run(name, func(t *testing.T) {
+			var err error
+			visits := 0
+			returnsWithin(t, func() {
+				_, _, err = DormandPrinceVisit(decay, []float64{1}, grid, DormandPrinceOptions{}, func(int, []float64) { visits++ })
+			})
+			if err == nil || !strings.Contains(err.Error(), "grid point") {
+				t.Fatalf("err = %v, want a grid point error", err)
+			}
+			if visits != 0 {
+				t.Errorf("%d grid points visited before the error, want 0", visits)
+			}
+		})
+	}
+}
+
 func TestLinearSystemAgainstClosedForm(t *testing.T) {
 	// y1' = -2 y1 + y2, y2' = y1 - 2 y2; eigenvalues -1, -3.
 	f := func(t float64, y, dst []float64) {

@@ -208,24 +208,19 @@ func (r *Result) String() string {
 	return fmt.Sprintf("%s = %s (measured %.6g)", r.Property, verdict, r.Value)
 }
 
-// CheckOptions tunes evaluation.
-type CheckOptions struct {
-	// Samples for the reachability CDF grid (default 200).
-	Samples int
-}
+// reachSamples is the number of intervals of the reachability CDF grid
+// over [0, horizon].
+const reachSamples = 200
 
 // Check evaluates a property against a derived state space.
-func Check(ss *derive.StateSpace, chain *ctmc.Chain, prop *Property, opt CheckOptions) (*Result, error) {
+func Check(ss *derive.StateSpace, chain *ctmc.Chain, prop *Property) (*Result, error) {
 	var pi []float64
-	return check(ss, chain, prop, opt, &pi)
+	return check(ss, chain, prop, &pi)
 }
 
 // check is Check with the chain's steady state held in *pi: solved on
 // first use and read from there after, so CheckAll solves it at most once.
-func check(ss *derive.StateSpace, chain *ctmc.Chain, prop *Property, opt CheckOptions, pi *[]float64) (*Result, error) {
-	if opt.Samples <= 0 {
-		opt.Samples = 200
-	}
+func check(ss *derive.StateSpace, chain *ctmc.Chain, prop *Property, pi *[]float64) (*Result, error) {
 	if *pi == nil && (prop.Kind == SteadyState || prop.Kind == ThroughputK) {
 		solved, err := chain.SteadyState(ctmc.SteadyStateOptions{})
 		if err != nil {
@@ -250,9 +245,9 @@ func check(ss *derive.StateSpace, chain *ctmc.Chain, prop *Property, opt CheckOp
 		if len(targets) == 0 {
 			return nil, fmt.Errorf("query: no state matches %q", prop.Pattern)
 		}
-		times := make([]float64, opt.Samples+1)
+		times := make([]float64, reachSamples+1)
 		for i := range times {
-			times[i] = prop.Horizon * float64(i) / float64(opt.Samples)
+			times[i] = prop.Horizon * float64(i) / float64(reachSamples)
 		}
 		// The initial state is index 0 by construction of Explore.
 		cdf, err := chain.FirstPassageCDF(chain.PointMass(0), targets, times, 1e-10)
@@ -273,7 +268,7 @@ func check(ss *derive.StateSpace, chain *ctmc.Chain, prop *Property, opt CheckOp
 
 // CheckAll parses and evaluates several properties, stopping on the first
 // parse/evaluation error. The steady state is solved at most once.
-func CheckAll(ss *derive.StateSpace, chain *ctmc.Chain, props []string, opt CheckOptions) ([]*Result, error) {
+func CheckAll(ss *derive.StateSpace, chain *ctmc.Chain, props []string) ([]*Result, error) {
 	out := make([]*Result, 0, len(props))
 	var pi []float64
 	for _, src := range props {
@@ -281,7 +276,7 @@ func CheckAll(ss *derive.StateSpace, chain *ctmc.Chain, props []string, opt Chec
 		if err != nil {
 			return nil, err
 		}
-		r, err := check(ss, chain, p, opt, &pi)
+		r, err := check(ss, chain, p, &pi)
 		if err != nil {
 			return nil, err
 		}

@@ -67,7 +67,7 @@ func TestParseErrors(t *testing.T) {
 func TestSteadyStateProperty(t *testing.T) {
 	ss, chain := solved(t, workRest)
 	// pi(P1) = 2/3.
-	r, err := Check(ss, chain, mustParse(t, `S >= 0.6 [ "P1" ]`), CheckOptions{})
+	r, err := Check(ss, chain, mustParse(t, `S >= 0.6 [ "P1" ]`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestSteadyStateProperty(t *testing.T) {
 	if math.Abs(r.Value-2.0/3) > 1e-9 {
 		t.Errorf("value = %g, want 2/3", r.Value)
 	}
-	r2, err := Check(ss, chain, mustParse(t, `S >= 0.7 [ "P1" ]`), CheckOptions{})
+	r2, err := Check(ss, chain, mustParse(t, `S >= 0.7 [ "P1" ]`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSteadyStateProperty(t *testing.T) {
 func TestReachabilityProperty(t *testing.T) {
 	// Exp(1) passage: P(reach within 1) = 1 - 1/e ~ 0.632.
 	ss, chain := solved(t, "P0 = (go, 1).PEnd; PEnd = (idle, 0.000001).PEnd; P0")
-	r, err := Check(ss, chain, mustParse(t, `P >= 0.6 [ F<=1 "PEnd" ]`), CheckOptions{})
+	r, err := Check(ss, chain, mustParse(t, `P >= 0.6 [ F<=1 "PEnd" ]`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestReachabilityProperty(t *testing.T) {
 	if math.Abs(r.Value-(1-math.Exp(-1))) > 1e-6 {
 		t.Errorf("value = %g", r.Value)
 	}
-	r2, err := Check(ss, chain, mustParse(t, `P >= 0.99 [ F<=1 "PEnd" ]`), CheckOptions{})
+	r2, err := Check(ss, chain, mustParse(t, `P >= 0.99 [ F<=1 "PEnd" ]`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +111,14 @@ func TestReachabilityProperty(t *testing.T) {
 func TestThroughputProperty(t *testing.T) {
 	ss, chain := solved(t, workRest)
 	// throughput(work) = 2/3.
-	r, err := Check(ss, chain, mustParse(t, `T >= 0.5 [ work ]`), CheckOptions{})
+	r, err := Check(ss, chain, mustParse(t, `T >= 0.5 [ work ]`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Holds || math.Abs(r.Value-2.0/3) > 1e-9 {
 		t.Errorf("result = %s", r)
 	}
-	r2, err := Check(ss, chain, mustParse(t, `T <= 0.5 [ work ]`), CheckOptions{})
+	r2, err := Check(ss, chain, mustParse(t, `T <= 0.5 [ work ]`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +129,10 @@ func TestThroughputProperty(t *testing.T) {
 
 func TestCheckErrors(t *testing.T) {
 	ss, chain := solved(t, workRest)
-	if _, err := Check(ss, chain, mustParse(t, `S >= 0.5 [ "Nowhere" ]`), CheckOptions{}); err == nil {
+	if _, err := Check(ss, chain, mustParse(t, `S >= 0.5 [ "Nowhere" ]`)); err == nil {
 		t.Error("unmatched pattern accepted")
 	}
-	if _, err := Check(ss, chain, mustParse(t, `T >= 0.5 [ ghost ]`), CheckOptions{}); err == nil {
+	if _, err := Check(ss, chain, mustParse(t, `T >= 0.5 [ ghost ]`)); err == nil {
 		t.Error("unknown action accepted")
 	}
 }
@@ -143,7 +143,7 @@ func TestCheckAll(t *testing.T) {
 		`S >= 0.6 [ "P1" ]`,
 		`T >= 0.5 [ work ]`,
 		`T < 0.7 [ rest ]`,
-	}, CheckOptions{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestCheckAll(t *testing.T) {
 			t.Errorf("render: %s", r)
 		}
 	}
-	if _, err := CheckAll(ss, chain, []string{"garbage"}, CheckOptions{}); err == nil {
+	if _, err := CheckAll(ss, chain, []string{"garbage"}); err == nil {
 		t.Error("bad property accepted by CheckAll")
 	}
 }
@@ -173,7 +173,7 @@ func TestCheckAllSolvesSteadyStateOnce(t *testing.T) {
 		`S >= 0.6 [ "P1" ]`,
 		`T >= 0.5 [ work ]`,
 		`S < 0.5 [ "P" ]`,
-	}, CheckOptions{}); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	solves := 0.0

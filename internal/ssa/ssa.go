@@ -10,6 +10,7 @@ package ssa
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"repro/internal/checkpoint"
@@ -77,9 +78,13 @@ func Grid(horizon float64, n int) []float64 {
 // each holding time is drawn and before the reaction fires, so a sample
 // time inside a holding interval records the state held over it. ctx is
 // polled once per reaction; a canceled run returns a *runctx.ErrCanceled
-// for op counting the reactions fired.
+// for op counting the reactions fired. A NaN or infinite horizon is an
+// error: the clock would never pass it.
 func Run(ctx context.Context, op string, x0 []float64, horizon float64, n int, seed uint64, reactions int,
 	rates func(x, dst []float64) error, fire func(r int, x []float64, src *rng.Source)) (Path, error) {
+	if math.IsNaN(horizon) || math.IsInf(horizon, 0) {
+		return Path{}, fmt.Errorf("%s: horizon must be finite, got %g", op, horizon)
+	}
 	src := rng.New(seed)
 	x := append([]float64(nil), x0...)
 	p := Path{X: make([][]float64, n+1)}

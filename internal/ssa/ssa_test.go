@@ -3,10 +3,14 @@ package ssa
 import (
 	"context"
 	"errors"
+	"math"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/rng"
 	"repro/internal/runctx"
 )
 
@@ -71,5 +75,36 @@ func TestReplicateCanceled(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != 10 || got[1] != 3 {
 		t.Errorf("finished replications = %v, want [10 3] (replications 0 and 3)", got)
+	}
+}
+
+// TestRunNonFiniteHorizon: a NaN or infinite horizon is an error before
+// any reaction fires. The clock never passes such a horizon, so a model
+// that cannot absorb (here one molecule flipping between two species)
+// used to fire reactions until killed. Each run is on a goroutine and
+// fails the test if it has not returned within 5 s.
+func TestRunNonFiniteHorizon(t *testing.T) {
+	rates := func(x, dst []float64) error {
+		dst[0], dst[1] = x[0], x[1]
+		return nil
+	}
+	fire := func(r int, x []float64, _ *rng.Source) {
+		x[r]--
+		x[1-r]++
+	}
+	for _, h := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(context.Background(), "test.ssa", []float64{1, 0}, h, 4, 1, 2, rates, fire)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "test.ssa: horizon") {
+				t.Errorf("horizon %g: err = %v, want a horizon error naming the op", h, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("horizon %g: Run did not return within 5s", h)
+		}
 	}
 }
