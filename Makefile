@@ -11,7 +11,7 @@ GO ?= go
 # -benchmem is part of the contract: benchcmp compares B/op and allocs/op
 # alongside ns/op, which catches scratch-buffer regressions timing noise
 # absorbs.
-BENCH_GATED = ^(BenchmarkTransientSeries|BenchmarkTransientDense|BenchmarkFirstPassageCDF|BenchmarkAssembleRows|BenchmarkVecMulScatter|BenchmarkAssemblyReuse|BenchmarkPerturbationSweep|BenchmarkSteadyStateStiff|BenchmarkExplore|BenchmarkExploreSmall|BenchmarkGPEPAFluidDerivative)$$
+BENCH_GATED = ^(BenchmarkTransientSeries|BenchmarkTransientDense|BenchmarkFirstPassageCDF|BenchmarkFamilySteadyStates|BenchmarkAssembleRows|BenchmarkVecMulScatter|BenchmarkAssemblyReuse|BenchmarkPerturbationSweep|BenchmarkSteadyStateStiff|BenchmarkExplore|BenchmarkExploreSmall|BenchmarkGPEPAFluidDerivative)$$
 BENCH_PKGS  = ./internal/ctmc ./internal/numeric/sparse ./internal/robustness ./internal/pepa/derive ./internal/gpepa
 
 all: build vet test

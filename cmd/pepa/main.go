@@ -114,7 +114,11 @@ func run() error {
 		return err
 	}
 	// Simulation and sweeps do not need (or want) the full state space.
-	if *simulate > 0 {
+	// A given -sim always simulates, so a horizon the simulator rejects is
+	// an error rather than a silent numeric solution.
+	simGiven := false
+	fs.Visit(func(f *flag.Flag) { simGiven = simGiven || f.Name == "sim" })
+	if simGiven {
 		ens, err := sim.RunEnsembleCtx(ctx, m, sim.Options{Horizon: *simulate, Seed: *simSeed, Obs: reg, Checkpoint: *ckPath}, *simReps)
 		if err != nil {
 			return err
@@ -128,7 +132,7 @@ func run() error {
 		return nil
 	}
 	if *sweep != "" {
-		return runSweep(m, *sweep, *measure)
+		return runSweep(ctx, m, *sweep, *measure)
 	}
 	deriveSpan := reg.StartSpan("derive")
 	ss, err := derive.ExploreCtx(ctx, m, derive.Options{MaxStates: *maxStates, Aggregate: *aggregate})
@@ -256,8 +260,9 @@ func run() error {
 }
 
 // runSweep parses "-sweep name:lo:hi:n" and "-measure kind:arg" and prints
-// the swept series as TSV.
-func runSweep(m *pepa.Model, sweepSpec, measureSpec string) error {
+// the swept series as TSV. The sweep stops when ctx (the command's signal
+// and -timeout context) is done.
+func runSweep(ctx context.Context, m *pepa.Model, sweepSpec, measureSpec string) error {
 	parts := strings.Split(sweepSpec, ":")
 	if len(parts) != 4 {
 		return fmt.Errorf("bad -sweep %q (want name:lo:hi:n)", sweepSpec)
@@ -283,7 +288,7 @@ func runSweep(m *pepa.Model, sweepSpec, measureSpec string) error {
 	default:
 		return fmt.Errorf("unknown measure kind %q", kind)
 	}
-	series, err := experiment.RateSweep(m, parts[0], experiment.Linspace(lo, hi, n), meas)
+	series, err := experiment.RateSweepCtx(ctx, m, parts[0], experiment.Linspace(lo, hi, n), meas)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/pepa/derive"
+	"repro/internal/runctx"
 )
 
 // runCmd invokes run() with the given argv, capturing stdout.
@@ -86,6 +88,34 @@ func TestSimMode(t *testing.T) {
 	}
 	if !strings.Contains(out, "simulated 2 replication(s)") {
 		t.Errorf("output:\n%s", out)
+	}
+}
+
+// TestSimRejectsBadHorizon: a given -sim always takes the simulation
+// path, so a NaN or negative horizon fails instead of printing the
+// numeric solution.
+func TestSimRejectsBadHorizon(t *testing.T) {
+	for _, h := range []string{"NaN", "-1", "+Inf"} {
+		out, err := runCmd(t, modelFile(t, model), "-sim", h)
+		if err == nil || !strings.Contains(err.Error(), "horizon") {
+			t.Errorf("-sim %s: err = %v, want a horizon error", h, err)
+		}
+		if out != "" {
+			t.Errorf("-sim %s printed output despite the error:\n%s", h, out)
+		}
+	}
+}
+
+// TestSweepHonorsTimeout: -timeout reaches the sweep, which fails with
+// the cancellation and prints no table.
+func TestSweepHonorsTimeout(t *testing.T) {
+	out, err := runCmd(t, modelFile(t, model), "-sweep", "r:0.5:2:4", "-measure", "throughput:work", "-timeout", "1ns")
+	var ec *runctx.ErrCanceled
+	if !errors.As(err, &ec) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the sweep canceled by its deadline", err)
+	}
+	if out != "" {
+		t.Errorf("sweep printed output despite the deadline:\n%s", out)
 	}
 }
 

@@ -43,15 +43,8 @@ import (
 // per block per uniformization term and yields a *runctx.ErrCanceled
 // counting the members finished.
 func (f *ChainFamily) FirstPassageCDFs(ctx context.Context, rates [][]float64, p0 []float64, targets []int, times []float64, eps float64, reg *obs.Registry, visit func(member, point int, p float64)) error {
-	for k, row := range rates {
-		if len(row) != len(f.rateNames) {
-			return fmt.Errorf("ctmc: family member %d has %d rates for %d rate constants", k, len(row), len(f.rateNames))
-		}
-		for c, v := range row {
-			if err := checkRate(f.rateNames[c], v); err != nil {
-				return fmt.Errorf("ctmc: family member %d: %w", k, err)
-			}
-		}
+	if err := f.checkRates(rates); err != nil {
+		return err
 	}
 	rowPtr, col := f.plan.Pattern()
 	vals, exit, slot := make([]float64, f.plan.NNZ()), make([]float64, len(rowPtr)-1), make([]float64, len(col))

@@ -4,7 +4,10 @@ package ctmc
 // its operators afresh (a chain keeps no solve state), so the series and
 // passage benchmarks time whole calls.
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func runSeries(b *testing.B, c *Chain, p0, times []float64) {
 	b.ResetTimer()
@@ -60,5 +63,25 @@ func BenchmarkFirstPassageCDF(b *testing.B) {
 		if _, err := c.FirstPassageCDF(p0, []int{800}, times, 1e-9); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFamilySteadyStates solves a 24-point think sweep of a
+// six-station PC LAN family (128 states) as one SteadyStates call: the
+// rate sweep's kernel, run sequentially so its B/op does not depend on
+// the core count. The family's transpose plan is made before the timer.
+func BenchmarkFamilySteadyStates(b *testing.B) {
+	fam := familyFrom(b, lanFamilySource(6))
+	rates := sweepRates(fam, "think", thinkSweep(24))
+	solve := func() {
+		if err := fam.SteadyStates(context.Background(), rates, SteadyStateOptions{}, nil, func(int, []float64) {}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	solve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solve()
 	}
 }

@@ -120,9 +120,12 @@ func NewChain(n int, rates map[[2]int]float64) *Chain {
 }
 
 // MaxExitRate returns the uniformization constant max_i |q_ii|.
-func (c *Chain) MaxExitRate() float64 {
+func (c *Chain) MaxExitRate() float64 { return maxRate(c.ExitRate) }
+
+// maxRate returns the largest of the exit rates (0 for none).
+func maxRate(exit []float64) float64 {
 	var m float64
-	for _, r := range c.ExitRate {
+	for _, r := range exit {
 		if r > m {
 			m = r
 		}
@@ -207,14 +210,40 @@ func (c *Chain) SteadyState(opt SteadyStateOptions) ([]float64, error) {
 // iterations done and the residual at interruption. An uncancelled
 // context leaves the escalation chain bit-identical to SteadyState.
 func (c *Chain) SteadyStateCtx(ctx context.Context, opt SteadyStateOptions) ([]float64, error) {
-	opt = opt.withDefaults()
-	if c.N == 0 {
+	return c.newSteadySolve(opt.withDefaults()).solve(ctx)
+}
+
+// steadySolve is the steady-state engine of both entry points: a chain's
+// SteadyState solves its own Q, and a family's SteadyStates reloads one
+// steadySolve with each member's values on the family's slot pattern. It
+// holds the generator Q, which the acceptance residual and the power rung
+// read, its transpose Qᵀ, which every other rung reads, the exit rates,
+// and one scratch arena, so a rejected rung's work vectors serve the next
+// rung (and a family's next member) instead of growing the heap.
+type steadySolve struct {
+	q, qt   *sparse.CSR
+	exit    []float64
+	reg     *obs.Registry
+	opt     SteadyStateOptions // with defaults applied
+	scratch sparse.Scratch
+}
+
+// newSteadySolve sets up a solve of the chain's own Q; opt must have its
+// defaults applied.
+func (c *Chain) newSteadySolve(opt SteadyStateOptions) *steadySolve {
+	return &steadySolve{q: c.Q, qt: c.Q.Transpose(), exit: c.ExitRate, reg: c.Obs, opt: opt}
+}
+
+// solve runs the escalation chain — Gauss–Seidel, power iteration,
+// BiCGStab, then dense LU — and returns the first accepted distribution.
+func (s *steadySolve) solve(ctx context.Context) ([]float64, error) {
+	n, opt := s.q.Rows, s.opt
+	if n == 0 {
 		return nil, fmt.Errorf("ctmc: empty chain")
 	}
-	if c.N == 1 {
+	if n == 1 {
 		return []float64{1}, nil
 	}
-	s := c.newSteadySolve(opt)
 	var stages []StageAttempt
 	if !opt.DenseOnly {
 		for _, rung := range [...]func(*steadySolve, context.Context) ([]float64, StageAttempt, bool){
@@ -222,39 +251,39 @@ func (c *Chain) SteadyStateCtx(ctx context.Context, opt SteadyStateOptions) ([]f
 		} {
 			pi, att, ok := rung(s, ctx)
 			if cerr := ctx.Err(); cerr != nil && !ok {
-				return nil, c.canceledStage(cerr, att)
+				return nil, s.canceledStage(cerr, att)
 			}
-			c.recordStage(att, ok)
+			s.recordStage(att, ok)
 			if ok {
 				return pi, nil
 			}
 			stages = append(stages, att)
 		}
 	}
-	if c.N > opt.DenseLimit {
+	if n > opt.DenseLimit {
 		stages = append(stages, StageAttempt{
 			Method:   "dense-lu",
 			Residual: math.NaN(),
-			Err:      fmt.Sprintf("chain (n=%d) exceeds dense fallback limit %d", c.N, opt.DenseLimit),
+			Err:      fmt.Sprintf("chain (n=%d) exceeds dense fallback limit %d", n, opt.DenseLimit),
 		})
-		return nil, &ConvergenceError{N: c.N, Stages: stages}
+		return nil, &ConvergenceError{N: n, Stages: stages}
 	}
 	pi, err := s.dense()
 	if err != nil {
 		att := StageAttempt{Method: "dense-lu", Residual: math.NaN(), Err: err.Error()}
-		c.recordStage(att, false)
+		s.recordStage(att, false)
 		stages = append(stages, att)
-		return nil, &ConvergenceError{N: c.N, Stages: stages}
+		return nil, &ConvergenceError{N: n, Stages: stages}
 	}
-	c.recordStage(StageAttempt{Method: "dense-lu", Residual: math.NaN()}, true)
+	s.recordStage(StageAttempt{Method: "dense-lu", Residual: math.NaN()}, true)
 	return pi, nil
 }
 
 // canceledStage converts an interrupted stage attempt into the typed
 // cancellation error (and counts it), preserving the iterations done
 // and the residual at interruption for the partial report.
-func (c *Chain) canceledStage(cause error, att StageAttempt) error {
-	runctx.Record(c.Obs, "ctmc.steady-state", cause)
+func (s *steadySolve) canceledStage(cause error, att StageAttempt) error {
+	runctx.Record(s.reg, "ctmc.steady-state", cause)
 	err := runctx.New("ctmc.steady-state", cause, att.Iterations, 0, "iterations")
 	err.Residual = att.Residual
 	return err
@@ -262,9 +291,9 @@ func (c *Chain) canceledStage(cause error, att StageAttempt) error {
 
 // recordStage publishes one escalation-chain stage to the metrics
 // registry. All Registry methods are nil-safe, so an uninstrumented
-// chain pays only this call.
-func (c *Chain) recordStage(att StageAttempt, ok bool) {
-	if c.Obs == nil {
+// solve pays only this call.
+func (s *steadySolve) recordStage(att StageAttempt, ok bool) {
+	if s.reg == nil {
 		return
 	}
 	outcome := "rejected"
@@ -272,32 +301,18 @@ func (c *Chain) recordStage(att StageAttempt, ok bool) {
 		outcome = "accepted"
 	}
 	method := obs.L("method", att.Method)
-	c.Obs.Inc("ctmc_steady_stages_total", method, obs.L("outcome", outcome))
-	c.Obs.Add("ctmc_steady_iterations_total", float64(att.Iterations), method)
+	s.reg.Inc("ctmc_steady_stages_total", method, obs.L("outcome", outcome))
+	s.reg.Add("ctmc_steady_iterations_total", float64(att.Iterations), method)
 	if !math.IsNaN(att.Residual) {
-		c.Obs.Set("ctmc_steady_residual", att.Residual, method)
+		s.reg.Set("ctmc_steady_residual", att.Residual, method)
 	}
-}
-
-// steadySolve is the state of one SteadyState call: Qᵀ, which every rung
-// reads, and one scratch arena, so a rejected rung's work vectors serve
-// the next rung instead of growing the heap. None of it outlives the call.
-type steadySolve struct {
-	c       *Chain
-	opt     SteadyStateOptions
-	qt      *sparse.CSR
-	scratch sparse.Scratch
-}
-
-func (c *Chain) newSteadySolve(opt SteadyStateOptions) *steadySolve {
-	return &steadySolve{c: c, opt: opt, qt: c.Q.Transpose()}
 }
 
 // residual computes the acceptance residual ||piᵀ·Q||_inf of the rungs.
 func (s *steadySolve) residual(pi []float64) float64 {
-	y := s.scratch.Get(s.c.N)
+	y := s.scratch.Get(s.q.Rows)
 	defer s.scratch.Put(y)
-	s.c.Q.VecMulTo(y, pi)
+	s.q.VecMulTo(y, pi)
 	return linalg.NormInf(y)
 }
 
@@ -307,12 +322,12 @@ func (s *steadySolve) residual(pi []float64) float64 {
 func (s *steadySolve) power(ctx context.Context) ([]float64, StageAttempt, bool) {
 	att := StageAttempt{Method: "power-iteration", Residual: math.NaN()}
 	opt := s.opt
-	q := s.c.MaxExitRate()
+	q := maxRate(s.exit)
 	if q == 0 {
 		att.Err = "zero uniformization rate (no transitions)"
 		return nil, att, false
 	}
-	p := uniformized(s.c.Q, q*1.1, nil)
+	p := uniformized(s.q, q*1.1, nil)
 	pi, res, err := sparse.PowerIteration(p, sparse.IterOptions{
 		MaxIter: opt.MaxIter * 5, Tol: opt.Tol, Cancel: ctx.Err, Scratch: &s.scratch,
 	})
@@ -338,7 +353,7 @@ func (s *steadySolve) power(ctx context.Context) ([]float64, StageAttempt, bool)
 // the trivial solution is avoided by the normalization step.
 func (s *steadySolve) gaussSeidel(ctx context.Context) ([]float64, StageAttempt, bool) {
 	att := StageAttempt{Method: "gauss-seidel", Residual: math.NaN()}
-	n, qt, opt := s.c.N, s.qt, s.opt
+	n, qt, opt := s.q.Rows, s.qt, s.opt
 	pi := make([]float64, n)
 	for i := range pi {
 		pi[i] = 1 / float64(n)
@@ -410,7 +425,7 @@ func (s *steadySolve) gaussSeidel(ctx context.Context) ([]float64, StageAttempt,
 // stationary iterations while n is far beyond the dense fallback limit.
 func (s *steadySolve) krylov(ctx context.Context) ([]float64, StageAttempt, bool) {
 	att := StageAttempt{Method: "bicgstab", Residual: math.NaN()}
-	n, qt, opt, scratch := s.c.N, s.qt, s.opt, &s.scratch
+	n, qt, opt, scratch := s.q.Rows, s.qt, s.opt, &s.scratch
 	apply := func(y, x []float64) {
 		qt.MulVecTo(y, x)
 		var sum float64
@@ -473,7 +488,7 @@ func (s *steadySolve) krylov(ctx context.Context) ([]float64, StageAttempt, bool
 // dense solves the dense system Qᵀ·piᵀ = 0 with the last equation
 // replaced by sum(pi) = 1.
 func (s *steadySolve) dense() ([]float64, error) {
-	n, qt := s.c.N, s.qt
+	n, qt := s.q.Rows, s.qt
 	a := linalg.NewDense(n, n)
 	for i := 0; i < n; i++ {
 		for k := qt.RowPtr[i]; k < qt.RowPtr[i+1]; k++ {

@@ -1,13 +1,17 @@
 package ctmc
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
 
 	"repro/internal/numeric/sparse"
+	"repro/internal/obs"
 	"repro/internal/pepa/derive"
+	"repro/internal/runctx"
 )
 
 // ChainFamily amortizes chain construction across models that share one
@@ -25,11 +29,13 @@ import (
 // FromStateSpace(Explore(model-with-those-rates)). The Float64bits
 // battery in family_test.go pins this.
 //
-// The batched passage solver, FirstPassageCDFs, keeps the Poisson weight
-// tables it computes in the family (pure functions of (lambda, eps), so
-// reuse across calls and members is always sound). Member chains share
-// nothing with the family or with each other: like any Chain, each solve
-// derives its operators from the member's own Q and keeps none of them.
+// The batched solvers, SteadyStates and FirstPassageCDFs, build no member
+// chain. FirstPassageCDFs keeps the Poisson weight tables it computes in
+// the family (pure functions of (lambda, eps), so reuse across calls and
+// members is always sound), and SteadyStates plans the transpose of the
+// family's slot pattern once. Member chains share nothing with the family
+// or with each other: like any Chain, each solve derives its operators
+// from the member's own Q and keeps none of them.
 //
 // A ChainFamily is safe for concurrent use; member chains are
 // independent Chains with the usual concurrency contract.
@@ -42,6 +48,11 @@ type ChainFamily struct {
 	rateNames []string
 	rateOf    []int32
 	weights   weightStore // FirstPassageCDFs' Poisson tables
+	// qtSlots is the slot pattern's transpose, planned by the first
+	// SteadyStates call: entry e of a member's Qᵀ takes the value of
+	// slot qtSlots.Val[e].
+	qtOnce  sync.Once
+	qtSlots *sparse.CSR
 }
 
 // NewChainFamily builds a family over a derived prototype state space.
@@ -143,6 +154,22 @@ func (f *ChainFamily) ChainForRates(env map[string]float64) (*Chain, error) {
 	}, nil
 }
 
+// checkRates validates the members' rate rows of a batched solve: one
+// rate per rate constant, each as ChainForRates validates it.
+func (f *ChainFamily) checkRates(rates [][]float64) error {
+	for k, row := range rates {
+		if len(row) != len(f.rateNames) {
+			return fmt.Errorf("ctmc: family member %d has %d rates for %d rate constants", k, len(row), len(f.rateNames))
+		}
+		for c, v := range row {
+			if err := checkRate(f.rateNames[c], v); err != nil {
+				return fmt.Errorf("ctmc: family member %d: %w", k, err)
+			}
+		}
+	}
+	return nil
+}
+
 // checkRate validates one member rate: finite and positive (a zero rate
 // would change reachability, not just weights).
 func checkRate(name string, v float64) error {
@@ -176,4 +203,90 @@ func (f *ChainFamily) memberValues(vals, exit, rates []float64) {
 		idx++
 		exit[s] = e
 	}
+}
+
+// ActionRates writes into dst, one entry per state, the total rate at
+// which a member fires action: each state's transitions of that action
+// summed in transition order, bit for bit the member chain's
+// ActionRate[action]. rates are the member's rate constants in RateNames
+// order, as SteadyStates takes them. An action no state offers yields
+// zeros.
+func (f *ChainFamily) ActionRates(dst, rates []float64, action string) {
+	clear(dst)
+	k := 0
+	for s, trs := range f.ss.Trans {
+		for _, tr := range trs {
+			if tr.Action == action {
+				r := tr.Rate
+				if c := f.rateOf[k]; c >= 0 {
+					r = rates[c]
+				}
+				dst[s] += r
+			}
+			k++
+		}
+	}
+}
+
+// SteadyStates solves the stationary distribution of many family members
+// in one call. rates[k] holds member k's rate constants in RateNames
+// order, validated as ChainForRates validates them. Members are solved in
+// order, and visit(k, pi) receives member k's distribution,
+// Float64bits-identical to ChainForRates(env_k).SteadyStateCtx(ctx, opt),
+// from the calling goroutine; pi is the member's own to keep. When the
+// call fails, the members visited are those before the one that failed.
+//
+// No member builds a Chain. Each member's Q is laid on the family's
+// assembly slot pattern (sparse.AssemblyPlan.SlotSums) and its Qᵀ on that
+// pattern's transpose, planned once per family, and one workspace serves
+// every member, so a member that Gauss–Seidel accepts allocates only its
+// pi. The escalation chain is the one SteadyState runs. The pattern keeps
+// a slot whose sum is exactly zero — a diagonal cancelled by self-loops —
+// as an explicit +0 the member chain drops; each rung adds it to a sum
+// that is never -0 as a ±0 term, or skips it as a zero iterate entry or a
+// zero quotient, so every rung's bits match the member chain's.
+//
+// reg, when non-nil, receives each member's stage metrics, as a chain's
+// Obs does. A canceled ctx yields a *runctx.ErrCanceled counting the
+// members finished.
+func (f *ChainFamily) SteadyStates(ctx context.Context, rates [][]float64, opt SteadyStateOptions, reg *obs.Registry, visit func(member int, pi []float64)) error {
+	if err := f.checkRates(rates); err != nil {
+		return err
+	}
+	n := f.ss.NumStates()
+	rowPtr, col := f.plan.Pattern()
+	f.qtOnce.Do(func() {
+		// Transposing the slot indices themselves puts each entry of Qᵀ
+		// where CSR.Transpose puts it in a member chain's Qᵀ.
+		idx := make([]float64, len(col))
+		for e := range idx {
+			idx[e] = float64(e)
+		}
+		f.qtSlots = (&sparse.CSR{Rows: n, Cols: n, RowPtr: rowPtr, ColIdx: col, Val: idx}).Transpose()
+	})
+	vals, slot, slotT := make([]float64, f.plan.NNZ()), make([]float64, len(col)), make([]float64, len(col))
+	s := &steadySolve{
+		q:    &sparse.CSR{Rows: n, Cols: n, RowPtr: rowPtr, ColIdx: col, Val: slot},
+		qt:   &sparse.CSR{Rows: n, Cols: n, RowPtr: f.qtSlots.RowPtr, ColIdx: f.qtSlots.ColIdx, Val: slotT},
+		exit: make([]float64, n),
+		reg:  reg,
+		opt:  opt.withDefaults(),
+	}
+	for k, row := range rates {
+		f.memberValues(vals, s.exit, row)
+		f.plan.SlotSums(slot, vals)
+		for e, src := range f.qtSlots.Val {
+			slotT[e] = slot[int(src)]
+		}
+		pi, err := s.solve(ctx)
+		if err != nil {
+			var ec *runctx.ErrCanceled
+			if errors.As(err, &ec) {
+				return runctx.New("ctmc.steady-batch", err, k, len(rates), "members")
+			}
+			return err
+		}
+		visit(k, pi)
+	}
+	return nil
 }

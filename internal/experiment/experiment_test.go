@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync/atomic"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/ctmc"
 	"repro/internal/pepa"
 	"repro/internal/pepa/derive"
+	"repro/internal/runctx"
 )
 
 const workRest = "r = 1.0; s = 2.0;\nP = (work, r).P1;\nP1 = (rest, s).P;\nP\n"
@@ -107,26 +110,155 @@ func TestSweepErrors(t *testing.T) {
 func TestSweepRejectsNonFiniteOrNonPositiveValues(t *testing.T) {
 	m := pepa.MustParse(workRest)
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -2} {
-		var evals atomic.Int64
-		_, err := RateSweep(m, "r", []float64{1, v}, countingMeasure{Throughput{Action: "work"}, &evals})
+		var solves atomic.Int64
+		_, err := RateSweep(m, "r", []float64{1, v}, countingMeasure{Throughput{Action: "work"}, &solves})
 		if err == nil {
 			t.Errorf("r=%g accepted", v)
 		}
-		if n := evals.Load(); n != 0 {
-			t.Errorf("r=%g: %d points evaluated before the rejection", v, n)
+		if n := solves.Load(); n != 0 {
+			t.Errorf("r=%g: %d points solved before the rejection", v, n)
 		}
 	}
 }
 
-// countingMeasure wraps a measure and counts its evaluations.
-type countingMeasure struct {
-	Measure
-	evals *atomic.Int64
+// TestSweepRejectsBadMeasureBeforeSolving: an unknown throughput action
+// and a passage pattern that matches no state are measure arguments, not
+// point failures, so the sweep rejects them once, before any point is
+// solved.
+func TestSweepRejectsBadMeasureBeforeSolving(t *testing.T) {
+	m := pepa.MustParse(workRest)
+	for _, meas := range []Measure{
+		Throughput{Action: "ghost"},
+		PassageQuantile{Pattern: "Nowhere", Quantile: 0.5},
+		PassageQuantile{Pattern: "P1", Quantile: 0.5, Horizon: math.NaN()},
+		PassageQuantile{Pattern: "P1", Quantile: 0.5, Horizon: math.Inf(1)},
+	} {
+		var solves atomic.Int64
+		_, err := RateSweep(m, "r", Linspace(0.5, 4, 8), countingMeasure{meas, &solves})
+		if err == nil {
+			t.Errorf("%s: accepted", meas.Name())
+		}
+		if n := solves.Load(); n != 0 {
+			t.Errorf("%s: %d points solved before the rejection", meas.Name(), n)
+		}
+	}
 }
 
-func (c countingMeasure) Eval(ss *derive.StateSpace, chain *ctmc.Chain) (float64, error) {
-	c.evals.Add(1)
-	return c.Measure.Eval(ss, chain)
+// TestPassageSweepNamesLowestFailingPoint: a passage batch fails per
+// group of points sharing a uniformization rate, and groups run in rate
+// order, so the batch's failing group (r=5e307, whose Poisson rate q·dt
+// overflows) is not the lowest failing point (r=1e308, which overflows
+// too). The sweep's error still names the lowest, as one solve per point
+// would.
+func TestPassageSweepNamesLowestFailingPoint(t *testing.T) {
+	m := pepa.MustParse("r = 1.0;\nP0 = (go, r).PEnd;\nPEnd = (back, 1).P0;\nP0\n")
+	_, err := RateSweep(m, "r", []float64{1, 1e308, 5e307}, PassageQuantile{
+		Pattern: "PEnd", Quantile: 0.5, Horizon: 100, Samples: 10,
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "experiment: r=1e+308: ") || !strings.Contains(err.Error(), "not finite") {
+		t.Fatalf("err = %v, want the overflow at r=1e+308", err)
+	}
+}
+
+// TestRateSweepCtxCanceled: a sweep whose context is already done solves
+// no point and reports the cancellation; one canceled as each run starts
+// reports a *runctx.ErrCanceled over the sweep's points that counts fewer
+// than all of them.
+func TestRateSweepCtxCanceled(t *testing.T) {
+	m := pepa.MustParse(core.PCLAN4Model)
+	values := Linspace(0.1, 2.4, 24)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var solves atomic.Int64
+	_, err := RateSweepCtx(ctx, m, "think", values, countingMeasure{Throughput{Action: "propagate"}, &solves})
+	var ec *runctx.ErrCanceled
+	if !errors.As(err, &ec) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want a *runctx.ErrCanceled by context.Canceled", err)
+	}
+	if n := solves.Load(); n != 0 {
+		t.Errorf("%d points solved under a canceled context", n)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	_, err = RateSweepCtx(ctx, m, "think", values, cancelingMeasure{Utilization{Pattern: "Busy"}, cancel})
+	if !errors.As(err, &ec) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want a *runctx.ErrCanceled by context.Canceled", err)
+	}
+	if ec.Op != "experiment.rate-sweep" || ec.Unit != "points" || ec.Total != len(values) || ec.Done >= len(values) {
+		t.Errorf("cancellation = %s counting %d/%d %s, want experiment.rate-sweep counting fewer than %d points",
+			ec.Op, ec.Done, ec.Total, ec.Unit, len(values))
+	}
+}
+
+// countingMeasure wraps a measure and counts the points handed to its
+// solver.
+type countingMeasure struct {
+	Measure
+	solves *atomic.Int64
+}
+
+func (c countingMeasure) sweep(fam *ctmc.ChainFamily) (runSolver, error) {
+	solve, err := c.Measure.sweep(fam)
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx context.Context, rates [][]float64, out []float64) (int, error) {
+		c.solves.Add(int64(len(rates)))
+		return solve(ctx, rates, out)
+	}, nil
+}
+
+// cancelingMeasure wraps a measure and cancels the sweep as a run starts.
+type cancelingMeasure struct {
+	Measure
+	cancel context.CancelFunc
+}
+
+func (c cancelingMeasure) sweep(fam *ctmc.ChainFamily) (runSolver, error) {
+	solve, err := c.Measure.sweep(fam)
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx context.Context, rates [][]float64, out []float64) (int, error) {
+		c.cancel()
+		return solve(ctx, rates, out)
+	}, nil
+}
+
+// freshMeasure is the test's oracle: it evaluates meas on the cold chain
+// of a fresh derivation through Chain's own methods, never through the
+// family path.
+func freshMeasure(meas Measure, ss *derive.StateSpace) (float64, error) {
+	chain := ctmc.FromStateSpace(ss)
+	matching := func(pattern string) []int {
+		return ss.StatesMatching(func(term string) bool { return strings.Contains(term, pattern) })
+	}
+	switch m := meas.(type) {
+	case Throughput:
+		pi, err := chain.SteadyState(ctmc.SteadyStateOptions{})
+		if err != nil {
+			return 0, err
+		}
+		return chain.Throughput(pi, m.Action)
+	case Utilization:
+		pi, err := chain.SteadyState(ctmc.SteadyStateOptions{})
+		if err != nil {
+			return 0, err
+		}
+		return chain.Utilization(pi, matching(m.Pattern)), nil
+	case PassageQuantile:
+		times := make([]float64, m.Samples+1)
+		for i := range times {
+			times[i] = m.Horizon * float64(i) / float64(m.Samples)
+		}
+		cdf, err := chain.FirstPassageCDF(chain.PointMass(0), matching(m.Pattern), times, 1e-10)
+		if err != nil {
+			return 0, err
+		}
+		return cdf.Quantile(m.Quantile), nil
+	}
+	return 0, fmt.Errorf("no oracle for %T", meas)
 }
 
 // cloneWithRate copies the model with one rate constant overridden — the
@@ -147,8 +279,8 @@ func cloneWithRate(m *pepa.Model, name string, v float64) *pepa.Model {
 // TestRateSweepBitIdenticalToFreshDerive pins the sweep engine's
 // exactness: every point of a family-backed sweep is Float64bits-equal to
 // cloning the model with the point's rate, deriving it from scratch, and
-// evaluating the measure on the cold chain. It covers the paper's four
-// validation models and all three measure kinds.
+// evaluating the measure on the cold chain (freshMeasure). It covers the
+// paper's four validation models and all three measure kinds.
 func TestRateSweepBitIdenticalToFreshDerive(t *testing.T) {
 	models := []struct {
 		name, src, rate, action, pattern string
@@ -178,7 +310,7 @@ func TestRateSweepBitIdenticalToFreshDerive(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
-				want, err := meas.Eval(ss, ctmc.FromStateSpace(ss))
+				want, err := freshMeasure(meas, ss)
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
@@ -201,16 +333,16 @@ const bothActive = "r = 2; P = (a, r).P; Q = (a, 3).Q; P <a> Q"
 // fails at sweep construction with derive.ErrNotReratable — naming the
 // offending state and activity — before any point is evaluated.
 func TestRateSweepRejectsNonReratable(t *testing.T) {
-	var evals atomic.Int64
-	_, err := RateSweep(pepa.MustParse(bothActive), "r", []float64{1, 2, 4}, countingMeasure{Throughput{Action: "a"}, &evals})
+	var solves atomic.Int64
+	_, err := RateSweep(pepa.MustParse(bothActive), "r", []float64{1, 2, 4}, countingMeasure{Throughput{Action: "a"}, &solves})
 	if !errors.Is(err, derive.ErrNotReratable) {
 		t.Fatalf("err = %v, want ErrNotReratable", err)
 	}
 	if !strings.Contains(err.Error(), `activity "a"`) || !strings.Contains(err.Error(), "state 0") {
 		t.Errorf("error does not name the opaque state and activity: %v", err)
 	}
-	if n := evals.Load(); n != 0 {
-		t.Errorf("%d points evaluated, want 0", n)
+	if n := solves.Load(); n != 0 {
+		t.Errorf("%d points solved, want 0", n)
 	}
 }
 

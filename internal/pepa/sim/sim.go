@@ -121,8 +121,8 @@ func run(ctx context.Context, m *pepa.Model, opt Options) (*Result, error) {
 	if m.System == nil {
 		return nil, fmt.Errorf("sim: model has no system equation")
 	}
-	if opt.Horizon <= 0 {
-		return nil, fmt.Errorf("sim: horizon must be positive, got %g", opt.Horizon)
+	if err := checkHorizon(opt.Horizon); err != nil {
+		return nil, err
 	}
 	if opt.MaxEvents <= 0 {
 		opt.MaxEvents = 10_000_000
@@ -194,6 +194,16 @@ func run(ctx context.Context, m *pepa.Model, opt Options) (*Result, error) {
 	}
 }
 
+// checkHorizon rejects a horizon that is not finite and positive: NaN
+// passes a plain h <= 0 test, and +Inf would run until the event budget
+// fails it.
+func checkHorizon(h float64) error {
+	if !(h > 0) || math.IsInf(h, 0) {
+		return fmt.Errorf("sim: horizon must be finite and positive, got %g", h)
+	}
+	return nil
+}
+
 // Ensemble runs n independent replications (seeds derived from the base
 // seed) and aggregates mean throughputs per action.
 type Ensemble struct {
@@ -257,6 +267,9 @@ func RunEnsemble(m *pepa.Model, opt Options, n int) (*Ensemble, error) {
 func RunEnsembleCtx(ctx context.Context, m *pepa.Model, opt Options, n int) (*Ensemble, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("sim: need at least one replication")
+	}
+	if err := checkHorizon(opt.Horizon); err != nil {
+		return nil, err
 	}
 	var file *checkpoint.File
 	if opt.Checkpoint != "" {

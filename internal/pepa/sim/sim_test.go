@@ -129,6 +129,23 @@ func TestBadOptions(t *testing.T) {
 	}
 }
 
+// TestRejectsNonFiniteHorizon: a horizon must be finite and positive.
+// NaN slips past a plain h <= 0 test, and +Inf would fire events until
+// the budget fails the run; an ensemble rejects either before any
+// replication runs, so its error names no replication.
+func TestRejectsNonFiniteHorizon(t *testing.T) {
+	m := pepa.MustParse("P = (a, 1).P; P")
+	for _, h := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if _, err := Run(m, Options{Horizon: h, Seed: 1}); err == nil || !strings.Contains(err.Error(), "finite and positive") {
+			t.Errorf("Run: horizon %g: err = %v", h, err)
+		}
+		_, err := RunEnsemble(m, Options{Horizon: h, Seed: 1}, 3)
+		if err == nil || !strings.Contains(err.Error(), "finite and positive") || strings.Contains(err.Error(), "replication") {
+			t.Errorf("RunEnsemble: horizon %g: err = %v", h, err)
+		}
+	}
+}
+
 func TestEventBudget(t *testing.T) {
 	m := pepa.MustParse("P = (a, 1000).P; P")
 	_, err := Run(m, Options{Horizon: 1e9, Seed: 1, MaxEvents: 100})

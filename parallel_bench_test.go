@@ -41,8 +41,9 @@ func BenchmarkParallelEnsemble(b *testing.B) {
 }
 
 // BenchmarkParallelSweep measures the rate-sweep fan-out: the model is
-// derived once into a chain family and each point re-rates it and solves
-// its own member CTMC.
+// derived once into a chain family, and each worker solves one contiguous
+// run of points as one steady-state batch on the family's pattern, with
+// no per-point chain.
 func BenchmarkParallelSweep(b *testing.B) {
 	m := pepa.MustParse(core.SimplePEPAModel)
 	values := experiment.Linspace(0.5, 4, 24)
