@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench bench-snapshot bench-compare bench-allocs bench-baseline bench-build repro chaos chaos-cancel chaos-hub chaos-cluster conformance conformance-deep fuzz fuzz-smoke goldens clean
+.PHONY: all build vet test race cpu-sweep bench-smoke bench bench-snapshot bench-compare bench-allocs bench-baseline bench-build repro chaos chaos-cancel chaos-hub chaos-cluster conformance conformance-deep fuzz fuzz-smoke goldens clean
 
 # Solve-path benchmarks recorded in BENCH_baseline.json (docs/PERFORMANCE.md).
 # Which of them benchcmp actually gates is its -gate regex; the rest are
@@ -30,6 +30,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Fan-out width sweep (CI test job): every internal/par fan-out runs
+# min(GOMAXPROCS, n) goroutines, so running the packages that fan out
+# under -cpu 1,4 checks that no result depends on the width — the
+# goldens, digests and bit-identity tests must pass at both.
+cpu-sweep:
+	$(GO) test -count=1 -cpu 1,4 . ./internal/core ./internal/par ./internal/ssa ./internal/pepa/sim ./internal/gpepa ./internal/biopepa ./internal/robustness ./internal/experiment
 
 # The end-to-end benchmark (benchmark/) is its own Go module, so the root
 # `go test ./...` skips it. Its tests run every workload once and pin the
@@ -98,8 +105,9 @@ chaos:
 	$(GO) run ./cmd/repro -only chaos -chaos-seed 42
 
 # Cancellation/checkpoint chaos lane (docs/RESILIENCE.md): interrupt
-# studies and ensembles mid-flight, resume them from their checkpoints,
-# and drain the hub under slow in-flight requests — all under -race.
+# studies and ensembles mid-flight, resume the ensembles from their
+# checkpoints, and drain the hub under slow in-flight requests — all
+# under -race.
 chaos-cancel:
 	$(GO) test -race -count=1 \
 		-run 'TestStudy|TestEnsemble|TestMeanOfSim|TestMeanSSA|TestShutdown|TestSave|TestLoad' \

@@ -40,7 +40,6 @@ func run() error {
 	sweepComponent := fs.String("sweep-component", "", "sweep: component name")
 	sweepCounts := fs.String("sweep-counts", "", "sweep: comma-separated populations")
 	sweepAction := fs.String("sweep-action", "", "sweep: action whose throughput is measured")
-	workers := fs.Int("workers", 0, "bound the sweep-point fan-out (0 = all cores, 1 = sequential); output is identical for any value")
 	timeout := fs.Duration("timeout", 0, "abort the analysis after this long (0 = no deadline); SIGINT/SIGTERM also cancel, a second signal force-aborts")
 	ckPath := fs.String("checkpoint", "", "persist finished simulation replications to this file (crash-safe); with -resume, skip the ones already there")
 	resume := fs.Bool("resume", false, "reuse matching replications from -checkpoint instead of starting fresh")
@@ -85,7 +84,7 @@ func run() error {
 			}
 			counts = append(counts, v)
 		}
-		points, err := gpepa.ScalabilitySweepCtx(ctx, m, *sweepGroup, *sweepComponent, counts, *horizon, *sweepAction, *workers)
+		points, err := gpepa.ScalabilitySweepCtx(ctx, m, *sweepGroup, *sweepComponent, counts, *horizon, *sweepAction)
 		if err != nil {
 			return err
 		}

@@ -198,10 +198,10 @@ func run() error {
 
 	switch {
 	case *dot:
-		fmt.Print(diagram.DOT(ss, diagram.Options{Title: path, ShortLabels: true}))
+		fmt.Print(diagram.DOT(ss, path))
 		return nil
 	case *text:
-		fmt.Print(diagram.Text(ss, diagram.Options{Title: path}))
+		fmt.Print(diagram.Text(ss, path))
 		return nil
 	case *cdfPattern != "":
 		targets := ss.StatesMatching(func(term string) bool {

@@ -31,10 +31,7 @@ func run() error {
 	outdir := flag.String("outdir", "", "also write each experiment's output to DIR/<name>.txt")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "run the Fig 6 hub experiment under a seeded fault plan (0 = off)")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics+span snapshot to this file on exit")
-	workers := flag.Int("workers", 0, "goroutines of the robustness study's per-machine fan-out (0 means GOMAXPROCS; results are bit-identical)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline); SIGINT/SIGTERM also cancel, a second signal force-aborts")
-	ckPath := flag.String("checkpoint", "", "persist finished robustness-study cells to this file (crash-safe); with -resume, skip the ones already there")
-	resume := flag.Bool("resume", false, "reuse matching study cells from -checkpoint instead of starting fresh")
 	flag.Parse()
 
 	// Reject a misspelt -only before building anything. chaos is known
@@ -55,11 +52,6 @@ func run() error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if *ckPath != "" && !*resume {
-		if err := os.Remove(*ckPath); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
 	var reg *obs.Registry
 	if *metricsOut != "" {
 		reg = obs.NewRegistry()
@@ -68,8 +60,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	pass.Study.Workers = *workers
-	pass.Study.Checkpoint = *ckPath
 	defer pass.Close()
 	if *chaosSeed != 0 {
 		exps = append(exps, paper.Chaos(*chaosSeed))

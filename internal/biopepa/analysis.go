@@ -142,9 +142,6 @@ func (r *ODEResult) Series(species string) ([]float64, error) {
 	return nil, fmt.Errorf("biopepa: unknown species %q", species)
 }
 
-// Final returns the final state.
-func (r *ODEResult) Final() []float64 { return r.X[len(r.X)-1] }
-
 // SSAResult is a stochastic simulation trajectory.
 type SSAResult struct {
 	Model *Model
@@ -233,7 +230,7 @@ func (m *Model) MeanSSACtx(ctx context.Context, horizon float64, n, k int, seed 
 	if err != nil {
 		return nil, err
 	}
-	paths, err := ssa.Replicate(ctx, "biopepa.mean-ssa", k, 0, reps, func(rep int) (ssa.Path, error) {
+	paths, err := ssa.Replicate(ctx, "biopepa.mean-ssa", k, reps, func(rep int) (ssa.Path, error) {
 		return m.simulateSSA(ctx, horizon, n, seed+uint64(rep)*0x9E3779B9)
 	})
 	if err != nil {

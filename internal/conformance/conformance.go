@@ -165,7 +165,7 @@ func CheckSteadyVsSSA(g *Generated, cfg Config) error {
 	// Re-run the same replications (same seed derivation as RunEnsemble)
 	// to collect the per-trajectory occupancy statistic the ensemble does
 	// not aggregate.
-	results, err := par.Map(context.Background(), cfg.SSAReps, 0, func(i int) (*sim.Result, error) {
+	results, err := par.Map(context.Background(), cfg.SSAReps, func(i int) (*sim.Result, error) {
 		o := opt
 		o.Seed = sim.ReplicationSeed(simSeed, i)
 		return sim.Run(g.Model, o)

@@ -166,7 +166,7 @@ func TestRobustnessSSAVsPassage(t *testing.T) {
 			t.Fatal(err)
 		}
 		exact := cdf.Probs[0]
-		results, err := par.Map(context.Background(), reps, 0, func(i int) (*sim.Result, error) {
+		results, err := par.Map(context.Background(), reps, func(i int) (*sim.Result, error) {
 			return sim.Run(m, sim.Options{Horizon: horizon, Seed: sim.ReplicationSeed(0xD0E, i)})
 		})
 		if err != nil {

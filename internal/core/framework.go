@@ -194,7 +194,7 @@ func (f *Framework) BuildAllCtx(ctx context.Context, host *hostenv.Host) (map[To
 	tools := Tools()
 	stage := f.Obs.StartSpan("core.build_all")
 	defer stage.End()
-	results, err := par.Map(ctx, len(tools), 0, func(i int) (*runtime.BuildResult, error) {
+	results, err := par.Map(ctx, len(tools), func(i int) (*runtime.BuildResult, error) {
 		sp := stage.StartSpan("build:" + string(tools[i]))
 		defer sp.End()
 		res, err := f.BuildCtx(ctx, tools[i], host)
@@ -235,7 +235,7 @@ func (f *Framework) PushAll(client *hub.Client, builds map[Tool]*runtime.BuildRe
 	perTool := make([]string, len(tools))
 	stage := f.Obs.StartSpan("core.push_all")
 	defer stage.End()
-	err := par.ForEachAll(context.Background(), len(tools), 0, func(i int) error {
+	err := par.ForEachAll(context.Background(), len(tools), func(i int) error {
 		t := tools[i]
 		sp := stage.StartSpan("push:" + string(t))
 		defer sp.End()
@@ -512,11 +512,11 @@ func (f *Framework) ValidationMatrixCtx(ctx context.Context, client *hub.Client)
 	refSpan.End()
 	// The host profiles are independent (each gets a fresh filesystem and
 	// its own pulls over the concurrency-safe HTTP client), so the matrix
-	// rows compute in parallel — one worker per host, rows assembled in
+	// rows compute in parallel — one task per host, rows assembled in
 	// profile order. The per-host fn never returns an error: every
 	// failure lands in its cell.
 	names := hostenv.Names()
-	perHost, err := par.Map(ctx, len(names), 0, func(h int) ([]MatrixEntry, error) {
+	perHost, err := par.Map(ctx, len(names), func(h int) ([]MatrixEntry, error) {
 		name := names[h]
 		rows := make([]MatrixEntry, 0, len(Tools()))
 		host, herr := hostenv.ByName(name)

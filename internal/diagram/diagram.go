@@ -11,68 +11,45 @@ import (
 	"repro/internal/pepa/derive"
 )
 
-// Options controls rendering.
-type Options struct {
-	// Title is the diagram caption (e.g. "Machine M3, Mapping A").
-	Title string
-	// Highlight marks state ids to emphasise (e.g. absorbing states).
-	Highlight []int
-	// ShortLabels numbers states S0..Sn instead of full canonical terms
-	// (full terms appear in a legend).
-	ShortLabels bool
-}
-
-// DOT renders the state space in Graphviz syntax. Output is deterministic:
+// DOT renders the state space in Graphviz syntax under the caption title
+// (none when empty). States are numbered S0..Sn, and a legend comment
+// maps each number to its canonical term. Output is deterministic:
 // states by id, transitions in stored order.
-func DOT(ss *derive.StateSpace, opt Options) string {
+func DOT(ss *derive.StateSpace, title string) string {
 	var b strings.Builder
 	b.WriteString("digraph activity {\n")
 	b.WriteString("  rankdir=LR;\n")
-	if opt.Title != "" {
-		fmt.Fprintf(&b, "  label=%q;\n", opt.Title)
+	if title != "" {
+		fmt.Fprintf(&b, "  label=%q;\n", title)
 	}
-	hi := map[int]bool{}
-	for _, s := range opt.Highlight {
-		hi[s] = true
-	}
-	for id, term := range ss.States {
-		label := term
-		if opt.ShortLabels {
-			label = fmt.Sprintf("S%d", id)
-		}
-		attrs := fmt.Sprintf("label=%q", label)
-		if hi[id] {
-			attrs += ", style=filled, fillcolor=lightgrey"
-		}
+	for id := range ss.States {
+		shape := "circle"
 		if id == 0 {
-			attrs += ", shape=doublecircle"
-		} else {
-			attrs += ", shape=circle"
+			shape = "doublecircle"
 		}
-		fmt.Fprintf(&b, "  n%d [%s];\n", id, attrs)
+		fmt.Fprintf(&b, "  n%d [label=\"S%d\", shape=%s];\n", id, id, shape)
 	}
 	for id := range ss.States {
 		for _, tr := range ss.Trans[id] {
 			fmt.Fprintf(&b, "  n%d -> n%d [label=\"(%s, %.4g)\"];\n", tr.From, tr.To, tr.Action, tr.Rate)
 		}
 	}
-	if opt.ShortLabels {
-		b.WriteString("  // legend\n")
-		for id, term := range ss.States {
-			fmt.Fprintf(&b, "  // S%d = %s\n", id, term)
-		}
+	b.WriteString("  // legend\n")
+	for id, term := range ss.States {
+		fmt.Fprintf(&b, "  // S%d = %s\n", id, term)
 	}
 	b.WriteString("}\n")
 	return b.String()
 }
 
-// Text renders a plain-text activity table: one line per transition plus a
-// state legend, suitable for terminal output and golden tests.
-func Text(ss *derive.StateSpace, opt Options) string {
+// Text renders a plain-text activity table under the caption title (none
+// when empty): one line per transition plus a state legend, suitable for
+// terminal output and golden tests.
+func Text(ss *derive.StateSpace, title string) string {
 	var b strings.Builder
-	if opt.Title != "" {
-		b.WriteString(opt.Title + "\n")
-		b.WriteString(strings.Repeat("=", len(opt.Title)) + "\n")
+	if title != "" {
+		b.WriteString(title + "\n")
+		b.WriteString(strings.Repeat("=", len(title)) + "\n")
 	}
 	fmt.Fprintf(&b, "states: %d, transitions: %d\n", ss.NumStates(), ss.NumTransitions())
 	for id, term := range ss.States {

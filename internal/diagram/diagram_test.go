@@ -23,10 +23,11 @@ func space(t *testing.T, src string) *derive.StateSpace {
 
 func TestDOTStructure(t *testing.T) {
 	ss := space(t, "P = (go, 1.5).P1; P1 = (back, 0.5).P; P")
-	dot := DOT(ss, Options{Title: "cycle"})
+	dot := DOT(ss, "cycle")
 	for _, want := range []string{
 		"digraph activity", `label="cycle"`,
-		`n0 [label="P", shape=doublecircle]`,
+		`n0 [label="S0", shape=doublecircle]`,
+		`n1 [label="S1", shape=circle]`,
 		`n0 -> n1 [label="(go, 1.5)"]`,
 		`n1 -> n0 [label="(back, 0.5)"]`,
 	} {
@@ -38,17 +39,9 @@ func TestDOTStructure(t *testing.T) {
 
 func TestDOTShortLabelsAndLegend(t *testing.T) {
 	ss := space(t, "P = (a, 1).P1; P1 = (b, 1).P; P")
-	dot := DOT(ss, Options{ShortLabels: true})
+	dot := DOT(ss, "")
 	if !strings.Contains(dot, `label="S0"`) || !strings.Contains(dot, "// S1 = P1") {
 		t.Errorf("short labels/legend missing:\n%s", dot)
-	}
-}
-
-func TestDOTHighlight(t *testing.T) {
-	ss := space(t, "P = (a, 1).P1; P1 = (b, 1).P; P")
-	dot := DOT(ss, Options{Highlight: []int{1}})
-	if !strings.Contains(dot, "fillcolor=lightgrey") {
-		t.Errorf("highlight missing:\n%s", dot)
 	}
 }
 
@@ -56,7 +49,7 @@ func TestTextMarksInitialAndAbsorbing(t *testing.T) {
 	ss := space(t, "P = (a, 1).Q; Q = (halt, 0.001).Q; P")
 	// Make an absorbing-looking state: Q self-loops so nothing is
 	// absorbing here; check initial marker only.
-	txt := Text(ss, Options{Title: "demo"})
+	txt := Text(ss, "demo")
 	if !strings.Contains(txt, "> S0") {
 		t.Errorf("initial marker missing:\n%s", txt)
 	}
@@ -68,7 +61,7 @@ func TestTextMarksInitialAndAbsorbing(t *testing.T) {
 func TestTextAbsorbingMarker(t *testing.T) {
 	// A blocked cooperation produces a genuine deadlock state.
 	ss := space(t, "P = (a, 1).P; Q = (b, 1).Q1; Q1 = (b, 1).Q1; P <a,b> Q")
-	txt := Text(ss, Options{})
+	txt := Text(ss, "")
 	if !strings.Contains(txt, "* S0") {
 		t.Errorf("absorbing marker missing:\n%s", txt)
 	}
@@ -87,8 +80,8 @@ func TestActionSummary(t *testing.T) {
 
 func TestDeterministicRendering(t *testing.T) {
 	src := "P = (a, 1).P1; P1 = (b, 1).P2; P2 = (c, 1).P; P"
-	a := DOT(space(t, src), Options{})
-	b := DOT(space(t, src), Options{})
+	a := DOT(space(t, src), "")
+	b := DOT(space(t, src), "")
 	if a != b {
 		t.Error("DOT output not deterministic")
 	}

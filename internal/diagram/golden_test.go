@@ -21,10 +21,9 @@ const goldenSrc = `
 func TestGoldenDiagrams(t *testing.T) {
 	ss := space(t, goldenSrc)
 	outputs := map[string]string{
-		"activity.dot":       DOT(ss, Options{Title: "golden"}),
-		"activity-short.dot": DOT(ss, Options{Title: "golden", ShortLabels: true, Highlight: []int{2}}),
-		"activity.txt":       Text(ss, Options{Title: "golden"}),
-		"summary.tsv":        ActionSummary(ss),
+		"activity.dot": DOT(ss, "golden"),
+		"activity.txt": Text(ss, "golden"),
+		"summary.tsv":  ActionSummary(ss),
 	}
 	for name, got := range outputs {
 		t.Run(name, func(t *testing.T) {
@@ -37,7 +36,7 @@ func TestGoldenDiagrams(t *testing.T) {
 // must not change a byte (rates like 1.5 keep their '.' separator).
 func TestGoldenLocaleIndependence(t *testing.T) {
 	ss := space(t, goldenSrc)
-	before := DOT(ss, Options{Title: "golden"})
+	before := DOT(ss, "golden")
 	for _, v := range []string{"LC_ALL", "LC_NUMERIC", "LANG"} {
 		old, had := os.LookupEnv(v)
 		os.Setenv(v, "fr_FR.UTF-8")
@@ -49,7 +48,7 @@ func TestGoldenLocaleIndependence(t *testing.T) {
 			}
 		}(v, old, had)
 	}
-	if after := DOT(ss, Options{Title: "golden"}); after != before {
+	if after := DOT(ss, "golden"); after != before {
 		t.Error("DOT output changed under fr_FR locale")
 	}
 }

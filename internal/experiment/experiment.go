@@ -149,6 +149,9 @@ func (p PassageQuantile) sweep(fam *ctmc.ChainFamily) (runSolver, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("experiment: no state matches %q", p.Pattern)
 	}
+	if !(p.Quantile > 0 && p.Quantile <= 1) {
+		return nil, fmt.Errorf("experiment: passage quantile %g is not in (0, 1]", p.Quantile)
+	}
 	n := p.Samples
 	if n <= 0 {
 		n = 100
@@ -266,7 +269,7 @@ func RateSweepCtx(ctx context.Context, m *pepa.Model, rateName string, values []
 	out := make([]float64, len(values))
 	runs := min(runtime.GOMAXPROCS(0), len(values))
 	done, errs := make([]int, runs), make([]error, runs)
-	err = par.ForEach(ctx, runs, runs, func(r int) error {
+	err = par.ForEach(ctx, runs, func(r int) error {
 		lo, hi := r*len(values)/runs, (r+1)*len(values)/runs
 		done[r], errs[r] = solve(ctx, rates[lo:hi], out[lo:hi])
 		if errs[r] != nil && ctx.Err() == nil {

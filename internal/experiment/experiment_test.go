@@ -121,10 +121,12 @@ func TestSweepRejectsNonFiniteOrNonPositiveValues(t *testing.T) {
 	}
 }
 
-// TestSweepRejectsBadMeasureBeforeSolving: an unknown throughput action
-// and a passage pattern that matches no state are measure arguments, not
-// point failures, so the sweep rejects them once, before any point is
-// solved.
+// TestSweepRejectsBadMeasureBeforeSolving: an unknown throughput action,
+// a passage pattern that matches no state, a non-finite passage horizon
+// and a passage quantile outside (0, 1] are measure arguments, not point
+// failures, so the sweep rejects them once, before any point is solved.
+// A NaN or too-large quantile would otherwise record +Inf at every point,
+// and a zero one t = 0.
 func TestSweepRejectsBadMeasureBeforeSolving(t *testing.T) {
 	m := pepa.MustParse(workRest)
 	for _, meas := range []Measure{
@@ -132,6 +134,9 @@ func TestSweepRejectsBadMeasureBeforeSolving(t *testing.T) {
 		PassageQuantile{Pattern: "Nowhere", Quantile: 0.5},
 		PassageQuantile{Pattern: "P1", Quantile: 0.5, Horizon: math.NaN()},
 		PassageQuantile{Pattern: "P1", Quantile: 0.5, Horizon: math.Inf(1)},
+		PassageQuantile{Pattern: "P1", Quantile: math.NaN()},
+		PassageQuantile{Pattern: "P1", Quantile: 1.5},
+		PassageQuantile{Pattern: "P1", Quantile: 0},
 	} {
 		var solves atomic.Int64
 		_, err := RateSweep(m, "r", Linspace(0.5, 4, 8), countingMeasure{meas, &solves})

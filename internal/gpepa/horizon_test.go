@@ -43,7 +43,7 @@ func TestNonFiniteHorizonRejected(t *testing.T) {
 			return err
 		}},
 		{"ScalabilitySweepCtx", func(h float64) error {
-			_, err := ScalabilitySweepCtx(ctx, m, "Servers", "Server", counts, h, "request", 1)
+			_, err := ScalabilitySweepCtx(ctx, m, "Servers", "Server", counts, h, "request")
 			return err
 		}},
 	}

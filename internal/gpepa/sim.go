@@ -134,7 +134,7 @@ func (fs *FluidSystem) simulateReps(ctx context.Context, horizon float64, n, k i
 	if err != nil {
 		return nil, err
 	}
-	paths, err := ssa.Replicate(ctx, "gpepa.ensemble", k, 0, reps, func(rep int) (ssa.Path, error) {
+	paths, err := ssa.Replicate(ctx, "gpepa.ensemble", k, reps, func(rep int) (ssa.Path, error) {
 		return fs.simulate(ctx, horizon, n, seed+uint64(rep)*0x9E3779B9)
 	})
 	if err != nil {
@@ -190,7 +190,7 @@ type SimEnsemble struct {
 // EnsembleOfSimulations runs k independent trajectories in parallel and
 // reduces them, in replication order, to pointwise means and sample
 // standard deviations. Like MeanOfSimulations the result is bit-identical
-// for any worker count.
+// at any GOMAXPROCS.
 func (fs *FluidSystem) EnsembleOfSimulations(horizon float64, n, k int, seed uint64) (*SimEnsemble, error) {
 	return fs.EnsembleOfSimulationsCtx(context.Background(), horizon, n, k, seed, "")
 }

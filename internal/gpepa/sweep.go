@@ -27,20 +27,18 @@ type SweepPoint struct {
 // ScalabilitySweep solves the fluid model to the horizon for each
 // population count of (group, component) and records the equilibrium
 // throughput of the action. Each point keeps only its state at the
-// horizon. Points are independent and solve in parallel on up to
-// GOMAXPROCS goroutines, assembled in sweep order.
+// horizon. Points are independent and solve in parallel on
+// min(GOMAXPROCS, len(counts)) goroutines, assembled in sweep order, so
+// the output is identical at any GOMAXPROCS.
 func ScalabilitySweep(m *Model, group, component string, counts []float64, horizon float64, action string) ([]SweepPoint, error) {
-	return ScalabilitySweepCtx(context.Background(), m, group, component, counts, horizon, action, 0)
+	return ScalabilitySweepCtx(context.Background(), m, group, component, counts, horizon, action)
 }
 
-// ScalabilitySweepCtx is ScalabilitySweep with cooperative cancellation
-// and an explicit bound on the point fan-out (0 means GOMAXPROCS, 1
-// sequential). Once ctx is done no point starts and running points stop
-// before their next integration step; the sweep then returns a
-// *runctx.ErrCanceled counting the points that finished. Points are
-// assembled in sweep order regardless, so the output is identical for
-// any worker count.
-func ScalabilitySweepCtx(ctx context.Context, m *Model, group, component string, counts []float64, horizon float64, action string, workers int) ([]SweepPoint, error) {
+// ScalabilitySweepCtx is ScalabilitySweep with cooperative cancellation.
+// Once ctx is done no point starts and running points stop before their
+// next integration step; the sweep then returns a *runctx.ErrCanceled
+// counting the points that finished.
+func ScalabilitySweepCtx(ctx context.Context, m *Model, group, component string, counts []float64, horizon float64, action string) ([]SweepPoint, error) {
 	if len(counts) == 0 {
 		return nil, fmt.Errorf("gpepa: empty sweep")
 	}
@@ -61,7 +59,7 @@ func ScalabilitySweepCtx(ctx context.Context, m *Model, group, component string,
 		return nil, err
 	}
 	grid := ode.Grid(0, horizon, 50) // read-only, shared by every point
-	points, err := par.Map(ctx, len(counts), workers, func(i int) (SweepPoint, error) {
+	points, err := par.Map(ctx, len(counts), func(i int) (SweepPoint, error) {
 		sys, err := proto.WithCounts(group, component, counts[i])
 		if err != nil {
 			return SweepPoint{}, err

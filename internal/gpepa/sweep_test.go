@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -88,26 +89,30 @@ func TestSaturationEdgeCases(t *testing.T) {
 	}
 }
 
+// TestScalabilitySweepWorkersBitIdentical: the point fan-out is
+// GOMAXPROCS wide, and a sweep at GOMAXPROCS 4 matches one at 1 bit for
+// bit.
 func TestScalabilitySweepWorkersBitIdentical(t *testing.T) {
 	m := MustParse(clientServerSrc)
 	counts := []float64{2, 5, 10, 20}
-	ref, err := ScalabilitySweepCtx(context.Background(), m, "Servers", "Server", counts, 100, "request", 1)
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	ref, err := ScalabilitySweep(m, "Servers", "Server", counts, 100, "request")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 2, 4} {
-		got, err := ScalabilitySweepCtx(context.Background(), m, "Servers", "Server", counts, 100, "request", workers)
-		if err != nil {
-			t.Fatal(err)
+	runtime.GOMAXPROCS(4)
+	got, err := ScalabilitySweep(m, "Servers", "Server", counts, 100, "request")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref {
+		if math.Float64bits(got[i].Throughput) != math.Float64bits(ref[i].Throughput) {
+			t.Fatalf("GOMAXPROCS 4: throughput diverged at count=%g", counts[i])
 		}
-		for i := range ref {
-			if math.Float64bits(got[i].Throughput) != math.Float64bits(ref[i].Throughput) {
-				t.Fatalf("workers=%d: throughput diverged at count=%g", workers, counts[i])
-			}
-			for j := range ref[i].Final {
-				if math.Float64bits(got[i].Final[j]) != math.Float64bits(ref[i].Final[j]) {
-					t.Fatalf("workers=%d: final populations diverged at count=%g", workers, counts[i])
-				}
+		for j := range ref[i].Final {
+			if math.Float64bits(got[i].Final[j]) != math.Float64bits(ref[i].Final[j]) {
+				t.Fatalf("GOMAXPROCS 4: final populations diverged at count=%g", counts[i])
 			}
 		}
 	}
@@ -137,7 +142,7 @@ func TestScalabilitySweepCanceled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	points, err := ScalabilitySweepCtx(ctx, m, "Servers", "Server", counts, 100, "request", 2)
+	points, err := ScalabilitySweepCtx(ctx, m, "Servers", "Server", counts, 100, "request")
 	if points != nil {
 		t.Errorf("canceled sweep returned %d points", len(points))
 	}
@@ -149,7 +154,7 @@ func TestScalabilitySweepCanceled(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := ScalabilitySweepCtx(ctx, m, "Servers", "Server", counts, 1e7, "request", 1)
+		_, err := ScalabilitySweepCtx(ctx, m, "Servers", "Server", counts, 1e7, "request")
 		done <- err
 	}()
 	select {

@@ -79,9 +79,6 @@ func (l *Layer) Size() int { return len(l.encoded) }
 // returned slice.
 func (l *Layer) Bytes() []byte { return l.encoded }
 
-// Changeset exposes the decoded diff.
-func (l *Layer) Changeset() *vfs.Changeset { return l.cs }
-
 // Apply applies the layer's diff to fs in place.
 func (l *Layer) Apply(fs *vfs.FS) error { return fs.Apply(l.cs) }
 

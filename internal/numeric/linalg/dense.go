@@ -44,17 +44,6 @@ func (m *Dense) Clone() *Dense {
 	return c
 }
 
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Dense) Transpose() *Dense {
-	t := NewDense(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
 // MulVec computes y = m·x. It panics if dimensions mismatch.
 func (m *Dense) MulVec(x []float64) []float64 {
 	if len(x) != m.Cols {
@@ -78,9 +67,8 @@ var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
 // LU holds an LU factorization with partial pivoting: P·A = L·U.
 type LU struct {
-	lu   *Dense
-	piv  []int
-	sign int
+	lu  *Dense
+	piv []int
 }
 
 // Factorize computes the LU factorization of a square matrix a using
@@ -96,7 +84,6 @@ func Factorize(a *Dense) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivot: find the row with the largest magnitude in column k.
 		p := k
@@ -117,7 +104,6 @@ func Factorize(a *Dense) (*LU, error) {
 				ra[j], rb[j] = rb[j], ra[j]
 			}
 			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
 		}
 		pivVal := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -131,7 +117,7 @@ func Factorize(a *Dense) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // Solve solves A·x = b for x given the factorization of A.
@@ -170,16 +156,6 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	n := f.lu.Rows
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // SolveDense is a convenience wrapper: factorize a and solve a·x = b.
 func SolveDense(a *Dense, b []float64) ([]float64, error) {
 	f, err := Factorize(a)
@@ -201,15 +177,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // NormInf returns the maximum-magnitude entry of v.
 func NormInf(v []float64) float64 {
 	var m float64
@@ -228,16 +195,6 @@ func Sum(v []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: AXPY length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
 }
 
 // Scale multiplies every entry of v by alpha in place.

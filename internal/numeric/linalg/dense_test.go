@@ -24,26 +24,6 @@ func TestDenseAtSet(t *testing.T) {
 	}
 }
 
-func TestDenseTranspose(t *testing.T) {
-	m := NewDense(2, 3)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			m.Set(i, j, float64(10*i+j))
-		}
-	}
-	tr := m.Transpose()
-	if tr.Rows != 3 || tr.Cols != 2 {
-		t.Fatalf("transpose dims = %dx%d, want 3x2", tr.Rows, tr.Cols)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			if tr.At(j, i) != m.At(i, j) {
-				t.Errorf("transpose mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestMulVec(t *testing.T) {
 	m := NewDense(2, 2)
 	m.Set(0, 0, 1)
@@ -99,39 +79,6 @@ func TestLUSingular(t *testing.T) {
 	}
 }
 
-func TestLUDeterminant3x3(t *testing.T) {
-	a := NewDense(3, 3)
-	vals := [][]float64{{2, 0, 1}, {1, 3, 2}, {1, 1, 2}}
-	for i := range vals {
-		for j := range vals[i] {
-			a.Set(i, j, vals[i][j])
-		}
-	}
-	f, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// det = 2*(3*2-2*1) - 0 + 1*(1*1-3*1) = 8 - 2 = 6.
-	if !almostEqual(f.Det(), 6, 1e-12) {
-		t.Errorf("det = %g, want 6", f.Det())
-	}
-}
-
-func TestLUDeterminantNonSingular(t *testing.T) {
-	a := NewDense(2, 2)
-	a.Set(0, 0, 3)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 2)
-	a.Set(1, 1, 5)
-	f, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(f.Det(), 13, 1e-12) {
-		t.Errorf("det = %g, want 13", f.Det())
-	}
-}
-
 func TestLUSolveRandomRoundTrip(t *testing.T) {
 	// Property: for diagonally dominant A and any b, A·solve(A,b) == b.
 	f := func(seed int64) bool {
@@ -178,19 +125,11 @@ func TestVectorOps(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Errorf("Dot = %g, want 32", got)
 	}
-	if got := Norm2([]float64{3, 4}); got != 5 {
-		t.Errorf("Norm2 = %g, want 5", got)
-	}
 	if got := NormInf([]float64{1, -7, 3}); got != 7 {
 		t.Errorf("NormInf = %g, want 7", got)
 	}
 	if got := Sum([]float64{1, 2, 3.5}); got != 6.5 {
 		t.Errorf("Sum = %g, want 6.5", got)
-	}
-	y := []float64{1, 1}
-	AXPY(2, []float64{3, 4}, y)
-	if y[0] != 7 || y[1] != 9 {
-		t.Errorf("AXPY = %v, want [7 9]", y)
 	}
 	v := []float64{2, 6}
 	if s := Normalize1(v); s != 8 {

@@ -23,9 +23,6 @@ type Solution struct {
 	Evals int         // right-hand-side evaluations
 }
 
-// At returns the state at output index k.
-func (s *Solution) At(k int) []float64 { return s.Y[k] }
-
 // Final returns the last sampled state.
 func (s *Solution) Final() []float64 { return s.Y[len(s.Y)-1] }
 

@@ -13,6 +13,9 @@
 // running finish (they are expected to poll the same context at their own
 // boundaries). ForEach and Map report the lowest-index failure; ForEachAll
 // aggregates every failure into a *MultiError.
+//
+// Every fan-out runs on min(GOMAXPROCS, n) goroutines: a caller that
+// wants fewer sets GOMAXPROCS. Results do not depend on the width.
 package par
 
 import (
@@ -81,20 +84,15 @@ func trimStack(s string) string {
 	return strings.Join(lines, "\n")
 }
 
-// run executes fn over [0, n) on up to workers goroutines (<= 0 means
-// GOMAXPROCS) and returns the per-task errors. With firstErr a
-// sequential run stops at its first failure, since a caller reporting
-// the lowest-index error can use nothing after it.
+// run executes fn over [0, n) on min(workers, n) goroutines and returns
+// the per-task errors. With firstErr a sequential run stops at its first
+// failure, since a caller reporting the lowest-index error can use
+// nothing after it.
 func run(ctx context.Context, n, workers int, firstErr bool, fn func(i int) error) []error {
 	if n <= 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 	errs := make([]error, n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
@@ -145,15 +143,14 @@ dispatch:
 	return errs
 }
 
-// ForEach runs fn(i) for i in [0, n) on up to workers goroutines
-// (workers <= 0 means GOMAXPROCS) and returns the error of the
-// lowest-index failing task, wrapped with its index. A parallel run
-// completes every dispatched task, which keeps the choice of error
-// deterministic; a sequential run stops at its first failure. A
-// panicking task surfaces as that task's *PanicError instead of crashing
-// the pool.
-func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
-	for i, err := range run(ctx, n, workers, true, fn) {
+// ForEach runs fn(i) for i in [0, n) on min(GOMAXPROCS, n) goroutines
+// and returns the error of the lowest-index failing task, wrapped with
+// its index. A parallel run completes every dispatched task, which keeps
+// the choice of error deterministic; a sequential run (GOMAXPROCS 1 or
+// n 1) stops at its first failure. A panicking task surfaces as that
+// task's *PanicError instead of crashing the pool.
+func ForEach(ctx context.Context, n int, fn func(i int) error) error {
+	for i, err := range run(ctx, n, runtime.GOMAXPROCS(0), true, fn) {
 		if err != nil {
 			return fmt.Errorf("par: task %d: %w", i, err)
 		}
@@ -164,9 +161,9 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 // Map runs fn over [0, n) as ForEach does and collects the results by
 // index. On failure it returns ForEach's error together with the partial
 // results: zero values at failed and undispatched indices.
-func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
+func Map[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := ForEach(ctx, n, workers, func(i int) error {
+	err := ForEach(ctx, n, func(i int) error {
 		v, err := fn(i)
 		if err != nil {
 			return err
@@ -180,9 +177,9 @@ func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 // ForEachAll runs fn over [0, n) as ForEach does, but a sequential run
 // too attempts every task, and the result is nil or a *MultiError
 // listing every failure in index order.
-func ForEachAll(ctx context.Context, n, workers int, fn func(i int) error) error {
+func ForEachAll(ctx context.Context, n int, fn func(i int) error) error {
 	var m *MultiError
-	for i, err := range run(ctx, n, workers, false, fn) {
+	for i, err := range run(ctx, n, runtime.GOMAXPROCS(0), false, fn) {
 		if err != nil {
 			if m == nil {
 				m = &MultiError{Total: n}

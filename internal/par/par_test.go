@@ -13,7 +13,7 @@ import (
 func TestForEachRunsAll(t *testing.T) {
 	var count atomic.Int64
 	seen := make([]atomic.Bool, 100)
-	err := ForEach(context.Background(), 100, 8, func(i int) error {
+	err := ForEach(context.Background(), 100, func(i int) error {
 		count.Add(1)
 		if seen[i].Swap(true) {
 			return fmt.Errorf("index %d ran twice", i)
@@ -29,22 +29,23 @@ func TestForEachRunsAll(t *testing.T) {
 }
 
 func TestForEachZeroAndNegative(t *testing.T) {
-	if err := ForEach(context.Background(), 0, 4, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := ForEach(context.Background(), 0, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Error(err)
 	}
-	if err := ForEach(context.Background(), -3, 4, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := ForEach(context.Background(), -3, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestForEachSequentialPath(t *testing.T) {
 	var order []int
-	err := ForEach(context.Background(), 5, 1, func(i int) error {
+	for _, err := range run(context.Background(), 5, 1, true, func(i int) error {
 		order = append(order, i)
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	}) {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i, v := range order {
 		if v != i {
@@ -54,7 +55,7 @@ func TestForEachSequentialPath(t *testing.T) {
 }
 
 func TestForEachReportsLowestIndexError(t *testing.T) {
-	err := ForEach(context.Background(), 10, 4, func(i int) error {
+	err := ForEach(context.Background(), 10, func(i int) error {
 		if i == 3 || i == 7 {
 			return fmt.Errorf("boom %d", i)
 		}
@@ -65,9 +66,11 @@ func TestForEachReportsLowestIndexError(t *testing.T) {
 	}
 }
 
+// TestForEachAllTasksRunDespiteError: a parallel first-error run still
+// completes every dispatched task.
 func TestForEachAllTasksRunDespiteError(t *testing.T) {
 	var count atomic.Int64
-	ForEach(context.Background(), 50, 8, func(i int) error {
+	run(context.Background(), 50, 8, true, func(i int) error {
 		count.Add(1)
 		if i == 0 {
 			return errors.New("early failure")
@@ -80,7 +83,7 @@ func TestForEachAllTasksRunDespiteError(t *testing.T) {
 }
 
 func TestMapCollectsByIndex(t *testing.T) {
-	out, err := Map(context.Background(), 20, 4, func(i int) (int, error) { return i * i, nil })
+	out, err := Map(context.Background(), 20, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestMapCollectsByIndex(t *testing.T) {
 			t.Errorf("out[%d] = %d", i, v)
 		}
 	}
-	if _, err := Map(context.Background(), 3, 2, func(i int) (int, error) {
+	if _, err := Map(context.Background(), 3, func(i int) (int, error) {
 		if i == 1 {
 			return 0, errors.New("no")
 		}
@@ -100,14 +103,18 @@ func TestMapCollectsByIndex(t *testing.T) {
 }
 
 func TestParallelEqualsSequentialProperty(t *testing.T) {
+	collect := func(n, workers int) []int {
+		out := make([]int, n)
+		run(context.Background(), n, workers, true, func(i int) error {
+			out[i] = 3*i + 1
+			return nil
+		})
+		return out
+	}
 	f := func(nRaw, wRaw uint8) bool {
 		n := int(nRaw % 64)
 		workers := int(wRaw%8) + 1
-		seq, err1 := Map(context.Background(), n, 1, func(i int) (int, error) { return 3*i + 1, nil })
-		parOut, err2 := Map(context.Background(), n, workers, func(i int) (int, error) { return 3*i + 1, nil })
-		if err1 != nil || err2 != nil {
-			return false
-		}
+		seq, parOut := collect(n, 1), collect(n, workers)
 		for i := range seq {
 			if seq[i] != parOut[i] {
 				return false

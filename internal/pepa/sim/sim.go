@@ -30,11 +30,6 @@ type Options struct {
 	Seed uint64
 	// MaxEvents bounds the event count (default 10 million).
 	MaxEvents int
-	// Workers bounds the goroutines RunEnsemble uses (<= 0 means
-	// GOMAXPROCS). Replications have independent seeds and results are
-	// reduced in replication order, so the ensemble is bit-identical for
-	// any worker count.
-	Workers int
 	// Obs, when non-nil, receives trajectory metrics (runs, events fired,
 	// deadlocks, replication counts). The registry is safe for the
 	// concurrent replication workers; nil costs nothing and simulation
@@ -249,10 +244,10 @@ func ReplicationSeed(seed uint64, i int) uint64 {
 	return seed + uint64(i)*0x9E3779B97F4A7C15
 }
 
-// RunEnsemble simulates n replications, in parallel when Options.Workers
-// allows. Each replication derives its own seed and compiles its own
-// derive.Walker, so workers share nothing; the reduction runs in replication
-// order for bit-stable results.
+// RunEnsemble simulates n replications in parallel, on min(GOMAXPROCS, n)
+// goroutines. Each replication derives its own seed and compiles its own
+// derive.Walker, so workers share nothing; the reduction runs in
+// replication order, so the ensemble is bit-identical at any GOMAXPROCS.
 func RunEnsemble(m *pepa.Model, opt Options, n int) (*Ensemble, error) {
 	return RunEnsembleCtx(context.Background(), m, opt, n)
 }
@@ -285,7 +280,7 @@ func RunEnsembleCtx(ctx context.Context, m *pepa.Model, opt Options, n int) (*En
 	if err != nil {
 		return nil, err
 	}
-	records, err := ssa.Replicate(ctx, "sim.ensemble", n, opt.Workers, reps, func(i int) (repRecord, error) {
+	records, err := ssa.Replicate(ctx, "sim.ensemble", n, reps, func(i int) (repRecord, error) {
 		o := opt
 		o.Seed = ReplicationSeed(opt.Seed, i)
 		res, err := RunCtx(ctx, m, o)

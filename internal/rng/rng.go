@@ -115,11 +115,3 @@ func (r *Source) Choose(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Shuffle permutes the first n indices via Fisher–Yates using swap.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

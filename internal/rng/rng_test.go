@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -135,22 +134,6 @@ func TestChoosePanics(t *testing.T) {
 			}()
 			r.Choose(w)
 		}()
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := New(seed)
-		xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-		r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-		seen := map[int]bool{}
-		for _, v := range xs {
-			seen[v] = true
-		}
-		return len(seen) == 8
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -60,19 +60,15 @@ func (s *Study) Perturbed(spread float64, seed uint64) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Field-wise copy: Study carries a mutex, and a perturbed copy must not
-	// share the parent's checkpoint file (its ETC differs, so the two would
-	// overwrite each other's cells under different fingerprints). The
-	// chain-family cache IS shared: perturbed models differ only in rate
-	// values, so every copy re-rates the parent's derived prototypes
-	// instead of re-deriving (see ctmc.ChainFamily).
+	// Field-wise copy, because Study carries a mutex. The chain-family
+	// cache IS shared: perturbed models differ only in rate values, so
+	// every copy re-rates the parent's derived prototypes instead of
+	// re-deriving (see ctmc.ChainFamily).
 	return &Study{
 		ETC:        etc,
 		FailRate:   s.FailRate,
 		RepairRate: s.RepairRate,
-		Seed:       s.Seed,
 		Obs:        s.Obs,
-		Workers:    s.Workers,
 		families:   s.familySetRef(),
 	}, nil
 }
@@ -126,7 +122,7 @@ func (s *Study) RobustnessUnderPerturbation(mapping string, tau, spread float64,
 	}
 	last := len(times) - 1
 	atTau := make([]float64, NumMachines*n) // machine j's member k at j*n+k
-	err = par.ForEach(ctx, NumMachines, s.Workers, func(j int) error {
+	err = par.ForEach(ctx, NumMachines, func(j int) error {
 		cell, row := cells[j], atTau[j*n:(j+1)*n]
 		s.Obs.Add("robustness_family_total", float64(n), obs.L("outcome", "reuse"))
 		err := cell.fam.FirstPassageCDFs(ctx, rates[j], cell.p0, cell.targets, times, passageEps, s.Obs, func(k, i int, p float64) {

@@ -148,29 +148,29 @@ func TestRobustnessValidatesSamplesAndDeadline(t *testing.T) {
 	}
 }
 
-// TestRobustnessUnderPerturbationWorkersBitIdentical: Workers bounds only
-// the per-machine fan-out of the batched solves, so it changes no bit of
-// the report.
+// TestRobustnessUnderPerturbationWorkersBitIdentical: GOMAXPROCS bounds
+// only the per-machine fan-out of the batched solves, so it changes no bit
+// of the report. Each width gets a fresh study, so neither run reuses the
+// other's families.
 func TestRobustnessUnderPerturbationWorkersBitIdentical(t *testing.T) {
-	seq := NewStudy()
-	seq.Workers = 1
-	par4 := NewStudy()
-	par4.Workers = 4
-	a, err := seq.RobustnessUnderPerturbation(MappingB, 300, 0.3, 24, 5, 20)
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	a, err := NewStudy().RobustnessUnderPerturbation(MappingB, 300, 0.3, 24, 5, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := par4.RobustnessUnderPerturbation(MappingB, 300, 0.3, 24, 5, 20)
+	runtime.GOMAXPROCS(4)
+	b, err := NewStudy().RobustnessUnderPerturbation(MappingB, 300, 0.3, 24, 5, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	if !same(a.Nominal, b.Nominal) || !same(a.Worst, b.Worst) || !same(a.Mean, b.Mean) || !same(a.Best, b.Best) {
-		t.Fatalf("summary differs: workers=1 %+v, workers=4 %+v", a, b)
+		t.Fatalf("summary differs: GOMAXPROCS 1 %+v, GOMAXPROCS 4 %+v", a, b)
 	}
 	for k := range a.Values {
 		if !same(a.Values[k], b.Values[k]) {
-			t.Fatalf("Values[%d] = %x (workers=1) vs %x (workers=4)", k, math.Float64bits(a.Values[k]), math.Float64bits(b.Values[k]))
+			t.Fatalf("Values[%d] = %x (GOMAXPROCS 1) vs %x (GOMAXPROCS 4)", k, math.Float64bits(a.Values[k]), math.Float64bits(b.Values[k]))
 		}
 	}
 }
@@ -183,7 +183,6 @@ func TestRobustnessUnderPerturbationWorkersBitIdentical(t *testing.T) {
 // that for the 48 extra members.
 func TestPerturbationGridBytesIndependentOfMembers(t *testing.T) {
 	s := NewStudy()
-	s.Workers = 1
 	allocated := func(n, samples int) uint64 {
 		// A first call builds the families and fills the Poisson tables.
 		if _, err := s.RobustnessUnderPerturbation(MappingA, 60, 0.3, n, 7, samples); err != nil {

@@ -25,7 +25,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/checkpoint"
 	"repro/internal/ctmc"
 	"repro/internal/diagram"
 	"repro/internal/obs"
@@ -87,33 +86,14 @@ type Study struct {
 	// component (exponential up/down alternation).
 	FailRate   float64
 	RepairRate float64
-	// Seed used to generate the synthetic ETC matrix.
-	Seed uint64
 	// Obs, when non-nil, receives every passage solve's metrics
 	// (transient solves, uniformization terms, Poisson-cache outcomes)
 	// and the study's family reuse count.
 	Obs *obs.Registry
-	// Workers bounds the goroutines of the per-machine fan-out of
-	// MakespanCDF and RobustnessUnderPerturbation (0 means GOMAXPROCS, 1
-	// means sequential). Each machine's passages solve on one goroutine.
-	// Results are bit-identical for any value; see docs/PERFORMANCE.md.
-	Workers int
-	// Checkpoint, when non-empty, names a file where every finished
-	// per-machine passage CDF is persisted (atomically, via
-	// internal/fsatomic) as soon as it is computed. A killed or canceled
-	// study re-run with the same parameters and checkpoint path skips
-	// the machines already on disk and produces byte-identical output.
-	// The file is keyed by a fingerprint of the study parameters and the
-	// time grid; a mismatch is treated as a cache miss, never an error.
-	// Each FinishingCDF or MakespanCDF call reads the file once and then
-	// rewrites it whole, so two such calls must not share the file
-	// concurrently: the last writer would drop the other's cells (a
-	// dropped cell is recomputed on resume, never misread).
-	Checkpoint string
 
-	// hookCell, when non-nil, runs after each per-machine cell has been
-	// computed and checkpointed — the test seam that cancels a study at
-	// a deterministic point mid-flight.
+	// hookCell, when non-nil, runs after each machine's finishing-time
+	// CDF of a makespan has been computed — the test seam that cancels a
+	// study at a deterministic point mid-flight.
 	hookCell func(mapping string, j int)
 
 	// famMu guards families, the per-machine chain-family cache. The
@@ -201,11 +181,14 @@ func (s *Study) familySetRef() *familySet {
 	return s.families
 }
 
+// etcSeed seeds the synthetic ETC matrix.
+const etcSeed = 2019
+
 // NewStudy constructs the study with the deterministic synthetic ETC and
 // the availability parameters used throughout the reproduction.
 func NewStudy() *Study {
-	s := &Study{FailRate: 0.05, RepairRate: 0.5, Seed: 2019}
-	r := rng.New(s.Seed)
+	s := &Study{FailRate: 0.05, RepairRate: 0.5}
+	r := rng.New(etcSeed)
 	// Consistent ETC: workload_i in [8, 40] task-hours, speed_j in
 	// [0.6, 1.8]; ETC = workload/speed * (1 +/- 10% noise).
 	var workload [NumApps]float64
@@ -323,70 +306,15 @@ func (s *Study) MachineModel(mapping string, j int, cyclic bool) (*pepa.Model, e
 	return m, nil
 }
 
-// studyJob is the checkpoint job name of per-machine study cells.
-const studyJob = "robustness.study"
-
-// fingerprint derives the checkpoint fingerprint from every parameter
-// that determines a cell's numbers: the availability rates, the seed,
-// the full ETC matrix, and the exact time grid (all hashed at full
-// float64 precision). Workers is deliberately excluded — results are
-// bit-identical for any worker count.
-func (s *Study) fingerprint(times []float64) string {
-	var etc strings.Builder
-	for i := range s.ETC {
-		for j := range s.ETC[i] {
-			fmt.Fprintf(&etc, "%x,", math.Float64bits(s.ETC[i][j]))
-		}
-	}
-	var grid strings.Builder
-	for _, t := range times {
-		fmt.Fprintf(&grid, "%x,", math.Float64bits(t))
-	}
-	return checkpoint.Fingerprint(
-		studyJob,
-		fmt.Sprintf("fail=%x repair=%x seed=%d", math.Float64bits(s.FailRate), math.Float64bits(s.RepairRate), s.Seed),
-		etc.String(),
-		grid.String(),
-	)
-}
-
-// openCells opens the study's finished per-machine CDF probability rows
-// on the grid, keyed by "<mapping>/<machine index>": from the checkpoint
-// file when the study has one, in memory otherwise.
-func (s *Study) openCells(times []float64) (*checkpoint.Map[string, []float64], error) {
-	var file *checkpoint.File
-	if s.Checkpoint != "" {
-		file = &checkpoint.File{Path: s.Checkpoint, Job: studyJob, Fingerprint: s.fingerprint(times), Obs: s.Obs}
-	}
-	return checkpoint.Open[string, []float64](file, "cells")
-}
-
 // FinishingCDF computes the CDF of the finishing time of machine j under
 // the mapping on the given time grid — the quantity plotted in Figs 3/4.
 func (s *Study) FinishingCDF(mapping string, j int, times []float64) (*ctmc.PassageCDF, error) {
 	return s.FinishingCDFCtx(context.Background(), mapping, j, times)
 }
 
-// FinishingCDFCtx is FinishingCDF with cooperative cancellation (polled
-// inside the state-space BFS and every passage-time solve) and, when
-// Study.Checkpoint is set, crash-safe per-machine persistence: a cell
-// already on disk for identical parameters is returned without solving,
-// byte-identical to a fresh computation.
+// FinishingCDFCtx is FinishingCDF with cooperative cancellation, polled
+// inside the state-space BFS and the passage-time solve.
 func (s *Study) FinishingCDFCtx(ctx context.Context, mapping string, j int, times []float64) (*ctmc.PassageCDF, error) {
-	cells, err := s.openCells(times)
-	if err != nil {
-		return nil, err
-	}
-	return s.finishingCDF(ctx, cells, mapping, j, times)
-}
-
-// finishingCDF returns machine j's cell from cells, solving and storing
-// it first when cells does not hold it.
-func (s *Study) finishingCDF(ctx context.Context, cells *checkpoint.Map[string, []float64], mapping string, j int, times []float64) (*ctmc.PassageCDF, error) {
-	key := fmt.Sprintf("%s/%d", mapping, j)
-	if probs, ok := cells.Get(key); ok {
-		return &ctmc.PassageCDF{Times: append([]float64(nil), times...), Probs: probs}, nil
-	}
 	cell, err := s.machineCell(ctx, mapping, j)
 	if err != nil {
 		return nil, err
@@ -399,9 +327,6 @@ func (s *Study) finishingCDF(ctx context.Context, cells *checkpoint.Map[string, 
 		probs[i] = p
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := cells.Put(key, probs); err != nil {
 		return nil, err
 	}
 	return &ctmc.PassageCDF{Times: append([]float64(nil), times...), Probs: probs}, nil
@@ -494,24 +419,18 @@ func completionTargets(ss *derive.StateSpace, j int) ([]int, error) {
 // MakespanCDF computes the CDF of the mapping's makespan (the time by
 // which every machine has finished). The machines' availability processes
 // are independent, so the makespan CDF is the product of the per-machine
-// finishing-time CDFs — computed in parallel, multiplied in machine order.
+// finishing-time CDFs — computed in parallel on the par pool, multiplied
+// in machine order, so the product is bit-identical at any GOMAXPROCS.
 func (s *Study) MakespanCDF(mapping string, times []float64) (*ctmc.PassageCDF, error) {
 	return s.MakespanCDFCtx(context.Background(), mapping, times)
 }
 
-// MakespanCDFCtx is MakespanCDF with cooperative cancellation and
-// (when Study.Checkpoint is set) per-machine checkpoint/resume. An
+// MakespanCDFCtx is MakespanCDF with cooperative cancellation. An
 // interrupted run returns a *runctx.ErrCanceled counting the machines
-// that finished; those cells are already on disk, so resuming costs
-// only the unfinished machines and the final product is byte-identical
-// to an uninterrupted run.
+// that finished, with their CDFs (nil for the rest) as its Partial.
 func (s *Study) MakespanCDFCtx(ctx context.Context, mapping string, times []float64) (*ctmc.PassageCDF, error) {
-	cells, err := s.openCells(times)
-	if err != nil {
-		return nil, err
-	}
-	cdfs, err := par.Map(ctx, NumMachines, s.Workers, func(j int) (*ctmc.PassageCDF, error) {
-		cdf, err := s.finishingCDF(ctx, cells, mapping, j, times)
+	cdfs, err := par.Map(ctx, NumMachines, func(j int) (*ctmc.PassageCDF, error) {
+		cdf, err := s.FinishingCDFCtx(ctx, mapping, j, times)
 		if err != nil {
 			return nil, fmt.Errorf("robustness: machine %d: %w", j+1, err)
 		}
@@ -554,8 +473,8 @@ func (s *Study) Robustness(mapping string, tau float64, samples int) (float64, e
 	return s.RobustnessCtx(context.Background(), mapping, tau, samples)
 }
 
-// RobustnessCtx is Robustness with cooperative cancellation and
-// checkpoint/resume, inherited from MakespanCDFCtx.
+// RobustnessCtx is Robustness with cooperative cancellation, inherited
+// from MakespanCDFCtx.
 func (s *Study) RobustnessCtx(ctx context.Context, mapping string, tau float64, samples int) (float64, error) {
 	times, err := deadlineGrid(tau, samples)
 	if err != nil {
@@ -598,7 +517,7 @@ func (s *Study) ActivityDiagram(mapping string, j int) (string, error) {
 		return "", err
 	}
 	title := fmt.Sprintf("Activity diagram: machine M%d, Mapping %s", j+1, mapping)
-	return diagram.DOT(ss, diagram.Options{Title: title, ShortLabels: true}), nil
+	return diagram.DOT(ss, title), nil
 }
 
 // ActivityText renders the same diagram as plain text.
@@ -612,17 +531,7 @@ func (s *Study) ActivityText(mapping string, j int) (string, error) {
 		return "", err
 	}
 	title := fmt.Sprintf("Activity diagram: machine M%d, Mapping %s", j+1, mapping)
-	return diagram.Text(ss, diagram.Options{Title: title}), nil
-}
-
-// PEPASource renders machine j's model as PEPA concrete syntax — the file
-// fed to the containerized solver.
-func (s *Study) PEPASource(mapping string, j int, cyclic bool) (string, error) {
-	m, err := s.MachineModel(mapping, j, cyclic)
-	if err != nil {
-		return "", err
-	}
-	return m.String(), nil
+	return diagram.Text(ss, title), nil
 }
 
 // FormatTableI renders Table I in the paper's layout.

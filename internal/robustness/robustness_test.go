@@ -252,12 +252,15 @@ func TestActivityDiagramOutputs(t *testing.T) {
 	}
 }
 
+// TestPEPASourceRoundTrips: a machine model's PEPA concrete syntax, the
+// file fed to the containerized solver, parses, checks and derives.
 func TestPEPASourceRoundTrips(t *testing.T) {
 	s := NewStudy()
-	src, err := s.PEPASource(MappingA, 0, false)
+	model, err := s.MachineModel(MappingA, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	src := model.String()
 	m, err := pepa.Parse(src)
 	if err != nil {
 		t.Fatalf("generated PEPA source does not reparse: %v\n%s", err, src)
@@ -286,31 +289,4 @@ func grid(t0, t1 float64, n int) []float64 {
 		ts[i] = t0 + (t1-t0)*float64(i)/float64(n)
 	}
 	return ts
-}
-
-func TestFinishingCDFWorkersBitIdentical(t *testing.T) {
-	// The Table I machine models are the study's hot solves; Workers must
-	// never change an output bit.
-	times := grid(0, 120, 40)
-	for _, mapping := range []string{MappingA, MappingB} {
-		seq := NewStudy()
-		par4 := NewStudy()
-		par4.Workers = 4
-		for j := 0; j < NumMachines; j++ {
-			a, err := seq.FinishingCDF(mapping, j, times)
-			if err != nil {
-				t.Fatalf("mapping %s machine %d: %v", mapping, j+1, err)
-			}
-			b, err := par4.FinishingCDF(mapping, j, times)
-			if err != nil {
-				t.Fatalf("mapping %s machine %d (workers=4): %v", mapping, j+1, err)
-			}
-			for i := range a.Probs {
-				if a.Probs[i] != b.Probs[i] {
-					t.Fatalf("mapping %s machine %d t=%g: sequential %v != workers-4 %v",
-						mapping, j+1, times[i], a.Probs[i], b.Probs[i])
-				}
-			}
-		}
-	}
 }

@@ -4,8 +4,8 @@
 // direct-method loop of the population models (GPEPA and Bio-PEPA),
 // sampled on an even time grid; Mean and Std reduce trajectories in
 // replication order. A replication depends only on its seed and the
-// reductions sum in a fixed order, so every result is bit-identical for
-// any worker count and across a checkpoint resume.
+// reductions sum in a fixed order, so every result is bit-identical at
+// any GOMAXPROCS and across a checkpoint resume.
 package ssa
 
 import (
@@ -19,14 +19,14 @@ import (
 	"repro/internal/runctx"
 )
 
-// Replicate runs replications 0..k-1 through run on up to workers
-// goroutines (<= 0 means GOMAXPROCS), skipping those reps already holds
+// Replicate runs replications 0..k-1 through run on the par pool
+// (min(GOMAXPROCS, k) goroutines), skipping those reps already holds
 // and storing each one it finishes, and returns every replication in
 // index order. Once ctx is done no replication starts; the error is then
 // a *runctx.ErrCanceled for op, returned with the replications reps
 // holds, in index order.
-func Replicate[V any](ctx context.Context, op string, k, workers int, reps *checkpoint.Map[int, V], run func(i int) (V, error)) ([]V, error) {
-	err := par.ForEach(ctx, k, workers, func(i int) error {
+func Replicate[V any](ctx context.Context, op string, k int, reps *checkpoint.Map[int, V], run func(i int) (V, error)) ([]V, error) {
+	err := par.ForEach(ctx, k, func(i int) error {
 		if _, done := reps.Get(i); done {
 			return nil
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +17,7 @@ import (
 
 // TestReplicateRunsOnlyMissingReplications: replications the map already
 // holds are returned as stored and never re-run; the rest run once each,
-// concurrently, and come back in index order.
+// on the par pool, and come back in index order.
 func TestReplicateRunsOnlyMissingReplications(t *testing.T) {
 	reps, err := checkpoint.Open[int, int](nil, "reps")
 	if err != nil {
@@ -29,7 +30,7 @@ func TestReplicateRunsOnlyMissingReplications(t *testing.T) {
 	}
 	var mu sync.Mutex
 	ran := map[int]int{}
-	got, err := Replicate(context.Background(), "test.ensemble", 6, 3, reps, func(i int) (int, error) {
+	got, err := Replicate(context.Background(), "test.ensemble", 6, reps, func(i int) (int, error) {
 		mu.Lock()
 		ran[i]++
 		mu.Unlock()
@@ -51,8 +52,11 @@ func TestReplicateRunsOnlyMissingReplications(t *testing.T) {
 
 // TestReplicateCanceled: a cancel stops dispatch, and the error counts,
 // and the result lists, every replication the map holds, stored before
-// the run or finished in it.
+// the run or finished in it. GOMAXPROCS 1 runs the replications in order,
+// so the cancel lands after replication 0 at any -cpu.
 func TestReplicateCanceled(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	reps, err := checkpoint.Open[int, int](nil, "reps")
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +66,7 @@ func TestReplicateCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	got, err := Replicate(ctx, "test.ensemble", 6, 1, reps, func(i int) (int, error) {
+	got, err := Replicate(ctx, "test.ensemble", 6, reps, func(i int) (int, error) {
 		cancel() // replication 0 finishes; nothing after it starts
 		return 10 + i, nil
 	})

@@ -1,9 +1,9 @@
 package repro
 
 // Parallel-scaling benchmarks: the hpc-parallel substance of the
-// toolchain. Every parallel path is bit-identical to its sequential
-// counterpart (results are reduced in index order), so these benches
-// measure pure speedup. Run with: go test -bench=Parallel -cpu=1,4,8
+// toolchain. Every fan-out runs GOMAXPROCS wide and is bit-identical to
+// its sequential run (results are reduced in index order), so these
+// benches measure pure speedup. Run with: go test -bench=Parallel -cpu=1,4,8
 import (
 	"testing"
 
@@ -15,29 +15,16 @@ import (
 	"repro/internal/pepa/sim"
 )
 
-// BenchmarkParallelEnsemble measures PEPA simulation ensembles with one
-// worker versus all cores.
+// BenchmarkParallelEnsemble measures a 16-replication PEPA simulation
+// ensemble; -cpu 1,4 compares one worker with four.
 func BenchmarkParallelEnsemble(b *testing.B) {
 	m := pepa.MustParse("P = (work, 2).P1; P1 = (rest, 1).P; P")
 	opts := sim.Options{Horizon: 2000, Seed: 11}
-	b.Run("workers-1", func(b *testing.B) {
-		o := opts
-		o.Workers = 1
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunEnsemble(m, o, 16); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.RunEnsemble(m, opts, 16); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("workers-all", func(b *testing.B) {
-		o := opts
-		o.Workers = 0
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunEnsemble(m, o, 16); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkParallelSweep measures the rate-sweep fan-out: the model is
